@@ -28,16 +28,12 @@ from .mobility import (
     spawn_mixed_fleet,
 )
 from .protocol import (
-    EnpState,
     EpochResult,
     EpochSchedule,
     TimingParams,
-    VrState,
     World,
     build_epoch_schedule,
-    enp_on_probe,
     run_epoch,
-    vr_on_slot_outcome,
 )
 from .radio import (
     RadioParams,
@@ -60,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "EnpState",
     "EpochResult",
     "EpochSchedule",
     "ExperimentResult",
@@ -82,7 +77,6 @@ __all__ = [
     "Transmission",
     "Vehicle",
     "Verdict",
-    "VrState",
     "World",
     "advance",
     "aggregate",
@@ -90,7 +84,6 @@ __all__ = [
     "build_fleet",
     "comm_range_m",
     "distance_to_vr",
-    "enp_on_probe",
     "expected_collision_fraction",
     "ground_truth",
     "iteration_accuracy",
@@ -106,5 +99,4 @@ __all__ = [
     "spawn_fleet",
     "spawn_mixed_fleet",
     "sweep",
-    "vr_on_slot_outcome",
 ]

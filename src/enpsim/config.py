@@ -13,6 +13,7 @@ Every field is validated before any epoch runs; violations raise
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .mobility import RoadGeometry, Vehicle
@@ -85,7 +86,10 @@ class SimConfig:
 # value parsers
 
 def _float(s: str) -> float:
-    return float(s)
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {s.strip()!r}")
+    return v
 
 
 def _int(s: str) -> int:
@@ -96,7 +100,7 @@ def _float_list(s: str) -> tuple[float, ...]:
     parts = [p.strip() for p in s.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(p) for p in parts)
+    return tuple(_float(p) for p in parts)
 
 
 def _float_pair(s: str) -> tuple[float, float]:
@@ -133,8 +137,11 @@ def _vehicles(s: str) -> tuple[Vehicle, ...]:
         parts = [p.strip() for p in rec.split(":")]
         if len(parts) != 4:
             raise ValueError(f"vehicle record {rec!r} is not vrn:x:y:speed")
+        vrn = int(parts[0])
+        if not 0 <= vrn < 2**64:
+            raise ValueError(f"vehicle record {rec!r}: vrn must be in [0, 2**64)")
         out.append(
-            Vehicle(vrn=int(parts[0]), x=float(parts[1]), y=float(parts[2]), speed_mps=float(parts[3]))
+            Vehicle(vrn=vrn, x=_float(parts[1]), y=_float(parts[2]), speed_mps=_float(parts[3]))
         )
     return tuple(out)
 

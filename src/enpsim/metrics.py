@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .mobility import Fleet, RoadGeometry, positions_at
-from .radio import RadioParams
+from .radio import RadioParams, received_power_dbm
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,7 @@ def ground_truth(
     in_range = np.zeros(len(fleet), dtype=bool)
     for vr_x, vr_y in geometry.vr_positions(pair_id):
         d = np.hypot(road_x - vr_x, fleet.y[None, :] - vr_y)
-        power = (
-            radio.tx_power_dbm
-            - radio.pl0_db
-            - 10.0 * radio.exponent * np.log10(np.maximum(d, 1.0))
-        )
+        power = received_power_dbm(d, radio)
         in_range |= (power >= radio.sensitivity_dbm).any(axis=0)
     return {int(v) for v in fleet.vrn[in_range]}
 

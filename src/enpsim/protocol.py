@@ -1,4 +1,4 @@
-"""Recorder/tag state machines and the per-epoch simulation loop.
+"""The epoch schedule and the per-epoch simulation engine.
 
 An epoch is one sync period: a flooding-sync window (no radio traffic
 modeled inside it) followed by back-to-back query rounds.  Each round is one
@@ -15,14 +15,16 @@ decisions see bit-identical geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import PROBE_KIND, ProbeFrame, ReplyFrame
+# Unused by the engine, but the benchmark's layer tracer (bench/spans.py)
+# counts probe frames by patching this module's ProbeFrame binding.
+from .frames import ProbeFrame  # noqa: F401
 from .metrics import RecordEntry
 from .mobility import Fleet, RoadGeometry, advance, positions_at
-from .radio import RadioParams, ReceptionOutcome, Verdict, capture_verdicts
+from .radio import RadioParams, Verdict, capture_verdicts, received_power_dbm
 from .slot_hash import HashParams, round_seed, slot_for
 
 
@@ -72,11 +74,11 @@ class EpochSchedule:
 
     def sample_times_us(self) -> np.ndarray:
         """Every probe and slot start time of the epoch, ascending."""
-        times = []
-        for r in range(self.round_count):
-            times.append(self.probe_tx_time_us(r))
-            times.extend(self.slot_start_us(r, s) for s in range(self.slot_count))
-        return np.asarray(times, dtype=np.int64)
+        rounds = np.arange(self.round_count, dtype=np.int64)
+        round_start = self.round_start_us(0) + rounds * self.round_len_us
+        slots = np.arange(self.slot_count, dtype=np.int64)
+        offsets = np.concatenate(([0], self.probe_len_us + slots * self.slot_len_us))
+        return (round_start[:, None] + offsets).ravel()
 
 
 def build_epoch_schedule(
@@ -106,74 +108,6 @@ def build_epoch_schedule(
     )
 
 
-@dataclass
-class VrState:
-    """One roadside recorder: fixed position, per-epoch record set."""
-
-    vr_id: str
-    pair_id: int
-    side: int
-    position: tuple[float, float]
-    records: dict[int, RecordEntry] = field(default_factory=dict)
-    malformed_frames: int = 0
-
-
-@dataclass
-class EnpState:
-    """One in-vehicle tag; remembers the probe it decoded this round."""
-
-    vrn: int
-    last_probe: ProbeFrame | None = None
-
-
-def enp_on_probe(
-    enp: EnpState, probe: ProbeFrame, schedule: EpochSchedule, round_index: int
-) -> tuple[int, int]:
-    """Plan the tag's reply after it decoded ``probe``: hash the registration
-    number to a slot and return (slot, absolute tx time).  A tag that decodes
-    no probe in a round simply is not asked and stays silent."""
-    enp.last_probe = probe
-    slot = slot_for(enp.vrn, probe.hash_params())
-    return slot, schedule.slot_start_us(round_index, slot)
-
-
-def vr_on_slot_outcome(
-    vr: VrState, outcome: ReceptionOutcome, epoch: int, round_index: int, slot: int
-) -> VrState:
-    """Fold one reply-slot verdict into the recorder's epoch records.
-
-    Decoded replies are recorded once per registration number per epoch;
-    collisions and silence change nothing.  A probe frame showing up in a
-    reply slot is malformed traffic: discarded and counted."""
-    if outcome.verdict is Verdict.RECEIVED:
-        assert outcome.frame is not None
-        if outcome.frame[0] == PROBE_KIND:
-            vr.malformed_frames += 1
-            return vr
-        reply = ReplyFrame.decode(outcome.frame)
-        vr.records.setdefault(
-            reply.vrn,
-            RecordEntry(vrn=reply.vrn, vr_id=vr.vr_id, epoch=epoch, round=round_index, slot=slot),
-        )
-    return vr
-
-
-def make_vr_states(geometry: RoadGeometry) -> list[VrState]:
-    """Recorders in pair-major order, sides named a/b."""
-    states = []
-    for pair in range(geometry.n_pairs):
-        for side, pos in enumerate(geometry.vr_positions(pair)):
-            states.append(
-                VrState(
-                    vr_id=f"vr{pair}{'ab'[side]}",
-                    pair_id=pair,
-                    side=side,
-                    position=pos,
-                )
-            )
-    return states
-
-
 class World:
     """Mutable simulation state: the fleet plus recorder and channel context.
 
@@ -197,13 +131,16 @@ class World:
         self.hash_params = hash_params
         self.timing = timing
         self.rng = rng
-        self.vr_states = make_vr_states(geometry)
         self.enp_slots = np.array(
             [slot_for(int(v), hash_params) for v in fleet.vrn], dtype=np.intp
         )
-        # recorder coordinates as (2P,) column arrays for the batch paths
-        self._vr_x = np.array([vr.position[0] for vr in self.vr_states])
-        self._vr_y = np.array([vr.position[1] for vr in self.vr_states])
+        # recorders as (2P,) columns in pair-major order, sides named a/b
+        pairs = range(geometry.n_pairs)
+        self.vr_ids = tuple(f"vr{p}{side}" for p in pairs for side in "ab")
+        self.vr_pair = np.repeat(np.arange(geometry.n_pairs), 2)
+        xy = np.array([pos for p in pairs for pos in geometry.vr_positions(p)], dtype=float)
+        self.vr_x = xy[:, 0]
+        self.vr_y = xy[:, 1]
 
 
 @dataclass
@@ -221,23 +158,6 @@ class EpochResult:
         a = self.records_by_vr[f"vr{pair_id}a"]
         b = self.records_by_vr[f"vr{pair_id}b"]
         return set(a), set(b)
-
-
-def _link_powers_dbm(
-    road_x: np.ndarray,
-    y: np.ndarray,
-    rx_x: np.ndarray,
-    rx_y: np.ndarray,
-    radio: RadioParams,
-    tx_power_dbm: float | None = None,
-) -> np.ndarray:
-    """Zero-shadow received power for every (receiver, source) link.
-
-    ``road_x``/``y`` are source coordinates (V,), ``rx_x``/``rx_y`` receiver
-    coordinates (R,); result is (R, V)."""
-    tx = radio.tx_power_dbm if tx_power_dbm is None else tx_power_dbm
-    d = np.hypot(road_x[None, :] - rx_x[:, None], y[None, :] - rx_y[:, None])
-    return tx - radio.pl0_db - 10.0 * radio.exponent * np.log10(np.maximum(d, 1.0))
 
 
 def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> EpochResult:
@@ -259,9 +179,15 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     n_pairs = geom.n_pairs
     n_enp = len(fleet)
     events: list[str] | None = [] if record_events else None
+    vr_ids = world.vr_ids
+    vr_pair = world.vr_pair.tolist()
+    records: list[dict[int, RecordEntry]] = [{} for _ in vr_ids]
 
-    for vr in world.vr_states:
-        vr.records = {}
+    def link_powers(src_x, src_y, tx_power_dbm=None):
+        """Received power at every recorder from every source, (2P, V)."""
+        d = np.hypot(src_x[None, :] - world.vr_x[:, None], src_y[None, :] - world.vr_y[:, None])
+        shadow = rng.normal(0.0, sigma, size=d.shape) if sigma > 0 else 0.0
+        return received_power_dbm(d, radio, shadow, tx_power_dbm=tx_power_dbm)
 
     def log(time_us, event, node, pair, rnd, slot, vrn):
         events.append(
@@ -270,29 +196,16 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
 
     for r in range(sched.round_count):
         if world.hash_params.reseed_per_round:
-            seed_r = round_seed(world.hash_params.seed, epoch_index, r)
             params_r = HashParams(
                 hash_id=world.hash_params.hash_id,
-                seed=seed_r,
+                seed=round_seed(world.hash_params.seed, epoch_index, r),
                 slot_count=sched.slot_count,
             )
             enp_slots = np.array(
                 [slot_for(int(v), params_r) for v in fleet.vrn], dtype=np.intp
             )
         else:
-            seed_r = world.hash_params.seed
             enp_slots = world.enp_slots
-        probes = [
-            ProbeFrame(
-                pair_id=p,
-                epoch=epoch_index,
-                round=r,
-                slot_count=sched.slot_count,
-                hash_id=world.hash_params.hash_id,
-                seed=seed_r,
-            )
-            for p in range(n_pairs)
-        ]
 
         # ---- probe phase: every tag resolves the concurrent probes ----
         t_probe = sched.probe_tx_time_us(r)
@@ -300,17 +213,12 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
         road_x = geom.road_x(positions_at(fleet, dt))
 
         if events is not None:
-            for vr in world.vr_states:
-                log(t_probe, "PROBE", vr.vr_id, vr.pair_id, r, "-", "-")
+            for vr_id, pair in zip(vr_ids, vr_pair):
+                log(t_probe, "PROBE", vr_id, pair, r, "-", "-")
 
         decoded_pair = np.full(n_enp, -1, dtype=np.intp)
         if n_enp and n_pairs:
-            link_pw = _link_powers_dbm(
-                road_x, fleet.y, world._vr_x, world._vr_y, radio,
-                tx_power_dbm=radio.probe_tx_power_dbm,
-            )
-            if sigma > 0:
-                link_pw = link_pw + rng.normal(0.0, sigma, size=link_pw.shape)
+            link_pw = link_powers(road_x, fleet.y, radio.probe_tx_power_dbm)
             # the two recorders of a pair send byte-identical probes:
             # non-destructive replicas, strongest link counts
             group_pw = link_pw.reshape(n_pairs, 2, n_enp).max(axis=1)
@@ -342,28 +250,26 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
                 for i in idx:
                     log(t_slot, "REPLY", f"enp{i}", "-", r, s, int(fleet.vrn[i]))
 
-            pw = _link_powers_dbm(tx_road_x, fleet.y[idx], world._vr_x, world._vr_y, radio)
-            if sigma > 0:
-                pw = pw + rng.normal(0.0, sigma, size=pw.shape)
+            pw = link_powers(tx_road_x, fleet.y[idx])
             codes, winners = capture_verdicts(pw.T, radio)
-            for j, vr in enumerate(world.vr_states):
+            for j, vr_id in enumerate(vr_ids):
                 if codes[j] == Verdict.RECEIVED:
                     vi = int(idx[winners[j]])
                     vrn = int(fleet.vrn[vi])
-                    vr.records.setdefault(
+                    records[j].setdefault(
                         vrn,
-                        RecordEntry(vrn=vrn, vr_id=vr.vr_id, epoch=epoch_index, round=r, slot=s),
+                        RecordEntry(vrn=vrn, vr_id=vr_id, epoch=epoch_index, round=r, slot=s),
                     )
                     if events is not None:
-                        log(t_slot, "RX", vr.vr_id, vr.pair_id, r, s, vrn)
+                        log(t_slot, "RX", vr_id, vr_pair[j], r, s, vrn)
                 elif codes[j] == Verdict.COLLISION and events is not None:
-                    log(t_slot, "COLL", vr.vr_id, vr.pair_id, r, s, "-")
+                    log(t_slot, "COLL", vr_id, vr_pair[j], r, s, "-")
 
     world.fleet = advance(fleet, sched.glossy_period_us * 1e-6)
     return EpochResult(
         epoch_index=epoch_index,
         schedule=sched,
         fleet_start=fleet,
-        records_by_vr={vr.vr_id: dict(vr.records) for vr in world.vr_states},
+        records_by_vr=dict(zip(vr_ids, records)),
         events=events,
     )

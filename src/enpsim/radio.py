@@ -86,20 +86,21 @@ class ReceptionOutcome:
 
 
 def received_power_dbm(
-    distance_m: float,
+    distance_m: float | np.ndarray,
     params: RadioParams,
-    shadow_draw_db: float = 0.0,
+    shadow_draw_db: float | np.ndarray = 0.0,
     tx_power_dbm: float | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Received power over a link of ``distance_m`` meters.
 
-    Distances below the 1 m reference are clamped to 1 m.  ``shadow_draw_db``
-    is the caller-supplied shadowing offset for this link (zero when
-    shadowing is off).
+    The one place the path-loss formula is written; scalars and arrays both
+    work, elementwise.  Distances below the 1 m reference are clamped to
+    1 m.  ``shadow_draw_db`` is the caller-supplied shadowing offset for
+    each link (zero when shadowing is off), added after the path loss.
     """
     tx = params.tx_power_dbm if tx_power_dbm is None else tx_power_dbm
-    d = max(distance_m, 1.0)
-    return tx - params.pl0_db - 10.0 * params.exponent * math.log10(d) + shadow_draw_db
+    d = np.maximum(distance_m, 1.0)
+    return tx - params.pl0_db - 10.0 * params.exponent * np.log10(d) + shadow_draw_db
 
 
 def comm_range_m(params: RadioParams) -> float:

@@ -166,6 +166,21 @@ class TestCli:
         assert main(["run", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "radio.exponent = nan",
+        "radio.sensitivity_dbm = nan",
+        "radio.tx_power_dbm = inf",
+        "radio.capture_threshold_db = inf",
+        "fleet.v_min_kmh = nan",
+        "fleet.explicit = -1:200:2:0",
+        f"fleet.explicit = {2**64}:200:2:0",
+    ])
+    def test_out_of_range_value_exit_2_names_key(self, tmp_path, capsys, line):
+        cfg = self.write_config(tmp_path, f"preset = oracle-static5\n{line}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and line.split(" = ")[0] in err
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.conf")]) == 2
 

@@ -41,6 +41,16 @@ class TestReceivedPower:
 
     def test_clamps_below_reference(self):
         assert received_power_dbm(0.2, DEFAULTS) == received_power_dbm(1.0, DEFAULTS)
+        # arrays work elementwise and give exactly the scalar results
+        d = np.array([[0.2, 1.0, 3.7], [10.0, 63.1, 250.0]])
+        shadow = np.array([[0.0, -2.5, 1.0], [4.0, 0.0, -7.25]])
+        for kwargs in ({}, {"shadow_draw_db": shadow, "tx_power_dbm": 6.0}):
+            got = received_power_dbm(d, DEFAULTS, **kwargs)
+            s = kwargs.get("shadow_draw_db", np.zeros_like(d))
+            tx = kwargs.get("tx_power_dbm")
+            want = [[received_power_dbm(float(x), DEFAULTS, float(sd), tx) for x, sd in zip(*rows)]
+                    for rows in zip(d, s)]
+            assert got.shape == d.shape and got.tolist() == want
 
     def test_shadow_and_power_override(self):
         assert received_power_dbm(10.0, DEFAULTS, 5.0) == pytest.approx(-65.0)
