@@ -26,6 +26,9 @@ class ConfigError(Exception):
     """Invalid configuration text or field values."""
 
 
+MAX_FLEET_SIZE = 10_000
+
+
 @dataclass(frozen=True)
 class FleetConfig:
     """Random fleet parameters, or an explicit vehicle list overriding them.
@@ -42,8 +45,10 @@ class FleetConfig:
     explicit: tuple[Vehicle, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.v_n < 0:
-            raise ValueError("fleet.v_n must be >= 0")
+        # an epoch holds (sample times x vehicles) float arrays; at the paper
+        # schedule's 216 sample times that is 17 MB each at the cap
+        if not 0 <= self.v_n <= MAX_FLEET_SIZE:
+            raise ValueError(f"fleet.v_n must be in [0, {MAX_FLEET_SIZE}], got {self.v_n}")
         if self.v_min_kmh <= 0:
             raise ValueError("fleet.v_min_kmh must be > 0")
         if self.v_max_kmh < self.v_min_kmh:
@@ -338,7 +343,10 @@ def with_master_seed(config: SimConfig, master_seed: int) -> SimConfig:
 
 
 def with_fleet_cell(config: SimConfig, v_n: int, v_min_kmh: float, v_max_kmh: float) -> SimConfig:
-    fl = replace(config.fleet, v_n=v_n, v_min_kmh=v_min_kmh, v_max_kmh=v_max_kmh)
+    try:
+        fl = replace(config.fleet, v_n=v_n, v_min_kmh=v_min_kmh, v_max_kmh=v_max_kmh)
+    except ValueError as e:
+        raise ConfigError(f"sweep cell: {e}") from None
     return replace(config, fleet=fl)
 
 

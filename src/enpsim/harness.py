@@ -94,8 +94,8 @@ def run_experiment(
             result = run_epoch(world, epoch_index, record_events=events)
             if events:
                 event_log.extend(result.events)
-            for pair in range(geom.n_pairs):
-                gt = ground_truth(pair, result.fleet_start, result.schedule, geom, radio)
+            gts = ground_truth(result.fleet_start, result.schedule, geom, radio)
+            for pair, gt in enumerate(gts):
                 rec_a, rec_b = result.pair_record_sets(pair)
                 stats = iteration_accuracy(rec_a, rec_b, gt, pair_id=pair, epoch=epoch_index)
                 if stats.union_count < max(stats.detected_1, stats.detected_2):

@@ -56,31 +56,35 @@ class IterationStats:
 
 
 def ground_truth(
-    pair_id: int,
     fleet: Fleet,
     schedule,
     geometry: RoadGeometry,
     radio: RadioParams,
-) -> set[int]:
-    """Vehicles within nominal range of the pair at some schedule boundary.
+) -> list[set[int]]:
+    """Per recorder pair, the vehicles within nominal range of the pair at
+    some schedule boundary; one set per pair, in pair order.
 
     ``fleet`` is the epoch-start snapshot; positions at each boundary follow
-    from the constant speeds.  Membership is evaluated as zero-shadow
-    received power >= sensitivity, which is the same condition as distance <=
-    comm_range_m and keeps the containment of decoded records exact.
+    from the constant speeds and are computed once for all pairs.
+    Membership is evaluated as zero-shadow received power >= sensitivity,
+    which is the same condition as distance <= comm_range_m and keeps the
+    containment of decoded records exact.
     """
     if len(fleet) == 0:
-        return set()
+        return [set() for _ in range(geometry.n_pairs)]
     times = schedule.sample_times_us()
     dts = (times - schedule.epoch_start_us) * 1e-6
     road_x = geometry.road_x(positions_at(fleet, dts))  # (T, V)
 
-    in_range = np.zeros(len(fleet), dtype=bool)
-    for vr_x, vr_y in geometry.vr_positions(pair_id):
-        d = np.hypot(road_x - vr_x, fleet.y[None, :] - vr_y)
-        power = received_power_dbm(d, radio)
-        in_range |= (power >= radio.sensitivity_dbm).any(axis=0)
-    return {int(v) for v in fleet.vrn[in_range]}
+    out = []
+    for pair_id in range(geometry.n_pairs):
+        in_range = np.zeros(len(fleet), dtype=bool)
+        for vr_x, vr_y in geometry.vr_positions(pair_id):
+            d = np.hypot(road_x - vr_x, fleet.y[None, :] - vr_y)
+            power = received_power_dbm(d, radio)
+            in_range |= (power >= radio.sensitivity_dbm).any(axis=0)
+        out.append({int(v) for v in fleet.vrn[in_range]})
+    return out
 
 
 def iteration_accuracy(

@@ -8,9 +8,14 @@ probes simultaneously, and every tag that decodes a probe answers in the
 slot its registration number hashes to.  Reception is resolved independently
 at every receiver under the capture rule.
 
-The per-epoch loop computes positions directly from the epoch-start fleet
-snapshot at each schedule event, so ground-truth sampling and decode
-decisions see bit-identical geometry.
+The engine resolves one round at a time: one capture call decides the
+probe at every tag, and one more decides every occupied reply slot of the
+round at every recorder, over a (slots x contenders x recorders) power
+tensor padded with -inf.  Shadowing is drawn once per phase, in the order a
+slot-by-slot resolution would draw it, so outputs do not depend on the
+batching.  Positions come directly from the epoch-start fleet snapshot at
+each schedule event, so ground-truth sampling and decode decisions see
+bit-identical geometry.
 """
 
 from __future__ import annotations
@@ -24,7 +29,13 @@ import numpy as np
 from .frames import ProbeFrame  # noqa: F401
 from .metrics import RecordEntry
 from .mobility import Fleet, RoadGeometry, advance, positions_at
-from .radio import RadioParams, Verdict, capture_verdicts, received_power_dbm
+from .radio import (
+    COLLISION_CODE,
+    RECEIVED_CODE,
+    RadioParams,
+    capture_verdicts,
+    received_power_dbm,
+)
 from .slot_hash import HashParams, round_seed, slot_for
 
 
@@ -165,10 +176,15 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
 
     Per round: the fleet is moved to the probe time and every tag resolves
     probe reception against all pairs' concurrent probes (pair replicas
-    merged, cross-pair probes contending); then, slot by slot, the fleet is
-    moved to the slot start and all replies scheduled there are resolved
-    independently at every recorder.  Event ordering is fully determined by
-    the schedule.
+    merged, cross-pair probes contending).  Then the whole reply phase of
+    the round is resolved as one batch: every tag that decoded a probe is
+    placed at the start of its own slot, the repliers are grouped by slot
+    into a (slots x contenders x recorders) power tensor padded with -inf,
+    and one capture call decides every occupied slot at every recorder
+    independently.  The shadowing draws keep the order of a slot-by-slot
+    resolution (slot, then recorder, then contender), so results do not
+    depend on the batching.  Event ordering is fully determined by the
+    schedule.
     """
     sched = build_epoch_schedule(world.timing, world.hash_params.slot_count, epoch_index)
     fleet = world.fleet
@@ -180,14 +196,9 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     n_enp = len(fleet)
     events: list[str] | None = [] if record_events else None
     vr_ids = world.vr_ids
+    n_vr = len(vr_ids)
     vr_pair = world.vr_pair.tolist()
     records: list[dict[int, RecordEntry]] = [{} for _ in vr_ids]
-
-    def link_powers(src_x, src_y, tx_power_dbm=None):
-        """Received power at every recorder from every source, (2P, V)."""
-        d = np.hypot(src_x[None, :] - world.vr_x[:, None], src_y[None, :] - world.vr_y[:, None])
-        shadow = rng.normal(0.0, sigma, size=d.shape) if sigma > 0 else 0.0
-        return received_power_dbm(d, radio, shadow, tx_power_dbm=tx_power_dbm)
 
     def log(time_us, event, node, pair, rnd, slot, vrn):
         events.append(
@@ -216,54 +227,78 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
             for vr_id, pair in zip(vr_ids, vr_pair):
                 log(t_probe, "PROBE", vr_id, pair, r, "-", "-")
 
-        decoded_pair = np.full(n_enp, -1, dtype=np.intp)
-        if n_enp and n_pairs:
-            link_pw = link_powers(road_x, fleet.y, radio.probe_tx_power_dbm)
-            # the two recorders of a pair send byte-identical probes:
-            # non-destructive replicas, strongest link counts
-            group_pw = link_pw.reshape(n_pairs, 2, n_enp).max(axis=1)
-            codes, winners = capture_verdicts(group_pw, radio)
-            decoded_pair = np.where(codes == Verdict.RECEIVED, winners, -1)
-            if events is not None:
-                for i in range(n_enp):
-                    if decoded_pair[i] >= 0:
-                        log(t_probe, "RX", f"enp{i}", int(decoded_pair[i]), r, "-", "-")
-                    elif codes[i] == Verdict.COLLISION:
-                        log(t_probe, "COLL", f"enp{i}", "-", r, "-", "-")
+        if not n_enp:
+            continue
+        # received power at every recorder from every tag, (2P, V)
+        d = np.hypot(
+            road_x[None, :] - world.vr_x[:, None], fleet.y[None, :] - world.vr_y[:, None]
+        )
+        shadow = rng.normal(0.0, sigma, size=d.shape) if sigma > 0 else 0.0
+        link_pw = received_power_dbm(d, radio, shadow, tx_power_dbm=radio.probe_tx_power_dbm)
+        # the two recorders of a pair send byte-identical probes:
+        # non-destructive replicas, strongest link counts
+        group_pw = link_pw.reshape(n_pairs, 2, n_enp).max(axis=1)
+        codes, winners = capture_verdicts(group_pw, radio)
+        if events is not None:
+            for i, code, pair in zip(range(n_enp), codes.tolist(), winners.tolist()):
+                if code == RECEIVED_CODE:
+                    log(t_probe, "RX", f"enp{i}", pair, r, "-", "-")
+                elif code == COLLISION_CODE:
+                    log(t_probe, "COLL", f"enp{i}", "-", r, "-", "-")
 
-        # ---- reply slots: tags that decoded a probe answer in their slot ----
-        repliers = np.flatnonzero(decoded_pair >= 0)
-        by_slot: dict[int, np.ndarray] = {}
-        if repliers.size:
-            slots = enp_slots[repliers]
-            for s in np.unique(slots):
-                by_slot[int(s)] = repliers[slots == s]
+        # ---- reply phase: tags that decoded a probe answer in their slot ----
+        repliers = np.flatnonzero(codes == RECEIVED_CODE)
+        if not repliers.size:
+            continue
+        # group by slot; a stable sort keeps vehicle order inside each slot
+        idx = repliers[np.argsort(enp_slots[repliers], kind="stable")]
+        slots = enp_slots[idx]
+        first = np.flatnonzero(np.concatenate(([True], slots[1:] != slots[:-1])))
+        counts = np.diff(np.append(first, idx.size))
+        occupied = slots[first]
+        group = np.repeat(np.arange(first.size), counts)
+        rank = np.arange(idx.size) - first[group]  # position inside its slot
 
-        for s in sorted(by_slot):
-            idx = by_slot[s]
-            t_slot = sched.slot_start_us(r, s)
-            dt = (t_slot - sched.epoch_start_us) * 1e-6
-            tx_road_x = geom.road_x(
-                np.mod(fleet.x[idx] + fleet.speed_mps[idx] * dt, fleet.ring_length_m)
-            )
-            if events is not None:
-                for i in idx:
-                    log(t_slot, "REPLY", f"enp{i}", "-", r, s, int(fleet.vrn[i]))
+        # every replier at the start of its own slot
+        dt = (sched.slot_start_us(r, slots) - sched.epoch_start_us) * 1e-6
+        tx_road_x = geom.road_x(
+            np.mod(fleet.x[idx] + fleet.speed_mps[idx] * dt, fleet.ring_length_m)
+        )
+        d = np.hypot(
+            tx_road_x[:, None] - world.vr_x[None, :], fleet.y[idx, None] - world.vr_y[None, :]
+        )  # (repliers, 2P)
+        if sigma > 0:
+            # one (2P, k) block per occupied slot, back to back in slot order
+            draws = rng.normal(0.0, sigma, size=n_vr * idx.size)
+            at = (n_vr * first[group] + rank)[:, None] + np.arange(n_vr) * counts[group][:, None]
+            shadow = draws[at]
+        else:
+            shadow = 0.0
+        power = np.full((first.size, counts.max(), n_vr), -np.inf)
+        power[group, rank] = received_power_dbm(d, radio, shadow)
+        codes, winners = capture_verdicts(power, radio)  # (slots, 2P)
 
-            pw = link_powers(tx_road_x, fleet.y[idx])
-            codes, winners = capture_verdicts(pw.T, radio)
-            for j, vr_id in enumerate(vr_ids):
-                if codes[j] == Verdict.RECEIVED:
-                    vi = int(idx[winners[j]])
-                    vrn = int(fleet.vrn[vi])
-                    records[j].setdefault(
-                        vrn,
-                        RecordEntry(vrn=vrn, vr_id=vr_id, epoch=epoch_index, round=r, slot=s),
-                    )
-                    if events is not None:
-                        log(t_slot, "RX", vr_id, vr_pair[j], r, s, vrn)
-                elif codes[j] == Verdict.COLLISION and events is not None:
-                    log(t_slot, "COLL", vr_id, vr_pair[j], r, s, "-")
+        rx_group, rx_vr = np.nonzero(codes == RECEIVED_CODE)
+        rx_vrn = fleet.vrn[idx[first[rx_group] + winners[rx_group, rx_vr]]]
+        for g, j, vrn in zip(rx_group.tolist(), rx_vr.tolist(), rx_vrn.tolist()):
+            rec = records[j]
+            if vrn not in rec:
+                rec[vrn] = RecordEntry(
+                    vrn=vrn, vr_id=vr_ids[j], epoch=epoch_index, round=r, slot=int(occupied[g])
+                )
+
+        if events is not None:
+            vrns = fleet.vrn[idx].tolist()
+            slot_spans = zip(occupied.tolist(), first.tolist(), counts.tolist())
+            for g, (s, lo, k) in enumerate(slot_spans):
+                t_slot = sched.slot_start_us(r, s)
+                for i, vrn in zip(idx[lo:lo + k].tolist(), vrns[lo:lo + k]):
+                    log(t_slot, "REPLY", f"enp{i}", "-", r, s, vrn)
+                for j, (code, w) in enumerate(zip(codes[g].tolist(), winners[g].tolist())):
+                    if code == RECEIVED_CODE:
+                        log(t_slot, "RX", vr_ids[j], vr_pair[j], r, s, vrns[lo + w])
+                    elif code == COLLISION_CODE:
+                        log(t_slot, "COLL", vr_ids[j], vr_pair[j], r, s, "-")
 
     world.fleet = advance(fleet, sched.glossy_period_us * 1e-6)
     return EpochResult(

@@ -22,6 +22,19 @@ from typing import Sequence
 import numpy as np
 
 
+# Inclusive ranges of the dB/dBm fields of RadioParams.  They hold every
+# radio that exists with room to spare, and they keep link powers, and the
+# milliwatt sums of capture_verdicts, far from float overflow.
+_DB_FIELD_RANGES = {
+    "tx_power_dbm": (-100.0, 100.0),
+    "probe_tx_power_dbm": (-100.0, 100.0),
+    "pl0_db": (0.0, 200.0),
+    "sensitivity_dbm": (-200.0, 0.0),
+    "capture_threshold_db": (0.0, 100.0),
+    "shadowing_sigma_db": (0.0, 50.0),
+}
+
+
 @dataclass(frozen=True)
 class RadioParams:
     """Channel and receiver parameters, all in dB/dBm units.
@@ -40,18 +53,13 @@ class RadioParams:
     probe_tx_power_dbm: float | None = None
 
     def __post_init__(self) -> None:
-        if self.exponent <= 0:
-            raise ValueError(f"exponent must be > 0, got {self.exponent}")
-        if self.pl0_db < 0:
-            raise ValueError(f"pl0_db must be >= 0, got {self.pl0_db}")
-        if self.shadowing_sigma_db < 0:
-            raise ValueError(
-                f"shadowing_sigma_db must be >= 0, got {self.shadowing_sigma_db}"
-            )
-        if self.capture_threshold_db < 0:
-            raise ValueError(
-                f"capture_threshold_db must be >= 0, got {self.capture_threshold_db}"
-            )
+        # free space is 2, the most cluttered measured channels about 6
+        if not 0 < self.exponent <= 10:
+            raise ValueError(f"radio.exponent must lie in (0, 10], got {self.exponent:g}")
+        for name, (lo, hi) in _DB_FIELD_RANGES.items():
+            value = getattr(self, name)
+            if value is not None and not lo <= value <= hi:
+                raise ValueError(f"radio.{name} must lie in [{lo:g}, {hi:g}], got {value:g}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,13 @@ class Verdict(IntEnum):
     SILENCE = 0
     RECEIVED = 1
     COLLISION = 2
+
+
+# The verdicts as the int8 codes capture_verdicts returns; hot loops compare
+# against these rather than against Verdict members.
+SILENCE_CODE = np.int8(Verdict.SILENCE)
+RECEIVED_CODE = np.int8(Verdict.RECEIVED)
+COLLISION_CODE = np.int8(Verdict.COLLISION)
 
 
 @dataclass(frozen=True)
@@ -114,42 +129,48 @@ def comm_range_m(params: RadioParams) -> float:
 def capture_verdicts(
     power_dbm: np.ndarray, params: RadioParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized capture rule over a (signals x receivers) power matrix.
+    """Vectorized capture rule over a (... x signals x receivers) power array.
 
-    Rows are already-merged signals (one per distinct frame), columns are
-    receivers.  Returns verdict codes and the winning row index per receiver
-    (-1 where nothing was received).  Shared by the scalar resolver and the
-    protocol engine so both paths apply identical decode semantics.
+    The last two axes are (signals, receivers): rows are already-merged
+    signals (one per distinct frame), columns are receivers.  Leading axes,
+    if any, stack independent slots that are resolved at once.  Rows padded
+    with -inf stand for absent signals: they never win and add no
+    interference, and a slot of padding only is SILENCE.  Returns int8
+    verdict codes and the winning row index per receiver (-1 where nothing
+    was received), both shaped (..., receivers).  This is the one capture
+    rule: the scalar resolver and the protocol engine both call it.
     """
     p = np.atleast_2d(np.asarray(power_dbm, dtype=float))
-    n_tx, n_rx = p.shape
+    n_tx = p.shape[-2]
+    out_shape = p.shape[:-2] + p.shape[-1:]
     if n_tx == 0:
         return (
-            np.full(n_rx, Verdict.SILENCE, dtype=np.int8),
-            np.full(n_rx, -1, dtype=np.intp),
+            np.full(out_shape, SILENCE_CODE, dtype=np.int8),
+            np.full(out_shape, -1, dtype=np.intp),
         )
 
-    winner = p.argmax(axis=0)
-    cols = np.arange(n_rx)
-    strongest = p[winner, cols]
-    tied = (p == strongest[None, :]).sum(axis=0) > 1
+    winner = p.argmax(axis=-2)
+    pick = winner[..., None, :]
+    strongest = np.take_along_axis(p, pick, axis=-2)
+    tied = (p == strongest).sum(axis=-2) > 1
+    strongest = strongest[..., 0, :]
 
     mw = 10.0 ** (p / 10.0)
-    interference_mw = mw.sum(axis=0) - mw[winner, cols]
-    with np.errstate(divide="ignore"):
+    interference_mw = mw.sum(axis=-2) - np.take_along_axis(mw, pick, axis=-2)[..., 0, :]
+    # sole signal => -inf interference => margin always passes; a slot of
+    # padding only gives -inf - -inf = nan, which fails the margin but is
+    # SILENCE anyway
+    with np.errstate(divide="ignore", invalid="ignore"):
         interference_dbm = 10.0 * np.log10(interference_mw)
-    # sole signal => -inf interference => margin always passes
-    captured = strongest - interference_dbm >= params.capture_threshold_db
+        captured = strongest - interference_dbm >= params.capture_threshold_db
 
     codes = np.where(
         strongest < params.sensitivity_dbm,
-        np.int8(Verdict.SILENCE),
-        np.where(
-            tied | ~captured, np.int8(Verdict.COLLISION), np.int8(Verdict.RECEIVED)
-        ),
+        SILENCE_CODE,
+        np.where(tied | ~captured, COLLISION_CODE, RECEIVED_CODE),
     )
-    winner = np.where(codes == Verdict.RECEIVED, winner, -1)
-    return codes.astype(np.int8), winner
+    winner = np.where(codes == RECEIVED_CODE, winner, -1)
+    return codes, winner
 
 
 def resolve_slot_reception(

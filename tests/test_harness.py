@@ -174,12 +174,26 @@ class TestCli:
         "fleet.v_min_kmh = nan",
         "fleet.explicit = -1:200:2:0",
         f"fleet.explicit = {2**64}:200:2:0",
+        "radio.probe_tx_power_dbm = 1e308",
+        "radio.pl0_db = 1e308",
+        "radio.tx_power_dbm = -1e308",
+        "radio.sensitivity_dbm = 1e308",
+        "radio.capture_threshold_db = 1e308",
+        "radio.shadowing_sigma_db = 1e308",
+        "radio.exponent = 1e308",
+        "fleet.v_n = 100000000000",
     ])
     def test_out_of_range_value_exit_2_names_key(self, tmp_path, capsys, line):
         cfg = self.write_config(tmp_path, f"preset = oracle-static5\n{line}\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and line.split(" = ")[0] in err
+
+    def test_sweep_cell_out_of_range_exit_2_names_key(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        argv = ["sweep", "--config", cfg, "--vn", "100000000000", "--out", str(tmp_path / "sw")]
+        assert main(argv) == 2
+        assert "fleet.v_n" in capsys.readouterr().err
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.conf")]) == 2

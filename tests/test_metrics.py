@@ -30,11 +30,11 @@ def fleet_of(*vehicles):
 class TestGroundTruth:
     def test_static_vehicle_nearby_included(self):
         fleet = fleet_of(Vehicle(7, GEOM.ring_x(100.0), 3.0, 0.0))  # ~5 m away
-        assert ground_truth(0, fleet, SCHED, GEOM, RADIO) == {7}
+        assert ground_truth(fleet, SCHED, GEOM, RADIO)[0] == {7}
 
     def test_far_vehicle_excluded(self):
         fleet = fleet_of(Vehicle(8, GEOM.ring_x(-100.0), 3.0, 0.0))  # 200 m away
-        assert ground_truth(0, fleet, SCHED, GEOM, RADIO) == set()
+        assert ground_truth(fleet, SCHED, GEOM, RADIO)[0] == set()
 
     def test_range_edge_uses_nominal_range(self):
         r = comm_range_m(RADIO)
@@ -46,8 +46,8 @@ class TestGroundTruth:
                 math.hypot(GEOM.road_x(f.x[0]) - vx, f.y[0] - vy)
                 for vx, vy in GEOM.vr_positions(0)
             )
-        assert (min_d(inside) <= r) == (ground_truth(0, inside, SCHED, GEOM, RADIO) == {1})
-        assert (min_d(outside) <= r) == (ground_truth(0, outside, SCHED, GEOM, RADIO) == {2})
+        assert (min_d(inside) <= r) == (ground_truth(inside, SCHED, GEOM, RADIO)[0] == {1})
+        assert (min_d(outside) <= r) == (ground_truth(outside, SCHED, GEOM, RADIO)[0] == {2})
 
     def test_crossing_trajectory_matches_dense_oracle(self):
         # vehicle crossing into range mid-epoch at 25 m/s, checked against a
@@ -56,7 +56,7 @@ class TestGroundTruth:
         for start_offset in (2.0, 5.0, 8.0, 11.0, 12.7):
             x0 = 100.0 - r - start_offset
             fleet = fleet_of(Vehicle(3, GEOM.ring_x(x0), 2.0, 25.0))
-            got = 3 in ground_truth(0, fleet, SCHED, GEOM, RADIO)
+            got = 3 in ground_truth(fleet, SCHED, GEOM, RADIO)[0]
 
             dense_t = np.arange(0, TIMING.glossy_period_us, 10, dtype=np.int64)
             inside_at = {}
@@ -69,7 +69,16 @@ class TestGroundTruth:
             assert got == expected
 
     def test_empty_fleet(self):
-        assert ground_truth(0, fleet_of(), SCHED, GEOM, RADIO) == set()
+        assert ground_truth(fleet_of(), SCHED, GEOM, RADIO)[0] == set()
+
+    def test_one_set_per_pair_in_pair_order(self):
+        geom = RoadGeometry(vr_pair_xs=(20.0, 100.0, 180.0))
+        fleet = Fleet.from_vehicles(
+            [Vehicle(1, geom.ring_x(20.0), 3.0, 0.0), Vehicle(2, geom.ring_x(180.0), 3.0, 0.0)],
+            geom.ring_length_m,
+        )
+        assert ground_truth(fleet, SCHED, geom, RADIO) == [{1}, set(), {2}]
+        assert ground_truth(fleet_of(), SCHED, geom, RADIO) == [set(), set(), set()]
 
 
 class TestIterationAccuracy:

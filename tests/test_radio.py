@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from enpsim.radio import (
+    COLLISION_CODE,
+    RECEIVED_CODE,
+    SILENCE_CODE,
     RadioParams,
     Transmission,
     Verdict,
@@ -214,6 +217,51 @@ class TestBatchKernel:
         codes, winners = capture_verdicts(np.empty((0, 3)), DEFAULTS)
         assert (codes == Verdict.SILENCE).all() and (winners == -1).all()
 
+    def test_batch_matches_separate_calls(self):
+        # coarse integer powers make ties common; n_tx = 0 is a slot of padding only
+        rng = np.random.default_rng(34)
+        for _ in range(100):
+            batch, k_max, n_rx = (int(v) for v in rng.integers(1, 7, size=3))
+            n_tx = rng.integers(0, k_max + 1, size=batch)
+            n_tx[0] = 0
+            stack = np.full((batch, k_max, n_rx), -np.inf)
+            for b in range(batch):
+                stack[b, :n_tx[b]] = rng.integers(-100, -85, size=(n_tx[b], n_rx))
+            codes, winners = capture_verdicts(stack, DEFAULTS)
+            assert codes.shape == winners.shape == (batch, n_rx)
+            assert codes.dtype == np.int8
+            for b in range(batch):
+                for matrix in (stack[b], stack[b, :n_tx[b]]):  # padded and unpadded
+                    want_codes, want_winners = capture_verdicts(matrix, DEFAULTS)
+                    np.testing.assert_array_equal(codes[b], want_codes)
+                    np.testing.assert_array_equal(winners[b], want_winners)
+            assert (codes[0] == SILENCE_CODE).all() and (winners[0] == -1).all()
+
+    @pytest.mark.parametrize("params", [DEFAULTS, RadioParams(capture_threshold_db=0.0)])
+    def test_ties_and_padding_in_one_batch(self, params):
+        # with a zero capture margin only the tie rule makes rx 0 of slot 0 a collision
+        stack = np.array([
+            [[-60.0, -60.0], [-60.0, -90.0], [-np.inf, -np.inf]],   # tie at rx 0
+            [[-60.0, -np.inf], [-np.inf, -np.inf], [-np.inf, -np.inf]],  # sole signal
+            [[-np.inf, -np.inf]] * 3,                                  # silent slot
+        ])
+        codes, winners = capture_verdicts(stack, params)
+        assert codes.tolist() == [
+            [COLLISION_CODE, RECEIVED_CODE],
+            [RECEIVED_CODE, SILENCE_CODE],
+            [SILENCE_CODE, SILENCE_CODE],
+        ]
+        assert winners.tolist() == [[-1, 0], [0, -1], [-1, -1]]
+
+    def test_empty_signal_axis_keeps_batch_shape(self):
+        codes, winners = capture_verdicts(np.empty((4, 2, 0, 3)), DEFAULTS)
+        assert codes.shape == winners.shape == (4, 2, 3)
+        assert codes.dtype == np.int8
+        assert (codes == SILENCE_CODE).all() and (winners == -1).all()
+
+    def test_codes_are_the_verdict_values(self):
+        assert (SILENCE_CODE, RECEIVED_CODE, COLLISION_CODE) == tuple(Verdict)
+
 
 def test_params_validation():
     with pytest.raises(ValueError):
@@ -224,3 +272,7 @@ def test_params_validation():
         RadioParams(shadowing_sigma_db=-0.1)
     with pytest.raises(ValueError):
         RadioParams(capture_threshold_db=-1.0)
+    for name in ("tx_power_dbm", "probe_tx_power_dbm", "pl0_db", "sensitivity_dbm",
+                 "capture_threshold_db", "shadowing_sigma_db"):
+        with pytest.raises(ValueError, match=rf"radio\.{name}"):
+            RadioParams(**{name: 1e308})
