@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .mobility import RoadGeometry, Vehicle
+from .mobility import KMH_TO_MPS, RoadGeometry, Vehicle
 from .protocol import TimingParams, build_epoch_schedule
 from .radio import RadioParams
 from .slot_hash import HashId, HashParams
@@ -27,6 +27,9 @@ class ConfigError(Exception):
 
 
 MAX_FLEET_SIZE = 10_000
+# Fastest accepted vehicle, well above any road vehicle; it also bounds how
+# far a vehicle moves within one (at most 10 s) epoch.
+MAX_SPEED_KMH = 500.0
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,10 @@ class FleetConfig:
             raise ValueError("fleet.v_min_kmh must be > 0")
         if self.v_max_kmh < self.v_min_kmh:
             raise ValueError("fleet.v_max_kmh must be >= fleet.v_min_kmh")
+        if self.v_max_kmh > MAX_SPEED_KMH:
+            raise ValueError(
+                f"fleet.v_max_kmh must be <= {MAX_SPEED_KMH:g}, got {self.v_max_kmh:g}"
+            )
         if not 0.0 <= self.two_wheeler_fraction <= 1.0:
             raise ValueError("fleet.two_wheeler_fraction must be in [0, 1]")
 
@@ -333,6 +340,11 @@ def _cross_validate(config: SimConfig) -> None:
             raise ConfigError(f"fleet.explicit: vehicle {i} y={v.y} outside the roadway")
         if v.speed_mps < 0:
             raise ConfigError(f"fleet.explicit: vehicle {i} has negative speed")
+        if abs(v.speed_mps) > MAX_SPEED_KMH * KMH_TO_MPS:
+            raise ConfigError(
+                f"fleet.explicit: vehicle {i} speed {v.speed_mps:g} m/s exceeds "
+                f"{MAX_SPEED_KMH:g} km/h"
+            )
     vrns = [v.vrn for v in config.fleet.explicit]
     if len(set(vrns)) != len(vrns):
         raise ConfigError("fleet.explicit: duplicate vrn")

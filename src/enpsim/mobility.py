@@ -197,8 +197,23 @@ def positions_at(fleet: Fleet, dt_s) -> np.ndarray:
     """Ring positions dt_s seconds ahead of the fleet snapshot, without
     mutating it.  ``dt_s`` may be a scalar -> (V,) or an array (T,) -> (T, V);
     the arithmetic matches :func:`advance` exactly."""
-    dt = np.asarray(dt_s, dtype=float)[..., None]
-    return np.mod(fleet.x + fleet.speed_mps * dt, fleet.ring_length_m)
+    return positions_at_each(fleet, np.asarray(dt_s, dtype=float)[..., None])
+
+
+def positions_at_each(fleet: Fleet, dt_s: np.ndarray) -> np.ndarray:
+    """Ring positions with one time offset per vehicle: ``dt_s`` has shape
+    (..., V), its last axis aligned with the fleet.  Element for element the
+    same arithmetic as :func:`positions_at`, so both give bit-identical
+    positions for the same (vehicle, offset)."""
+    return np.mod(fleet.x + fleet.speed_mps * dt_s, fleet.ring_length_m)
+
+
+def stays_on_ring(fleet: Fleet, dt_first_s: float, dt_last_s: float) -> np.ndarray:
+    """(V,) True where a vehicle does not cross the ring seam between the two
+    offsets: its unwrapped position stays in [0, ring_length) at both ends,
+    and so, being monotone in the offset, everywhere between them."""
+    ends = fleet.x + fleet.speed_mps * np.array([[dt_first_s], [dt_last_s]])
+    return ((ends >= 0) & (ends < fleet.ring_length_m)).all(axis=0)
 
 
 def distance_to_vr(

@@ -39,6 +39,11 @@ from .radio import (
 from .slot_hash import HashParams, round_seed, slot_for
 
 
+# Longest accepted sync period (10 s; the paper uses 512 ms).  The schedule
+# holds one sample time per probe and slot of the period.
+MAX_GLOSSY_PERIOD_US = 10_000_000
+
+
 @dataclass(frozen=True)
 class TimingParams:
     """Schedule constants, all in microseconds."""
@@ -52,6 +57,11 @@ class TimingParams:
         for name in ("glossy_period_us", "sync_window_us", "probe_len_us", "slot_len_us"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        if self.glossy_period_us > MAX_GLOSSY_PERIOD_US:
+            raise ValueError(
+                f"timing.glossy_period_us must be <= {MAX_GLOSSY_PERIOD_US}, "
+                f"got {self.glossy_period_us}"
+            )
         if self.sync_window_us >= self.glossy_period_us:
             raise ValueError("sync_window_us must be smaller than glossy_period_us")
 

@@ -4,12 +4,16 @@ Everything here is recomputed from first principles with scalar arithmetic:
 positions from the epoch-start snapshot, link powers from the path-loss
 formula, capture by explicit milliwatt summation, probe replicas merged by
 taking the stronger of a pair's two links.  Only the slot hash is shared
-with the package (its own golden vectors pin it separately).
+with the package (its own golden vectors pin it separately).  The
+ground-truth oracle at the end is the one exception to the scalar rule (see
+its docstring).
 
 Shadowing must be off: the reference is deterministic.
 """
 
 import math
+
+import numpy as np
 
 from enpsim.frames import ProbeFrame
 from enpsim.slot_hash import HashParams, round_seed, slot_for
@@ -101,3 +105,30 @@ def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index
                     vrn = int(fleet.vrn[winner])
                     records[vr_id].setdefault(vrn, (epoch_index, r, slot))
     return records
+
+
+def reference_ground_truth(fleet, schedule, geometry, radio):
+    """Ground-truth sets per pair by the full scan: each recorder in turn,
+    at every probe and slot start of the epoch, over the whole
+    (sample times x vehicles) grid.
+
+    Unlike the epoch above this is numpy arithmetic, element for element in
+    the engine's operation order: a vehicle exactly on the sensitivity floor
+    must be decided bit for bit as the engine decides it.
+    """
+    times = []
+    for r in range(schedule.round_count):
+        times.append(schedule.probe_tx_time_us(r))
+        times += [schedule.slot_start_us(r, s) for s in range(schedule.slot_count)]
+    dts = (np.array(times, dtype=np.int64) - schedule.epoch_start_us) * 1e-6
+    ring_x = np.mod(fleet.x + fleet.speed_mps * dts[:, None], fleet.ring_length_m)
+    road_x = ring_x - geometry.ring_to_road_offset_m
+    out = []
+    for pair in range(geometry.n_pairs):
+        in_range = np.zeros(len(fleet), dtype=bool)
+        for vx, vy in geometry.vr_positions(pair):
+            d = np.maximum(np.hypot(road_x - vx, fleet.y - vy), 1.0)
+            power = radio.tx_power_dbm - radio.pl0_db - 10.0 * radio.exponent * np.log10(d)
+            in_range |= (power >= radio.sensitivity_dbm).any(axis=0)
+        out.append({int(v) for v in fleet.vrn[in_range]})
+    return out

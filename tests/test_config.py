@@ -59,6 +59,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"v_max_kmh"):
             parse_config("fleet.v_min_kmh = 80\nfleet.v_max_kmh = 40\n")
 
+    def test_speed_and_period_bounds_are_inclusive(self):
+        cfg = parse_config(
+            "fleet.v_max_kmh = 500\ntiming.glossy_period_us = 10000000\n"
+            "fleet.explicit = 1:10:2:138.8\n"
+        )
+        assert cfg.fleet.v_max_kmh == 500 and cfg.timing.glossy_period_us == 10_000_000
+        with pytest.raises(ConfigError, match=r"fleet\.v_max_kmh"):
+            parse_config("fleet.v_max_kmh = 500.001\n")
+        with pytest.raises(ConfigError, match=r"timing\.glossy_period_us"):
+            parse_config("timing.glossy_period_us = 10000001\n")
+        with pytest.raises(ConfigError, match=r"fleet\.explicit"):
+            parse_config("fleet.explicit = 1:10:2:139\n")
+
     def test_round_count_zero_rejected(self):
         with pytest.raises(ConfigError, match="round"):
             parse_config("hash.slot_count = 120\ntiming.slot_len_us = 5000\n")

@@ -5,7 +5,10 @@ Each case runs ``enp-sim run`` on a small config and compares the SHA-256 of
 taken from the per-slot engine before the reply phase was batched per round.
 The cases cover shadowed multi-pair fleets (a dense one puts many
 contenders in one slot), the event log, and per-round reseeding of the slot
-hash.
+hash.  On a 260 m ring the seam lies 50 m from the outer pairs, inside their
+range, so vehicles that cross it during an epoch enter ground truth (117
+such memberships in 50 epochs); their digest was taken from the full
+boundary-by-boundary ground-truth scan.
 
 To re-pin after a deliberate change of outputs, run this file as a script:
 ``PYTHONPATH=src python tests/test_digests.py`` prints the current digests.
@@ -36,6 +39,11 @@ CASES = {
         "preset = paper-fig1b\nhash.reseed_per_round = true\nrun.epochs = 50\n",
         True,
     ),
+    "fig1b-seam-ring260": (
+        "preset = paper-fig1b\ngeometry.ring_length_m = 260\nradio.exponent = 3.0\n"
+        "run.epochs = 50\n",
+        False,
+    ),
 }
 
 DIGESTS = {
@@ -45,6 +53,9 @@ DIGESTS = {
     "fig1b-reseed-events": {
         "iterations.csv": "4686f007d33235bfe4c22b986747fc92a9dc44fdcbf2cd9d6c374543007b0a25",
         "events.log": "fc35e86c7f75c165d76ec19fc7197d9910752ee643e2c7f157ab226a4dab1e04",
+    },
+    "fig1b-seam-ring260": {
+        "iterations.csv": "9baffedbb4bc1473bb47a4ba1568ea76629dead78842bdb1fd198d40ca0552c0",
     },
     "fig1b-shadowed-vn40": {
         "iterations.csv": "c3e775adc03eabebf9c8117f3825e35db43c17595e850422ea09e66a1edb03cd",

@@ -182,6 +182,9 @@ class TestCli:
         "radio.shadowing_sigma_db = 1e308",
         "radio.exponent = 1e308",
         "fleet.v_n = 100000000000",
+        "timing.glossy_period_us = 100000000000",
+        "fleet.v_max_kmh = 1e300",
+        "fleet.explicit = 1:200:2:1e300",
     ])
     def test_out_of_range_value_exit_2_names_key(self, tmp_path, capsys, line):
         cfg = self.write_config(tmp_path, f"preset = oracle-static5\n{line}\n")

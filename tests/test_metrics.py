@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import enpsim.metrics
+from enpsim.config import MAX_SPEED_KMH, parse_config
 from enpsim.metrics import (
     IterationStats,
     aggregate,
@@ -13,9 +17,11 @@ from enpsim.metrics import (
     iteration_csv_line,
     summary_csv_line,
 )
-from enpsim.mobility import Fleet, RoadGeometry, Vehicle
+from enpsim.mobility import KMH_TO_MPS, Fleet, RoadGeometry, Vehicle, positions_at
 from enpsim.protocol import TimingParams, build_epoch_schedule
-from enpsim.radio import RadioParams, comm_range_m
+from enpsim.radio import RadioParams, comm_range_m, received_power_dbm
+
+from reference_engine import reference_ground_truth
 
 GEOM = RoadGeometry(vr_pair_xs=(100.0,))
 RADIO = RadioParams()
@@ -79,6 +85,152 @@ class TestGroundTruth:
         )
         assert ground_truth(fleet, SCHED, geom, RADIO) == [{1}, set(), {2}]
         assert ground_truth(fleet_of(), SCHED, geom, RADIO) == [set(), set(), set()]
+
+
+MAX_SPEED_MPS = MAX_SPEED_KMH * KMH_TO_MPS
+
+
+@st.composite
+def gt_cases(draw):
+    """A random (fleet, schedule, geometry, radio) for one epoch: 1-5 pairs,
+    any segment and ring length, any accepted radio (the floor optionally
+    right at tx - pl0 or at a drawn distance), probe and slot lengths drawn
+    apart, and vehicles that are static, level with a pair during the epoch,
+    crossing the ring seam or anywhere, at any accepted speed either way."""
+    segment = draw(st.floats(1.0, 1000.0))
+    # huge rings put whole metres between adjacent floats near the pairs
+    ring = segment + draw(st.floats(0.01, 2000.0) | st.floats(2000.0, 1e300))
+    n_pairs = draw(st.integers(1, 5))
+    pair_xs = draw(st.lists(st.floats(0.0, segment, exclude_max=True),
+                            min_size=n_pairs, max_size=n_pairs))
+    width = draw(st.floats(0.5, 20.0))
+    offsets = (draw(st.floats(-10.0, 0.0)), width + draw(st.floats(0.0, 10.0)))
+    geom = RoadGeometry(segment, ring, width, tuple(pair_xs), offsets)
+
+    exponent = draw(st.sampled_from([1e-300, 1e-12, 10.0]) | st.floats(1e-300, 10.0))
+    tx = draw(st.floats(-100.0, 100.0))
+    pl0 = draw(st.floats(0.0, 200.0))
+    floor = draw(st.sampled_from(["free", "tx-pl0", "range"]))
+    if floor == "free":
+        sensitivity = draw(st.floats(-200.0, 0.0))
+    elif floor == "tx-pl0":
+        sensitivity = tx - pl0
+    else:
+        sensitivity = tx - pl0 - 10.0 * exponent * np.log10(draw(st.floats(1.0, 500.0)))
+    sensitivity = float(min(max(sensitivity, -200.0), 0.0))
+    radio = RadioParams(tx_power_dbm=tx, pl0_db=pl0, exponent=exponent,
+                        sensitivity_dbm=sensitivity)
+
+    probe_len = draw(st.integers(200, 5000))
+    slot_len = draw(st.integers(200, 5000))
+    slot_count = draw(st.integers(1, 128))
+    sync = draw(st.integers(1, 50_000))
+    period = sync + probe_len + slot_count * slot_len + draw(st.integers(0, 550_000))
+    timing = TimingParams(period, sync, probe_len, slot_len)
+    sched = build_epoch_schedule(timing, slot_count, draw(st.integers(0, 10_000)))
+
+    xs, ys, speeds = [], [], []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["any", "static", "pass", "seam"]))
+        speed = 0.0 if kind == "static" else draw(st.floats(-MAX_SPEED_MPS, MAX_SPEED_MPS))
+        if kind == "pass":  # level with a pair at some point of [-0.2, 1.2] epochs
+            when = draw(st.floats(-0.2, 1.2)) * period * 1e-6
+            x = geom.ring_x(draw(st.sampled_from(pair_xs)) - speed * when)
+        elif kind == "seam":  # reaches the seam within two epochs
+            travel = abs(speed) * draw(st.floats(0.0, 2.0)) * period * 1e-6
+            x = ring - travel if speed > 0 else travel
+        else:
+            x = draw(st.floats(0.0, ring, exclude_max=True))
+        xs.append(min(max(x, 0.0), float(np.nextafter(ring, 0.0))))
+        ys.append(draw(st.floats(0.0, width)))
+        speeds.append(speed)
+    fleet = Fleet(np.arange(len(xs), dtype=np.uint64), xs, ys, speeds, ring)
+    return fleet, sched, geom, radio
+
+
+def seam_crossing_case():
+    """Pair at road x = 0 on a 201 m ring: the seam is 0.5 m from it.  The
+    vehicle starts 200 m away on the far side, crosses the seam 40 ms into
+    the epoch and then passes the pair; only the boundaries after the
+    crossing see it in range."""
+    geom = RoadGeometry(200.0, 201.0, 7.0, (0.0,), (-2.0, 9.0))
+    fleet = Fleet([1], [200.0], [3.0], [25.0], 201.0)
+    return fleet, build_epoch_schedule(TimingParams(), 71, 0), geom, RadioParams()
+
+
+def between_boundaries_case():
+    """A vehicle whose closest approach falls 0.7 of the way from one slot
+    boundary to the next (1 ms slots, 2 ms probes), with the floor set to
+    its power at the nearer, later boundary: in range there and nowhere
+    else."""
+    timing = TimingParams(probe_len_us=2_000, slot_len_us=1_000)
+    sched = build_epoch_schedule(timing, 71, 3)
+    geom = RoadGeometry(vr_pair_xs=(100.0,))
+    t_near = (sched.slot_start_us(1, 40) - sched.epoch_start_us) * 1e-6
+    speed = 20.0
+    road_x0 = 100.0 - speed * (t_near - 0.3e-3)
+    fleet = Fleet([5], [geom.ring_x(road_x0)], [3.5], [speed], geom.ring_length_m)
+    road_x = geom.road_x(np.mod(fleet.x + fleet.speed_mps * t_near, fleet.ring_length_m))
+    d = np.hypot(road_x - 100.0, fleet.y - (-2.0))[0]
+    radio = RadioParams(sensitivity_dbm=float(received_power_dbm(d, RadioParams())))
+    return fleet, sched, geom, radio
+
+
+def oracle_static5_case():
+    cfg = parse_config("preset = oracle-static5\n")
+    geom = cfg.geometry
+    fleet = Fleet.from_vehicles(cfg.fleet.explicit, geom.ring_length_m)
+    return fleet, build_epoch_schedule(cfg.timing, cfg.hash.slot_count, 0), geom, cfg.radio
+
+
+class TestGroundTruthMatchesFullScan:
+    @pytest.mark.parametrize("make_case, expected", [
+        (seam_crossing_case, [{1}]),
+        (between_boundaries_case, [{5}]),
+        (oracle_static5_case,
+         [{9876543210, 10987654321, 12098765432, 13209876543, 15432098765}]),
+    ])
+    def test_example_cases(self, make_case, expected):
+        assert ground_truth(*make_case()) == expected
+
+    # vehicle 9 at road x with the given speed, vehicle 10 parked at the pair
+    @pytest.mark.parametrize("ring, radio, x, speed, scanned", [
+        # 20 m from the pair, 3 dB below the floor: one boundary decides both
+        (400.0, RadioParams(sensitivity_dbm=-77.0), 80.0, 0.0, []),
+        # every link misses the floor by less than the margin: both scanned
+        (400.0, RadioParams(exponent=1e-12, pl0_db=40.0, sensitivity_dbm=-40.0), 80.0, 0.0, [2]),
+        # vehicle 9 crosses the ring seam (road x = -100) during the epoch
+        (400.0, RadioParams(), -100.5, 5.0, [1]),
+        (400.0, RadioParams(), -99.5, -5.0, [1]),
+        # 8 m between floats near the pair: vehicle 9 never moves off road
+        # x = 96, so the boundaries around t* do not bracket a sign change
+        (1e17, RadioParams(sensitivity_dbm=-60.0), 96.0, 25.0, [1]),
+    ])
+    def test_full_scan_only_where_one_boundary_cannot_decide(
+        self, monkeypatch, ring, radio, x, speed, scanned
+    ):
+        calls = []
+
+        def spy(fleet, dts):
+            calls.append(len(fleet))
+            return positions_at(fleet, dts)
+
+        monkeypatch.setattr(enpsim.metrics, "positions_at", spy)
+        geom = RoadGeometry(vr_pair_xs=(100.0,), ring_length_m=ring)
+        vehicles = [Vehicle(9, geom.ring_x(x) % ring, 3.0, speed),
+                    Vehicle(10, geom.ring_x(100.0), 3.0, 0.0)]
+        fleet = Fleet.from_vehicles(vehicles, ring)
+        case = (fleet, SCHED, geom, radio)
+        assert ground_truth(*case) == reference_ground_truth(*case)
+        assert calls == scanned
+
+    @example(case=seam_crossing_case())
+    @example(case=between_boundaries_case())
+    @example(case=oracle_static5_case())
+    @settings(max_examples=300, deadline=None)
+    @given(case=gt_cases())
+    def test_randomized(self, case):
+        assert ground_truth(*case) == reference_ground_truth(*case)
 
 
 class TestIterationAccuracy:
