@@ -6,8 +6,9 @@ what happens at a receiver when two same-slot transmissions contend as their
 separation grows.
 """
 
-from enpsim import RadioParams, Transmission, Verdict, comm_range_m, received_power_dbm
-from enpsim.radio import resolve_slot_reception
+import numpy as np
+
+from enpsim import RadioParams, Verdict, capture_verdicts, comm_range_m, received_power_dbm
 
 radio = RadioParams()
 
@@ -24,14 +25,13 @@ print("receiver at origin; contender A fixed at 10 m; B walks away from 10 m")
 print(f"capture margin required: {radio.capture_threshold_db} dB\n")
 print("   B at      A power   B power   verdict")
 for d_b in (10.0, 11.0, 12.0, 12.6, 13.0, 15.0, 20.0, 40.0):
-    a = Transmission(b"A", "reply", (10.0, 0.0), 0.0, 0)
-    b = Transmission(b"B", "reply", (d_b, 0.0), 0.0, 0)
-    out = resolve_slot_reception((0.0, 0.0), [a, b], radio)
-    verdict = out.verdict.name
-    if out.verdict is Verdict.RECEIVED:
-        verdict += f" ({out.frame.decode()})"
-    print(f"  {d_b:6.1f} m  {received_power_dbm(10.0, radio):7.2f}  "
-          f"{received_power_dbm(d_b, radio):7.2f}   {verdict}")
+    # one column (the receiver), one row per contender: A then B
+    power = received_power_dbm(np.array([[10.0], [d_b]]), radio)
+    codes, winners = capture_verdicts(power, radio)
+    verdict = Verdict(int(codes[0])).name
+    if winners[0] >= 0:
+        verdict += f" ({'AB'[winners[0]]})"
+    print(f"  {d_b:6.1f} m  {power[0, 0]:7.2f}  {power[1, 0]:7.2f}   {verdict}")
 
 print("\nEqual distances collide; once B falls ~3 dB behind, A captures the slot.")
 print("That asymmetry is exactly what two recorders on opposite road sides create.")

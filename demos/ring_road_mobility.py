@@ -7,7 +7,7 @@ inside one pair's radio range at each epoch boundary.
 
 import numpy as np
 
-from enpsim import RadioParams, RoadGeometry, advance, comm_range_m, distance_to_vr, spawn_fleet
+from enpsim import RadioParams, RoadGeometry, advance, comm_range_m, spawn_fleet
 
 geometry = RoadGeometry()
 radio = RadioParams()
@@ -26,10 +26,10 @@ print(f"speeds {fleet.speed_mps.min():.1f}-{fleet.speed_mps.max():.1f} m/s\n")
 print("epoch  in-range  occupancy")
 epoch_s = 0.512
 for epoch in range(30):
-    inside = sum(
-        1 for v in fleet
-        if min(distance_to_vr(v, vr_a, geometry), distance_to_vr(v, vr_b, geometry)) <= rng_range
-    )
+    road_x = geometry.road_x(fleet.x)
+    nearest = np.minimum(np.hypot(road_x - vr_a[0], fleet.y - vr_a[1]),
+                         np.hypot(road_x - vr_b[0], fleet.y - vr_b[1]))
+    inside = int((nearest <= rng_range).sum())
     print(f"  {epoch:3d}  {inside:6d}    {'#' * inside}")
     fleet = advance(fleet, epoch_s)
 

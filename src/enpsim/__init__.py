@@ -22,7 +22,6 @@ from .mobility import (
     RoadGeometry,
     Vehicle,
     advance,
-    distance_to_vr,
     positions_at,
     spawn_fleet,
     spawn_mixed_fleet,
@@ -37,12 +36,10 @@ from .protocol import (
 )
 from .radio import (
     RadioParams,
-    ReceptionOutcome,
-    Transmission,
     Verdict,
+    capture_verdicts,
     comm_range_m,
     received_power_dbm,
-    resolve_slot_reception,
 )
 from .slot_hash import (
     HashId,
@@ -67,14 +64,12 @@ __all__ = [
     "PRESETS",
     "ProbeFrame",
     "RadioParams",
-    "ReceptionOutcome",
     "RecordEntry",
     "ReplyFrame",
     "RoadGeometry",
     "RunConfig",
     "SimConfig",
     "TimingParams",
-    "Transmission",
     "Vehicle",
     "Verdict",
     "World",
@@ -82,8 +77,8 @@ __all__ = [
     "aggregate",
     "build_epoch_schedule",
     "build_fleet",
+    "capture_verdicts",
     "comm_range_m",
-    "distance_to_vr",
     "expected_collision_fraction",
     "ground_truth",
     "iteration_accuracy",
@@ -91,7 +86,6 @@ __all__ = [
     "parse_config",
     "positions_at",
     "received_power_dbm",
-    "resolve_slot_reception",
     "rng_stream",
     "run_epoch",
     "run_experiment",

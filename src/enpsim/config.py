@@ -30,6 +30,13 @@ MAX_FLEET_SIZE = 10_000
 # Fastest accepted vehicle, well above any road vehicle; it also bounds how
 # far a vehicle moves within one (at most 10 s) epoch.
 MAX_SPEED_KMH = 500.0
+# Longest ring, widest road and farthest recorder offset accepted.  They hold
+# every real road with room to spare; far beyond them float positions near the
+# pairs coarsen (on a 1e17 m ring they sit on an 8 m grid, and a vehicle at
+# 25 m/s never moves within an epoch).
+MAX_RING_LENGTH_M = 100_000.0
+MAX_ROAD_WIDTH_M = 100.0
+MAX_VR_OFFSET_M = 1_000.0
 
 
 @dataclass(frozen=True)
@@ -333,6 +340,15 @@ def _cross_validate(config: SimConfig) -> None:
     if config.hash.slot_count > 255:
         raise ConfigError("hash.slot_count must fit the 8-bit frame field (<= 255)")
     geom = config.geometry
+    for name, limit in (("ring_length_m", MAX_RING_LENGTH_M), ("road_width_m", MAX_ROAD_WIDTH_M)):
+        value = getattr(geom, name)
+        if value > limit:
+            raise ConfigError(f"geometry.{name} must be <= {limit:g} m, got {value:g}")
+    if max(abs(y) for y in geom.vr_offsets_y) > MAX_VR_OFFSET_M:
+        raise ConfigError(
+            f"geometry.vr_offsets_y must lie in [{-MAX_VR_OFFSET_M:g}, {MAX_VR_OFFSET_M:g}] m, "
+            f"got {geom.vr_offsets_y}"
+        )
     for i, v in enumerate(config.fleet.explicit):
         if not 0 <= v.x < geom.ring_length_m:
             raise ConfigError(f"fleet.explicit: vehicle {i} x={v.x} outside [0, ring_length)")

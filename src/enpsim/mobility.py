@@ -11,9 +11,8 @@ is all the distance queries need.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -118,12 +117,6 @@ class Fleet:
     def __len__(self) -> int:
         return len(self.vrn)
 
-    def vehicle(self, i: int) -> Vehicle:
-        return Vehicle(int(self.vrn[i]), float(self.x[i]), float(self.y[i]), float(self.speed_mps[i]))
-
-    def __iter__(self) -> Iterator[Vehicle]:
-        return (self.vehicle(i) for i in range(len(self)))
-
 
 def _draw_distinct_vrns(n: int, rng: np.random.Generator) -> np.ndarray:
     vrns = rng.integers(0, 2**64, size=n, dtype=np.uint64)
@@ -214,12 +207,3 @@ def stays_on_ring(fleet: Fleet, dt_first_s: float, dt_last_s: float) -> np.ndarr
     and so, being monotone in the offset, everywhere between them."""
     ends = fleet.x + fleet.speed_mps * np.array([[dt_first_s], [dt_last_s]])
     return ((ends >= 0) & (ends < fleet.ring_length_m)).all(axis=0)
-
-
-def distance_to_vr(
-    vehicle: Vehicle, vr_position: tuple[float, float], geometry: RoadGeometry
-) -> float:
-    """Euclidean distance from a vehicle to a recorder, both in road
-    coordinates (the vehicle's ring position is mapped first)."""
-    road_x = geometry.road_x(vehicle.x)
-    return math.hypot(road_x - vr_position[0], vehicle.y - vr_position[1])

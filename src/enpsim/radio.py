@@ -3,21 +3,19 @@
 Received power follows Pr = Pt - PL0 - 10*n*log10(d) (+ optional lognormal
 shadowing), with the reference distance fixed at 1 m and distances below it
 clamped to avoid the log singularity.  A slot is decoded at a receiver when
-the strongest concurrent transmission clears the sensitivity floor and beats
-the aggregate interference (summed in milliwatts) by the capture margin.
+the strongest concurrent signal clears the sensitivity floor and beats the
+aggregate interference (summed in milliwatts) by the capture margin.
 
-Transmissions whose frame bytes are identical are synchronous-transmission
-replicas of one another (the two recorders of a pair emit byte-identical
-probes); they combine non-destructively and contribute the strongest replica
-as one signal.
+The two recorders of a pair send byte-identical probes at once
+(synchronous transmission): their replicas combine non-destructively, so a
+pair is one signal at a tag, at the stronger of its two link powers.  The
+engine takes that maximum before it calls :func:`capture_verdicts`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
 
 import numpy as np
 
@@ -62,22 +60,6 @@ class RadioParams:
                 raise ValueError(f"radio.{name} must lie in [{lo:g}, {hi:g}], got {value:g}")
 
 
-@dataclass(frozen=True)
-class Transmission:
-    """One radio emission overlapping a slot.
-
-    ``frame`` carries the wire bytes; ``kind`` tags them probe or reply.
-    ``slot_time`` is the absolute schedule timestamp (microseconds) shared by
-    every transmission resolved together.
-    """
-
-    frame: bytes
-    kind: str  # "probe" | "reply"
-    source_position: tuple[float, float]
-    tx_power_dbm: float
-    slot_time: int
-
-
 class Verdict(IntEnum):
     SILENCE = 0
     RECEIVED = 1
@@ -89,15 +71,6 @@ class Verdict(IntEnum):
 SILENCE_CODE = np.int8(Verdict.SILENCE)
 RECEIVED_CODE = np.int8(Verdict.RECEIVED)
 COLLISION_CODE = np.int8(Verdict.COLLISION)
-
-
-@dataclass(frozen=True)
-class ReceptionOutcome:
-    """Per-receiver decode verdict; ``frame`` is set only when RECEIVED and is
-    always exactly the strongest transmission's frame, never a merge."""
-
-    verdict: Verdict
-    frame: bytes | None = None
 
 
 def received_power_dbm(
@@ -131,14 +104,21 @@ def capture_verdicts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized capture rule over a (... x signals x receivers) power array.
 
-    The last two axes are (signals, receivers): rows are already-merged
-    signals (one per distinct frame), columns are receivers.  Leading axes,
-    if any, stack independent slots that are resolved at once.  Rows padded
-    with -inf stand for absent signals: they never win and add no
-    interference, and a slot of padding only is SILENCE.  Returns int8
-    verdict codes and the winning row index per receiver (-1 where nothing
-    was received), both shaped (..., receivers).  This is the one capture
-    rule: the scalar resolver and the protocol engine both call it.
+    The last two axes are (signals, receivers): rows are signals, columns
+    are receivers.  The replicas of one recorder pair are one row, holding
+    the stronger of the pair's two links.  Leading axes, if any, stack
+    independent slots that are resolved at once.  Rows padded with -inf
+    stand for absent signals: they never win and add no interference, and a
+    slot of padding only is SILENCE.  Returns int8 verdict codes and the
+    winning row index per receiver (-1 where nothing was received), both
+    shaped (..., receivers).
+
+    Per receiver: SILENCE when the strongest signal is below the sensitivity
+    floor; RECEIVED when it clears the floor, is the only strongest, and
+    beats the summed remaining interference by the capture margin; COLLISION
+    otherwise (a tie for strongest collides even at a zero margin).  This is
+    the one capture rule: the probe and reply phases of the engine both call
+    it.
     """
     p = np.atleast_2d(np.asarray(power_dbm, dtype=float))
     n_tx = p.shape[-2]
@@ -171,51 +151,3 @@ def capture_verdicts(
     )
     winner = np.where(codes == RECEIVED_CODE, winner, -1)
     return codes, winner
-
-
-def resolve_slot_reception(
-    receiver_position: tuple[float, float],
-    transmissions: Sequence[Transmission],
-    params: RadioParams,
-    rng: np.random.Generator | None = None,
-) -> ReceptionOutcome:
-    """Resolve one slot at one receiver under the capture-effect rule.
-
-    All transmissions must share the same ``slot_time`` (the schedule aligns
-    contenders); the receiver must not itself be transmitting.  One
-    independent shadowing draw is taken per link when shadowing is on; with
-    sigma = 0 the resolution is deterministic and never touches ``rng``.
-
-    Verdict: SILENCE when nothing is on air or the strongest signal is below
-    the sensitivity floor; RECEIVED(strongest frame) when the strongest
-    clears the floor and exceeds the summed remaining interference by the
-    capture margin (or is alone); COLLISION otherwise.  Ties for strongest
-    are collisions: equal powers cannot satisfy a positive margin.
-    """
-    if not transmissions:
-        return ReceptionOutcome(Verdict.SILENCE)
-    if len({t.slot_time for t in transmissions}) != 1:
-        raise ValueError("transmissions resolved together must share slot_time")
-
-    sigma = params.shadowing_sigma_db
-    if sigma > 0 and rng is None:
-        raise ValueError("rng is required when shadowing_sigma_db > 0")
-
-    rx, ry = receiver_position
-    merged: dict[bytes, float] = {}
-    for t in transmissions:
-        d = math.hypot(t.source_position[0] - rx, t.source_position[1] - ry)
-        shadow = rng.normal(0.0, sigma) if sigma > 0 else 0.0
-        power = received_power_dbm(d, params, shadow, tx_power_dbm=t.tx_power_dbm)
-        key = bytes(t.frame)
-        # identical frames are replicas: non-destructive, strongest one counts
-        if key not in merged or power > merged[key]:
-            merged[key] = power
-
-    frames = list(merged)
-    powers = np.array([[merged[f]] for f in frames])
-    codes, winners = capture_verdicts(powers, params)
-    verdict = Verdict(int(codes[0]))
-    if verdict is Verdict.RECEIVED:
-        return ReceptionOutcome(verdict, frames[int(winners[0])])
-    return ReceptionOutcome(verdict)

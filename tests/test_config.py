@@ -72,6 +72,21 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"fleet\.explicit"):
             parse_config("fleet.explicit = 1:10:2:139\n")
 
+    def test_geometry_bounds_are_inclusive(self):
+        cfg = parse_config(
+            "geometry.ring_length_m = 100000\ngeometry.road_width_m = 100\n"
+            "geometry.vr_offsets_y = -1000, 1000\n"
+        )
+        assert cfg.geometry.ring_length_m == 100_000 and cfg.geometry.road_width_m == 100
+        assert cfg.geometry.vr_offsets_y == (-1000, 1000)
+        with pytest.raises(ConfigError, match=r"geometry\.ring_length_m"):
+            parse_config("geometry.ring_length_m = 100000.001\n")
+        with pytest.raises(ConfigError, match=r"geometry\.road_width_m"):
+            parse_config("geometry.road_width_m = 100.001\n")
+        for offsets in ("-1000.001, 9", "-2, 1000.001"):
+            with pytest.raises(ConfigError, match=r"geometry\.vr_offsets_y"):
+                parse_config(f"geometry.vr_offsets_y = {offsets}\n")
+
     def test_round_count_zero_rejected(self):
         with pytest.raises(ConfigError, match="round"):
             parse_config("hash.slot_count = 120\ntiming.slot_len_us = 5000\n")

@@ -185,6 +185,9 @@ class TestCli:
         "timing.glossy_period_us = 100000000000",
         "fleet.v_max_kmh = 1e300",
         "fleet.explicit = 1:200:2:1e300",
+        "geometry.ring_length_m = 1e17",
+        "geometry.road_width_m = 1e300",
+        "geometry.vr_offsets_y = -1e300, 1e300",
     ])
     def test_out_of_range_value_exit_2_names_key(self, tmp_path, capsys, line):
         cfg = self.write_config(tmp_path, f"preset = oracle-static5\n{line}\n")

@@ -1,7 +1,5 @@
 """Ring-road fleet kinematics and geometry queries."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from enpsim.mobility import (
     RoadGeometry,
     Vehicle,
     advance,
-    distance_to_vr,
     positions_at,
     spawn_fleet,
     spawn_mixed_fleet,
@@ -23,6 +20,7 @@ def test_geometry_defaults():
     assert GEOM.n_pairs == 5
     assert GEOM.ring_to_road_offset_m == 100.0
     assert GEOM.road_x(150.0) == 50.0
+    assert GEOM.road_x(0.0) == -100.0  # the return half maps beyond the segment
     assert GEOM.vr_positions(0) == ((20.0, -2.0), (20.0, 9.0))
 
 
@@ -120,28 +118,12 @@ def test_positions_at_matches_advance():
     assert (positions_at(fleet, 0.1) == advance(fleet, 0.1).x).all()
 
 
-class TestDistance:
-    def test_vertical_offset(self):
-        v = Vehicle(1, GEOM.ring_x(20.0), 3.0, 10.0)
-        assert distance_to_vr(v, (20.0, -2.0), GEOM) == pytest.approx(5.0)
-
-    def test_three_four_five(self):
-        v = Vehicle(1, GEOM.ring_x(23.0), 2.0, 10.0)
-        assert distance_to_vr(v, (20.0, -2.0), GEOM) == pytest.approx(5.0)
-
-    def test_return_half_mapping(self):
-        # ring x = 0 maps to road x = -100
-        v = Vehicle(1, 0.0, 3.0, 10.0)
-        expected = math.hypot(120.0, 5.0)
-        assert distance_to_vr(v, (20.0, -2.0), GEOM) == pytest.approx(expected)
-        assert expected == pytest.approx(120.104, abs=1e-3)
-
-
-def test_fleet_roundtrip_and_views():
+def test_fleet_roundtrip_and_validation():
     vehicles = [Vehicle(10, 5.0, 1.0, 8.5), Vehicle(11, 390.0, 6.0, 24.0)]
     fleet = Fleet.from_vehicles(vehicles, 400.0)
-    assert fleet.vehicle(0) == vehicles[0]
-    assert list(fleet) == vehicles
+    assert fleet.vrn.tolist() == [10, 11] and fleet.vrn.dtype == np.uint64
+    assert fleet.x.tolist() == [5.0, 390.0] and fleet.y.tolist() == [1.0, 6.0]
+    assert fleet.speed_mps.tolist() == [8.5, 24.0] and fleet.ring_length_m == 400.0
     with pytest.raises(ValueError):
         Fleet([1], [400.0], [1.0], [1.0], 400.0)  # x out of ring
     with pytest.raises(ValueError):

@@ -100,14 +100,18 @@ class TestSchedule:
 
 
 class TestRunEpoch:
-    def test_single_static_enp_recorded_by_both(self):
+    # at y = 3.5 the tag is 5.5 m from both recorders (y = -2 and y = 9), so
+    # the pair's two probe replicas arrive bit-equal in power: they must
+    # combine into one signal, not collide as a tie
+    @pytest.mark.parametrize("y", [2.0, 3.5])
+    def test_single_static_enp_recorded_by_both(self, y):
         geom = single_pair_geometry()
-        fleet = static_fleet([Vehicle(9876543210, geom.ring_x(100.0), 2.0, 0.0)], geom)
+        fleet = static_fleet([Vehicle(9876543210, geom.ring_x(100.0), y, 0.0)], geom)
         world = World(fleet, geom, RADIO, HashParams(slot_count=71), TIMING)
         result = run_epoch(world, 0)
         a, b = result.pair_record_sets(0)
         assert a == b == {9876543210}
-        assert result.records_by_vr["vr0a"][9876543210].round == 0
+        assert {result.records_by_vr[vr][9876543210].round for vr in ("vr0a", "vr0b")} == {0}
 
     def test_two_static_enps_distinct_slots(self):
         geom = single_pair_geometry()
