@@ -244,6 +244,19 @@ class TestRunEpoch:
         run_epoch(world, 0)
         assert world.fleet.x[0] == pytest.approx((10.0 + 10.0 * 0.512) % 400.0)
 
+    def test_zero_sigma_never_consumes_rng(self):
+        # with shadowing off a generator may be passed but is never drawn
+        # from, and the records equal those of a world without one
+        geom = RoadGeometry()
+        fleet = spawn_fleet(30, 30, 90, geom, np.random.default_rng(12))
+        rng = np.random.default_rng(5)
+        state_before = rng.bit_generator.state
+        with_rng = run_epoch(World(fleet, geom, RADIO, HashParams(slot_count=71), TIMING, rng), 3)
+        without = run_epoch(World(fleet, geom, RADIO, HashParams(slot_count=71), TIMING), 3)
+        assert rng.bit_generator.state == state_before
+        assert with_rng.records_by_vr == without.records_by_vr
+        assert any(with_rng.records_by_vr.values())
+
     def test_shadowing_without_rng_rejected(self):
         geom = single_pair_geometry()
         fleet = static_fleet([Vehicle(1, 10.0, 2.0, 0.0)], geom)

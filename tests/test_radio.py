@@ -1,5 +1,7 @@
 """Path loss, range inversion, and capture-effect slot resolution."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,23 @@ DEFAULTS = RadioParams()
 
 def distance_for_power(p_dbm, params=DEFAULTS):
     return 10 ** ((params.tx_power_dbm - params.pl0_db - p_dbm) / (10 * params.exponent))
+
+
+def scalar_capture(powers_dbm, params):
+    """The capture rule at one receiver, one signal at a time in plain floats:
+    (verdict, winning index or -1).  -inf entries are absent signals."""
+    present = [(p, i) for i, p in enumerate(powers_dbm) if p != -math.inf]
+    if not present:
+        return Verdict.SILENCE, -1
+    best, winner = max(present)
+    if best < params.sensitivity_dbm:
+        return Verdict.SILENCE, -1
+    if sum(p == best for p, _ in present) > 1:
+        return Verdict.COLLISION, -1
+    interference_mw = sum(10 ** (p / 10) for p, i in present if i != winner)
+    if interference_mw > 0 and best - 10 * math.log10(interference_mw) < params.capture_threshold_db:
+        return Verdict.COLLISION, -1
+    return Verdict.RECEIVED, winner
 
 
 class TestReceivedPower:
@@ -121,6 +140,27 @@ def test_capture_and_power_monotonicity():
 
 
 class TestBatchKernel:
+    @pytest.mark.parametrize("params", [DEFAULTS, RadioParams(capture_threshold_db=0.0)],
+                             ids=["3dB-margin", "zero-margin"])
+    def test_matches_scalar_on_random_matrices(self, params):
+        # powers on a 0.7 dB grid around the floor, a fifth of them absent:
+        # ties are common, but no lead over a single interferer lands exactly
+        # on the 3 dB margin, where the summed and the subtracted milliwatts
+        # could round apart
+        rng = np.random.default_rng(33)
+        seen = set()
+        for _ in range(300):
+            n_tx = int(rng.integers(1, 6))
+            n_rx = int(rng.integers(1, 4))
+            powers = rng.integers(-145, -115, size=(n_tx, n_rx)) * 0.7  # -101.5 to -81.2 dBm
+            powers[rng.random(size=powers.shape) < 0.2] = -np.inf
+            codes, winners = capture_verdicts(powers, params)
+            for j in range(n_rx):
+                want = scalar_capture(powers[:, j].tolist(), params)
+                assert (Verdict(int(codes[j])), int(winners[j])) == want
+                seen.add(want[0])
+        assert seen == set(Verdict)
+
     def test_empty_matrix(self):
         codes, winners = capture_verdicts(np.empty((0, 3)), DEFAULTS)
         assert (codes == Verdict.SILENCE).all() and (winners == -1).all()
