@@ -54,8 +54,11 @@ for line in result.events:
         print("  " + line.replace("\t", "  "))
 
 print("\nrecords after the epoch:")
-for vr_id, records in result.records_by_vr.items():
-    entries = ", ".join(f"{vrn} (round {e.round}, slot {e.slot})" for vrn, e in sorted(records.items()))
+# result.records holds one (recorder, vehicle, round, slot) row per first decode
+vrns = result.fleet_start.vrn.tolist()
+for j, vr_id in enumerate(world.vr_ids):
+    rows = sorted((vrns[tag], rnd, slot) for vr, tag, rnd, slot in result.records.tolist() if vr == j)
+    entries = ", ".join(f"{vrn} (round {rnd}, slot {slot})" for vrn, rnd, slot in rows)
     print(f"  {vr_id}: {entries or '-'}")
 
 rec_a, rec_b = result.pair_record_sets(0)

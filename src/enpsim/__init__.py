@@ -9,10 +9,9 @@ together with a seeded experiment harness and the ``enp-sim`` CLI.
 
 from .config import ConfigError, FleetConfig, PRESETS, RunConfig, SimConfig, parse_config
 from .harness import ExperimentResult, build_fleet, rng_stream, run_experiment, sweep
-from .frames import ProbeFrame, ReplyFrame
+from .frames import ProbeFrame
 from .metrics import (
     IterationStats,
-    RecordEntry,
     aggregate,
     ground_truth,
     iteration_accuracy,
@@ -64,8 +63,6 @@ __all__ = [
     "PRESETS",
     "ProbeFrame",
     "RadioParams",
-    "RecordEntry",
-    "ReplyFrame",
     "RoadGeometry",
     "RunConfig",
     "SimConfig",

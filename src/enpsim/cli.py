@@ -41,6 +41,15 @@ def _parse_vs(s: str) -> list[tuple[float, float]]:
     return ranges
 
 
+def _warn_if_unscored(summary: dict, cell: str) -> None:
+    if summary["iterations"] == 0:
+        print(
+            f"warning: {cell}: no pair had a vehicle in range in any epoch, "
+            "so no iteration is scored and the accuracies are nan",
+            file=sys.stderr,
+        )
+
+
 def _cmd_run(args) -> int:
     config = _load_config(args.config, args.seed)
     result = run_experiment(config, out_dir=args.out, events=args.events)
@@ -49,6 +58,7 @@ def _cmd_run(args) -> int:
         f"v_n={s['v_n']} slots={s['s_slots']} iterations={s['iterations']} "
         f"mean_acc_union={s['mean_acc_union']:.4f} -> {args.out}"
     )
+    _warn_if_unscored(s, "run")
     return 0
 
 
@@ -57,10 +67,9 @@ def _cmd_sweep(args) -> int:
     v_s_ranges = _parse_vs(args.vs) if args.vs else None
     summaries = sweep(config, _parse_vn(args.vn), v_s_ranges, out_dir=args.out)
     for s in summaries:
-        print(
-            f"v_n={s['v_n']} v_s={s['v_s_min']:g}-{s['v_s_max']:g} "
-            f"mean_acc_union={s['mean_acc_union']:.4f}"
-        )
+        cell = f"v_n={s['v_n']} v_s={s['v_s_min']:g}-{s['v_s_max']:g}"
+        print(f"{cell} mean_acc_union={s['mean_acc_union']:.4f}")
+        _warn_if_unscored(s, cell)
     print(f"-> {Path(args.out) / 'sweep.csv'}")
     return 0
 

@@ -37,6 +37,10 @@ MAX_SPEED_KMH = 500.0
 MAX_RING_LENGTH_M = 100_000.0
 MAX_ROAD_WIDTH_M = 100.0
 MAX_VR_OFFSET_M = 1_000.0
+# Most query rounds per epoch.  The presets run 3 and 13; a 10 s period with
+# one slot of 2 ms gives 2,495.  Each round costs a fixed overhead, so a
+# period of microsecond-long rounds (millions of them) would never finish.
+MAX_ROUNDS_PER_EPOCH = 10_000
 
 
 @dataclass(frozen=True)
@@ -334,9 +338,15 @@ def _assemble(values: dict[str, object]) -> SimConfig:
 
 def _cross_validate(config: SimConfig) -> None:
     try:
-        build_epoch_schedule(config.timing, config.hash.slot_count, 0)
+        sched = build_epoch_schedule(config.timing, config.hash.slot_count, 0)
     except ValueError as e:
         raise ConfigError(f"timing/hash.slot_count: {e}") from None
+    if sched.round_count > MAX_ROUNDS_PER_EPOCH:
+        raise ConfigError(
+            "timing.glossy_period_us, timing.sync_window_us, timing.probe_len_us, "
+            f"timing.slot_len_us and hash.slot_count give {sched.round_count} rounds "
+            f"an epoch; at most {MAX_ROUNDS_PER_EPOCH} are accepted"
+        )
     if config.hash.slot_count > 255:
         raise ConfigError("hash.slot_count must fit the 8-bit frame field (<= 255)")
     geom = config.geometry

@@ -1,7 +1,6 @@
-"""Wire formats for probe and reply frames (big-endian, fixed layout).
+"""Wire format of the probe frame (big-endian, fixed layout).
 
 probe  = [0x01, pair_id:2, epoch:4, round:1, slot_count:1, hash_id:1, seed:4]  (14 bytes)
-reply  = [0x02, vrn:8, slot:1]                                                 (10 bytes)
 """
 
 from __future__ import annotations
@@ -9,16 +8,13 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .slot_hash import HashId, HashParams
+from .slot_hash import HashId
 
 PROBE_KIND = 0x01
-REPLY_KIND = 0x02
 
 _PROBE = struct.Struct(">BHIBBBI")
-_REPLY = struct.Struct(">BQB")
 
 PROBE_FRAME_LEN = _PROBE.size
-REPLY_FRAME_LEN = _REPLY.size
 
 
 @dataclass(frozen=True)
@@ -43,36 +39,3 @@ class ProbeFrame:
             self.hash_id,
             self.seed,
         )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "ProbeFrame":
-        kind, pair_id, epoch, rnd, slot_count, hash_id, seed = _PROBE.unpack(data)
-        if kind != PROBE_KIND:
-            raise ValueError(f"not a probe frame (kind={kind:#x})")
-        return cls(pair_id, epoch, rnd, slot_count, HashId(hash_id), seed)
-
-    def hash_params(self) -> HashParams:
-        return HashParams(hash_id=self.hash_id, seed=self.seed, slot_count=self.slot_count)
-
-
-@dataclass(frozen=True)
-class ReplyFrame:
-    """Tag answer carrying its registration number in its hashed slot."""
-
-    vrn: int
-    slot: int
-
-    def encode(self) -> bytes:
-        return _REPLY.pack(REPLY_KIND, self.vrn, self.slot)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "ReplyFrame":
-        kind, vrn, slot = _REPLY.unpack(data)
-        if kind != REPLY_KIND:
-            raise ValueError(f"not a reply frame (kind={kind:#x})")
-        return cls(vrn, slot)
-
-
-def frame_kind(data: bytes) -> int:
-    """First byte of a frame; PROBE_KIND or REPLY_KIND."""
-    return data[0]

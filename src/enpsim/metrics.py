@@ -27,18 +27,6 @@ from .radio import RadioParams, received_power_dbm
 
 
 @dataclass(frozen=True)
-class RecordEntry:
-    """One recorder's first successful decode of a registration number in an
-    epoch (unique per vrn per recorder per epoch)."""
-
-    vrn: int
-    vr_id: str
-    epoch: int
-    round: int
-    slot: int
-
-
-@dataclass(frozen=True)
 class IterationStats:
     """Accuracy of one recorder pair over one epoch ("iteration").
 
@@ -209,11 +197,7 @@ def aggregate(
             iterations=len(members),
             mean_acc_union=mean_u,
             std_acc_union=_std(union, mean_u),
-            min_acc_union=min(union),
             mean_acc_single=mean_s,
-            std_acc_single=_std(single, mean_s),
-            min_acc_single=min(single),
-            mean_gt=_mean([s.gt_count for s in members]),
         )
         rows.append(row)
     return rows

@@ -15,7 +15,8 @@ tensor padded with -inf.  Shadowing is drawn once per phase, in the order a
 slot-by-slot resolution would draw it, so outputs do not depend on the
 batching.  Positions come directly from the epoch-start fleet snapshot at
 each schedule event, so ground-truth sampling and decode decisions see
-bit-identical geometry.
+bit-identical geometry.  Each round keeps its decodes as arrays; the epoch
+reduces them once to a record table of first decodes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 # Unused by the engine, but the benchmark's layer tracer (bench/spans.py)
 # counts probe frames by patching this module's ProbeFrame binding.
 from .frames import ProbeFrame  # noqa: F401
-from .metrics import RecordEntry
 from .mobility import Fleet, RoadGeometry, advance, positions_at
 from .radio import (
     COLLISION_CODE,
@@ -86,9 +86,6 @@ class EpochSchedule:
 
     def round_start_us(self, round_index: int) -> int:
         return self.epoch_start_us + self.sync_window_us + round_index * self.round_len_us
-
-    def probe_tx_time_us(self, round_index: int) -> int:
-        return self.round_start_us(round_index)
 
     def slot_start_us(self, round_index: int, slot: int) -> int:
         return self.round_start_us(round_index) + self.probe_len_us + slot * self.slot_len_us
@@ -167,18 +164,41 @@ class World:
 @dataclass
 class EpochResult:
     """Everything one epoch produced: the schedule it ran on, the fleet
-    snapshot it started from, and each recorder's deduplicated records."""
+    snapshot it started from, and the record table.
+
+    ``records`` is int64 ``(n, 4)``: (recorder, tag, round, slot) of the
+    first decode of each (recorder, tag), sorted by recorder then tag.  The
+    recorder indexes ``World.vr_ids`` and the tag indexes ``fleet_start``;
+    VRNs stay in its uint64 ``vrn`` column, which an int64 one would wrap.
+    """
 
     epoch_index: int
     schedule: EpochSchedule
     fleet_start: Fleet
-    records_by_vr: dict[str, dict[int, RecordEntry]]
+    records: np.ndarray
     events: list[str] | None = None
 
     def pair_record_sets(self, pair_id: int) -> tuple[set[int], set[int]]:
-        a = self.records_by_vr[f"vr{pair_id}a"]
-        b = self.records_by_vr[f"vr{pair_id}b"]
-        return set(a), set(b)
+        """VRNs decoded by recorder a and by recorder b of the pair."""
+        recorder, tag = self.records[:, 0], self.records[:, 1]
+        vrn = self.fleet_start.vrn
+        return tuple(set(vrn[tag[recorder == 2 * pair_id + side]].tolist()) for side in (0, 1))
+
+
+def _first_decodes(decodes: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]], n_enp: int):
+    """The record table of per-round (round, recorders, tags, slots)
+    decodes given in round order: the first decode of a (recorder, tag) wins."""
+    if not decodes:
+        return np.empty((0, 4), dtype=np.int64)
+    rounds, recorder, tag, slot = zip(*decodes)
+    table = np.column_stack((
+        np.concatenate(recorder),
+        np.concatenate(tag),
+        np.repeat(rounds, [len(t) for t in tag]),
+        np.concatenate(slot),
+    )).astype(np.int64, copy=False)
+    _, first = np.unique(table[:, 0] * n_enp + table[:, 1], return_index=True)
+    return table[first]
 
 
 def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> EpochResult:
@@ -193,8 +213,9 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     and one capture call decides every occupied slot at every recorder
     independently.  The shadowing draws keep the order of a slot-by-slot
     resolution (slot, then recorder, then contender), so results do not
-    depend on the batching.  Event ordering is fully determined by the
-    schedule.
+    depend on the batching.  Each round's decodes stay arrays until the
+    epoch ends and reduces them to the record table.  Event ordering is
+    fully determined by the schedule.
     """
     sched = build_epoch_schedule(world.timing, world.hash_params.slot_count, epoch_index)
     fleet = world.fleet
@@ -208,7 +229,7 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     vr_ids = world.vr_ids
     n_vr = len(vr_ids)
     vr_pair = world.vr_pair.tolist()
-    records: list[dict[int, RecordEntry]] = [{} for _ in vr_ids]
+    decodes = []  # (round, recorders, tags, slots) of every decoded reply
 
     def log(time_us, event, node, pair, rnd, slot, vrn):
         events.append(
@@ -229,7 +250,7 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
             enp_slots = world.enp_slots
 
         # ---- probe phase: every tag resolves the concurrent probes ----
-        t_probe = sched.probe_tx_time_us(r)
+        t_probe = sched.round_start_us(r)
         dt = (t_probe - sched.epoch_start_us) * 1e-6
         road_x = geom.road_x(positions_at(fleet, dt))
 
@@ -289,13 +310,8 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
         codes, winners = capture_verdicts(power, radio)  # (slots, 2P)
 
         rx_group, rx_vr = np.nonzero(codes == RECEIVED_CODE)
-        rx_vrn = fleet.vrn[idx[first[rx_group] + winners[rx_group, rx_vr]]]
-        for g, j, vrn in zip(rx_group.tolist(), rx_vr.tolist(), rx_vrn.tolist()):
-            rec = records[j]
-            if vrn not in rec:
-                rec[vrn] = RecordEntry(
-                    vrn=vrn, vr_id=vr_ids[j], epoch=epoch_index, round=r, slot=int(occupied[g])
-                )
+        rx_tag = idx[first[rx_group] + winners[rx_group, rx_vr]]
+        decodes.append((r, rx_vr, rx_tag, occupied[rx_group]))
 
         if events is not None:
             vrns = fleet.vrn[idx].tolist()
@@ -315,6 +331,6 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
         epoch_index=epoch_index,
         schedule=sched,
         fleet_start=fleet,
-        records_by_vr=dict(zip(vr_ids, records)),
+        records=_first_decodes(decodes, n_enp),
         events=events,
     )

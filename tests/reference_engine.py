@@ -71,7 +71,7 @@ def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index
         assert len({probes[p].encode() for p in range(n_pairs)}) == n_pairs
 
         # probe phase: merge each pair's two links (identical bytes), capture
-        t_probe = sched.probe_tx_time_us(r)
+        t_probe = sched.round_start_us(r)
         dt = (t_probe - sched.epoch_start_us) * 1e-6
         replies_by_slot = {}
         for i in range(len(fleet)):
@@ -107,6 +107,16 @@ def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index
     return records
 
 
+def engine_records(world, result):
+    """The engine's record table in the shape of :func:`reference_run_epoch`:
+    per recorder id, each decoded vrn's (epoch, round, slot)."""
+    records = {vr_id: {} for vr_id in world.vr_ids}
+    vrns = result.fleet_start.vrn.tolist()
+    for recorder, tag, rnd, slot in result.records.tolist():
+        records[world.vr_ids[recorder]][vrns[tag]] = (result.epoch_index, rnd, slot)
+    return records
+
+
 def reference_ground_truth(fleet, schedule, geometry, radio):
     """Ground-truth sets per pair by the full scan: each recorder in turn,
     at every probe and slot start of the epoch, over the whole
@@ -118,7 +128,7 @@ def reference_ground_truth(fleet, schedule, geometry, radio):
     """
     times = []
     for r in range(schedule.round_count):
-        times.append(schedule.probe_tx_time_us(r))
+        times.append(schedule.round_start_us(r))
         times += [schedule.slot_start_us(r, s) for s in range(schedule.slot_count)]
     dts = (np.array(times, dtype=np.int64) - schedule.epoch_start_us) * 1e-6
     ring_x = np.mod(fleet.x + fleet.speed_mps * dts[:, None], fleet.ring_length_m)

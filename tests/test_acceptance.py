@@ -27,6 +27,8 @@ from enpsim.radio import (
 )
 from enpsim.slot_hash import HashParams, expected_collision_fraction, mid_square_slot
 
+from reference_engine import engine_records
+
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'} - {detail}")
@@ -98,7 +100,8 @@ def test_criterion_3_collision_free_oracle():
     world = World(Fleet.from_vehicles(fleet, geom.ring_length_m), geom, radio, hp, cfg.timing)
     epoch = run_epoch(world, 0)
     rec_a, rec_b = epoch.pair_record_sets(0)
-    round0 = all(e.round == 0 for vr in ("vr0a", "vr0b") for e in epoch.records_by_vr[vr].values())
+    records = engine_records(world, epoch)
+    round0 = all(rnd == 0 for vr in ("vr0a", "vr0b") for _, rnd, _ in records[vr].values())
 
     ok = mean_exact and injective and in_range and rec_a == rec_b == expected and round0
     report(3, ok, f"collision-free oracle: A_u==1.0 exactly ({mean_exact}), "

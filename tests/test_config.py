@@ -3,6 +3,7 @@
 import pytest
 
 from enpsim.config import PRESETS, ConfigError, parse_config, with_fleet_cell, with_master_seed
+from enpsim.protocol import build_epoch_schedule
 from enpsim.slot_hash import HashId, mid_square_slot
 
 
@@ -90,6 +91,17 @@ class TestParsing:
     def test_round_count_zero_rejected(self):
         with pytest.raises(ConfigError, match="round"):
             parse_config("hash.slot_count = 120\ntiming.slot_len_us = 5000\n")
+
+    def test_rounds_per_epoch_bound_is_inclusive(self):
+        # 1 s of rounds after the sync window, each a 50 us probe and one 50 us slot
+        text = (
+            "timing.sync_window_us = 10000\ntiming.probe_len_us = 50\n"
+            "timing.slot_len_us = 50\nhash.slot_count = 1\n"
+        )
+        cfg = parse_config(text + "timing.glossy_period_us = 1010000\n")
+        assert build_epoch_schedule(cfg.timing, cfg.hash.slot_count, 0).round_count == 10_000
+        with pytest.raises(ConfigError, match=r"timing\.glossy_period_us.*10001 rounds"):
+            parse_config(text + "timing.glossy_period_us = 1010100\n")
 
     def test_slot_count_frame_field_limit(self):
         with pytest.raises(ConfigError, match="slot_count"):

@@ -1,17 +1,9 @@
-"""Wire format round-trips and golden byte layouts."""
+"""Probe wire format: golden byte layout and field ranges."""
 
 import pytest
 
-from enpsim.frames import (
-    PROBE_FRAME_LEN,
-    PROBE_KIND,
-    REPLY_FRAME_LEN,
-    REPLY_KIND,
-    ProbeFrame,
-    ReplyFrame,
-    frame_kind,
-)
-from enpsim.slot_hash import HashId, HashParams
+from enpsim.frames import PROBE_FRAME_LEN, PROBE_KIND, ProbeFrame
+from enpsim.slot_hash import HashId
 
 
 def test_probe_layout_golden():
@@ -20,22 +12,7 @@ def test_probe_layout_golden():
     data = frame.encode()
     assert len(data) == PROBE_FRAME_LEN == 14
     assert data == bytes.fromhex("01" "0102" "0a0b0c0d" "07" "47" "01" "deadbeef")
-    assert ProbeFrame.decode(data) == frame
-    assert frame_kind(data) == PROBE_KIND
-
-
-def test_reply_layout_golden():
-    frame = ReplyFrame(vrn=9876543210, slot=58)
-    data = frame.encode()
-    assert len(data) == REPLY_FRAME_LEN == 10
-    assert data == bytes.fromhex("02" "00000002" "4cb016ea" "3a")
-    assert ReplyFrame.decode(data) == frame
-    assert frame_kind(data) == REPLY_KIND
-
-
-def test_probe_hash_params():
-    frame = ProbeFrame(pair_id=3, epoch=5, round=1, slot_count=17, seed=9)
-    assert frame.hash_params() == HashParams(HashId.MID_SQUARE, 9, 17)
+    assert data[0] == PROBE_KIND
 
 
 def test_pair_probes_byte_identical():
@@ -46,17 +23,6 @@ def test_pair_probes_byte_identical():
     assert a.encode() != other_pair.encode()
 
 
-def test_decode_kind_mismatch():
-    probe = ProbeFrame(pair_id=1, epoch=1, round=0, slot_count=71).encode()
-    reply = ReplyFrame(vrn=1, slot=0).encode()
-    with pytest.raises(ValueError):
-        ReplyFrame.decode(probe[:10])
-    with pytest.raises(ValueError):
-        ProbeFrame.decode(reply + b"\x00" * 4)
-
-
 def test_field_range_enforced_by_packing():
     with pytest.raises(Exception):
         ProbeFrame(pair_id=2**16, epoch=0, round=0, slot_count=71).encode()
-    with pytest.raises(Exception):
-        ReplyFrame(vrn=2**64, slot=0).encode()

@@ -188,6 +188,9 @@ class TestCli:
         "geometry.ring_length_m = 1e17",
         "geometry.road_width_m = 1e300",
         "geometry.vr_offsets_y = -1e300, 1e300",
+        # 4,990,000 rounds of 2 us after the 20 ms sync window of a 10 s period
+        "timing.probe_len_us = 1\ntiming.slot_len_us = 1\nhash.slot_count = 1\n"
+        "timing.glossy_period_us = 10000000",
     ])
     def test_out_of_range_value_exit_2_names_key(self, tmp_path, capsys, line):
         cfg = self.write_config(tmp_path, f"preset = oracle-static5\n{line}\n")
@@ -200,6 +203,23 @@ class TestCli:
         argv = ["sweep", "--config", cfg, "--vn", "100000000000", "--out", str(tmp_path / "sw")]
         assert main(argv) == 2
         assert "fleet.v_n" in capsys.readouterr().err
+
+    def test_unscored_run_warns_and_keeps_outputs(self, tmp_path, capsys):
+        text = "preset = paper-fig1b\nfleet.v_n = 0\nrun.epochs = 3\n"
+        cfg = self.write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "cli")]) == 0
+        captured = capsys.readouterr()
+        assert "iterations=0" in captured.out and "mean_acc_union=nan" in captured.out
+        assert captured.err.startswith("warning: run: ") and "nan" in captured.err
+        run_experiment(parse_config(text), out_dir=tmp_path / "lib")
+        for name in ("iterations.csv", "summary.csv", "summary_by_pair.csv"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+    def test_unscored_sweep_cell_warns(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, "preset = paper-fig1b\nrun.epochs = 3\n")
+        assert main(["sweep", "--config", cfg, "--vn", "0,10", "--out", str(tmp_path / "sw")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1 and "warning: v_n=0 v_s=30-90: " in err
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.conf")]) == 2

@@ -286,7 +286,6 @@ class TestAggregate:
     def test_two_iterations_mean(self):
         rows = aggregate([stats(0, 0, 1.0), stats(0, 1, 0.5)])
         assert rows[0]["mean_acc_union"] == pytest.approx(0.75)
-        assert rows[0]["min_acc_union"] == 0.5
 
     def test_excluded_iterations_dropped(self):
         excl = IterationStats(0, 2, 0, 0, 0, 0, float("nan"), float("nan"), float("nan"))

@@ -10,7 +10,7 @@ from enpsim.protocol import TimingParams, World, build_epoch_schedule, run_epoch
 from enpsim.radio import RadioParams
 from enpsim.slot_hash import HashParams, mid_square_slot
 
-from reference_engine import reference_run_epoch
+from reference_engine import engine_records, reference_run_epoch
 
 TIMING = TimingParams()
 RADIO = RadioParams()
@@ -35,10 +35,7 @@ def assert_matches_reference(
     fleet = spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(fleet_seed))
     world = World(fleet, geom, radio, hash_params, TIMING)
     result = run_epoch(world, epoch_index)
-    got = {
-        vr: {vrn: (e.epoch, e.round, e.slot) for vrn, e in recs.items()}
-        for vr, recs in result.records_by_vr.items()
-    }
+    got = engine_records(world, result)
     assert got == reference_run_epoch(fleet, geom, radio, hash_params, TIMING, epoch_index)
 
 
@@ -68,7 +65,7 @@ class TestSchedule:
 
     def test_rounds_fit_period_after_sync(self):
         sched = build_epoch_schedule(TIMING, 71, 3)
-        assert sched.probe_tx_time_us(0) == sched.epoch_start_us + 20_000
+        assert sched.round_start_us(0) == sched.epoch_start_us + 20_000
         last_end = sched.slot_start_us(sched.round_count - 1, 70) + 2_000
         assert last_end <= sched.epoch_start_us + TIMING.glossy_period_us
 
@@ -87,7 +84,7 @@ class TestSchedule:
         assert (np.diff(times) > 0).all()
         expected = []
         for r in range(sched.round_count):
-            expected.append(sched.probe_tx_time_us(r))
+            expected.append(sched.round_start_us(r))
             expected.extend(sched.slot_start_us(r, s) for s in range(sched.slot_count))
         assert times.dtype == np.int64
         np.testing.assert_array_equal(times, np.array(expected, dtype=np.int64))
@@ -111,7 +108,18 @@ class TestRunEpoch:
         result = run_epoch(world, 0)
         a, b = result.pair_record_sets(0)
         assert a == b == {9876543210}
-        assert {result.records_by_vr[vr][9876543210].round for vr in ("vr0a", "vr0b")} == {0}
+        records = engine_records(world, result)
+        assert {records[vr][9876543210][1] for vr in ("vr0a", "vr0b")} == {0}
+
+    # an empty fleet, and one vehicle 200 m from the pair that no probe reaches
+    @pytest.mark.parametrize("vehicles", [[], [Vehicle(1, 0.0, 2.0, 0.0)]],
+                             ids=["empty-fleet", "no-decodes"])
+    def test_epoch_without_decodes_has_empty_record_table(self, vehicles):
+        geom = single_pair_geometry()
+        world = World(static_fleet(vehicles, geom), geom, RADIO, HashParams(slot_count=71), TIMING)
+        result = run_epoch(world, 0)
+        assert result.records.shape == (0, 4) and result.records.dtype == np.int64
+        assert result.pair_record_sets(0) == (set(), set())
 
     def test_two_static_enps_distinct_slots(self):
         geom = single_pair_geometry()
@@ -158,18 +166,18 @@ class TestRunEpoch:
             assert int(epoch) == 4
             assert t >= sched.epoch_start_us + sched.sync_window_us  # sync window silent
             if event == "PROBE":
-                assert t == sched.probe_tx_time_us(int(rnd))
+                assert t == sched.round_start_us(int(rnd))
             elif event == "REPLY":
                 assert t == sched.slot_start_us(int(rnd), int(slot))
                 transmitted.add((int(rnd), int(slot), int(vrn)))
                 key = (int(rnd), node)
                 assert key not in replies_per_round  # at most one tx per round
                 replies_per_round[key] = True
-        for vr_id, records in result.records_by_vr.items():
-            for vrn, entry in records.items():
+        for records in engine_records(world, result).values():
+            for vrn, (epoch, rnd, slot) in records.items():
                 assert vrn in fleet_vrns
-                assert (entry.round, entry.slot, vrn) in transmitted
-                assert entry.vr_id == vr_id and entry.epoch == 4
+                assert (rnd, slot, vrn) in transmitted
+                assert epoch == 4
 
     # the six formerly fixed fleets (five pairs, S = 71, fleet seed 100 + epoch)
     @example(5, 71, False, None, 25, 100, 0)
@@ -223,7 +231,7 @@ class TestRunEpoch:
             a, b = result.pair_record_sets(0)
             want = {v.vrn for v in vehicles}
             assert a == b == want
-            assert all(e.round == 0 for e in result.records_by_vr["vr0a"].values())
+            assert all(rnd == 0 for _, rnd, _ in engine_records(world, result)["vr0a"].values())
 
     def test_shadowed_run_is_seed_deterministic(self):
         geom = RoadGeometry()
@@ -234,7 +242,7 @@ class TestRunEpoch:
             fleet = spawn_fleet(20, 30, 90, geom, rng)
             world = World(fleet, geom, radio, HashParams(slot_count=71), TIMING, rng)
             result = run_epoch(world, 0)
-            runs.append({vr: set(r) for vr, r in result.records_by_vr.items()})
+            runs.append(engine_records(world, result))
         assert runs[0] == runs[1]
 
     def test_world_advances_fleet_by_one_period(self):
@@ -254,8 +262,8 @@ class TestRunEpoch:
         with_rng = run_epoch(World(fleet, geom, RADIO, HashParams(slot_count=71), TIMING, rng), 3)
         without = run_epoch(World(fleet, geom, RADIO, HashParams(slot_count=71), TIMING), 3)
         assert rng.bit_generator.state == state_before
-        assert with_rng.records_by_vr == without.records_by_vr
-        assert any(with_rng.records_by_vr.values())
+        np.testing.assert_array_equal(with_rng.records, without.records)
+        assert len(with_rng.records)
 
     def test_shadowing_without_rng_rejected(self):
         geom = single_pair_geometry()
