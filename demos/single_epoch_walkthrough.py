@@ -7,6 +7,8 @@ log shows the clash and the paired recorders resolving it from opposite
 sides of the road.
 """
 
+import numpy as np
+
 from enpsim import (
     Fleet,
     HashParams,
@@ -15,8 +17,8 @@ from enpsim import (
     TimingParams,
     Vehicle,
     World,
-    mid_square_slot,
     run_epoch,
+    slot_for,
 )
 
 geometry = RoadGeometry(vr_pair_xs=(100.0,))
@@ -27,10 +29,10 @@ vehicles = [
     Vehicle(vrn=9876543210, x=geometry.ring_x(90.0), y=3.0, speed_mps=0.0),
 ]
 
+slots = slot_for(np.array([v.vrn for v in vehicles], dtype=np.uint64), hash_params)
 print("the scene: one recorder pair at road x=100 (lateral -2 m and +9 m)")
-for v in vehicles:
-    print(f"  vrn {v.vrn:>20d}  road ({geometry.road_x(v.x):5.1f}, {v.y:3.1f})  "
-          f"slot {mid_square_slot(v.vrn, hash_params)}")
+for v, slot in zip(vehicles, slots.tolist()):
+    print(f"  vrn {v.vrn:>20d}  road ({geometry.road_x(v.x):5.1f}, {v.y:3.1f})  slot {slot}")
 print("  (the first two share slot 10: a hash clash on purpose)\n")
 
 world = World(

@@ -40,13 +40,7 @@ from .radio import (
     comm_range_m,
     received_power_dbm,
 )
-from .slot_hash import (
-    HashId,
-    HashParams,
-    expected_collision_fraction,
-    mid_square_slot,
-    slot_for,
-)
+from .slot_hash import HashParams, expected_collision_fraction, slot_for
 
 __version__ = "0.1.0"
 
@@ -57,7 +51,6 @@ __all__ = [
     "ExperimentResult",
     "Fleet",
     "FleetConfig",
-    "HashId",
     "HashParams",
     "IterationStats",
     "PRESETS",
@@ -79,7 +72,6 @@ __all__ = [
     "expected_collision_fraction",
     "ground_truth",
     "iteration_accuracy",
-    "mid_square_slot",
     "parse_config",
     "positions_at",
     "received_power_dbm",

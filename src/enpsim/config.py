@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from .mobility import KMH_TO_MPS, RoadGeometry, Vehicle
 from .protocol import TimingParams, build_epoch_schedule
 from .radio import RadioParams
-from .slot_hash import HashId, HashParams
+from .slot_hash import HashParams
 
 
 class ConfigError(Exception):
@@ -41,6 +41,9 @@ MAX_VR_OFFSET_M = 1_000.0
 # one slot of 2 ms gives 2,495.  Each round costs a fixed overhead, so a
 # period of microsecond-long rounds (millions of them) would never finish.
 MAX_ROUNDS_PER_EPOCH = 10_000
+# Schedule times are absolute int64 microseconds since the first warm-up
+# epoch, so the whole run must end within 2**63 - 1 us.
+MAX_RUN_US = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -142,14 +145,6 @@ def _bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-def _hash_id(s: str) -> HashId:
-    try:
-        return HashId[s.strip().upper()]
-    except KeyError:
-        names = ", ".join(h.name.lower() for h in HashId)
-        raise ValueError(f"unknown hash family {s!r} (known: {names})") from None
-
-
 def _vehicles(s: str) -> tuple[Vehicle, ...]:
     """Parse 'vrn:ring_x:y:speed_mps' records separated by semicolons."""
     s = s.strip()
@@ -182,7 +177,6 @@ _SCHEMA = {
     "radio.capture_threshold_db": _float,
     "radio.shadowing_sigma_db": _float,
     "radio.probe_tx_power_dbm": _float,
-    "hash.hash_id": _hash_id,
     "hash.seed": _int,
     "hash.slot_count": _int,
     "hash.reseed_per_round": _bool,
@@ -346,6 +340,12 @@ def _cross_validate(config: SimConfig) -> None:
             "timing.glossy_period_us, timing.sync_window_us, timing.probe_len_us, "
             f"timing.slot_len_us and hash.slot_count give {sched.round_count} rounds "
             f"an epoch; at most {MAX_ROUNDS_PER_EPOCH} are accepted"
+        )
+    run_us = (config.run.warmup_epochs + config.run.epochs) * config.timing.glossy_period_us
+    if run_us > MAX_RUN_US:
+        raise ConfigError(
+            "run.warmup_epochs, run.epochs and timing.glossy_period_us give a run of "
+            f"{run_us} us; at most {MAX_RUN_US} (the int64 range) is accepted"
         )
     if config.hash.slot_count > 255:
         raise ConfigError("hash.slot_count must fit the 8-bit frame field (<= 255)")

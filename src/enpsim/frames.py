@@ -1,14 +1,12 @@
 """Wire format of the probe frame (big-endian, fixed layout).
 
-probe  = [0x01, pair_id:2, epoch:4, round:1, slot_count:1, hash_id:1, seed:4]  (14 bytes)
+probe  = [0x01, pair_id:2, epoch:4, round:1, slot_count:1, 0x01, seed:4]  (14 bytes)
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-
-from .slot_hash import HashId
 
 PROBE_KIND = 0x01
 
@@ -26,7 +24,6 @@ class ProbeFrame:
     epoch: int
     round: int
     slot_count: int
-    hash_id: HashId = HashId.MID_SQUARE
     seed: int = 0
 
     def encode(self) -> bytes:
@@ -36,6 +33,6 @@ class ProbeFrame:
             self.epoch,
             self.round,
             self.slot_count,
-            self.hash_id,
+            0x01,  # the slot hash: mid-square, the only one
             self.seed,
         )

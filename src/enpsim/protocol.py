@@ -21,7 +21,7 @@ reduces them once to a record table of first decodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -149,9 +149,7 @@ class World:
         self.hash_params = hash_params
         self.timing = timing
         self.rng = rng
-        self.enp_slots = np.array(
-            [slot_for(int(v), hash_params) for v in fleet.vrn], dtype=np.intp
-        )
+        self.enp_slots = slot_for(fleet.vrn, hash_params)
         # recorders as (2P,) columns in pair-major order, sides named a/b
         pairs = range(geometry.n_pairs)
         self.vr_ids = tuple(f"vr{p}{side}" for p in pairs for side in "ab")
@@ -217,7 +215,8 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     epoch ends and reduces them to the record table.  Event ordering is
     fully determined by the schedule.
     """
-    sched = build_epoch_schedule(world.timing, world.hash_params.slot_count, epoch_index)
+    hash_params = world.hash_params
+    sched = build_epoch_schedule(world.timing, hash_params.slot_count, epoch_index)
     fleet = world.fleet
     geom = world.geometry
     radio = world.radio
@@ -237,15 +236,9 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
         )
 
     for r in range(sched.round_count):
-        if world.hash_params.reseed_per_round:
-            params_r = HashParams(
-                hash_id=world.hash_params.hash_id,
-                seed=round_seed(world.hash_params.seed, epoch_index, r),
-                slot_count=sched.slot_count,
-            )
-            enp_slots = np.array(
-                [slot_for(int(v), params_r) for v in fleet.vrn], dtype=np.intp
-            )
+        if hash_params.reseed_per_round:
+            seed = round_seed(hash_params.seed, epoch_index, r)
+            enp_slots = slot_for(fleet.vrn, replace(hash_params, seed=seed))
         else:
             enp_slots = world.enp_slots
 

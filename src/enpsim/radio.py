@@ -130,13 +130,10 @@ def capture_verdicts(
         )
 
     winner = p.argmax(axis=-2)
-    pick = winner[..., None, :]
-    strongest = np.take_along_axis(p, pick, axis=-2)
-    tied = (p == strongest).sum(axis=-2) > 1
-    strongest = strongest[..., 0, :]
+    strongest = p.max(axis=-2)
+    tied = (p == strongest[..., None, :]).sum(axis=-2) > 1
 
-    mw = 10.0 ** (p / 10.0)
-    interference_mw = mw.sum(axis=-2) - np.take_along_axis(mw, pick, axis=-2)[..., 0, :]
+    interference_mw = (10.0 ** (p / 10.0)).sum(axis=-2) - 10.0 ** (strongest / 10.0)
     # sole signal => -inf interference => margin always passes; a slot of
     # padding only gives -inf - -inf = nan, which fails the margin but is
     # SILENCE anyway

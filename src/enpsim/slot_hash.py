@@ -3,15 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
-_MASK64 = (1 << 64) - 1
-
-
-class HashId(IntEnum):
-    """Wire identifier of the slot-hash family announced in probe frames."""
-
-    MID_SQUARE = 1
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -27,7 +20,6 @@ class HashParams:
     by a probe.
     """
 
-    hash_id: HashId = HashId.MID_SQUARE
     seed: int = 0
     slot_count: int = 71
     reseed_per_round: bool = False
@@ -48,30 +40,28 @@ def round_seed(base_seed: int, epoch: int, round_index: int) -> int:
     return (x ^ (x >> 16)) & 0xFFFFFFFF
 
 
-def mid_square_slot(vrn: int, params: HashParams) -> int:
-    """Map a 64-bit registration number to a reply slot in [0, slot_count).
+def slot_for(vrns: np.ndarray, params: HashParams) -> np.ndarray:
+    """Map 64-bit registration numbers to reply slots in [0, slot_count).
 
-    The key is XORed with the zero-extended seed, squared exactly, and the
-    middle 64 bits of the 128-bit product (bits 32..95, bit 0 least
-    significant) are reduced modulo the slot count.  Total and pure: equal
-    inputs always yield equal slots.
+    Mid-square hashing: each key is XORed with the zero-extended seed and
+    squared exactly, and the middle 64 bits of the 128-bit square (bits
+    32..95, bit 0 least significant) are reduced modulo the slot count.  The
+    key is split into 32-bit halves ``hi`` and ``lo``; uint64 wraparound then
+    gives the middle bits as ``(hi*hi << 32) + (hi*lo << 1) + (lo*lo >> 32)``.
+    Elementwise over any shape of uint64 keys; returns intp slots of the
+    same shape.  Total and pure: equal inputs always yield equal slots.
     """
-    x = (vrn & _MASK64) ^ params.seed
-    middle = ((x * x) >> 32) & _MASK64
-    return middle % params.slot_count
-
-
-# Dispatch table for slot hash families; register new entries here.
-_FAMILIES = {HashId.MID_SQUARE: mid_square_slot}
-
-
-def slot_for(vrn: int, params: HashParams) -> int:
-    """Assign a slot using the family named by ``params.hash_id``."""
-    try:
-        family = _FAMILIES[params.hash_id]
-    except KeyError:
-        raise ValueError(f"unknown hash_id {params.hash_id!r}") from None
-    return family(vrn, params)
+    x = np.asarray(vrns, dtype=np.uint64) ^ np.uint64(params.seed)
+    hi = x >> np.uint64(32)
+    lo = x & np.uint64(0xFFFFFFFF)
+    # the wraparound is the intended mod 2**64; numpy warns on it for 0-d input
+    with np.errstate(over="ignore"):
+        middle = (
+            ((hi * hi) << np.uint64(32))
+            + ((hi * lo) << np.uint64(1))
+            + ((lo * lo) >> np.uint64(32))
+        )
+    return (middle % np.uint64(params.slot_count)).astype(np.intp)
 
 
 def expected_collision_fraction(n: int, slot_count: int) -> float:

@@ -3,10 +3,9 @@
 Everything here is recomputed from first principles with scalar arithmetic:
 positions from the epoch-start snapshot, link powers from the path-loss
 formula, capture by explicit milliwatt summation, probe replicas merged by
-taking the stronger of a pair's two links.  Only the slot hash is shared
-with the package (its own golden vectors pin it separately).  The
-ground-truth oracle at the end is the one exception to the scalar rule (see
-its docstring).
+taking the stronger of a pair's two links, and the mid-square slot hash by
+arbitrary-precision integer arithmetic.  The ground-truth oracle at the end
+is the one exception to the scalar rule (see its docstring).
 
 Shadowing must be off: the reference is deterministic.
 """
@@ -16,7 +15,17 @@ import math
 import numpy as np
 
 from enpsim.frames import ProbeFrame
-from enpsim.slot_hash import HashParams, round_seed, slot_for
+from enpsim.slot_hash import round_seed
+
+
+def oracle_middle64(vrn: int, seed: int) -> int:
+    """Bits 32..95 of the exact square of the seeded key, by limb-split long
+    multiplication in Python integers and a divmod chain."""
+    x = (vrn & ((1 << 64) - 1)) ^ seed
+    hi, lo = divmod(x, 1 << 32)
+    square = hi * hi * (1 << 64) + 2 * hi * lo * (1 << 32) + lo * lo
+    dropped_low, _ = divmod(square, 1 << 32)
+    return dropped_low % (1 << 64)
 
 
 def _power(d_m, radio, tx_dbm=None):
@@ -63,10 +72,8 @@ def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index
         seed = hash_params.seed
         if hash_params.reseed_per_round:
             seed = round_seed(hash_params.seed, epoch_index, r)
-        params_r = HashParams(hash_params.hash_id, seed, hash_params.slot_count)
         probes = [ProbeFrame(pair_id=p, epoch=epoch_index, round=r,
-                             slot_count=sched.slot_count,
-                             hash_id=hash_params.hash_id, seed=seed)
+                             slot_count=sched.slot_count, seed=seed)
                   for p in range(n_pairs)]
         assert len({probes[p].encode() for p in range(n_pairs)}) == n_pairs
 
@@ -86,7 +93,7 @@ def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index
                 signals.append((pair, pw))
             verdict, _pair = _resolve(signals, radio)
             if verdict == "received":
-                slot = slot_for(int(fleet.vrn[i]), params_r)
+                slot = oracle_middle64(int(fleet.vrn[i]), seed) % sched.slot_count
                 replies_by_slot.setdefault(slot, []).append(i)
 
         # reply slots: every recorder resolves independently

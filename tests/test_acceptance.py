@@ -25,7 +25,7 @@ from enpsim.radio import (
     comm_range_m,
     received_power_dbm,
 )
-from enpsim.slot_hash import HashParams, expected_collision_fraction, mid_square_slot
+from enpsim.slot_hash import HashParams, expected_collision_fraction, slot_for
 
 from reference_engine import engine_records
 
@@ -86,10 +86,8 @@ def test_criterion_3_collision_free_oracle():
     # brute-force enumerator over slots, independent of the engine
     geom, radio, hp = cfg.geometry, cfg.radio, cfg.hash
     fleet = cfg.fleet.explicit
-    by_slot = {}
-    for v in fleet:
-        by_slot.setdefault(mid_square_slot(v.vrn, hp), []).append(v)
-    injective = all(len(vs) == 1 for vs in by_slot.values())
+    slots = slot_for(np.array([v.vrn for v in fleet], dtype=np.uint64), hp)
+    injective = len(set(slots.tolist())) == len(fleet)
     in_range = all(
         math.hypot(geom.road_x(v.x) - vx, v.y - vy) <= comm_range_m(radio)
         for v in fleet
@@ -119,7 +117,8 @@ def test_criterion_4_dual_vr_capture():
     radio = RadioParams()
     v1, v2 = 4000000000023333331, 4000000000031111108  # both hash to slot 10 at S=71
     hp = HashParams(slot_count=71)
-    assert mid_square_slot(v1, hp) == mid_square_slot(v2, hp)
+    s1, s2 = slot_for(np.array([v1, v2], dtype=np.uint64), hp)
+    assert s1 == s2
     fleet = Fleet.from_vehicles(
         [Vehicle(v1, geom.ring_x(100.0), 1.0, 0.0), Vehicle(v2, geom.ring_x(100.0), 6.0, 0.0)],
         geom.ring_length_m,
@@ -141,8 +140,8 @@ def test_criterion_5_hash_statistics():
     rng = np.random.default_rng(20240501)
     counts = np.zeros(71, dtype=np.int64)
     for chunk in range(10):
-        for v in rng.integers(0, 2**64, size=100_000, dtype=np.uint64):
-            counts[mid_square_slot(int(v), params)] += 1
+        vrns = rng.integers(0, 2**64, size=100_000, dtype=np.uint64)
+        counts += np.bincount(slot_for(vrns, params), minlength=71)
     mean = counts.mean()
     uniform_ok = bool(abs(counts - mean).max() <= 0.05 * mean)
 
@@ -150,15 +149,11 @@ def test_criterion_5_hash_statistics():
     coll_detail = []
     for n, slots, trials in ((10, 17, 4000), (40, 71, 2500), (50, 71, 2500)):
         p = HashParams(slot_count=slots)
-        hits = total = 0
+        hits = 0
         for _ in range(trials):
-            assigned = [mid_square_slot(int(v), p)
-                        for v in rng.integers(0, 2**64, size=n, dtype=np.uint64)]
-            occupancy = np.bincount(assigned, minlength=slots)
-            for s in assigned:
-                total += 1
-                hits += occupancy[s] > 1
-        emp = hits / total
+            assigned = slot_for(rng.integers(0, 2**64, size=n, dtype=np.uint64), p)
+            hits += (np.bincount(assigned, minlength=slots)[assigned] > 1).sum()
+        emp = hits / (n * trials)
         ana = expected_collision_fraction(n, slots)
         coll_detail.append(f"(n={n},S={slots}): emp={emp:.4f} ana={ana:.4f}")
         coll_ok &= abs(emp - ana) <= 0.01
@@ -171,7 +166,7 @@ def test_criterion_5_hash_statistics():
         (2**64 - 1, 0, 71, 63),
     ]
     golden_ok = all(
-        mid_square_slot(v, HashParams(seed=seed, slot_count=s)) == want
+        slot_for(np.array([v], dtype=np.uint64), HashParams(seed=seed, slot_count=s))[0] == want
         for v, seed, s, want in golden
     )
 

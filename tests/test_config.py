@@ -1,10 +1,12 @@
 """Config text parsing, presets, and validation messages."""
 
+import numpy as np
 import pytest
 
 from enpsim.config import PRESETS, ConfigError, parse_config, with_fleet_cell, with_master_seed
 from enpsim.protocol import build_epoch_schedule
-from enpsim.slot_hash import HashId, mid_square_slot
+from enpsim.harness import run_experiment
+from enpsim.slot_hash import slot_for
 
 
 class TestDefaults:
@@ -103,15 +105,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"timing\.glossy_period_us.*10001 rounds"):
             parse_config(text + "timing.glossy_period_us = 1010100\n")
 
+    def test_run_length_bound_is_inclusive(self):
+        # the last schedule time of the run must fit in int64 microseconds
+        last = (2**63 - 1) // 512_000
+        text = "preset = paper-road\nrun.epochs = 1\n"
+        cfg = parse_config(text + f"run.warmup_epochs = {last - 1}\n")
+        assert run_experiment(cfg).summary["iterations"] == 1
+        keys = r"run\.warmup_epochs, run\.epochs and timing\.glossy_period_us"
+        with pytest.raises(ConfigError, match=keys):
+            parse_config(text + f"run.warmup_epochs = {last}\n")
+
     def test_slot_count_frame_field_limit(self):
         with pytest.raises(ConfigError, match="slot_count"):
             parse_config("hash.slot_count = 300\ntiming.glossy_period_us = 2000000\n")
-
-    def test_hash_id_parse(self):
-        cfg = parse_config("hash.hash_id = mid_square\n")
-        assert cfg.hash.hash_id is HashId.MID_SQUARE
-        with pytest.raises(ConfigError, match="hash_id"):
-            parse_config("hash.hash_id = sha256\n")
 
     def test_reseed_flag(self):
         assert parse_config("hash.reseed_per_round = true\n").hash.reseed_per_round
@@ -153,8 +159,8 @@ class TestPresets:
         fleet = cfg.fleet.explicit
         assert len(fleet) == 5
         assert all(v.speed_mps == 0.0 for v in fleet)
-        slots = {mid_square_slot(v.vrn, cfg.hash) for v in fleet}
-        assert len(slots) == 5
+        slots = slot_for(np.array([v.vrn for v in fleet], dtype=np.uint64), cfg.hash)
+        assert len(set(slots.tolist())) == 5
         assert cfg.radio.shadowing_sigma_db == 0.0
         # all five parked within range of both recorders of the single pair
         import math

@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the package in ``src``, and
-the single-epoch walkthrough prints exactly its pinned text."""
+"""Every demo script runs to completion against the package in ``src`` with
+nothing on stderr, and the single-epoch walkthrough prints exactly its
+pinned text."""
 
 import os
 import subprocess
@@ -50,6 +51,7 @@ def test_demo_runs(demo, tmp_path):
     out = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
     assert out.stdout.strip()
     if demo.name in PINNED_STDOUT:
         assert out.stdout == PINNED_STDOUT[demo.name]

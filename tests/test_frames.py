@@ -3,12 +3,11 @@
 import pytest
 
 from enpsim.frames import PROBE_FRAME_LEN, PROBE_KIND, ProbeFrame
-from enpsim.slot_hash import HashId
 
 
 def test_probe_layout_golden():
     frame = ProbeFrame(pair_id=0x0102, epoch=0x0A0B0C0D, round=7,
-                       slot_count=71, hash_id=HashId.MID_SQUARE, seed=0xDEADBEEF)
+                       slot_count=71, seed=0xDEADBEEF)
     data = frame.encode()
     assert len(data) == PROBE_FRAME_LEN == 14
     assert data == bytes.fromhex("01" "0102" "0a0b0c0d" "07" "47" "01" "deadbeef")

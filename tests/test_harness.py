@@ -191,6 +191,8 @@ class TestCli:
         # 4,990,000 rounds of 2 us after the 20 ms sync window of a 10 s period
         "timing.probe_len_us = 1\ntiming.slot_len_us = 1\nhash.slot_count = 1\n"
         "timing.glossy_period_us = 10000000",
+        # absolute schedule times past the int64 range of microseconds
+        "run.warmup_epochs = 18014398509481\nrun.epochs = 3",
     ])
     def test_out_of_range_value_exit_2_names_key(self, tmp_path, capsys, line):
         cfg = self.write_config(tmp_path, f"preset = oracle-static5\n{line}\n")

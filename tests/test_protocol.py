@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from enpsim.mobility import Fleet, RoadGeometry, Vehicle, spawn_fleet
 from enpsim.protocol import TimingParams, World, build_epoch_schedule, run_epoch
 from enpsim.radio import RadioParams
-from enpsim.slot_hash import HashParams, mid_square_slot
+from enpsim.slot_hash import HashParams, slot_for
 
 from reference_engine import engine_records, reference_run_epoch
 
@@ -216,13 +216,13 @@ class TestRunEpoch:
             n = int(rng.integers(1, 8))
             vehicles, used = [], set()
             while len(vehicles) < n:
-                vrn = int(rng.integers(0, 2**64, dtype=np.uint64))
-                slot = mid_square_slot(vrn, hash_params)
+                vrn = rng.integers(0, 2**64, dtype=np.uint64)
+                slot = int(slot_for(vrn, hash_params))
                 if slot in used:
                     continue
                 used.add(slot)
                 vehicles.append(
-                    Vehicle(vrn, geom.ring_x(float(rng.uniform(85, 115))),
+                    Vehicle(int(vrn), geom.ring_x(float(rng.uniform(85, 115))),
                             float(rng.uniform(0.5, 6.5)), 0.0)
                 )
             fleet = static_fleet(vehicles, geom)

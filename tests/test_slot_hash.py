@@ -2,28 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from enpsim.slot_hash import (
-    HashId,
-    HashParams,
-    expected_collision_fraction,
-    mid_square_slot,
-    round_seed,
-    slot_for,
-)
+from enpsim.slot_hash import HashParams, expected_collision_fraction, round_seed, slot_for
 
+from reference_engine import oracle_middle64
 
-def _oracle_middle64(vrn: int, seed: int) -> int:
-    """Independent re-derivation: limb-split long multiplication, then a
-    divmod chain to pull bits 32..95 of the exact square."""
-    x = (vrn & ((1 << 64) - 1)) ^ seed
-    hi, lo = divmod(x, 1 << 32)
-    square = hi * hi * (1 << 64) + 2 * hi * lo * (1 << 32) + lo * lo
-    dropped_low, _ = divmod(square, 1 << 32)
-    return dropped_low % (1 << 64)
+# keys where the 32-bit halves carry, wrap or vanish; at seed 0 the three
+# terms of 2**64 - 2**40 - 1 sum past 2**64
+EDGE_VRNS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 2**40 - 1, 2**64 - 1]
 
-
-# Golden vectors frozen from the arbitrary-precision oracle above:
+# Golden vectors frozen from the arbitrary-precision oracle:
 # 9876543210^2 = 97546105778997104100, middle 64 bits = 22711722594.
 GOLDEN = [
     (0, 0, 17, 0),
@@ -40,23 +30,41 @@ GOLDEN = [
 @pytest.mark.parametrize("vrn,seed,slots,expected", GOLDEN)
 def test_golden_vectors(vrn, seed, slots, expected):
     params = HashParams(seed=seed, slot_count=slots)
-    assert mid_square_slot(vrn, params) == expected
-    assert _oracle_middle64(vrn, seed) % slots == expected
+    assert slot_for(np.array([vrn], dtype=np.uint64), params).tolist() == [expected]
+    assert oracle_middle64(vrn, seed) % slots == expected
 
 
-def test_slot_for_dispatch():
-    params = HashParams(slot_count=71)
-    assert slot_for(9876543210, params) == mid_square_slot(9876543210, params)
+@given(
+    vrns=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(EDGE_VRNS)), max_size=20),
+    seed=st.integers(0, 2**32 - 1),
+    slots=st.integers(1, 255),
+    zero_d=st.booleans(),
+)
+@example(vrns=EDGE_VRNS, seed=0, slots=255, zero_d=False)
+@example(vrns=EDGE_VRNS, seed=2**32 - 1, slots=254, zero_d=False)
+@example(vrns=EDGE_VRNS, seed=0, slots=71, zero_d=True)
+@example(vrns=[], seed=0, slots=71, zero_d=False)
+def test_matches_big_int_reference(vrns, seed, slots, zero_d):
+    params = HashParams(seed=seed, slot_count=slots)
+    want = [oracle_middle64(v, seed) % slots for v in vrns]
+    got = slot_for(np.array(vrns, dtype=np.uint64), params)
+    assert got.dtype == np.intp and got.shape == (len(vrns),)
+    assert got.tolist() == want
+    if zero_d:
+        # 0-d keys wrap without numpy's scalar overflow warning (an error here)
+        for v, w in zip(vrns, want):
+            one = slot_for(np.uint64(v), params)
+            assert one.shape == () and int(one) == w
 
 
 def test_range_and_determinism():
     rng = np.random.default_rng(7)
     for slots in (1, 2, 17, 71, 255):
         params = HashParams(slot_count=slots)
-        for vrn in rng.integers(0, 2**64, size=500, dtype=np.uint64):
-            s = mid_square_slot(int(vrn), params)
-            assert 0 <= s < slots
-            assert s == mid_square_slot(int(vrn), params)
+        vrns = rng.integers(0, 2**64, size=500, dtype=np.uint64)
+        s = slot_for(vrns, params)
+        assert ((0 <= s) & (s < slots)).all()
+        np.testing.assert_array_equal(s, slot_for(vrns, params))
 
 
 def test_seed_sensitivity():
@@ -64,7 +72,7 @@ def test_seed_sensitivity():
     a = HashParams(seed=0, slot_count=71)
     b = HashParams(seed=0x9E3779B9, slot_count=71)
     vrns = rng.integers(0, 2**64, size=10_000, dtype=np.uint64)
-    changed = sum(mid_square_slot(int(v), a) != mid_square_slot(int(v), b) for v in vrns)
+    changed = (slot_for(vrns, a) != slot_for(vrns, b)).sum()
     assert changed / len(vrns) >= 0.9
 
 
@@ -72,9 +80,8 @@ def test_uniformity_smoke():
     # light version of the acceptance check (full 1e6 run lives there)
     rng = np.random.default_rng(13)
     params = HashParams(slot_count=71)
-    counts = np.zeros(71, dtype=int)
-    for v in rng.integers(0, 2**64, size=100_000, dtype=np.uint64):
-        counts[mid_square_slot(int(v), params)] += 1
+    vrns = rng.integers(0, 2**64, size=100_000, dtype=np.uint64)
+    counts = np.bincount(slot_for(vrns, params), minlength=71)
     mean = counts.mean()
     assert abs(counts - mean).max() <= 0.10 * mean
 
@@ -90,15 +97,11 @@ def test_collision_fraction_matches_empirical_smoke():
     rng = np.random.default_rng(17)
     n, slots, trials = 40, 71, 400
     params = HashParams(slot_count=slots)
-    hits = total = 0
+    hits = 0
     for _ in range(trials):
-        assigned = [mid_square_slot(int(v), params)
-                    for v in rng.integers(0, 2**64, size=n, dtype=np.uint64)]
-        counts = np.bincount(assigned, minlength=slots)
-        for s in assigned:
-            total += 1
-            hits += counts[s] > 1
-    assert abs(hits / total - expected_collision_fraction(n, slots)) < 0.01
+        assigned = slot_for(rng.integers(0, 2**64, size=n, dtype=np.uint64), params)
+        hits += (np.bincount(assigned, minlength=slots)[assigned] > 1).sum()
+    assert abs(hits / (n * trials) - expected_collision_fraction(n, slots)) < 0.01
 
 
 def test_validation_errors():
