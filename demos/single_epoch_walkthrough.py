@@ -63,6 +63,8 @@ for j, vr_id in enumerate(world.vr_ids):
     entries = ", ".join(f"{vrn} (round {rnd}, slot {slot})" for vrn, rnd, slot in rows)
     print(f"  {vr_id}: {entries or '-'}")
 
-rec_a, rec_b = result.pair_record_sets(0)
-print(f"\nunion of the pair: {len(rec_a | rec_b)} of {len(vehicles)} vehicles -- "
+# decoded(1) is a (pair, recorder a/b, vehicle) mask; the pair's union is
+# what either of its two recorders decoded
+union = result.decoded(1)[0].any(axis=0)
+print(f"\nunion of the pair: {union.sum()} of {len(vehicles)} vehicles -- "
       "the clash cost neither, because each recorder captured its nearer contender.")

@@ -94,14 +94,13 @@ def run_experiment(
             result = run_epoch(world, epoch_index, record_events=events)
             if events:
                 event_log.extend(result.events)
-            gts = ground_truth(result.fleet_start, result.schedule, geom, radio)
-            for pair, gt in enumerate(gts):
-                rec_a, rec_b = result.pair_record_sets(pair)
-                stats = iteration_accuracy(rec_a, rec_b, gt, pair_id=pair, epoch=epoch_index)
+            gt = ground_truth(result.fleet_start, result.schedule, geom, radio)
+            decoded = result.decoded(geom.n_pairs)
+            if shadowing_off and (decoded.any(axis=1) & ~gt).any():
+                raise RuntimeError("record outside ground truth with shadowing off (engine bug)")
+            for stats in iteration_accuracy(decoded, gt, epoch=epoch_index):
                 if stats.union_count < max(stats.detected_1, stats.detected_2):
                     raise RuntimeError("union dominance violated (engine bug)")
-                if shadowing_off and not (rec_a | rec_b) <= gt:
-                    raise RuntimeError("record outside ground truth with shadowing off (engine bug)")
                 rows.append((rep, stats))
 
     summary = summarize(config, rows)

@@ -1,6 +1,6 @@
 """Per-epoch ground truth, recording accuracy, and experiment aggregation.
 
-Ground truth for a recorder pair is the set of vehicles whose zero-shadowing
+Ground truth for a recorder pair holds the vehicles whose zero-shadowing
 received power reaches the sensitivity floor at one of its recorders at some
 probe or slot boundary of the epoch.  Sampling at exactly the schedule
 boundaries with the engine's own link-budget test guarantees that, with
@@ -61,9 +61,9 @@ def ground_truth(
     schedule,
     geometry: RoadGeometry,
     radio: RadioParams,
-) -> list[set[int]]:
-    """Per recorder pair, the vehicles within nominal range of the pair at
-    some schedule boundary; one set per pair, in pair order.
+) -> np.ndarray:
+    """A ``(pairs, vehicles)`` bool mask: True where the vehicle is within
+    nominal range of the pair at some schedule boundary.
 
     ``fleet`` is the epoch-start snapshot.  A vehicle is in range at a
     boundary when ``received_power_dbm(hypot(dx, dy)) >= sensitivity_dbm``
@@ -79,8 +79,6 @@ def ground_truth(
     ``GT_MARGIN_DB``; every other boundary is then at least as far away.
     The vehicles of all remaining cells are tested at every boundary.
     """
-    if len(fleet) == 0:
-        return [set() for _ in range(geometry.n_pairs)]
     times = schedule.sample_times_us()
     dts = (times - schedule.epoch_start_us) * 1e-6
 
@@ -119,7 +117,7 @@ def ground_truth(
         for pair_id, pair_x in enumerate(vr_x):
             power = _pair_power_dbm(road_x - pair_x, sub.y, geometry, radio)
             in_range[pair_id, undecided] = (power >= radio.sensitivity_dbm).any(axis=0)
-    return [{int(v) for v in fleet.vrn[row]} for row in in_range]
+    return in_range
 
 
 def _pair_power_dbm(dx, y, geometry: RoadGeometry, radio: RadioParams) -> np.ndarray:
@@ -131,33 +129,27 @@ def _pair_power_dbm(dx, y, geometry: RoadGeometry, radio: RadioParams) -> np.nda
 
 
 def iteration_accuracy(
-    records_vr1: set[int],
-    records_vr2: set[int],
-    gt: set[int],
-    *,
-    pair_id: int = 0,
-    epoch: int = 0,
-) -> IterationStats:
-    """Per-VR and union accuracies of one pair-epoch as fractions of |GT|."""
-    union = records_vr1 | records_vr2
-    n_gt = len(gt)
-    if n_gt == 0:
-        acc_1 = acc_2 = acc_union = float("nan")
-    else:
-        acc_1 = len(records_vr1 & gt) / n_gt
-        acc_2 = len(records_vr2 & gt) / n_gt
-        acc_union = len(union & gt) / n_gt
-    return IterationStats(
-        pair_id=pair_id,
-        epoch=epoch,
-        gt_count=n_gt,
-        detected_1=len(records_vr1),
-        detected_2=len(records_vr2),
-        union_count=len(union),
-        acc_1=acc_1,
-        acc_2=acc_2,
-        acc_union=acc_union,
-    )
+    decoded: np.ndarray, gt: np.ndarray, *, epoch: int
+) -> list[IterationStats]:
+    """Per-VR and union accuracies of every pair of one epoch as fractions
+    of |GT|, one IterationStats per pair in pair order.
+
+    ``decoded`` is the ``(pairs, 2, vehicles)`` mask of the vehicles each
+    pair's recorder a and b decoded, ``gt`` the ``(pairs, vehicles)`` ground
+    truth.
+    """
+    # rows per pair: recorder a, recorder b, the union of the two
+    seen = np.concatenate((decoded, decoded.any(axis=1, keepdims=True)), axis=1)
+    detected = seen.sum(axis=2)  # (P, 3)
+    n_gt = gt.sum(axis=1)
+    with np.errstate(invalid="ignore"):  # 0 / 0 = nan: empty ground truth
+        acc = (seen & gt[:, None]).sum(axis=2) / n_gt[:, None]
+    return [
+        IterationStats(pair_id, epoch, n, *counts, *fractions)
+        for pair_id, (n, counts, fractions) in enumerate(
+            zip(n_gt.tolist(), detected.tolist(), acc.tolist())
+        )
+    ]
 
 
 def _mean(values: Sequence[float]) -> float:

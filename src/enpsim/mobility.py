@@ -182,7 +182,7 @@ def advance(fleet: Fleet, dt_s: float) -> Fleet:
     """Move every vehicle dt_s seconds along the ring (modulo wraparound)."""
     if dt_s < 0:
         raise ValueError(f"dt_s must be >= 0, got {dt_s}")
-    x = np.mod(fleet.x + fleet.speed_mps * dt_s, fleet.ring_length_m)
+    x = positions_at_each(fleet, dt_s)
     return Fleet(fleet.vrn, x, fleet.y, fleet.speed_mps, fleet.ring_length_m)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 # Unused by the engine, but the benchmark's layer tracer (bench/spans.py)
 # counts probe frames by patching this module's ProbeFrame binding.
 from .frames import ProbeFrame  # noqa: F401
-from .mobility import Fleet, RoadGeometry, advance, positions_at
+from .mobility import Fleet, RoadGeometry, advance, positions_at, positions_at_each
 from .radio import (
     COLLISION_CODE,
     RECEIVED_CODE,
@@ -176,11 +176,13 @@ class EpochResult:
     records: np.ndarray
     events: list[str] | None = None
 
-    def pair_record_sets(self, pair_id: int) -> tuple[set[int], set[int]]:
-        """VRNs decoded by recorder a and by recorder b of the pair."""
-        recorder, tag = self.records[:, 0], self.records[:, 1]
-        vrn = self.fleet_start.vrn
-        return tuple(set(vrn[tag[recorder == 2 * pair_id + side]].tolist()) for side in (0, 1))
+    def decoded(self, n_pairs: int) -> np.ndarray:
+        """A ``(pairs, 2, vehicles)`` bool mask: True where recorder a (0) or
+        b (1) of the pair decoded the tag.  Recorder ``2 * pair + side`` of
+        the table is that side of that pair, as in ``World.vr_ids``."""
+        mask = np.zeros((2 * n_pairs, len(self.fleet_start)), dtype=bool)
+        mask[self.records[:, 0], self.records[:, 1]] = True
+        return mask.reshape(n_pairs, 2, -1)
 
 
 def _first_decodes(decodes: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]], n_enp: int):
@@ -284,10 +286,8 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
         rank = np.arange(idx.size) - first[group]  # position inside its slot
 
         # every replier at the start of its own slot
-        dt = (sched.slot_start_us(r, slots) - sched.epoch_start_us) * 1e-6
-        tx_road_x = geom.road_x(
-            np.mod(fleet.x[idx] + fleet.speed_mps[idx] * dt, fleet.ring_length_m)
-        )
+        dt = (sched.slot_start_us(r, enp_slots) - sched.epoch_start_us) * 1e-6
+        tx_road_x = geom.road_x(positions_at_each(fleet, dt)[idx])
         d = np.hypot(
             tx_road_x[:, None] - world.vr_x[None, :], fleet.y[idx, None] - world.vr_y[None, :]
         )  # (repliers, 2P)

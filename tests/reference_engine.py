@@ -7,7 +7,9 @@ taking the stronger of a pair's two links, and the mid-square slot hash by
 arbitrary-precision integer arithmetic.  The ground-truth oracle at the end
 is the one exception to the scalar rule (see its docstring).
 
-Shadowing must be off: the reference is deterministic.
+With shadowing on, the reference draws from the generator it is given in
+the engine's documented stream order (see :func:`reference_run_epoch`), so
+the same seed must give the same records and leave the same generator state.
 """
 
 import math
@@ -55,9 +57,23 @@ def _road_xy(fleet, i, dt_s, geometry):
     return ring - geometry.ring_to_road_offset_m, fleet.y[i]
 
 
-def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index):
-    """Record sets per recorder id for one epoch, shadowing off."""
-    assert radio.shadowing_sigma_db == 0, "reference engine is deterministic only"
+def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index, rng=None):
+    """Records per recorder id for one epoch: each decoded vrn's
+    (epoch, round, slot).
+
+    With shadowing on, every round of a non-empty fleet draws from ``rng``
+    first one (recorders x vehicles) block for the probe phase, then one
+    (recorders x contenders) block per occupied reply slot, in slot order;
+    recorders are in pair-major order (vr0a, vr0b, vr1a, ...), vehicles
+    and contenders in fleet order.
+    """
+    sigma = radio.shadowing_sigma_db
+
+    def shadow(rows, cols):
+        if sigma == 0:
+            return [[0.0] * cols for _ in range(rows)]
+        return rng.normal(0.0, sigma, size=(rows, cols)).tolist()
+
     from enpsim.protocol import build_epoch_schedule  # schedule arithmetic is pinned by its own tests
 
     sched = build_epoch_schedule(timing, hash_params.slot_count, epoch_index)
@@ -81,14 +97,17 @@ def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index
         t_probe = sched.round_start_us(r)
         dt = (t_probe - sched.epoch_start_us) * 1e-6
         replies_by_slot = {}
+        probe_shadow = shadow(len(vrs), len(fleet)) if len(fleet) else []
         for i in range(len(fleet)):
             x, y = _road_xy(fleet, i, dt, geometry)
             signals = []
             for pair in range(n_pairs):
                 (xa, ya), (xb, yb) = geometry.vr_positions(pair)
                 pw = max(
-                    _power(math.hypot(x - xa, y - ya), radio, radio.probe_tx_power_dbm),
-                    _power(math.hypot(x - xb, y - yb), radio, radio.probe_tx_power_dbm),
+                    _power(math.hypot(x - xa, y - ya), radio, radio.probe_tx_power_dbm)
+                    + probe_shadow[2 * pair][i],
+                    _power(math.hypot(x - xb, y - yb), radio, radio.probe_tx_power_dbm)
+                    + probe_shadow[2 * pair + 1][i],
                 )
                 signals.append((pair, pw))
             verdict, _pair = _resolve(signals, radio)
@@ -102,10 +121,12 @@ def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index
             dt = (t_slot - sched.epoch_start_us) * 1e-6
             senders = replies_by_slot[slot]
             positions = {i: _road_xy(fleet, i, dt, geometry) for i in senders}
-            for vr_id, pair, (vx, vy) in vrs:
+            reply_shadow = shadow(len(vrs), len(senders))
+            for (vr_id, pair, (vx, vy)), draws in zip(vrs, reply_shadow):
                 signals = [
-                    (i, _power(math.hypot(positions[i][0] - vx, positions[i][1] - vy), radio))
-                    for i in senders
+                    (i, _power(math.hypot(positions[i][0] - vx, positions[i][1] - vy), radio)
+                     + draw)
+                    for i, draw in zip(senders, draws)
                 ]
                 verdict, winner = _resolve(signals, radio)
                 if verdict == "received":
@@ -125,9 +146,9 @@ def engine_records(world, result):
 
 
 def reference_ground_truth(fleet, schedule, geometry, radio):
-    """Ground-truth sets per pair by the full scan: each recorder in turn,
-    at every probe and slot start of the epoch, over the whole
-    (sample times x vehicles) grid.
+    """The (pairs, vehicles) ground-truth mask by the full scan: each
+    recorder in turn, at every probe and slot start of the epoch, over the
+    whole (sample times x vehicles) grid.
 
     Unlike the epoch above this is numpy arithmetic, element for element in
     the engine's operation order: a vehicle exactly on the sensitivity floor
@@ -140,12 +161,10 @@ def reference_ground_truth(fleet, schedule, geometry, radio):
     dts = (np.array(times, dtype=np.int64) - schedule.epoch_start_us) * 1e-6
     ring_x = np.mod(fleet.x + fleet.speed_mps * dts[:, None], fleet.ring_length_m)
     road_x = ring_x - geometry.ring_to_road_offset_m
-    out = []
+    in_range = np.zeros((geometry.n_pairs, len(fleet)), dtype=bool)
     for pair in range(geometry.n_pairs):
-        in_range = np.zeros(len(fleet), dtype=bool)
         for vx, vy in geometry.vr_positions(pair):
             d = np.maximum(np.hypot(road_x - vx, fleet.y - vy), 1.0)
             power = radio.tx_power_dbm - radio.pl0_db - 10.0 * radio.exponent * np.log10(d)
-            in_range |= (power >= radio.sensitivity_dbm).any(axis=0)
-        out.append({int(v) for v in fleet.vrn[in_range]})
-    return out
+            in_range[pair] |= (power >= radio.sensitivity_dbm).any(axis=0)
+    return in_range

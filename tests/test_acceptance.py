@@ -93,17 +93,18 @@ def test_criterion_3_collision_free_oracle():
         for v in fleet
         for vx, vy in geom.vr_positions(0)
     )
-    expected = {v.vrn for v in fleet}  # enumerator verdict: everyone, both VRs
 
     world = World(Fleet.from_vehicles(fleet, geom.ring_length_m), geom, radio, hp, cfg.timing)
     epoch = run_epoch(world, 0)
-    rec_a, rec_b = epoch.pair_record_sets(0)
+    decoded = epoch.decoded(1)
     records = engine_records(world, epoch)
     round0 = all(rnd == 0 for vr in ("vr0a", "vr0b") for _, rnd, _ in records[vr].values())
 
-    ok = mean_exact and injective and in_range and rec_a == rec_b == expected and round0
+    # enumerator verdict: everyone, both VRs
+    everyone = decoded.shape == (1, 2, len(fleet)) and decoded.all()
+    ok = mean_exact and injective and in_range and everyone and round0
     report(3, ok, f"collision-free oracle: A_u==1.0 exactly ({mean_exact}), "
-                  f"both recorders hold all {len(expected)} vehicles in round 0 ({round0})")
+                  f"both recorders hold all {len(fleet)} vehicles in round 0 ({round0})")
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +126,8 @@ def test_criterion_4_dual_vr_capture():
     )
     world = World(fleet, geom, radio, hp, TimingParams())
     result = run_epoch(world, 0)
-    rec_a, rec_b = result.pair_record_sets(0)
-    ok = rec_a == {v1} and rec_b == {v2}
+    rec_a, rec_b = (fleet.vrn[side].tolist() for side in result.decoded(1)[0])
+    ok = rec_a == [v1] and rec_b == [v2]
     report(4, ok, f"dual-recorder same-slot clash: vr0a={sorted(rec_a)} vr0b={sorted(rec_b)} "
                   "(each exactly one, union both)")
 
@@ -253,12 +254,11 @@ def test_criterion_7_metrics_invariants():
     contain_ok = dominance_ok = True
     for e in range(80):
         result = run_epoch(world, e)
-        gts = ground_truth(result.fleet_start, result.schedule, geom, radio)
-        for pair, gt in enumerate(gts):
-            rec_a, rec_b = result.pair_record_sets(pair)
-            if not (rec_a | rec_b) <= gt:
-                contain_ok = False
-            st = iteration_accuracy(rec_a, rec_b, gt, pair_id=pair, epoch=e)
+        gt = ground_truth(result.fleet_start, result.schedule, geom, radio)
+        decoded = result.decoded(geom.n_pairs)
+        if (decoded.any(axis=1) & ~gt).any():
+            contain_ok = False
+        for st in iteration_accuracy(decoded, gt, epoch=e):
             if st.union_count < max(st.detected_1, st.detected_2):
                 dominance_ok = False
             if st.included and not (st.acc_union >= max(st.acc_1, st.acc_2)):

@@ -25,3 +25,11 @@ def test_pair_probes_byte_identical():
 def test_field_range_enforced_by_packing():
     with pytest.raises(Exception):
         ProbeFrame(pair_id=2**16, epoch=0, round=0, slot_count=71).encode()
+
+
+@pytest.mark.parametrize("epoch, round_", [(2**32, 0), (0, 256), (3 * 2**32 + 5, 256 + 7)])
+def test_epoch_and_round_are_wrapping_counters(epoch, round_):
+    # a run may outlast 2**32 epochs, and an epoch may hold up to 10,000 rounds
+    frame = ProbeFrame(pair_id=1, epoch=epoch, round=round_, slot_count=17).encode()
+    wrapped = ProbeFrame(pair_id=1, epoch=epoch % 2**32, round=round_ % 256, slot_count=17)
+    assert frame == wrapped.encode()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import enpsim.metrics
 from enpsim.config import MAX_SPEED_KMH, parse_config
@@ -36,11 +37,11 @@ def fleet_of(*vehicles):
 class TestGroundTruth:
     def test_static_vehicle_nearby_included(self):
         fleet = fleet_of(Vehicle(7, GEOM.ring_x(100.0), 3.0, 0.0))  # ~5 m away
-        assert ground_truth(fleet, SCHED, GEOM, RADIO)[0] == {7}
+        assert ground_truth(fleet, SCHED, GEOM, RADIO).tolist() == [[True]]
 
     def test_far_vehicle_excluded(self):
         fleet = fleet_of(Vehicle(8, GEOM.ring_x(-100.0), 3.0, 0.0))  # 200 m away
-        assert ground_truth(fleet, SCHED, GEOM, RADIO)[0] == set()
+        assert ground_truth(fleet, SCHED, GEOM, RADIO).tolist() == [[False]]
 
     def test_range_edge_uses_nominal_range(self):
         r = comm_range_m(RADIO)
@@ -52,8 +53,8 @@ class TestGroundTruth:
                 math.hypot(GEOM.road_x(f.x[0]) - vx, f.y[0] - vy)
                 for vx, vy in GEOM.vr_positions(0)
             )
-        assert (min_d(inside) <= r) == (ground_truth(inside, SCHED, GEOM, RADIO)[0] == {1})
-        assert (min_d(outside) <= r) == (ground_truth(outside, SCHED, GEOM, RADIO)[0] == {2})
+        assert (min_d(inside) <= r) == ground_truth(inside, SCHED, GEOM, RADIO)[0, 0]
+        assert (min_d(outside) <= r) == ground_truth(outside, SCHED, GEOM, RADIO)[0, 0]
 
     def test_crossing_trajectory_matches_dense_oracle(self):
         # vehicle crossing into range mid-epoch at 25 m/s, checked against a
@@ -62,7 +63,7 @@ class TestGroundTruth:
         for start_offset in (2.0, 5.0, 8.0, 11.0, 12.7):
             x0 = 100.0 - r - start_offset
             fleet = fleet_of(Vehicle(3, GEOM.ring_x(x0), 2.0, 25.0))
-            got = 3 in ground_truth(fleet, SCHED, GEOM, RADIO)[0]
+            got = ground_truth(fleet, SCHED, GEOM, RADIO)[0, 0]
 
             dense_t = np.arange(0, TIMING.glossy_period_us, 10, dtype=np.int64)
             inside_at = {}
@@ -75,7 +76,8 @@ class TestGroundTruth:
             assert got == expected
 
     def test_empty_fleet(self):
-        assert ground_truth(fleet_of(), SCHED, GEOM, RADIO)[0] == set()
+        gt = ground_truth(fleet_of(), SCHED, GEOM, RADIO)
+        assert gt.shape == (1, 0) and gt.dtype == bool
 
     def test_one_set_per_pair_in_pair_order(self):
         geom = RoadGeometry(vr_pair_xs=(20.0, 100.0, 180.0))
@@ -83,8 +85,10 @@ class TestGroundTruth:
             [Vehicle(1, geom.ring_x(20.0), 3.0, 0.0), Vehicle(2, geom.ring_x(180.0), 3.0, 0.0)],
             geom.ring_length_m,
         )
-        assert ground_truth(fleet, SCHED, geom, RADIO) == [{1}, set(), {2}]
-        assert ground_truth(fleet_of(), SCHED, geom, RADIO) == [set(), set(), set()]
+        gt = ground_truth(fleet, SCHED, geom, RADIO)
+        assert gt.dtype == bool
+        assert gt.tolist() == [[True, False], [False, False], [False, True]]
+        assert ground_truth(fleet_of(), SCHED, geom, RADIO).shape == (3, 0)
 
 
 MAX_SPEED_MPS = MAX_SPEED_KMH * KMH_TO_MPS
@@ -183,15 +187,18 @@ def oracle_static5_case():
     return fleet, build_epoch_schedule(cfg.timing, cfg.hash.slot_count, 0), geom, cfg.radio
 
 
+def assert_same_mask(got, want):
+    np.testing.assert_array_equal(got, want, strict=True)
+
+
 class TestGroundTruthMatchesFullScan:
     @pytest.mark.parametrize("make_case, expected", [
-        (seam_crossing_case, [{1}]),
-        (between_boundaries_case, [{5}]),
-        (oracle_static5_case,
-         [{9876543210, 10987654321, 12098765432, 13209876543, 15432098765}]),
+        (seam_crossing_case, [[True]]),
+        (between_boundaries_case, [[True]]),
+        (oracle_static5_case, [[True] * 5]),
     ])
     def test_example_cases(self, make_case, expected):
-        assert ground_truth(*make_case()) == expected
+        assert_same_mask(ground_truth(*make_case()), np.array(expected))
 
     # vehicle 9 at road x with the given speed, vehicle 10 parked at the pair
     @pytest.mark.parametrize("ring, radio, x, speed, scanned", [
@@ -221,7 +228,7 @@ class TestGroundTruthMatchesFullScan:
                     Vehicle(10, geom.ring_x(100.0), 3.0, 0.0)]
         fleet = Fleet.from_vehicles(vehicles, ring)
         case = (fleet, SCHED, geom, radio)
-        assert ground_truth(*case) == reference_ground_truth(*case)
+        assert_same_mask(ground_truth(*case), reference_ground_truth(*case))
         assert calls == scanned
 
     @example(case=seam_crossing_case())
@@ -230,45 +237,89 @@ class TestGroundTruthMatchesFullScan:
     @settings(max_examples=300, deadline=None)
     @given(case=gt_cases())
     def test_randomized(self, case):
-        assert ground_truth(*case) == reference_ground_truth(*case)
+        assert_same_mask(ground_truth(*case), reference_ground_truth(*case))
+
+
+def one_pair(rec_1, rec_2, gt, n=10):
+    """The (1, 2, n) decoded and (1, n) ground-truth masks of one pair from
+    the vehicle indices recorder a and b decoded and those in ground truth."""
+    decoded = np.zeros((1, 2, n), dtype=bool)
+    gt_mask = np.zeros((1, n), dtype=bool)
+    decoded[0, 0, list(rec_1)] = decoded[0, 1, list(rec_2)] = gt_mask[0, list(gt)] = True
+    return decoded, gt_mask
+
+
+def set_accuracy(rec_1, rec_2, gt, pair_id, epoch):
+    """The set definition of one pair-epoch's accuracy: |recorded & GT| / |GT|."""
+    union = rec_1 | rec_2
+    if gt:
+        acc = [len(rec & gt) / len(gt) for rec in (rec_1, rec_2, union)]
+    else:
+        acc = [float("nan")] * 3
+    return IterationStats(pair_id, epoch, len(gt), len(rec_1), len(rec_2), len(union), *acc)
+
+
+@st.composite
+def pair_masks(draw):
+    """Random (pairs, 2, vehicles) decoded and (pairs, vehicles) ground-truth
+    masks: 1-5 pairs, 0-30 vehicles."""
+    n_pairs, n_vehicles = draw(st.integers(1, 5)), draw(st.integers(0, 30))
+    return (draw(arrays(bool, (n_pairs, 2, n_vehicles))),
+            draw(arrays(bool, (n_pairs, n_vehicles))))
 
 
 class TestIterationAccuracy:
     def test_full_coverage(self):
         gt = {1, 2, 3}
-        st = iteration_accuracy(gt, gt, gt, pair_id=0, epoch=0)
+        [st] = iteration_accuracy(*one_pair(gt, gt, gt), epoch=0)
         assert st.acc_union == 1.0 and st.acc_1 == 1.0 and st.acc_2 == 1.0
         assert st.union_count == 3
 
     def test_partial_union(self):
-        st = iteration_accuracy({1, 2}, {2, 3}, {1, 2, 3, 4})
+        [st] = iteration_accuracy(*one_pair({1, 2}, {2, 3}, {1, 2, 3, 4}), epoch=0)
         assert st.acc_union == 0.75
 
     def test_split_between_recorders(self):
-        st = iteration_accuracy({1}, {2}, {1, 2})
+        [st] = iteration_accuracy(*one_pair({1}, {2}, {1, 2}), epoch=0)
         assert st.acc_1 == 0.5 and st.acc_2 == 0.5 and st.acc_union == 1.0
 
     def test_empty_gt_excluded(self):
-        st = iteration_accuracy({1}, set(), set())
+        [st] = iteration_accuracy(*one_pair({1}, set(), set()), epoch=0)
         assert not st.included
         assert math.isnan(st.acc_union)
 
     def test_union_dominance_and_swap_invariance(self):
         rng = np.random.default_rng(31)
         for _ in range(300):
-            pool = list(range(30))
-            r1 = set(rng.choice(pool, size=rng.integers(0, 20), replace=False).tolist())
-            r2 = set(rng.choice(pool, size=rng.integers(0, 20), replace=False).tolist())
-            gt = set(rng.choice(pool, size=rng.integers(1, 25), replace=False).tolist())
-            st = iteration_accuracy(r1, r2, gt)
-            swapped = iteration_accuracy(r2, r1, gt)
-            assert st.acc_union >= max(st.acc_1, st.acc_2)
-            assert st.union_count >= max(st.detected_1, st.detected_2)
-            assert st.acc_union == swapped.acc_union
+            decoded = rng.random((3, 2, 30)) < rng.random((3, 2, 1))
+            gt = rng.random((3, 30)) < rng.random((3, 1))
+            gt[:, 0] = True
+            swapped = iteration_accuracy(decoded[:, ::-1], gt, epoch=0)
+            for st, sw in zip(iteration_accuracy(decoded, gt, epoch=0), swapped):
+                assert st.acc_union >= max(st.acc_1, st.acc_2)
+                assert st.union_count >= max(st.detected_1, st.detected_2)
+                assert st.acc_union == sw.acc_union
 
     def test_records_subset_gt_bounds_accuracy(self):
-        st = iteration_accuracy({1, 9}, {2, 9}, {1, 2, 3})
+        [st] = iteration_accuracy(*one_pair({1, 9}, {2, 9}, {1, 2, 3}), epoch=0)
         assert st.acc_union <= 1.0
+
+    @example(masks=(np.zeros((1, 2, 0), dtype=bool), np.zeros((1, 0), dtype=bool)))
+    @example(masks=(np.ones((2, 2, 3), dtype=bool), np.array([[0, 0, 0], [1, 0, 1]], bool)))
+    @settings(max_examples=300, deadline=None)
+    @given(masks=pair_masks())
+    def test_matches_set_definition(self, masks):
+        decoded, gt = masks
+        got = iteration_accuracy(decoded, gt, epoch=7)
+        want = []
+        for pair_id, (rows, gt_row) in enumerate(zip(decoded, gt)):
+            rec_1, rec_2, gt_set = (set(np.flatnonzero(m).tolist()) for m in (*rows, gt_row))
+            want.append(set_accuracy(rec_1, rec_2, gt_set, pair_id, 7))
+        # repr compares nan fields as equal; the types must match too, since
+        # the CSV prints a numpy scalar differently from a Python one
+        assert [repr(s) for s in got] == [repr(s) for s in want]
+        for g, w in zip(got, want):
+            assert [type(v) for v in vars(g).values()] == [type(v) for v in vars(w).values()]
 
 
 def stats(pair_id, epoch, acc, gt=4):

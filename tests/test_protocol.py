@@ -23,20 +23,34 @@ DISTINCT_SLOT_VRNS = (9876543210, 10987654321, 12098765432, 13209876543, 1543209
 
 
 def assert_matches_reference(
-    n_pairs, slot_count, reseed, probe_tx_power_dbm, v_n, fleet_seed, epoch_index
+    n_pairs, slot_count, reseed, probe_tx_power_dbm, v_n, fleet_seed, epoch_index, sigma=0.0
 ):
     """The engine and the scalar reference agree on every record: the same
     vrns per recorder, each first decoded in the same (epoch, round, slot).
-    Pairs sit 40 m apart around road x = 100."""
+    With shadowing on, both draw from generators seeded alike and must
+    leave them in the same state.  The engine's decoded mask holds the same
+    vrns per recorder.  Pairs sit 40 m apart around road x = 100."""
     geom = RoadGeometry(vr_pair_xs=tuple(100.0 + 40.0 * (i - (n_pairs - 1) / 2)
                                          for i in range(n_pairs)))
-    radio = RadioParams(probe_tx_power_dbm=probe_tx_power_dbm)
+    radio = RadioParams(probe_tx_power_dbm=probe_tx_power_dbm, shadowing_sigma_db=sigma)
     hash_params = HashParams(slot_count=slot_count, reseed_per_round=reseed)
     fleet = spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(fleet_seed))
-    world = World(fleet, geom, radio, hash_params, TIMING)
+    engine_rng, reference_rng = (np.random.default_rng(fleet_seed) for _ in range(2))
+    world = World(fleet, geom, radio, hash_params, TIMING, engine_rng)
     result = run_epoch(world, epoch_index)
     got = engine_records(world, result)
-    assert got == reference_run_epoch(fleet, geom, radio, hash_params, TIMING, epoch_index)
+    want = reference_run_epoch(fleet, geom, radio, hash_params, TIMING, epoch_index, reference_rng)
+    assert got == want
+    assert engine_rng.bit_generator.state == reference_rng.bit_generator.state
+    decoded = result.decoded(n_pairs).reshape(2 * n_pairs, len(fleet))
+    assert [set(fleet.vrn[row].tolist()) for row in decoded] == [set(want[vr]) for vr in world.vr_ids]
+
+
+def pair_vrns(result):
+    """The vrns recorder a and recorder b of a one-pair world decoded, read
+    from the epoch's decoded mask."""
+    vrn = result.fleet_start.vrn
+    return tuple(set(vrn[side].tolist()) for side in result.decoded(1)[0])
 
 
 def single_pair_geometry():
@@ -106,7 +120,7 @@ class TestRunEpoch:
         fleet = static_fleet([Vehicle(9876543210, geom.ring_x(100.0), y, 0.0)], geom)
         world = World(fleet, geom, RADIO, HashParams(slot_count=71), TIMING)
         result = run_epoch(world, 0)
-        a, b = result.pair_record_sets(0)
+        a, b = pair_vrns(result)
         assert a == b == {9876543210}
         records = engine_records(world, result)
         assert {records[vr][9876543210][1] for vr in ("vr0a", "vr0b")} == {0}
@@ -119,7 +133,9 @@ class TestRunEpoch:
         world = World(static_fleet(vehicles, geom), geom, RADIO, HashParams(slot_count=71), TIMING)
         result = run_epoch(world, 0)
         assert result.records.shape == (0, 4) and result.records.dtype == np.int64
-        assert result.pair_record_sets(0) == (set(), set())
+        decoded = result.decoded(1)
+        assert decoded.shape == (1, 2, len(vehicles)) and decoded.dtype == bool
+        assert not decoded.any()
 
     def test_two_static_enps_distinct_slots(self):
         geom = single_pair_geometry()
@@ -130,7 +146,7 @@ class TestRunEpoch:
         )
         world = World(fleet, geom, RADIO, HashParams(slot_count=71), TIMING)
         result = run_epoch(world, 0)
-        a, b = result.pair_record_sets(0)
+        a, b = pair_vrns(result)
         assert a == b == set(DISTINCT_SLOT_VRNS[:2])
 
     def test_dual_vr_union_on_same_slot_clash(self):
@@ -145,7 +161,7 @@ class TestRunEpoch:
         )
         world = World(fleet, geom, RADIO, HashParams(slot_count=71), TIMING)
         result = run_epoch(world, 0)
-        a, b = result.pair_record_sets(0)
+        a, b = pair_vrns(result)
         assert a == {v1}  # vr0a at y=-2 is nearer the y=1 vehicle
         assert b == {v2}
         assert a | b == {v1, v2}
@@ -180,12 +196,15 @@ class TestRunEpoch:
                 assert epoch == 4
 
     # the six formerly fixed fleets (five pairs, S = 71, fleet seed 100 + epoch)
-    @example(5, 71, False, None, 25, 100, 0)
-    @example(5, 71, False, None, 25, 101, 1)
-    @example(5, 71, False, None, 25, 102, 2)
-    @example(5, 71, False, None, 25, 103, 3)
-    @example(5, 71, False, None, 25, 104, 4)
-    @example(5, 71, False, None, 25, 105, 5)
+    @example(5, 71, False, None, 25, 100, 0, 0.0)
+    @example(5, 71, False, None, 25, 101, 1, 0.0)
+    @example(5, 71, False, None, 25, 102, 2, 0.0)
+    @example(5, 71, False, None, 25, 103, 3, 0.0)
+    @example(5, 71, False, None, 25, 104, 4, 0.0)
+    @example(5, 71, False, None, 25, 105, 5, 0.0)
+    # the presets' 6.5 dB shadowing: five pairs at 71 slots, one pair at 17 reseeded
+    @example(5, 71, False, None, 25, 106, 6, 6.5)
+    @example(1, 17, True, None, 10, 107, 7, 6.5)
     @settings(max_examples=100, deadline=None)
     @given(
         n_pairs=st.integers(1, 5),
@@ -195,12 +214,14 @@ class TestRunEpoch:
         v_n=st.integers(0, 25),
         fleet_seed=st.integers(0, 2**32 - 1),
         epoch_index=st.integers(0, 10_000),
+        sigma=st.just(0.0) | st.floats(0.5, 10.0),
     )
     def test_matches_reference_engine_randomized(
-        self, n_pairs, slot_count, reseed, probe_tx_power_dbm, v_n, fleet_seed, epoch_index
+        self, n_pairs, slot_count, reseed, probe_tx_power_dbm, v_n, fleet_seed, epoch_index,
+        sigma,
     ):
         assert_matches_reference(
-            n_pairs, slot_count, reseed, probe_tx_power_dbm, v_n, fleet_seed, epoch_index
+            n_pairs, slot_count, reseed, probe_tx_power_dbm, v_n, fleet_seed, epoch_index, sigma
         )
 
     def test_matches_reference_engine_reseed(self):
@@ -228,7 +249,7 @@ class TestRunEpoch:
             fleet = static_fleet(vehicles, geom)
             world = World(fleet, geom, RADIO, hash_params, TIMING)
             result = run_epoch(world, 0)
-            a, b = result.pair_record_sets(0)
+            a, b = pair_vrns(result)
             want = {v.vrn for v in vehicles}
             assert a == b == want
             assert all(rnd == 0 for _, rnd, _ in engine_records(world, result)["vr0a"].values())
