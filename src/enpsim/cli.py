@@ -23,9 +23,12 @@ def _load_config(path: str, seed: int | None):
 
 def _parse_vn(s: str) -> list[int]:
     try:
-        return [int(p) for p in s.split(",") if p.strip()]
+        v_n_list = [int(p) for p in s.split(",") if p.strip()]
     except ValueError:
-        raise ConfigError(f"--vn expects comma-separated integers, got {s!r}") from None
+        v_n_list = []
+    if not v_n_list:
+        raise ConfigError(f"--vn expects comma-separated integers, got {s!r}")
+    return v_n_list
 
 
 def _parse_vs(s: str) -> list[tuple[float, float]]:

@@ -26,17 +26,12 @@ class ConfigError(Exception):
     """Invalid configuration text or field values."""
 
 
+# An epoch holds (sample times x vehicles) float arrays; at the paper
+# schedule's 216 sample times that is 17 MB each at this many vehicles.
 MAX_FLEET_SIZE = 10_000
 # Fastest accepted vehicle, well above any road vehicle; it also bounds how
 # far a vehicle moves within one (at most 10 s) epoch.
 MAX_SPEED_KMH = 500.0
-# Longest ring, widest road and farthest recorder offset accepted.  They hold
-# every real road with room to spare; far beyond them float positions near the
-# pairs coarsen (on a 1e17 m ring they sit on an 8 m grid, and a vehicle at
-# 25 m/s never moves within an epoch).
-MAX_RING_LENGTH_M = 100_000.0
-MAX_ROAD_WIDTH_M = 100.0
-MAX_VR_OFFSET_M = 1_000.0
 # Most query rounds per epoch.  The presets run 3 and 13; a 10 s period with
 # one slot of 2 ms gives 2,495.  Each round costs a fixed overhead, so a
 # period of microsecond-long rounds (millions of them) would never finish.
@@ -62,20 +57,8 @@ class FleetConfig:
     explicit: tuple[Vehicle, ...] = ()
 
     def __post_init__(self) -> None:
-        # an epoch holds (sample times x vehicles) float arrays; at the paper
-        # schedule's 216 sample times that is 17 MB each at the cap
-        if not 0 <= self.v_n <= MAX_FLEET_SIZE:
-            raise ValueError(f"fleet.v_n must be in [0, {MAX_FLEET_SIZE}], got {self.v_n}")
-        if self.v_min_kmh <= 0:
-            raise ValueError("fleet.v_min_kmh must be > 0")
         if self.v_max_kmh < self.v_min_kmh:
             raise ValueError("fleet.v_max_kmh must be >= fleet.v_min_kmh")
-        if self.v_max_kmh > MAX_SPEED_KMH:
-            raise ValueError(
-                f"fleet.v_max_kmh must be <= {MAX_SPEED_KMH:g}, got {self.v_max_kmh:g}"
-            )
-        if not 0.0 <= self.two_wheeler_fraction <= 1.0:
-            raise ValueError("fleet.two_wheeler_fraction must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -84,16 +67,6 @@ class RunConfig:
     warmup_epochs: int = 20
     master_seed: int = 1
     replications: int = 1
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("run.epochs must be >= 1")
-        if self.warmup_epochs < 0:
-            raise ValueError("run.warmup_epochs must be >= 0")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("run.master_seed must fit in 64 bits")
-        if self.replications < 1:
-            raise ValueError("run.replications must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -164,35 +137,54 @@ def _vehicles(s: str) -> tuple[Vehicle, ...]:
     return tuple(out)
 
 
+_INF = math.inf
+
+# Every key with its parser and the inclusive range [lo, hi] of its values
+# (each value of a list).  This is the one place a range is written, except
+# what a section's dataclass checks itself: positive lengths and periods, at
+# least one slot, recorder pairs inside the segment, ring > segment,
+# sync < period, exponent > 0, sigma >= 0, v_max >= v_min and the 32-bit hash
+# seed.  Those sides are left at +-inf here, and a key with no side of its
+# own at None.  The bounds hold every real road, radio and schedule with room
+# to spare; their reasons:
+# - far beyond the geometry caps, float positions near the pairs coarsen (on
+#   a 1e17 m ring they sit on an 8 m grid, and a vehicle at 25 m/s never moves
+#   within an epoch); a random fleet keeps 0.5 m from either road edge;
+# - the dB/dBm ranges keep link powers, and the milliwatt sums of
+#   radio.capture_verdicts, far from float overflow; a path-loss exponent is
+#   2 in free space and about 6 on the most cluttered measured channels;
+# - the probe frame carries the slot count in one byte;
+# - the schedule holds one sample time per probe and slot of the period (the
+#   paper uses 512 ms).
 _SCHEMA = {
-    "geometry.segment_length_m": _float,
-    "geometry.ring_length_m": _float,
-    "geometry.road_width_m": _float,
-    "geometry.vr_pair_xs": _float_list,
-    "geometry.vr_offsets_y": _float_pair,
-    "radio.tx_power_dbm": _float,
-    "radio.pl0_db": _float,
-    "radio.exponent": _float,
-    "radio.sensitivity_dbm": _float,
-    "radio.capture_threshold_db": _float,
-    "radio.shadowing_sigma_db": _float,
-    "radio.probe_tx_power_dbm": _float,
-    "hash.seed": _int,
-    "hash.slot_count": _int,
-    "hash.reseed_per_round": _bool,
-    "timing.glossy_period_us": _int,
-    "timing.sync_window_us": _int,
-    "timing.probe_len_us": _int,
-    "timing.slot_len_us": _int,
-    "fleet.v_n": _int,
-    "fleet.v_min_kmh": _float,
-    "fleet.v_max_kmh": _float,
-    "fleet.two_wheeler_fraction": _float,
-    "fleet.explicit": _vehicles,
-    "run.epochs": _int,
-    "run.warmup_epochs": _int,
-    "run.master_seed": _int,
-    "run.replications": _int,
+    "geometry.segment_length_m": (_float, None, None),
+    "geometry.ring_length_m": (_float, -_INF, 100_000.0),
+    "geometry.road_width_m": (_float, 1.0, 100.0),
+    "geometry.vr_pair_xs": (_float_list, None, None),
+    "geometry.vr_offsets_y": (_float_pair, -1_000.0, 1_000.0),
+    "radio.tx_power_dbm": (_float, -100.0, 100.0),
+    "radio.pl0_db": (_float, 0.0, 200.0),
+    "radio.exponent": (_float, -_INF, 10.0),
+    "radio.sensitivity_dbm": (_float, -200.0, 0.0),
+    "radio.capture_threshold_db": (_float, 0.0, 100.0),
+    "radio.shadowing_sigma_db": (_float, -_INF, 50.0),
+    "radio.probe_tx_power_dbm": (_float, -100.0, 100.0),
+    "hash.seed": (_int, None, None),
+    "hash.slot_count": (_int, -_INF, 255),
+    "hash.reseed_per_round": (_bool, None, None),
+    "timing.glossy_period_us": (_int, -_INF, 10_000_000),
+    "timing.sync_window_us": (_int, None, None),
+    "timing.probe_len_us": (_int, None, None),
+    "timing.slot_len_us": (_int, None, None),
+    "fleet.v_n": (_int, 0, MAX_FLEET_SIZE),
+    "fleet.v_min_kmh": (_float, math.ulp(0.0), _INF),  # the least float above 0
+    "fleet.v_max_kmh": (_float, -_INF, MAX_SPEED_KMH),
+    "fleet.two_wheeler_fraction": (_float, 0.0, 1.0),
+    "fleet.explicit": (_vehicles, None, None),
+    "run.epochs": (_int, 1, _INF),
+    "run.warmup_epochs": (_int, 0, _INF),
+    "run.master_seed": (_int, 0, 2**64 - 1),
+    "run.replications": (_int, 1, _INF),
 }
 
 _SECTION_TYPES = {
@@ -287,7 +279,7 @@ def parse_config(text: str) -> SimConfig:
         if key not in _SCHEMA:
             raise ConfigError(f"{where}: unknown key {key!r}")
         try:
-            values[key] = _SCHEMA[key](raw)
+            values[key] = _SCHEMA[key][0](raw)
         except ValueError as e:
             raise ConfigError(f"{where}: {key}: {e}") from None
 
@@ -317,29 +309,36 @@ def _assemble(values: dict[str, object]) -> SimConfig:
     for key, val in values.items():
         section, _, fname = key.partition(".")
         sections[section][fname] = val
-
-    built: dict[str, object] = {}
-    for name, cls in _SECTION_TYPES.items():
-        try:
-            built[name] = cls(**sections[name])
-        except ValueError as e:
-            raise ConfigError(str(e) if str(e).startswith(name) else f"{name}: {e}") from None
-
-    config = SimConfig(**built)  # type: ignore[arg-type]
+    try:
+        config = SimConfig(**{name: cls(**sections[name]) for name, cls in _SECTION_TYPES.items()})
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     _cross_validate(config)
     return config
 
 
 def _cross_validate(config: SimConfig) -> None:
+    for key, (_, lo, hi) in _SCHEMA.items():
+        if lo is None:
+            continue
+        section, _, fname = key.partition(".")
+        value = getattr(getattr(config, section), fname)
+        for v in value if isinstance(value, tuple) else (value,):
+            # written so that a NaN fails too
+            if v is not None and not lo <= v <= hi:
+                raise ConfigError(f"{key} must lie in [{lo}, {hi}], got {v}")
+    round_keys = (
+        "timing.glossy_period_us, timing.sync_window_us, timing.probe_len_us, "
+        "timing.slot_len_us and hash.slot_count"
+    )
     try:
         sched = build_epoch_schedule(config.timing, config.hash.slot_count, 0)
     except ValueError as e:
-        raise ConfigError(f"timing/hash.slot_count: {e}") from None
+        raise ConfigError(f"{round_keys}: {e}") from None
     if sched.round_count > MAX_ROUNDS_PER_EPOCH:
         raise ConfigError(
-            "timing.glossy_period_us, timing.sync_window_us, timing.probe_len_us, "
-            f"timing.slot_len_us and hash.slot_count give {sched.round_count} rounds "
-            f"an epoch; at most {MAX_ROUNDS_PER_EPOCH} are accepted"
+            f"{round_keys} give {sched.round_count} rounds an epoch; "
+            f"at most {MAX_ROUNDS_PER_EPOCH} are accepted"
         )
     run_us = (config.run.warmup_epochs + config.run.epochs) * config.timing.glossy_period_us
     if run_us > MAX_RUN_US:
@@ -347,45 +346,42 @@ def _cross_validate(config: SimConfig) -> None:
             "run.warmup_epochs, run.epochs and timing.glossy_period_us give a run of "
             f"{run_us} us; at most {MAX_RUN_US} (the int64 range) is accepted"
         )
-    if config.hash.slot_count > 255:
-        raise ConfigError("hash.slot_count must fit the 8-bit frame field (<= 255)")
+    if len(config.fleet.explicit) > MAX_FLEET_SIZE:
+        raise ConfigError(f"fleet.explicit must list at most {MAX_FLEET_SIZE} vehicles")
     geom = config.geometry
-    for name, limit in (("ring_length_m", MAX_RING_LENGTH_M), ("road_width_m", MAX_ROAD_WIDTH_M)):
-        value = getattr(geom, name)
-        if value > limit:
-            raise ConfigError(f"geometry.{name} must be <= {limit:g} m, got {value:g}")
-    if max(abs(y) for y in geom.vr_offsets_y) > MAX_VR_OFFSET_M:
-        raise ConfigError(
-            f"geometry.vr_offsets_y must lie in [{-MAX_VR_OFFSET_M:g}, {MAX_VR_OFFSET_M:g}] m, "
-            f"got {geom.vr_offsets_y}"
-        )
     for i, v in enumerate(config.fleet.explicit):
         if not 0 <= v.x < geom.ring_length_m:
             raise ConfigError(f"fleet.explicit: vehicle {i} x={v.x} outside [0, ring_length)")
         if not 0 <= v.y <= geom.road_width_m:
             raise ConfigError(f"fleet.explicit: vehicle {i} y={v.y} outside the roadway")
-        if v.speed_mps < 0:
-            raise ConfigError(f"fleet.explicit: vehicle {i} has negative speed")
-        if abs(v.speed_mps) > MAX_SPEED_KMH * KMH_TO_MPS:
+        if not 0 <= v.speed_mps <= MAX_SPEED_KMH * KMH_TO_MPS:
             raise ConfigError(
-                f"fleet.explicit: vehicle {i} speed {v.speed_mps:g} m/s exceeds "
-                f"{MAX_SPEED_KMH:g} km/h"
+                f"fleet.explicit: vehicle {i} speed {v.speed_mps:g} m/s outside "
+                f"[0, {MAX_SPEED_KMH:g}] km/h"
             )
     vrns = [v.vrn for v in config.fleet.explicit]
     if len(set(vrns)) != len(vrns):
         raise ConfigError("fleet.explicit: duplicate vrn")
 
 
+def _replace_checked(config: SimConfig, section: str, **changes) -> SimConfig:
+    """``config`` with some fields of one section replaced, checked like parsed text."""
+    try:
+        config = replace(config, **{section: replace(getattr(config, section), **changes)})
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    _cross_validate(config)
+    return config
+
+
 def with_master_seed(config: SimConfig, master_seed: int) -> SimConfig:
-    return replace(config, run=replace(config.run, master_seed=master_seed))
+    return _replace_checked(config, "run", master_seed=master_seed)
 
 
 def with_fleet_cell(config: SimConfig, v_n: int, v_min_kmh: float, v_max_kmh: float) -> SimConfig:
-    try:
-        fl = replace(config.fleet, v_n=v_n, v_min_kmh=v_min_kmh, v_max_kmh=v_max_kmh)
-    except ValueError as e:
-        raise ConfigError(f"sweep cell: {e}") from None
-    return replace(config, fleet=fl)
+    return _replace_checked(
+        config, "fleet", v_n=v_n, v_min_kmh=v_min_kmh, v_max_kmh=v_max_kmh
+    )
 
 
 def describe_presets() -> str:

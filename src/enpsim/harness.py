@@ -185,14 +185,13 @@ def sweep(
     if not v_s_ranges:
         raise ValueError("v_s_ranges must be non-empty")
 
-    summaries = []
-    cell = 0
-    for v_min, v_max in v_s_ranges:
-        for v_n in v_n_list:
-            cfg = with_fleet_cell(config, v_n, v_min, v_max)
-            res = run_experiment(cfg, seed_key=(cell,))
-            summaries.append(res.summary)
-            cell += 1
+    # every cell is checked before the first one runs
+    cells = [
+        with_fleet_cell(config, v_n, v_min, v_max)
+        for v_min, v_max in v_s_ranges
+        for v_n in v_n_list
+    ]
+    summaries = [run_experiment(cfg, seed_key=(i,)).summary for i, cfg in enumerate(cells)]
 
     if out_dir is not None:
         out = Path(out_dir)

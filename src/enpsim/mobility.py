@@ -36,18 +36,18 @@ class RoadGeometry:
 
     def __post_init__(self) -> None:
         if self.segment_length_m <= 0:
-            raise ValueError("segment_length_m must be > 0")
+            raise ValueError("geometry.segment_length_m must be > 0")
         if self.ring_length_m <= self.segment_length_m:
-            raise ValueError("ring_length_m must exceed segment_length_m")
+            raise ValueError("geometry.ring_length_m must exceed geometry.segment_length_m")
         if self.road_width_m <= 0:
-            raise ValueError("road_width_m must be > 0")
+            raise ValueError("geometry.road_width_m must be > 0")
         if len(self.vr_offsets_y) != 2:
-            raise ValueError("vr_offsets_y must hold exactly two lateral offsets")
+            raise ValueError("geometry.vr_offsets_y must hold exactly two lateral offsets")
         if not self.vr_pair_xs:
-            raise ValueError("vr_pair_xs must name at least one recorder pair")
+            raise ValueError("geometry.vr_pair_xs must name at least one recorder pair")
         for x in self.vr_pair_xs:
             if not 0 <= x < self.segment_length_m:
-                raise ValueError(f"pair position {x} outside [0, segment_length)")
+                raise ValueError(f"geometry.vr_pair_xs: {x} lies outside [0, segment_length_m)")
 
     @property
     def n_pairs(self) -> int:

@@ -26,9 +26,9 @@ class HashParams:
 
     def __post_init__(self) -> None:
         if self.slot_count < 1:
-            raise ValueError(f"slot_count must be >= 1, got {self.slot_count}")
+            raise ValueError(f"hash.slot_count must be >= 1, got {self.slot_count}")
         if not 0 <= self.seed < 2**32:
-            raise ValueError(f"seed must fit in 32 bits, got {self.seed}")
+            raise ValueError(f"hash.seed must fit in 32 bits, got {self.seed}")
 
 
 def round_seed(base_seed: int, epoch: int, round_index: int) -> int:

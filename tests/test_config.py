@@ -1,11 +1,30 @@
 """Config text parsing, presets, and validation messages."""
 
+import contextlib
+import io
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from enpsim.config import PRESETS, ConfigError, parse_config, with_fleet_cell, with_master_seed
+from enpsim.cli import main
+from enpsim.config import (
+    _SCHEMA,
+    _int,
+    MAX_FLEET_SIZE,
+    MAX_SPEED_KMH,
+    PRESETS,
+    ConfigError,
+    parse_config,
+    with_fleet_cell,
+    with_master_seed,
+)
 from enpsim.protocol import build_epoch_schedule
 from enpsim.harness import run_experiment
+from enpsim.mobility import KMH_TO_MPS
 from enpsim.slot_hash import slot_for
 
 
@@ -62,34 +81,6 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"v_max_kmh"):
             parse_config("fleet.v_min_kmh = 80\nfleet.v_max_kmh = 40\n")
 
-    def test_speed_and_period_bounds_are_inclusive(self):
-        cfg = parse_config(
-            "fleet.v_max_kmh = 500\ntiming.glossy_period_us = 10000000\n"
-            "fleet.explicit = 1:10:2:138.8\n"
-        )
-        assert cfg.fleet.v_max_kmh == 500 and cfg.timing.glossy_period_us == 10_000_000
-        with pytest.raises(ConfigError, match=r"fleet\.v_max_kmh"):
-            parse_config("fleet.v_max_kmh = 500.001\n")
-        with pytest.raises(ConfigError, match=r"timing\.glossy_period_us"):
-            parse_config("timing.glossy_period_us = 10000001\n")
-        with pytest.raises(ConfigError, match=r"fleet\.explicit"):
-            parse_config("fleet.explicit = 1:10:2:139\n")
-
-    def test_geometry_bounds_are_inclusive(self):
-        cfg = parse_config(
-            "geometry.ring_length_m = 100000\ngeometry.road_width_m = 100\n"
-            "geometry.vr_offsets_y = -1000, 1000\n"
-        )
-        assert cfg.geometry.ring_length_m == 100_000 and cfg.geometry.road_width_m == 100
-        assert cfg.geometry.vr_offsets_y == (-1000, 1000)
-        with pytest.raises(ConfigError, match=r"geometry\.ring_length_m"):
-            parse_config("geometry.ring_length_m = 100000.001\n")
-        with pytest.raises(ConfigError, match=r"geometry\.road_width_m"):
-            parse_config("geometry.road_width_m = 100.001\n")
-        for offsets in ("-1000.001, 9", "-2, 1000.001"):
-            with pytest.raises(ConfigError, match=r"geometry\.vr_offsets_y"):
-                parse_config(f"geometry.vr_offsets_y = {offsets}\n")
-
     def test_round_count_zero_rejected(self):
         with pytest.raises(ConfigError, match="round"):
             parse_config("hash.slot_count = 120\ntiming.slot_len_us = 5000\n")
@@ -114,10 +105,6 @@ class TestParsing:
         keys = r"run\.warmup_epochs, run\.epochs and timing\.glossy_period_us"
         with pytest.raises(ConfigError, match=keys):
             parse_config(text + f"run.warmup_epochs = {last}\n")
-
-    def test_slot_count_frame_field_limit(self):
-        with pytest.raises(ConfigError, match="slot_count"):
-            parse_config("hash.slot_count = 300\ntiming.glossy_period_us = 2000000\n")
 
     def test_reseed_flag(self):
         assert parse_config("hash.reseed_per_round = true\n").hash.reseed_per_round
@@ -179,3 +166,171 @@ def test_config_helpers():
     assert with_master_seed(cfg, 99).run.master_seed == 99
     cell = with_fleet_cell(cfg, 10, 50.0, 70.0)
     assert (cell.fleet.v_n, cell.fleet.v_min_kmh, cell.fleet.v_max_kmh) == (10, 50.0, 70.0)
+
+
+# ---------------------------------------------------------------------------
+# every bound of the _SCHEMA table, through the CLI
+
+BASE = "preset = paper-road\nrun.epochs = 1\nrun.warmup_epochs = 0\n"
+BASE_CONFIG = parse_config(BASE)
+MAX_SPEED_MPS = MAX_SPEED_KMH * KMH_TO_MPS
+
+
+def default_of(key):
+    section, _, name = key.partition(".")
+    return getattr(getattr(BASE_CONFIG, section), name)
+
+
+def text_of(value) -> str:
+    """A value as config text; floats round-trip exactly."""
+    if isinstance(value, (tuple, list)):
+        return ", ".join(text_of(v) for v in value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def past(bound, step):
+    """The nearest value beyond ``bound`` in the direction of ``step`` (+-1)."""
+    return bound + step if isinstance(bound, int) else float(np.nextafter(bound, step * math.inf))
+
+
+def line(key, value, side=0):
+    """``key = value``; a list key keeps its default but for its first
+    (side 0) or last (side -1) value."""
+    default = default_of(key)
+    if isinstance(default, tuple):
+        value = (value,) + default[1:] if side == 0 else default[:-1] + (value,)
+    return f"{key} = {text_of(value)}\n"
+
+
+def explicit(n, speed=0.0):
+    return "fleet.explicit = " + ";".join(f"{i}:{i % 400}:3:{speed!r}" for i in range(n)) + "\n"
+
+
+def run_cli(out_dir, text):
+    """``enp-sim run`` on ``BASE + text`` with every warning an error:
+    (exit code, stderr, summary.csv row or None)."""
+    conf = out_dir / "sim.conf"
+    conf.write_text(BASE + text)
+    summary = out_dir / "summary.csv"
+    summary.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(conf), "--out", str(out_dir)])
+    row = summary.read_text().splitlines()[1].split(",") if summary.exists() else None
+    return code, err.getvalue(), row
+
+
+def assert_run_or_named_rejection(code, err, row, key=None):
+    """Exit 2 naming ``key`` (any table key if None), or exit 0 with finite
+    accuracies, or with none scored and the stderr warning."""
+    if code == 2:
+        assert err.startswith("config error: ")
+        assert (key in err) if key else any(k in err for k in _SCHEMA), err
+        return
+    assert code == 0 and key is None, err
+    iterations, accuracies = int(row[4]), [float(a) for a in row[5:]]
+    if iterations:
+        assert all(math.isfinite(a) for a in accuracies), row
+    else:
+        assert all(math.isnan(a) for a in accuracies) and err.startswith("warning: run: ")
+
+
+def bound_cases():
+    """Each finite bound of the table with its nearest value outside, NaN
+    for a float key, then the bounds that relate keys: (config lines, the
+    key a rejection must name or None for a run)."""
+    context = {("hash.slot_count", 255): "timing.glossy_period_us = 1000000\n"}
+    for key, (parser, lo, hi) in _SCHEMA.items():
+        if lo is None:
+            continue
+        for side, bound, step in ((0, lo, -1), (-1, hi, 1)):
+            if math.isfinite(bound):
+                pre = context.get((key, bound), "")
+                yield pytest.param(pre + line(key, bound, side), None, id=f"{key}={bound}")
+                outside = past(bound, step)
+                yield pytest.param(pre + line(key, outside, side), key, id=f"{key}={outside}")
+        if parser is not _int:
+            yield pytest.param(line(key, math.nan), key, id=f"{key}=nan")
+    # 10,000 query rounds an epoch, each a 50 us probe and one 50 us slot
+    # after a 10 ms sync window; no fleet, so nothing is scored
+    rounds = (
+        "timing.sync_window_us = 10000\ntiming.probe_len_us = 50\ntiming.slot_len_us = 50\n"
+        "hash.slot_count = 1\nfleet.v_n = 0\ntiming.glossy_period_us = "
+    )
+    yield pytest.param(rounds + "1010000\n", None, id="rounds=10000")
+    yield pytest.param(rounds + "1010100\n", "timing.glossy_period_us", id="rounds=10001")
+    # the last schedule time of the run must fit in int64 microseconds
+    last = (2**63 - 1) // 512_000
+    yield pytest.param(f"run.warmup_epochs = {last - 1}\n", None, id="run_us=int64")
+    yield pytest.param(f"run.warmup_epochs = {last}\n", "run.warmup_epochs", id="run_us>int64")
+    yield pytest.param(explicit(MAX_FLEET_SIZE), None, id="explicit=10000")
+    yield pytest.param(explicit(MAX_FLEET_SIZE + 1), "fleet.explicit", id="explicit=10001")
+    yield pytest.param(explicit(1, MAX_SPEED_MPS), None, id="explicit_speed=max")
+    yield pytest.param(explicit(1, past(MAX_SPEED_MPS, 1)), "fleet.explicit",
+                       id="explicit_speed>max")
+
+
+def scalar_values(key):
+    """Values of one key around its bounds: its default, each finite bound
+    and the nearest value past it, one drawn between the default and each
+    such bound, NaN for a float key, and where a dataclass or another key
+    bounds a side, 0, -1, 2**32 - 1, 2**32 and one drawn up to twice the
+    default."""
+    parser, lo, hi = _SCHEMA[key]
+    default = default_of(key)
+    d = (default[0] if isinstance(default, tuple) else default) or 0
+    number, between = (int, st.integers) if parser is _int else (float, st.floats)
+    fixed, drawn = [d, math.nan] if number is float else [d], []
+    for bound, step in ((lo, -1), (hi, 1)):
+        if bound is None or math.isinf(bound):
+            fixed += [0, -1, 2**32 - 1, 2**32]
+            drawn.append(between(0, 2 * abs(d)))
+        else:
+            fixed += [bound, past(bound, step)]
+            drawn.append(between(*sorted((d, bound))))
+    return st.one_of(st.sampled_from([number(v) for v in fixed]), *drawn)
+
+
+def value_texts(key):
+    """Config text of one key's value, drawn around its bounds."""
+    if key == "hash.reseed_per_round":
+        return st.sampled_from(["true", "off", "maybe"])
+    if key == "fleet.explicit":
+        vehicle = st.tuples(
+            st.sampled_from([0, 1, 2**64 - 1, 2**64, -1]),
+            st.sampled_from([0.0, 100.0, 399.5, 400.0, -1.0]),
+            st.sampled_from([0.0, 3.0, 7.0, 7.5, -0.5]),
+            st.sampled_from([0.0, 10.0, MAX_SPEED_MPS, past(MAX_SPEED_MPS, 1), -1.0]),
+        )
+        return st.lists(vehicle, max_size=3).map(
+            lambda vs: ";".join(":".join(text_of(f) for f in v) for v in vs))
+    if key == "geometry.vr_offsets_y":
+        return st.lists(scalar_values(key), min_size=2, max_size=2).map(text_of)
+    if key == "geometry.vr_pair_xs":
+        return st.lists(scalar_values(key), min_size=1, max_size=3).map(text_of)
+    return scalar_values(key).map(text_of)
+
+
+class TestBounds:
+    @pytest.mark.parametrize("text, rejected_key", bound_cases())
+    def test_on_bound_runs_past_bound_exits_2(self, tmp_path, text, rejected_key):
+        assert_run_or_named_rejection(*run_cli(tmp_path, text), rejected_key)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_config_runs_or_exits_2_naming_a_key(self, tmp_path_factory, data):
+        keys = data.draw(st.lists(st.sampled_from(list(_SCHEMA)), max_size=4, unique=True))
+        text = "".join(f"{key} = {data.draw(value_texts(key), label=key)}\n" for key in keys)
+        try:
+            cfg = parse_config(BASE + text)
+        except ConfigError:
+            cfg = None
+        if cfg is not None:  # keep each run to a few tens of ms
+            rounds = build_epoch_schedule(cfg.timing, cfg.hash.slot_count, 0).round_count
+            vehicles = len(cfg.fleet.explicit) or cfg.fleet.v_n
+            work = cfg.run.epochs * cfg.run.replications * rounds * (vehicles + 20)
+            assume(work * cfg.geometry.n_pairs <= 300_000)
+        code, err, row = run_cli(tmp_path_factory.mktemp("fuzz"), text)
+        assert_run_or_named_rejection(code, err, row)

@@ -193,6 +193,19 @@ class TestCli:
         "timing.glossy_period_us = 10000000",
         # absolute schedule times past the int64 range of microseconds
         "run.warmup_epochs = 18014398509481\nrun.epochs = 3",
+        "geometry.segment_length_m = 0",
+        "geometry.ring_length_m = 150",
+        "geometry.road_width_m = 0",
+        "geometry.vr_pair_xs = 250",
+        "timing.glossy_period_us = 0",
+        "timing.sync_window_us = 0",
+        "timing.probe_len_us = 0",
+        "timing.slot_len_us = 0",
+        "timing.sync_window_us = 600000",
+        "hash.slot_count = 0",
+        "hash.seed = -1",
+        "hash.seed = 4294967296",
+        "timing.probe_len_us = 600000",
     ])
     def test_out_of_range_value_exit_2_names_key(self, tmp_path, capsys, line):
         cfg = self.write_config(tmp_path, f"preset = oracle-static5\n{line}\n")
@@ -205,6 +218,20 @@ class TestCli:
         argv = ["sweep", "--config", cfg, "--vn", "100000000000", "--out", str(tmp_path / "sw")]
         assert main(argv) == 2
         assert "fleet.v_n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["run", "--seed", "-1"], "run.master_seed"),
+        (["run", "--seed", str(2**64)], "run.master_seed"),
+        (["sweep", "--vn", "5", "--vs", "nan-90"], "fleet.v_min_kmh"),
+        (["sweep", "--vn", "5", "--vs", "30-nan"], "fleet.v_max_kmh"),
+        (["sweep", "--vn", ""], "--vn"),
+    ], ids=["seed=-1", "seed=2**64", "vs=nan-90", "vs=30-nan", "vn=empty"])
+    def test_out_of_range_flag_exit_2_names_key(self, tmp_path, capsys, argv, key):
+        cfg = self.write_config(tmp_path)
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert not (tmp_path / "out").exists()
 
     def test_unscored_run_warns_and_keeps_outputs(self, tmp_path, capsys):
         text = "preset = paper-fig1b\nfleet.v_n = 0\nrun.epochs = 3\n"
