@@ -36,6 +36,10 @@ MAX_SPEED_KMH = 500.0
 # one slot of 2 ms gives 2,495.  Each round costs a fixed overhead, so a
 # period of microsecond-long rounds (millions of them) would never finish.
 MAX_ROUNDS_PER_EPOCH = 10_000
+# Most scored epochs of a run, epochs x replications.  The default run scores
+# 1,000 and criterion 1 runs 3,000 a cell; each one keeps an IterationStats
+# and writes a CSV row per pair, so a run of 10**21 would never finish.
+MAX_SCORED_EPOCHS = 1_000_000
 # Schedule times are absolute int64 microseconds since the first warm-up
 # epoch, so the whole run must end within 2**63 - 1 us.
 MAX_RUN_US = 2**63 - 1
@@ -339,6 +343,12 @@ def _cross_validate(config: SimConfig) -> None:
         raise ConfigError(
             f"{round_keys} give {sched.round_count} rounds an epoch; "
             f"at most {MAX_ROUNDS_PER_EPOCH} are accepted"
+        )
+    scored = config.run.epochs * config.run.replications
+    if scored > MAX_SCORED_EPOCHS:
+        raise ConfigError(
+            f"run.epochs and run.replications give {scored} scored epochs; "
+            f"at most {MAX_SCORED_EPOCHS} are accepted"
         )
     run_us = (config.run.warmup_epochs + config.run.epochs) * config.timing.glossy_period_us
     if run_us > MAX_RUN_US:

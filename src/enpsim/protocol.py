@@ -8,15 +8,16 @@ probes simultaneously, and every tag that decodes a probe answers in the
 slot its registration number hashes to.  Reception is resolved independently
 at every receiver under the capture rule.
 
-The engine resolves one round at a time: one capture call decides the
-probe at every tag, and one more decides every occupied reply slot of the
-round at every recorder, over a (slots x contenders x recorders) power
-tensor padded with -inf.  Shadowing is drawn once per phase, in the order a
+The engine resolves the probe phase round by round, one capture call deciding
+the probe at every tag, because of the shadowing draw order alone.  The reply
+phase is resolved once an epoch: one capture call decides every occupied
+(round, slot) at every recorder, over a (slots x contenders x recorders)
+power tensor padded with -inf.  Shadowing is drawn in the order a
 slot-by-slot resolution would draw it, so outputs do not depend on the
 batching.  Positions come directly from the epoch-start fleet snapshot at
 each schedule event, so ground-truth sampling and decode decisions see
-bit-identical geometry.  Each round keeps its decodes as arrays; the epoch
-reduces them once to a record table of first decodes.
+bit-identical geometry.  The epoch's decodes reduce to one record table of
+first decodes, and its event text is built once from the verdict arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 from .frames import ProbeFrame  # noqa: F401
 from .mobility import Fleet, RoadGeometry, advance, positions_at, positions_at_each
 from .radio import (
-    COLLISION_CODE,
     RECEIVED_CODE,
     RadioParams,
     capture_verdicts,
@@ -74,19 +74,20 @@ class EpochSchedule:
     def round_len_us(self) -> int:
         return self.probe_len_us + self.slot_count * self.slot_len_us
 
-    def round_start_us(self, round_index: int) -> int:
+    def round_start_us(self, round_index):
+        """Start of a round; elementwise over an integer array of rounds."""
         return self.epoch_start_us + self.sync_window_us + round_index * self.round_len_us
 
-    def slot_start_us(self, round_index: int, slot: int) -> int:
+    def slot_start_us(self, round_index, slot):
+        """Start of a reply slot; elementwise over integer arrays of rounds
+        and slots, broadcast together."""
         return self.round_start_us(round_index) + self.probe_len_us + slot * self.slot_len_us
 
     def sample_times_us(self) -> np.ndarray:
         """Every probe and slot start time of the epoch, ascending."""
-        rounds = np.arange(self.round_count, dtype=np.int64)
-        round_start = self.round_start_us(0) + rounds * self.round_len_us
+        rounds = np.arange(self.round_count, dtype=np.int64)[:, None]
         slots = np.arange(self.slot_count, dtype=np.int64)
-        offsets = np.concatenate(([0], self.probe_len_us + slots * self.slot_len_us))
-        return (round_start[:, None] + offsets).ravel()
+        return np.hstack((self.round_start_us(rounds), self.slot_start_us(rounds, slots))).ravel()
 
 
 def build_epoch_schedule(
@@ -175,145 +176,115 @@ class EpochResult:
         return mask.reshape(n_pairs, 2, -1)
 
 
-def _first_decodes(decodes: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]], n_enp: int):
-    """The record table of per-round (round, recorders, tags, slots)
-    decodes given in round order: the first decode of a (recorder, tag) wins."""
-    if not decodes:
-        return np.empty((0, 4), dtype=np.int64)
-    rounds, recorder, tag, slot = zip(*decodes)
-    table = np.column_stack((
-        np.concatenate(recorder),
-        np.concatenate(tag),
-        np.repeat(rounds, [len(t) for t in tag]),
-        np.concatenate(slot),
-    )).astype(np.int64, copy=False)
-    _, first = np.unique(table[:, 0] * n_enp + table[:, 1], return_index=True)
-    return table[first]
-
-
 def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> EpochResult:
     """Run one full epoch and advance the world's fleet to its end.
 
-    Per round: the fleet is moved to the probe time and every tag resolves
-    probe reception against all pairs' concurrent probes (pair replicas
-    merged, cross-pair probes contending).  Then the whole reply phase of
-    the round is resolved as one batch: every tag that decoded a probe is
-    placed at the start of its own slot, the repliers are grouped by slot
+    The probe phase runs round by round: one capture call decides, at every
+    tag, the concurrent probes of all pairs (pair replicas merged, cross-pair
+    probes contending).  Only the shadowing draw order keeps it per round:
+    round r + 1's probe draws follow round r's reply draws, whose count is
+    the number of round r's probe decodes.  Then one capture call resolves
+    the reply phase of the whole epoch: every tag that decoded a probe sits
+    at the start of its own slot, the repliers are grouped by (round, slot)
     into a (slots x contenders x recorders) power tensor padded with -inf,
-    and one capture call decides every occupied slot at every recorder
-    independently.  The shadowing draws keep the order of a slot-by-slot
-    resolution (slot, then recorder, then contender), so results do not
-    depend on the batching.  Each round's decodes stay arrays until the
-    epoch ends and reduces them to the record table.  Event ordering is
-    fully determined by the schedule.
+    and every recorder decides every occupied slot independently.  Each slot
+    takes its (recorders x contenders) block of its round's reply draws, in
+    slot order, so results equal a slot-by-slot resolution.  The first
+    decode of each (recorder, tag) makes the record table; the event text
+    is built once from the verdict arrays, in schedule order.
     """
     hash_params = world.hash_params
     sched = build_epoch_schedule(world.timing, hash_params.slot_count, epoch_index)
     fleet = world.fleet
     geom = world.geometry
     radio = world.radio
-    rng = world.rng
     sigma = radio.shadowing_sigma_db
-    n_pairs = geom.n_pairs
     n_enp = len(fleet)
-    events: list[str] | None = [] if record_events else None
-    vr_ids = world.vr_ids
-    n_vr = len(vr_ids)
-    vr_pair = world.vr_pair.tolist()
-    decodes = []  # (round, recorders, tags, slots) of every decoded reply
+    n_vr = len(world.vr_ids)
+    rounds = np.arange(sched.round_count)
+    if hash_params.reseed_per_round:
+        seeds = [round_seed(hash_params.seed, epoch_index, r) for r in rounds.tolist()]
+        slots = np.array([slot_for(fleet.vrn, replace(hash_params, seed=s)) for s in seeds])
+    else:
+        slots = np.broadcast_to(world.enp_slots, (rounds.size, n_enp))
 
-    def log(time_us, event, node, pair, rnd, slot, vrn):
-        events.append(
-            f"{time_us}\t{event}\t{node}\t{pair}\t{epoch_index}\t{rnd}\t{slot}\t{vrn}"
-        )
-
-    for r in range(sched.round_count):
-        if hash_params.reseed_per_round:
-            seed = round_seed(hash_params.seed, epoch_index, r)
-            enp_slots = slot_for(fleet.vrn, replace(hash_params, seed=seed))
-        else:
-            enp_slots = world.enp_slots
-
-        # ---- probe phase: every tag resolves the concurrent probes ----
-        t_probe = sched.round_start_us(r)
-        dt = (t_probe - sched.epoch_start_us) * 1e-6
-        road_x = geom.road_x(positions_at(fleet, dt))
-
-        if events is not None:
-            for vr_id, pair in zip(vr_ids, vr_pair):
-                log(t_probe, "PROBE", vr_id, pair, r, "-", "-")
-
-        if not n_enp:
-            continue
+    # ---- probe phase: every tag resolves the concurrent probes ----
+    t_probe = sched.round_start_us(rounds)
+    road_x = geom.road_x(positions_at(fleet, (t_probe - sched.epoch_start_us) * 1e-6))
+    probe_codes = np.empty((rounds.size, n_enp), dtype=np.int8)
+    probe_pair = np.empty((rounds.size, n_enp), dtype=np.intp)
+    reply_draws = []
+    for r in rounds.tolist():
         # received power at every recorder from every tag, (2P, V)
-        d = np.hypot(
-            road_x[None, :] - world.vr_x[:, None], fleet.y[None, :] - world.vr_y[:, None]
-        )
-        shadow = rng.normal(0.0, sigma, size=d.shape) if sigma > 0 else 0.0
+        d = np.hypot(road_x[r] - world.vr_x[:, None], fleet.y - world.vr_y[:, None])
+        shadow = world.rng.normal(0.0, sigma, size=d.shape) if sigma > 0 else 0.0
         link_pw = received_power_dbm(d, radio, shadow, tx_power_dbm=radio.probe_tx_power_dbm)
         # the two recorders of a pair send byte-identical probes:
         # non-destructive replicas, strongest link counts
-        group_pw = link_pw.reshape(n_pairs, 2, n_enp).max(axis=1)
-        codes, winners = capture_verdicts(group_pw, radio)
-        if events is not None:
-            for i, code, pair in zip(range(n_enp), codes.tolist(), winners.tolist()):
-                if code == RECEIVED_CODE:
-                    log(t_probe, "RX", f"enp{i}", pair, r, "-", "-")
-                elif code == COLLISION_CODE:
-                    log(t_probe, "COLL", f"enp{i}", "-", r, "-", "-")
-
-        # ---- reply phase: tags that decoded a probe answer in their slot ----
-        repliers = np.flatnonzero(codes == RECEIVED_CODE)
-        if not repliers.size:
-            continue
-        # group by slot; a stable sort keeps vehicle order inside each slot
-        idx = repliers[np.argsort(enp_slots[repliers], kind="stable")]
-        slots = enp_slots[idx]
-        first = np.flatnonzero(np.concatenate(([True], slots[1:] != slots[:-1])))
-        counts = np.diff(np.append(first, idx.size))
-        occupied = slots[first]
-        group = np.repeat(np.arange(first.size), counts)
-        rank = np.arange(idx.size) - first[group]  # position inside its slot
-
-        # every replier at the start of its own slot
-        dt = (sched.slot_start_us(r, enp_slots) - sched.epoch_start_us) * 1e-6
-        tx_road_x = geom.road_x(positions_at_each(fleet, dt)[idx])
-        d = np.hypot(
-            tx_road_x[:, None] - world.vr_x[None, :], fleet.y[idx, None] - world.vr_y[None, :]
-        )  # (repliers, 2P)
+        group_pw = link_pw.reshape(geom.n_pairs, 2, n_enp).max(axis=1)
+        probe_codes[r], probe_pair[r] = capture_verdicts(group_pw, radio)
         if sigma > 0:
-            # one (2P, k) block per occupied slot, back to back in slot order
-            draws = rng.normal(0.0, sigma, size=n_vr * idx.size)
-            at = (n_vr * first[group] + rank)[:, None] + np.arange(n_vr) * counts[group][:, None]
-            shadow = draws[at]
-        else:
-            shadow = 0.0
-        power = np.full((first.size, counts.max(), n_vr), -np.inf)
-        power[group, rank] = received_power_dbm(d, radio, shadow)
-        codes, winners = capture_verdicts(power, radio)  # (slots, 2P)
+            k = np.count_nonzero(probe_codes[r] == RECEIVED_CODE)
+            reply_draws.append(world.rng.normal(0.0, sigma, size=n_vr * k))
 
-        rx_group, rx_vr = np.nonzero(codes == RECEIVED_CODE)
-        rx_tag = idx[first[rx_group] + winners[rx_group, rx_vr]]
-        decodes.append((r, rx_vr, rx_tag, occupied[rx_group]))
+    # ---- reply phase: tags that decoded a probe answer in their slot ----
+    rnd, tag = np.nonzero(probe_codes == RECEIVED_CODE)
+    # group by (round, slot); a stable sort keeps vehicle order inside each slot
+    key = rnd * hash_params.slot_count + slots[rnd, tag]
+    order = np.argsort(key, kind="stable")
+    rnd, tag, key = rnd[order], tag[order], key[order]
+    slot = slots[rnd, tag]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    counts = np.diff(np.append(first, key.size))
+    group = np.repeat(np.arange(first.size), counts)
+    rank = np.arange(key.size) - first[group]  # position inside its slot
 
-        if events is not None:
-            vrns = fleet.vrn[idx].tolist()
-            slot_spans = zip(occupied.tolist(), first.tolist(), counts.tolist())
-            for g, (s, lo, k) in enumerate(slot_spans):
-                t_slot = sched.slot_start_us(r, s)
-                for i, vrn in zip(idx[lo:lo + k].tolist(), vrns[lo:lo + k]):
-                    log(t_slot, "REPLY", f"enp{i}", "-", r, s, vrn)
-                for j, (code, w) in enumerate(zip(codes[g].tolist(), winners[g].tolist())):
-                    if code == RECEIVED_CODE:
-                        log(t_slot, "RX", vr_ids[j], vr_pair[j], r, s, vrns[lo + w])
-                    elif code == COLLISION_CODE:
-                        log(t_slot, "COLL", vr_ids[j], vr_pair[j], r, s, "-")
+    # every replier at the start of its own slot
+    dt = (sched.slot_start_us(rounds[:, None], slots) - sched.epoch_start_us) * 1e-6
+    tx_road_x = geom.road_x(positions_at_each(fleet, dt)[rnd, tag])
+    d = np.hypot(tx_road_x[:, None] - world.vr_x, fleet.y[tag, None] - world.vr_y)  # (repliers, 2P)
+    if sigma > 0:
+        # one (2P, k) block per occupied slot, back to back in (round, slot) order
+        at = (n_vr * first[group] + rank)[:, None] + np.arange(n_vr) * counts[group][:, None]
+        shadow = np.concatenate(reply_draws)[at]
+    else:
+        shadow = 0.0
+    power = np.full((first.size, counts.max(initial=0), n_vr), -np.inf)
+    power[group, rank] = received_power_dbm(d, radio, shadow)
+    codes, winners = capture_verdicts(power, radio)  # (slots, 2P)
+
+    rx_group, rx_vr = np.nonzero(codes == RECEIVED_CODE)
+    lead = first[rx_group]
+    table = np.column_stack((rx_vr, tag[lead + winners[rx_group, rx_vr]], rnd[lead], slot[lead]))
+    _, kept = np.unique(table[:, 0] * n_enp + table[:, 1], return_index=True)
+
+    events = None
+    if record_events:
+        vrns, tags, e = fleet.vrn.tolist(), tag.tolist(), epoch_index
+        recorders = [f"{v}\t{p}" for v, p in zip(world.vr_ids, world.vr_pair.tolist())]
+        t_probe = t_probe.tolist()
+        lines = [[f"{t}\tPROBE\t{vr}\t{e}\t{r}\t-\t-" for vr in recorders]
+                 for r, t in enumerate(t_probe)]
+        pr, pi = np.nonzero(probe_codes)
+        for r, i, w in zip(pr.tolist(), pi.tolist(), probe_pair[pr, pi].tolist()):
+            verdict = f"RX\tenp{i}\t{w}" if w >= 0 else f"COLL\tenp{i}\t-"
+            lines[r].append(f"{t_probe[r]}\t{verdict}\t{e}\t{r}\t-\t-")
+        for g, (lo, k, r, s) in enumerate(zip(first.tolist(), counts.tolist(),
+                                              rnd[first].tolist(), slot[first].tolist())):
+            head, tail = f"{sched.slot_start_us(r, s)}\t", f"\t{e}\t{r}\t{s}\t"
+            lines[r] += [f"{head}REPLY\tenp{i}\t-{tail}{vrns[i]}" for i in tags[lo:lo + k]]
+            for vr, code, w in zip(recorders, codes[g].tolist(), winners[g].tolist()):
+                if w >= 0:
+                    lines[r].append(f"{head}RX\t{vr}{tail}{vrns[tags[lo + w]]}")
+                elif code:
+                    lines[r].append(f"{head}COLL\t{vr}{tail}-")
+        events = [line for round_lines in lines for line in round_lines]
 
     world.fleet = advance(fleet, sched.glossy_period_us * 1e-6)
     return EpochResult(
         epoch_index=epoch_index,
         schedule=sched,
         fleet_start=fleet,
-        records=_first_decodes(decodes, n_enp),
+        records=table[kept].astype(np.int64, copy=False),
         events=events,
     )

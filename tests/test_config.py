@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from enpsim.config import (
     _SCHEMA,
     _int,
     MAX_FLEET_SIZE,
+    MAX_SCORED_EPOCHS,
     MAX_SPEED_KMH,
     PRESETS,
     ConfigError,
@@ -105,6 +107,21 @@ class TestParsing:
         keys = r"run\.warmup_epochs, run\.epochs and timing\.glossy_period_us"
         with pytest.raises(ConfigError, match=keys):
             parse_config(text + f"run.warmup_epochs = {last}\n")
+
+    def test_scored_epochs_bound_is_inclusive(self):
+        # parsed only: a million scored epochs would take minutes to run
+        cfg = parse_config("run.replications = 1000\nrun.epochs = 1000\n")
+        assert cfg.run.epochs * cfg.run.replications == MAX_SCORED_EPOCHS
+        with pytest.raises(ConfigError, match=r"run\.epochs and run\.replications give 1001000"):
+            parse_config("run.replications = 1000\nrun.epochs = 1001\n")
+        with pytest.raises(ConfigError, match=r"run\.epochs and run\.replications"):
+            parse_config("run.replications = 1000000000000\nrun.epochs = 1000000000\n")
+        # a sweep cell and --seed are checked alike
+        over = replace(cfg, run=replace(cfg.run, epochs=1001))
+        with pytest.raises(ConfigError, match=r"run\.epochs"):
+            with_master_seed(over, 7)
+        with pytest.raises(ConfigError, match=r"run\.epochs"):
+            with_fleet_cell(over, 10, 50.0, 70.0)
 
     def test_reseed_flag(self):
         assert parse_config("hash.reseed_per_round = true\n").hash.reseed_per_round
@@ -265,6 +282,10 @@ def bound_cases():
     last = (2**63 - 1) // 512_000
     yield pytest.param(f"run.warmup_epochs = {last - 1}\n", None, id="run_us=int64")
     yield pytest.param(f"run.warmup_epochs = {last}\n", "run.warmup_epochs", id="run_us>int64")
+    # at most a million scored epochs; the bound itself is only parsed (see
+    # test_scored_epochs_bound_is_inclusive)
+    yield pytest.param(f"run.epochs = {MAX_SCORED_EPOCHS + 1}\n", "run.epochs",
+                       id="scored_epochs>max")
     yield pytest.param(explicit(MAX_FLEET_SIZE), None, id="explicit=10000")
     yield pytest.param(explicit(MAX_FLEET_SIZE + 1), "fleet.explicit", id="explicit=10001")
     yield pytest.param(explicit(1, MAX_SPEED_MPS), None, id="explicit_speed=max")

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import enpsim.protocol as protocol
+from enpsim.config import parse_config
+from enpsim.harness import build_fleet
 from enpsim.mobility import Fleet, RoadGeometry, Vehicle, spawn_fleet
 from enpsim.protocol import TimingParams, World, build_epoch_schedule, run_epoch
-from enpsim.radio import RadioParams
+from enpsim.radio import RadioParams, capture_verdicts
 from enpsim.slot_hash import HashParams, slot_for
 
 from reference_engine import engine_records, reference_run_epoch
@@ -130,12 +133,21 @@ class TestRunEpoch:
                              ids=["empty-fleet", "no-decodes"])
     def test_epoch_without_decodes_has_empty_record_table(self, vehicles):
         geom = single_pair_geometry()
-        world = World(static_fleet(vehicles, geom), geom, RADIO, HashParams(slot_count=71), TIMING)
-        result = run_epoch(world, 0)
-        assert result.records.shape == (0, 4) and result.records.dtype == np.int64
-        decoded = result.decoded(1)
-        assert decoded.shape == (1, 2, len(vehicles)) and decoded.dtype == bool
-        assert not decoded.any()
+        fleet = static_fleet(vehicles, geom)
+        hash_params = HashParams(slot_count=71)
+        # at 6.5 dB shadowing too, where no round has a replier either
+        for radio in (RADIO, RadioParams(shadowing_sigma_db=6.5)):
+            engine_rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+            world = World(fleet, geom, radio, hash_params, TIMING, engine_rng)
+            result = run_epoch(world, 0, record_events=True)
+            assert result.records.shape == (0, 4) and result.records.dtype == np.int64
+            decoded = result.decoded(1)
+            assert decoded.shape == (1, 2, len(vehicles)) and decoded.dtype == bool
+            assert not decoded.any()
+            assert not any("\tREPLY\t" in line for line in result.events)
+            want = reference_run_epoch(fleet, geom, radio, hash_params, TIMING, 0, reference_rng)
+            assert engine_records(world, result) == want
+            assert engine_rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_two_static_enps_distinct_slots(self):
         geom = single_pair_geometry()
@@ -205,6 +217,9 @@ class TestRunEpoch:
     # the presets' 6.5 dB shadowing: five pairs at 71 slots, one pair at 17 reseeded
     @example(5, 71, False, None, 25, 106, 6, 6.5)
     @example(1, 17, True, None, 10, 107, 7, 6.5)
+    # 123 rounds of one slot, every replier of a round in it; an empty fleet
+    @example(1, 1, True, None, 25, 108, 8, 6.5)
+    @example(5, 17, True, None, 0, 109, 9, 6.5)
     @settings(max_examples=100, deadline=None)
     @given(
         n_pairs=st.integers(1, 5),
@@ -223,6 +238,19 @@ class TestRunEpoch:
         assert_matches_reference(
             n_pairs, slot_count, reseed, probe_tx_power_dbm, v_n, fleet_seed, epoch_index, sigma
         )
+
+    @pytest.mark.parametrize("preset", ["paper-road", "paper-fig1b"])
+    def test_one_reply_capture_call_per_epoch(self, monkeypatch, preset):
+        # one capture call a round for the probe, one for the epoch's replies
+        cfg = parse_config(f"preset = {preset}\n")
+        rng = np.random.default_rng(4)
+        world = World(build_fleet(cfg, rng), cfg.geometry, cfg.radio, cfg.hash, cfg.timing, rng)
+        calls = []
+        monkeypatch.setattr(protocol, "capture_verdicts",
+                            lambda *args: calls.append(args) or capture_verdicts(*args))
+        result = run_epoch(world, 0)
+        assert len(calls) == result.schedule.round_count + 1
+        assert len(result.records)
 
     def test_matches_reference_engine_reseed(self):
         assert_matches_reference(1, 17, True, None, 12, 55, 9)
