@@ -12,10 +12,11 @@ The engine resolves the probe phase round by round, one capture call deciding
 the probe at every tag, because of the shadowing draw order alone.  The reply
 phase is resolved once an epoch: one capture call decides every occupied
 (round, slot) at every recorder, over a (slots x contenders x recorders)
-power tensor padded with -inf.  Shadowing is drawn in the order a
-slot-by-slot resolution would draw it, so outputs do not depend on the
-batching.  Positions come directly from the epoch-start fleet snapshot at
-each schedule event, so ground-truth sampling and decode decisions see
+power tensor padded with -inf; an epoch with very many repliers takes one
+such call per run of rounds, to bound its memory.  Shadowing is drawn in the
+order a slot-by-slot resolution would draw it, so outputs do not depend on
+the batching.  Positions come directly from the epoch-start fleet snapshot
+at each schedule event, so ground-truth sampling and decode decisions see
 bit-identical geometry.  The epoch's decodes reduce to one record table of
 first decodes, and its event text is built once from the verdict arrays.
 """
@@ -176,6 +177,13 @@ class EpochResult:
         return mask.reshape(n_pairs, 2, -1)
 
 
+# Most (replier x recorder) links one reply capture call decides: 2 MB per
+# float array, a few rounds at the largest fleet (10,000 vehicles x 5 pairs
+# x 2 recorders is 100,000 links a round).  A preset epoch holds a few
+# thousand, so it resolves its replies in one call.
+MAX_REPLY_LINKS = 2**18
+
+
 def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> EpochResult:
     """Run one full epoch and advance the world's fleet to its end.
 
@@ -183,15 +191,11 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     tag, the concurrent probes of all pairs (pair replicas merged, cross-pair
     probes contending).  Only the shadowing draw order keeps it per round:
     round r + 1's probe draws follow round r's reply draws, whose count is
-    the number of round r's probe decodes.  Then one capture call resolves
-    the reply phase of the whole epoch: every tag that decoded a probe sits
-    at the start of its own slot, the repliers are grouped by (round, slot)
-    into a (slots x contenders x recorders) power tensor padded with -inf,
-    and every recorder decides every occupied slot independently.  Each slot
-    takes its (recorders x contenders) block of its round's reply draws, in
-    slot order, so results equal a slot-by-slot resolution.  The first
-    decode of each (recorder, tag) makes the record table; the event text
-    is built once from the verdict arrays, in schedule order.
+    the number of round r's probe decodes.  The reply phase is resolved by
+    :func:`_resolve_replies` after the last round, in one capture call, or
+    after each run of rounds whose repliers reach ``MAX_REPLY_LINKS`` links.
+    The first decode of each (recorder, tag) makes the record table; the
+    event text is built once from the verdict arrays, in schedule order.
     """
     hash_params = world.hash_params
     sched = build_epoch_schedule(world.timing, hash_params.slot_count, epoch_index)
@@ -213,7 +217,10 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     road_x = geom.road_x(positions_at(fleet, (t_probe - sched.epoch_start_us) * 1e-6))
     probe_codes = np.empty((rounds.size, n_enp), dtype=np.int8)
     probe_pair = np.empty((rounds.size, n_enp), dtype=np.intp)
-    reply_draws = []
+    replies = []
+    draws = []  # this run of rounds' reply shadowing, one block per round
+    links = 0
+    lo = 0  # first round of the run
     for r in rounds.tolist():
         # received power at every recorder from every tag, (2P, V)
         d = np.hypot(road_x[r] - world.vr_x[:, None], fleet.y - world.vr_y[:, None])
@@ -223,59 +230,47 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
         # non-destructive replicas, strongest link counts
         group_pw = link_pw.reshape(geom.n_pairs, 2, n_enp).max(axis=1)
         probe_codes[r], probe_pair[r] = capture_verdicts(group_pw, radio)
-        if sigma > 0:
-            k = np.count_nonzero(probe_codes[r] == RECEIVED_CODE)
-            reply_draws.append(world.rng.normal(0.0, sigma, size=n_vr * k))
+        k = np.count_nonzero(probe_codes[r] == RECEIVED_CODE)
+        if sigma > 0 and k:
+            draws.append(world.rng.normal(0.0, sigma, size=n_vr * k))
+        links += n_vr * k
+        if links >= MAX_REPLY_LINKS or r == rounds.size - 1:
+            replies.append(_resolve_replies(world, sched, slots, probe_codes, lo, r + 1, draws))
+            draws = []
+            links = 0
+            lo = r + 1
 
-    # ---- reply phase: tags that decoded a probe answer in their slot ----
-    rnd, tag = np.nonzero(probe_codes == RECEIVED_CODE)
-    # group by (round, slot); a stable sort keeps vehicle order inside each slot
-    key = rnd * hash_params.slot_count + slots[rnd, tag]
-    order = np.argsort(key, kind="stable")
-    rnd, tag, key = rnd[order], tag[order], key[order]
-    slot = slots[rnd, tag]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    counts = np.diff(np.append(first, key.size))
-    group = np.repeat(np.arange(first.size), counts)
-    rank = np.arange(key.size) - first[group]  # position inside its slot
-
-    # every replier at the start of its own slot
-    dt = (sched.slot_start_us(rounds[:, None], slots) - sched.epoch_start_us) * 1e-6
-    tx_road_x = geom.road_x(positions_at_each(fleet, dt)[rnd, tag])
-    d = np.hypot(tx_road_x[:, None] - world.vr_x, fleet.y[tag, None] - world.vr_y)  # (repliers, 2P)
-    if sigma > 0:
-        # one (2P, k) block per occupied slot, back to back in (round, slot) order
-        at = (n_vr * first[group] + rank)[:, None] + np.arange(n_vr) * counts[group][:, None]
-        shadow = np.concatenate(reply_draws)[at]
-    else:
-        shadow = 0.0
-    power = np.full((first.size, counts.max(initial=0), n_vr), -np.inf)
-    power[group, rank] = received_power_dbm(d, radio, shadow)
-    codes, winners = capture_verdicts(power, radio)  # (slots, 2P)
-
+    tag, counts, slot_round, slot, codes, winners = (np.concatenate(a) for a in zip(*replies))
+    first = np.cumsum(counts) - counts
     rx_group, rx_vr = np.nonzero(codes == RECEIVED_CODE)
-    lead = first[rx_group]
-    table = np.column_stack((rx_vr, tag[lead + winners[rx_group, rx_vr]], rnd[lead], slot[lead]))
+    winner_tag = tag[first[rx_group] + winners[rx_group, rx_vr]]
+    table = np.column_stack((rx_vr, winner_tag, slot_round[rx_group], slot[rx_group]))
     _, kept = np.unique(table[:, 0] * n_enp + table[:, 1], return_index=True)
 
     events = None
     if record_events:
-        vrns, tags, e = fleet.vrn.tolist(), tag.tolist(), epoch_index
+        vrns = fleet.vrn.tolist()
+        tags = tag.tolist()
         recorders = [f"{v}\t{p}" for v, p in zip(world.vr_ids, world.vr_pair.tolist())]
         t_probe = t_probe.tolist()
-        lines = [[f"{t}\tPROBE\t{vr}\t{e}\t{r}\t-\t-" for vr in recorders]
-                 for r, t in enumerate(t_probe)]
+        lines = [
+            [f"{t}\tPROBE\t{vr}\t{epoch_index}\t{r}\t-\t-" for vr in recorders]
+            for r, t in enumerate(t_probe)
+        ]
         pr, pi = np.nonzero(probe_codes)
         for r, i, w in zip(pr.tolist(), pi.tolist(), probe_pair[pr, pi].tolist()):
             verdict = f"RX\tenp{i}\t{w}" if w >= 0 else f"COLL\tenp{i}\t-"
-            lines[r].append(f"{t_probe[r]}\t{verdict}\t{e}\t{r}\t-\t-")
-        for g, (lo, k, r, s) in enumerate(zip(first.tolist(), counts.tolist(),
-                                              rnd[first].tolist(), slot[first].tolist())):
-            head, tail = f"{sched.slot_start_us(r, s)}\t", f"\t{e}\t{r}\t{s}\t"
-            lines[r] += [f"{head}REPLY\tenp{i}\t-{tail}{vrns[i]}" for i in tags[lo:lo + k]]
+            lines[r].append(f"{t_probe[r]}\t{verdict}\t{epoch_index}\t{r}\t-\t-")
+        starts = first.tolist()
+        ends = np.cumsum(counts).tolist()
+        for g, (r, s) in enumerate(zip(slot_round.tolist(), slot.tolist())):
+            contenders = tags[starts[g]:ends[g]]
+            head = f"{sched.slot_start_us(r, s)}\t"
+            tail = f"\t{epoch_index}\t{r}\t{s}\t"
+            lines[r] += [f"{head}REPLY\tenp{i}\t-{tail}{vrns[i]}" for i in contenders]
             for vr, code, w in zip(recorders, codes[g].tolist(), winners[g].tolist()):
                 if w >= 0:
-                    lines[r].append(f"{head}RX\t{vr}{tail}{vrns[tags[lo + w]]}")
+                    lines[r].append(f"{head}RX\t{vr}{tail}{vrns[contenders[w]]}")
                 elif code:
                     lines[r].append(f"{head}COLL\t{vr}{tail}-")
         events = [line for round_lines in lines for line in round_lines]
@@ -288,3 +283,47 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
         records=table[kept].astype(np.int64, copy=False),
         events=events,
     )
+
+
+def _resolve_replies(world, sched, slots, probe_codes, lo, hi, draws):
+    """Resolve the reply slots of rounds ``lo`` to ``hi - 1`` in one capture
+    call, given the epoch's (rounds, V) reply slots and probe verdicts and
+    those rounds' reply shadowing, one block per round with a replier.
+
+    Every tag that decoded a probe sits at the start of its own slot, the
+    repliers are grouped by (round, slot) into a (slots x contenders x
+    recorders) power tensor padded with -inf, and every recorder decides
+    every occupied slot independently.  Each slot takes its (recorders x
+    contenders) block of its round's draws, in slot order, so results equal
+    a slot-by-slot resolution.  Returns the repliers' tags grouped by slot
+    and, per occupied slot, its contender count, round and slot, and its
+    (recorders,) verdict codes and winning contender ranks.
+    """
+    fleet = world.fleet
+    n_vr = len(world.vr_ids)
+    rnd, tag = np.nonzero(probe_codes[lo:hi] == RECEIVED_CODE)
+    rnd += lo
+    # group by (round, slot); a stable sort keeps vehicle order inside each slot
+    key = rnd * sched.slot_count + slots[rnd, tag]
+    order = np.argsort(key, kind="stable")
+    rnd, tag, key = rnd[order], tag[order], key[order]
+    slot = slots[rnd, tag]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    counts = np.diff(np.append(first, key.size))
+    group = np.repeat(np.arange(first.size), counts)
+    rank = np.arange(key.size) - first[group]  # position inside its slot
+
+    # every replier at the start of its own slot
+    rounds = np.arange(lo, hi)[:, None]
+    dt = (sched.slot_start_us(rounds, slots[lo:hi]) - sched.epoch_start_us) * 1e-6
+    tx_road_x = world.geometry.road_x(positions_at_each(fleet, dt)[rnd - lo, tag])
+    d = np.hypot(tx_road_x[:, None] - world.vr_x, fleet.y[tag, None] - world.vr_y)  # (repliers, 2P)
+    shadow = 0.0
+    if draws:
+        # one (2P, k) block per occupied slot, back to back in (round, slot) order
+        at = (n_vr * first[group] + rank)[:, None] + np.arange(n_vr) * counts[group][:, None]
+        shadow = np.concatenate(draws)[at]
+    power = np.full((first.size, counts.max(initial=0), n_vr), -np.inf)
+    power[group, rank] = received_power_dbm(d, world.radio, shadow)
+    codes, winners = capture_verdicts(power, world.radio)  # (slots, 2P)
+    return tag, counts, rnd[first], slot[first], codes, winners

@@ -49,6 +49,26 @@ def assert_matches_reference(
     assert [set(fleet.vrn[row].tolist()) for row in decoded] == [set(want[vr]) for vr in world.vr_ids]
 
 
+def preset_world(text):
+    """A world built from config text, fleet and shadowing seeded alike."""
+    cfg = parse_config(text)
+    rng = np.random.default_rng(4)
+    return World(build_fleet(cfg, rng), cfg.geometry, cfg.radio, cfg.hash, cfg.timing, rng)
+
+
+def count_capture_calls(monkeypatch):
+    """Wrap the engine's capture_verdicts; the returned list gets the power
+    array of every call."""
+    calls = []
+
+    def counted(power, radio):
+        calls.append(power)
+        return capture_verdicts(power, radio)
+
+    monkeypatch.setattr(protocol, "capture_verdicts", counted)
+    return calls
+
+
 def pair_vrns(result):
     """The vrns recorder a and recorder b of a one-pair world decoded, read
     from the epoch's decoded mask."""
@@ -242,14 +262,46 @@ class TestRunEpoch:
     @pytest.mark.parametrize("preset", ["paper-road", "paper-fig1b"])
     def test_one_reply_capture_call_per_epoch(self, monkeypatch, preset):
         # one capture call a round for the probe, one for the epoch's replies
-        cfg = parse_config(f"preset = {preset}\n")
-        rng = np.random.default_rng(4)
-        world = World(build_fleet(cfg, rng), cfg.geometry, cfg.radio, cfg.hash, cfg.timing, rng)
-        calls = []
-        monkeypatch.setattr(protocol, "capture_verdicts",
-                            lambda *args: calls.append(args) or capture_verdicts(*args))
+        world = preset_world(f"preset = {preset}\n")
+        calls = count_capture_calls(monkeypatch)
         result = run_epoch(world, 0)
         assert len(calls) == result.schedule.round_count + 1
+        assert len(result.records)
+
+    @pytest.mark.parametrize("max_links", [1, 50])
+    @pytest.mark.parametrize("sigma", [0.0, 6.5])
+    def test_reply_runs_match_reference(self, monkeypatch, max_links, sigma):
+        # with a small link budget the replies are resolved in runs of a few
+        # rounds (every round with a replier at one link): the records and
+        # generator state still match the reference, and the event text
+        # matches that of one reply call
+        geom = single_pair_geometry()
+        radio = RadioParams(shadowing_sigma_db=sigma)
+        hash_params = HashParams(slot_count=1, reseed_per_round=True)
+        fleet = spawn_fleet(25, 30, 90, geom, np.random.default_rng(108))
+        one_call = World(fleet, geom, radio, hash_params, TIMING, np.random.default_rng(8))
+        want_events = run_epoch(one_call, 8, record_events=True).events
+        monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", max_links)
+        calls = count_capture_calls(monkeypatch)
+        runs = World(fleet, geom, radio, hash_params, TIMING, np.random.default_rng(8))
+        result = run_epoch(runs, 8, record_events=True)
+        assert len(calls) > result.schedule.round_count + 2
+        assert result.events == want_events
+        assert_matches_reference(1, 1, True, None, 25, 108, 8, sigma)
+        assert_matches_reference(5, 17, False, None, 25, 106, 6, sigma)
+
+    def test_many_repliers_split_reply_calls(self, monkeypatch):
+        # 2,495 one-slot rounds of 100 vehicles hold more replier links than
+        # MAX_REPLY_LINKS: the replies take several capture calls, each at
+        # most one round (100 vehicles x 10 recorders) past the bound
+        world = preset_world("preset = paper-fig1b\ntiming.glossy_period_us = 10000000\n"
+                             "hash.slot_count = 1\nfleet.v_n = 100\n")
+        calls = count_capture_calls(monkeypatch)
+        result = run_epoch(world, 0)
+        links = [np.isfinite(power).sum() for power in calls if power.ndim == 3]
+        assert len(links) > 1
+        assert max(links) <= protocol.MAX_REPLY_LINKS + 100 * 10
+        assert len(calls) == result.schedule.round_count + len(links)
         assert len(result.records)
 
     def test_matches_reference_engine_reseed(self):
