@@ -2,20 +2,22 @@
 
 All randomness flows from the run's 64-bit master seed through
 ``numpy.random.SeedSequence`` spawn keys, one independent stream per
-(sweep cell, replication).  Given the same configuration and master seed the
-outputs are byte-identical across runs: no ambient entropy, no wall clock,
-no iteration-order dependence.
+(sweep cell, replication); streams run in lockstep (see :func:`_lockstep`).
+Given the same configuration and master seed the outputs are byte-identical
+across runs: no ambient entropy, no wall clock, no iteration-order or
+grouping dependence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .config import SimConfig, with_fleet_cell
+from .config import MAX_FLEET_SIZE, MAX_SCORED_EPOCHS, SimConfig, with_fleet_cell
 from .metrics import (
     ITERATION_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -65,50 +67,69 @@ def run_experiment(
     events: bool = False,
     seed_key: tuple[int, ...] = (),
 ) -> ExperimentResult:
-    """Run warm-up plus measured epochs for every replication.
-
-    Warm-up epochs only move the fleet (no radio traffic is scored), letting
-    the position distribution forget its initial placement.  Measured epochs
-    are scored per recorder pair against per-epoch ground truth; two cheap
-    invariants are enforced on every iteration: union coverage dominates
-    either recorder alone, and with shadowing off no record falls outside
-    ground truth.
-    """
-    geom = config.geometry
-    radio = config.radio
-    period_s = config.timing.glossy_period_us * 1e-6
-    shadowing_off = radio.shadowing_sigma_db == 0
-
-    rows: list[tuple[int, IterationStats]] = []
-    event_log: list[str] | None = [] if events else None
-
-    for rep in range(config.run.replications):
-        rng = rng_stream(config.run.master_seed, *seed_key, rep)
-        fleet = build_fleet(config, rng)
-        if config.run.warmup_epochs:
-            fleet = advance(fleet, config.run.warmup_epochs * period_s)
-        world = World(fleet, geom, radio, config.hash, config.timing, rng)
-
-        for e in range(config.run.epochs):
-            epoch_index = config.run.warmup_epochs + e
-            result = run_epoch(world, epoch_index, record_events=events)
-            if events:
-                event_log.extend(result.events)
-            gt = ground_truth(result.fleet_start, result.schedule, geom, radio)
-            decoded = result.decoded(geom.n_pairs)
-            if shadowing_off and (decoded.any(axis=1) & ~gt).any():
-                raise RuntimeError("record outside ground truth with shadowing off (engine bug)")
-            for stats in iteration_accuracy(decoded, gt, epoch=epoch_index):
-                if stats.union_count < max(stats.detected_1, stats.detected_2):
-                    raise RuntimeError("union dominance violated (engine bug)")
-                rows.append((rep, stats))
-
-    summary = summarize(config, rows)
+    """Run warm-up plus measured epochs for every replication, replication
+    ``rep`` drawing from the stream keyed ``(*seed_key, rep)``."""
+    streams = list(_lockstep(config, [(config, seed_key)], events))
+    rows = [row for stream_rows, _ in streams for row in stream_rows]
+    event_log = [line for _, lines in streams for line in lines] if events else None
     by_pair = aggregate([s for _, s in rows], ("pair_id",))
-    result = ExperimentResult(config, rows, summary, by_pair, event_log)
+    result = ExperimentResult(config, rows, summarize(config, rows), by_pair, event_log)
     if out_dir is not None:
         write_experiment_outputs(result, Path(out_dir))
     return result
+
+
+def _lockstep(config: SimConfig, cells, events: bool = False):
+    """Yield the (replication, stats) rows and event lines of each stream:
+    each replication of each (cell config, seed key) in ``cells``, a fleet
+    of the cell drawn from the generator keyed ``(*seed_key, rep)``.
+
+    Consecutive streams run as one lockstep group, one ``run_epoch`` per
+    epoch, of at most ``MAX_FLEET_SIZE`` tags (an empty fleet counts one)
+    and ``MAX_SCORED_EPOCHS`` scored epochs.  Warm-up epochs only move the
+    fleets.  Each measured epoch is scored per stream and pair, checking that
+    union coverage dominates either recorder alone and, with shadowing off,
+    that no record falls outside ground truth."""
+    geom, radio, epochs = config.geometry, config.radio, config.run.epochs
+    warmup_s = config.run.warmup_epochs * config.timing.glossy_period_us * 1e-6
+
+    def run(group):
+        reps, fleets, rngs = zip(*group)
+        fleets = [advance(fleet, warmup_s) for fleet in fleets] if warmup_s else fleets
+        world = World(fleets, geom, radio, config.hash, config.timing, rngs)
+        offsets = world.offsets.tolist()
+        rows = [[] for _ in group]
+        logs = [[] if events else None for _ in group]
+        for e in range(epochs):
+            epoch_index = config.run.warmup_epochs + e
+            result = run_epoch(world, epoch_index, record_events=events)
+            gt = ground_truth(result.fleet_start, result.schedule, geom, radio)
+            decoded = result.decoded(geom.n_pairs)
+            if radio.shadowing_sigma_db == 0 and (decoded.any(axis=1) & ~gt).any():
+                raise RuntimeError("record outside ground truth with shadowing off (engine bug)")
+            for b, (rep, lo, hi) in enumerate(zip(reps, offsets, offsets[1:])):
+                scored = iteration_accuracy(decoded[..., lo:hi], gt[:, lo:hi], epoch=epoch_index)
+                for stats in scored:
+                    if stats.union_count < max(stats.detected_1, stats.detected_2):
+                        raise RuntimeError("union dominance violated (engine bug)")
+                    rows[b].append((rep, stats))
+                if events:
+                    logs[b] += result.events[result.event_offsets[b]:result.event_offsets[b + 1]]
+        return zip(rows, logs)
+
+    group, tags = [], 0
+    for cell, seed_key in cells:
+        for rep in range(config.run.replications):
+            rng = rng_stream(config.run.master_seed, *seed_key, rep)
+            fleet = build_fleet(cell, rng)
+            size = max(len(fleet), 1)
+            full = (len(group) + 1) * epochs > MAX_SCORED_EPOCHS
+            if group and (tags + size > MAX_FLEET_SIZE or full):
+                yield from run(group)
+                group, tags = [], 0
+            group.append((rep, fleet, rng))
+            tags += size
+    yield from run(group)
 
 
 def summarize(config: SimConfig, rows: Sequence[tuple[int, IterationStats]]) -> dict:
@@ -191,7 +212,12 @@ def sweep(
         for v_min, v_max in v_s_ranges
         for v_n in v_n_list
     ]
-    summaries = [run_experiment(cfg, seed_key=(i,)).summary for i, cfg in enumerate(cells)]
+    streams = _lockstep(config, [(cell, (i,)) for i, cell in enumerate(cells)])
+    reps = config.run.replications
+    summaries = [
+        summarize(cell, [row for rows, _ in islice(streams, reps) for row in rows])
+        for cell in cells
+    ]
 
     if out_dir is not None:
         out = Path(out_dir)

@@ -11,19 +11,20 @@ at every receiver under the capture rule.
 The engine resolves the probe phase round by round, one capture call deciding
 the probe at every tag, because of the shadowing draw order alone.  The reply
 phase is resolved once an epoch: one capture call decides every occupied
-(round, slot) at every recorder, over a (slots x contenders x recorders)
-power tensor padded with -inf; an epoch with very many repliers takes one
-such call per run of rounds, to bound its memory.  Shadowing is drawn in the
-order a slot-by-slot resolution would draw it, so outputs do not depend on
-the batching.  Positions come directly from the epoch-start fleet snapshot
-at each schedule event, so ground-truth sampling and decode decisions see
-bit-identical geometry.  The epoch's decodes reduce to one record table of
-first decodes, and its event text is built once from the verdict arrays.
+(round, stream, slot) at every recorder, over a (slots x contenders x
+recorders) power tensor padded with -inf; an epoch with very many repliers
+takes one such call per run of rounds, to bound its memory.  Each stream
+draws its shadowing in the order a slot-by-slot resolution of it alone would,
+so outputs depend neither on the batching nor on the other streams.
+Positions come from the epoch-start fleet snapshot at each schedule event, so
+ground-truth sampling and decode decisions see bit-identical geometry.  The
+epoch's decodes reduce to one record table; its event text is built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -119,29 +120,35 @@ def build_epoch_schedule(
 
 
 class World:
-    """Mutable simulation state: the fleet plus recorder and channel context.
-
-    The fleet's composition (identities, speeds) is fixed for the world's
-    lifetime; reply slots are therefore hashed once up front."""
+    """Mutable simulation state: the fleet and generator of each independent
+    stream (one, or a sequence of each), plus the recorder and channel
+    context they share.  Stream b holds tags ``offsets[b]`` to
+    ``offsets[b + 1] - 1`` of the concatenated ``fleet``, whose composition
+    is fixed for the world's lifetime; reply slots are hashed once up front."""
 
     def __init__(
         self,
-        fleet: Fleet,
+        fleet: Fleet | Sequence[Fleet],
         geometry: RoadGeometry,
         radio: RadioParams,
         hash_params: HashParams,
         timing: TimingParams,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
     ):
-        if radio.shadowing_sigma_db > 0 and rng is None:
-            raise ValueError("rng is required when shadowing is on")
-        self.fleet = fleet
+        fleets, rngs = ([fleet], [rng]) if isinstance(fleet, Fleet) else (fleet, rng)
+        rngs = list(rngs or [None] * len(fleets))
+        if len(rngs) != len(fleets) or (radio.shadowing_sigma_db > 0 and None in rngs):
+            raise ValueError("every fleet needs an rng of its own (None only without shadowing)")
+        columns = zip(*((f.vrn, f.x, f.y, f.speed_mps) for f in fleets))
+        self.fleet = Fleet(*map(np.concatenate, columns), fleets[0].ring_length_m)
+        self.offsets = np.cumsum([0] + [len(f) for f in fleets])
+        self.tag_stream = np.repeat(np.arange(len(fleets)), np.diff(self.offsets))
         self.geometry = geometry
         self.radio = radio
         self.hash_params = hash_params
         self.timing = timing
-        self.rng = rng
-        self.enp_slots = slot_for(fleet.vrn, hash_params)
+        self.rngs = rngs
+        self.enp_slots = slot_for(self.fleet.vrn, hash_params)
         # recorders as (2P,) columns in pair-major order, sides named a/b
         pairs = range(geometry.n_pairs)
         self.vr_ids = tuple(f"vr{p}{side}" for p in pairs for side in "ab")
@@ -158,8 +165,10 @@ class EpochResult:
 
     ``records`` is int64 ``(n, 4)``: (recorder, tag, round, slot) of the
     first decode of each (recorder, tag), sorted by recorder then tag.  The
-    recorder indexes ``World.vr_ids`` and the tag indexes ``fleet_start``;
-    VRNs stay in its uint64 ``vrn`` column, which an int64 one would wrap.
+    recorder indexes ``World.vr_ids`` and the tag indexes ``fleet_start``
+    (all streams); VRNs stay in its uint64 ``vrn`` column, which an int64
+    one would wrap.  Stream b's event lines are ``events[event_offsets[b]:
+    event_offsets[b + 1]]``.
     """
 
     epoch_index: int
@@ -167,6 +176,7 @@ class EpochResult:
     fleet_start: Fleet
     records: np.ndarray
     events: list[str] | None = None
+    event_offsets: list[int] | None = None
 
     def decoded(self, n_pairs: int) -> np.ndarray:
         """A ``(pairs, 2, vehicles)`` bool mask: True where recorder a (0) or
@@ -185,17 +195,19 @@ MAX_REPLY_LINKS = 2**18
 
 
 def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> EpochResult:
-    """Run one full epoch and advance the world's fleet to its end.
+    """Run one full epoch of every stream and advance the fleet to its end.
 
     The probe phase runs round by round: one capture call decides, at every
     tag, the concurrent probes of all pairs (pair replicas merged, cross-pair
     probes contending).  Only the shadowing draw order keeps it per round:
     round r + 1's probe draws follow round r's reply draws, whose count is
-    the number of round r's probe decodes.  The reply phase is resolved by
-    :func:`_resolve_replies` after the last round, in one capture call, or
-    after each run of rounds whose repliers reach ``MAX_REPLY_LINKS`` links.
-    The first decode of each (recorder, tag) makes the record table; the
-    event text is built once from the verdict arrays, in schedule order.
+    the number of round r's probe decodes.  Each stream draws from its own
+    generator as a world of it alone would, stitched along the tag axis.
+    The reply phase is resolved by :func:`_resolve_replies` after the last
+    round, in one capture call, or after each run of rounds whose repliers
+    (of all streams) reach ``MAX_REPLY_LINKS`` links.  The first decode of
+    each (recorder, tag) makes the record table; the event text is built
+    once from the verdict arrays, in schedule order per stream.
     """
     hash_params = world.hash_params
     sched = build_epoch_schedule(world.timing, hash_params.slot_count, epoch_index)
@@ -205,6 +217,7 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     sigma = radio.shadowing_sigma_db
     n_enp = len(fleet)
     n_vr = len(world.vr_ids)
+    streams = list(zip(world.rngs, world.offsets[:-1].tolist(), world.offsets[1:].tolist()))
     rounds = np.arange(sched.round_count)
     if hash_params.reseed_per_round:
         seeds = [round_seed(hash_params.seed, epoch_index, r) for r in rounds.tolist()]
@@ -218,22 +231,25 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     probe_codes = np.empty((rounds.size, n_enp), dtype=np.int8)
     probe_pair = np.empty((rounds.size, n_enp), dtype=np.intp)
     replies = []
-    draws = []  # this run of rounds' reply shadowing, one block per round
+    draws = []  # this run of rounds' reply shadowing, one block per (round, stream)
     links = 0
     lo = 0  # first round of the run
     for r in rounds.tolist():
         # received power at every recorder from every tag, (2P, V)
         d = np.hypot(road_x[r] - world.vr_x[:, None], fleet.y - world.vr_y[:, None])
-        shadow = world.rng.normal(0.0, sigma, size=d.shape) if sigma > 0 else 0.0
+        blocks = [rng.normal(0.0, sigma, size=(n_vr, b - a)) for rng, a, b in streams if sigma > 0]
+        shadow = np.concatenate(blocks, axis=1) if blocks else 0.0
         link_pw = received_power_dbm(d, radio, shadow, tx_power_dbm=radio.probe_tx_power_dbm)
         # the two recorders of a pair send byte-identical probes:
         # non-destructive replicas, strongest link counts
         group_pw = link_pw.reshape(geom.n_pairs, 2, n_enp).max(axis=1)
         probe_codes[r], probe_pair[r] = capture_verdicts(group_pw, radio)
-        k = np.count_nonzero(probe_codes[r] == RECEIVED_CODE)
-        if sigma > 0 and k:
-            draws.append(world.rng.normal(0.0, sigma, size=n_vr * k))
-        links += n_vr * k
+        received = probe_codes[r] == RECEIVED_CODE
+        for rng, a, b in streams:
+            k = np.count_nonzero(received[a:b])
+            if sigma > 0 and k:
+                draws.append(rng.normal(0.0, sigma, size=n_vr * k))
+            links += n_vr * k
         if links >= MAX_REPLY_LINKS or r == rounds.size - 1:
             replies.append(_resolve_replies(world, sched, slots, probe_codes, lo, r + 1, draws))
             draws = []
@@ -247,33 +263,39 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     table = np.column_stack((rx_vr, winner_tag, slot_round[rx_group], slot[rx_group]))
     _, kept = np.unique(table[:, 0] * n_enp + table[:, 1], return_index=True)
 
-    events = None
+    events = event_offsets = None
     if record_events:
+        # stream b's lines of round r go to block b * n_r + r; a tag is
+        # named by its index in its own stream
+        n_r = rounds.size
+        local = (np.arange(n_enp) - world.offsets[world.tag_stream]).tolist()
         vrns = fleet.vrn.tolist()
         tags = tag.tolist()
         recorders = [f"{v}\t{p}" for v, p in zip(world.vr_ids, world.vr_pair.tolist())]
         t_probe = t_probe.tolist()
-        lines = [
-            [f"{t}\tPROBE\t{vr}\t{epoch_index}\t{r}\t-\t-" for vr in recorders]
-            for r, t in enumerate(t_probe)
-        ]
+        lines = [[f"{t}\tPROBE\t{vr}\t{epoch_index}\t{r}\t-\t-" for vr in recorders]
+                 for _ in streams for r, t in enumerate(t_probe)]
         pr, pi = np.nonzero(probe_codes)
-        for r, i, w in zip(pr.tolist(), pi.tolist(), probe_pair[pr, pi].tolist()):
-            verdict = f"RX\tenp{i}\t{w}" if w >= 0 else f"COLL\tenp{i}\t-"
-            lines[r].append(f"{t_probe[r]}\t{verdict}\t{epoch_index}\t{r}\t-\t-")
+        probe_blocks = (world.tag_stream[pi] * n_r + pr).tolist()
+        probe_winners = probe_pair[pr, pi].tolist()
+        for blk, r, i, w in zip(probe_blocks, pr.tolist(), pi.tolist(), probe_winners):
+            verdict = f"RX\tenp{local[i]}\t{w}" if w >= 0 else f"COLL\tenp{local[i]}\t-"
+            lines[blk].append(f"{t_probe[r]}\t{verdict}\t{epoch_index}\t{r}\t-\t-")
         starts = first.tolist()
         ends = np.cumsum(counts).tolist()
-        for g, (r, s) in enumerate(zip(slot_round.tolist(), slot.tolist())):
+        slot_blocks = (world.tag_stream[tag[first]] * n_r + slot_round).tolist()
+        for g, (blk, r, s) in enumerate(zip(slot_blocks, slot_round.tolist(), slot.tolist())):
             contenders = tags[starts[g]:ends[g]]
             head = f"{sched.slot_start_us(r, s)}\t"
             tail = f"\t{epoch_index}\t{r}\t{s}\t"
-            lines[r] += [f"{head}REPLY\tenp{i}\t-{tail}{vrns[i]}" for i in contenders]
+            lines[blk] += [f"{head}REPLY\tenp{local[i]}\t-{tail}{vrns[i]}" for i in contenders]
             for vr, code, w in zip(recorders, codes[g].tolist(), winners[g].tolist()):
                 if w >= 0:
-                    lines[r].append(f"{head}RX\t{vr}{tail}{vrns[contenders[w]]}")
+                    lines[blk].append(f"{head}RX\t{vr}{tail}{vrns[contenders[w]]}")
                 elif code:
-                    lines[r].append(f"{head}COLL\t{vr}{tail}-")
-        events = [line for round_lines in lines for line in round_lines]
+                    lines[blk].append(f"{head}COLL\t{vr}{tail}-")
+        events = [line for block in lines for line in block]
+        event_offsets = [0] + np.cumsum([len(block) for block in lines])[n_r - 1::n_r].tolist()
 
     world.fleet = advance(fleet, sched.glossy_period_us * 1e-6)
     return EpochResult(
@@ -282,29 +304,31 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
         fleet_start=fleet,
         records=table[kept].astype(np.int64, copy=False),
         events=events,
+        event_offsets=event_offsets,
     )
 
 
 def _resolve_replies(world, sched, slots, probe_codes, lo, hi, draws):
     """Resolve the reply slots of rounds ``lo`` to ``hi - 1`` in one capture
     call, given the epoch's (rounds, V) reply slots and probe verdicts and
-    those rounds' reply shadowing, one block per round with a replier.
+    those rounds' reply shadowing, one block per (round, stream) with replies.
 
     Every tag that decoded a probe sits at the start of its own slot, the
-    repliers are grouped by (round, slot) into a (slots x contenders x
-    recorders) power tensor padded with -inf, and every recorder decides
+    repliers are grouped by (round, stream, slot) into a (slots x contenders
+    x recorders) power tensor padded with -inf, and every recorder decides
     every occupied slot independently.  Each slot takes its (recorders x
-    contenders) block of its round's draws, in slot order, so results equal
-    a slot-by-slot resolution.  Returns the repliers' tags grouped by slot
-    and, per occupied slot, its contender count, round and slot, and its
-    (recorders,) verdict codes and winning contender ranks.
+    contenders) block of its draws, in slot order, so each stream's results
+    equal its slot-by-slot resolution.  Returns the repliers' tags grouped
+    by slot and, per occupied slot, its contender count, round and slot, and
+    its (recorders,) verdict codes and winning contender ranks.
     """
     fleet = world.fleet
     n_vr = len(world.vr_ids)
     rnd, tag = np.nonzero(probe_codes[lo:hi] == RECEIVED_CODE)
     rnd += lo
-    # group by (round, slot); a stable sort keeps vehicle order inside each slot
-    key = rnd * sched.slot_count + slots[rnd, tag]
+    # group by (round, stream, slot); a stable sort keeps vehicle order inside each slot
+    round_stream = rnd * (world.offsets.size - 1) + world.tag_stream[tag]
+    key = round_stream * sched.slot_count + slots[rnd, tag]
     order = np.argsort(key, kind="stable")
     rnd, tag, key = rnd[order], tag[order], key[order]
     slot = slots[rnd, tag]
@@ -320,7 +344,7 @@ def _resolve_replies(world, sched, slots, probe_codes, lo, hi, draws):
     d = np.hypot(tx_road_x[:, None] - world.vr_x, fleet.y[tag, None] - world.vr_y)  # (repliers, 2P)
     shadow = 0.0
     if draws:
-        # one (2P, k) block per occupied slot, back to back in (round, slot) order
+        # one (2P, k) block per occupied slot, back to back in key order
         at = (n_vr * first[group] + rank)[:, None] + np.arange(n_vr) * counts[group][:, None]
         shadow = np.concatenate(draws)[at]
     power = np.full((first.size, counts.max(initial=0), n_vr), -np.inf)

@@ -135,13 +135,17 @@ def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index
     return records
 
 
-def engine_records(world, result):
-    """The engine's record table in the shape of :func:`reference_run_epoch`:
-    per recorder id, each decoded vrn's (epoch, round, slot)."""
+def engine_records(world, result, stream=0):
+    """One stream's part of the engine's record table in the shape of
+    :func:`reference_run_epoch`: per recorder id, each decoded vrn's
+    (epoch, round, slot).  Tags are re-based to the stream's own fleet, the
+    only place its VRNs are distinct."""
+    lo, hi = world.offsets[stream], world.offsets[stream + 1]
     records = {vr_id: {} for vr_id in world.vr_ids}
-    vrns = result.fleet_start.vrn.tolist()
+    vrns = result.fleet_start.vrn[lo:hi].tolist()
     for recorder, tag, rnd, slot in result.records.tolist():
-        records[world.vr_ids[recorder]][vrns[tag]] = (result.epoch_index, rnd, slot)
+        if lo <= tag < hi:
+            records[world.vr_ids[recorder]][vrns[tag - lo]] = (result.epoch_index, rnd, slot)
     return records
 
 

@@ -5,13 +5,16 @@ Each case runs ``enp-sim run`` on a small config and compares the SHA-256 of
 taken from the per-slot engine before the reply phase was batched per round.
 The cases cover shadowed multi-pair fleets (a dense one puts many
 contenders in one slot), the event log, and per-round reseeding of the slot
-hash.  On a 260 m ring the seam lies 50 m from the outer pairs, inside their
+hash.  Two cases run several replications, and a sweep case several cells
+of two replications each (an empty fleet among them); their digests were
+taken from the engine that ran one replication of one cell at a time.  On a 260 m ring the seam lies 50 m from the outer pairs, inside their
 range, so vehicles that cross it during an epoch enter ground truth (117
 such memberships in 50 epochs); their digest was taken from the full
 boundary-by-boundary ground-truth scan.
 
 To re-pin after a deliberate change of outputs, run this file as a script:
-``PYTHONPATH=src python tests/test_digests.py`` prints the current digests.
+``PYTHONPATH=src python tests/test_digests.py`` prints the current digests,
+run cases first and sweep cases after them.
 """
 
 import hashlib
@@ -44,6 +47,18 @@ CASES = {
         "run.epochs = 50\n",
         False,
     ),
+    "road-events-reps3": (
+        "preset = paper-road\nrun.epochs = 100\nrun.replications = 3\n",
+        True,
+    ),
+}
+
+# ``enp-sim sweep`` cases: config text and the --vn list; σ = 6.5 dB as preset
+SWEEP_CASES = {
+    "fig1b-sweep-reps2": (
+        "preset = paper-fig1b\nrun.epochs = 40\nrun.replications = 2\n",
+        "0,10,40",
+    ),
 }
 
 DIGESTS = {
@@ -64,18 +79,33 @@ DIGESTS = {
         "iterations.csv": "e45b773aea8aa6bbdd286316e31a3f0a505d5754c1335484a44a227b700f38b1",
         "events.log": "c9837c898419b039a0a6e1d39aaa27fe6465b53e3c16dfa355c747a06d651de3",
     },
+    "road-events-reps3": {
+        "iterations.csv": "f7cb418c129b4388e5f4377b984d1c27864057cd2468e79e9a8df33fd290dd87",
+        "events.log": "0b97d9971091a0ad2bd47b5ef281791d73e2d94b61590d431130af5ccae1ff3a",
+    },
+    "fig1b-sweep-reps2": {
+        "sweep.csv": "6840c8ce7d43f9ed889294c3e09a42d8098d1a8d4f847e1e0eeb2e85aadb516f",
+    },
 }
 
 
-def run_digests(config_text: str, events: bool, tmp: Path) -> dict[str, str]:
+def _digests(argv: list[str], config_text: str, names: list[str], tmp: Path) -> dict[str, str]:
     cfg = tmp / "run.conf"
     cfg.write_text(config_text, encoding="utf-8")
     out = tmp / "out"
-    argv = ["run", "--config", str(cfg), "--out", str(out)] + (["--events"] if events else [])
-    if main(argv) != 0:
-        raise RuntimeError(f"enp-sim run failed on {config_text!r}")
-    names = ["iterations.csv"] + (["events.log"] if events else [])
+    if main(argv + ["--config", str(cfg), "--out", str(out)]) != 0:
+        raise RuntimeError(f"enp-sim {argv[0]} failed on {config_text!r}")
     return {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in names}
+
+
+def run_digests(config_text: str, events: bool, tmp: Path) -> dict[str, str]:
+    argv = ["run"] + (["--events"] if events else [])
+    names = ["iterations.csv"] + (["events.log"] if events else [])
+    return _digests(argv, config_text, names, tmp)
+
+
+def sweep_digests(config_text: str, vn: str, tmp: Path) -> dict[str, str]:
+    return _digests(["sweep", "--vn", vn], config_text, ["sweep.csv"], tmp)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -84,7 +114,13 @@ def test_outputs_match_pinned_digests(tmp_path, case):
     assert run_digests(config_text, events, tmp_path) == DIGESTS[case]
 
 
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_outputs_match_pinned_digests(tmp_path, case):
+    assert sweep_digests(*SWEEP_CASES[case], tmp_path) == DIGESTS[case]
+
+
 if __name__ == "__main__":
-    for name in sorted(CASES):
-        with tempfile.TemporaryDirectory() as d:
-            print(f"    {name!r}: {run_digests(*CASES[name], Path(d))!r},")
+    for cases, digests in ((CASES, run_digests), (SWEEP_CASES, sweep_digests)):
+        for name in sorted(cases):
+            with tempfile.TemporaryDirectory() as d:
+                print(f"    {name!r}: {digests(*cases[name], Path(d))!r},")

@@ -3,10 +3,12 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import enpsim.harness as harness
 from enpsim.cli import main
-from enpsim.config import parse_config
+from enpsim.config import parse_config, with_fleet_cell
 from enpsim.harness import run_experiment, sweep
 from enpsim.metrics import ITERATION_CSV_HEADER
 
@@ -124,6 +126,69 @@ class TestSweep:
             sweep(cfg, [])
         with pytest.raises(ValueError):
             sweep(parse_config("preset = oracle-static5\n"), [5])
+
+
+class TestLockstep:
+    """Replications and sweep cells run as streams of lockstep groups, one
+    run_epoch call per group epoch; the grouping never changes an output."""
+
+    SWEEP = "preset = paper-fig1b\nrun.epochs = 4\nrun.warmup_epochs = 2\nrun.replications = 2\n"
+    SWEEP_VN = [0, 7, 25, 12]
+    ROAD = "preset = paper-road\nrun.epochs = 10\nrun.replications = 3\n"
+
+    def run_both(self, out, monkeypatch):
+        """The output files of a sweep and of a run of replications with
+        events, and the stream sizes of every world each of them stepped."""
+        worlds = {"sweep": set(), "road": set()}
+        run_epoch = harness.run_epoch
+
+        def spy(world, *args, **kwargs):
+            worlds[phase].add(tuple(np.diff(world.offsets).tolist()))
+            return run_epoch(world, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_epoch", spy)
+        phase = "sweep"
+        sweep(parse_config(self.SWEEP), self.SWEEP_VN, out_dir=out)
+        phase = "road"
+        run_experiment(parse_config(self.ROAD), out_dir=out / "road", events=True)
+        monkeypatch.setattr(harness, "run_epoch", run_epoch)
+        files = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*.*")}
+        assert len(files) == 5
+        return files, worlds
+
+    @pytest.mark.parametrize("replications", [1, 3])
+    @pytest.mark.parametrize("sigma", [0.0, 6.5])
+    def test_sweep_equals_per_cell_runs(self, replications, sigma):
+        cfg = parse_config(f"{self.SWEEP}run.replications = {replications}\n"
+                           f"radio.shadowing_sigma_db = {sigma}\n")
+        ranges = [(30.0, 60.0), (60.0, 90.0)]
+        cells = [with_fleet_cell(cfg, v_n, *vs) for vs in ranges for v_n in self.SWEEP_VN]
+        want = [run_experiment(cell, seed_key=(i,)).summary for i, cell in enumerate(cells)]
+        # repr: an empty fleet's cell has NaN accuracies
+        assert repr(sweep(cfg, self.SWEEP_VN, ranges)) == repr(want)
+
+    # the default caps put every stream of a call in one group
+    @pytest.mark.parametrize("caps, sweep_groups, road_groups", [
+        ({}, {(0, 0, 7, 7, 25, 25, 12, 12)}, {(10, 10, 10)}),
+        ({"MAX_FLEET_SIZE": 1}, {(0,), (7,), (25,), (12,)}, {(10,)}),
+        ({"MAX_FLEET_SIZE": 40}, {(0, 0, 7, 7), (25,), (25, 12), (12,)}, {(10, 10, 10)}),
+        ({"MAX_SCORED_EPOCHS": 8}, {(0, 0), (7, 7), (25, 25), (12, 12)}, {(10,)}),
+    ])
+    def test_group_caps_change_no_output(self, tmp_path, monkeypatch, caps, sweep_groups,
+                                         road_groups):
+        want, _ = self.run_both(tmp_path / "default", monkeypatch)
+        for name, value in caps.items():
+            monkeypatch.setattr(harness, name, value)
+        got, worlds = self.run_both(tmp_path / "capped", monkeypatch)
+        assert got == want
+        assert worlds == {"sweep": sweep_groups, "road": road_groups}
+        for phase, epochs in (("sweep", 4), ("road", 10)):
+            for sizes in worlds[phase]:
+                # only a stream alone may exceed a cap
+                assert len(sizes) == 1 or (
+                    sum(max(n, 1) for n in sizes) <= harness.MAX_FLEET_SIZE
+                    and len(sizes) * epochs <= harness.MAX_SCORED_EPOCHS
+                )
 
 
 class TestCli:

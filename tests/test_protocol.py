@@ -49,6 +49,29 @@ def assert_matches_reference(
     assert [set(fleet.vrn[row].tolist()) for row in decoded] == [set(want[vr]) for vr in world.vr_ids]
 
 
+def assert_streams_match_reference(n_pairs, slot_count, reseed, streams, epoch_index, sigma):
+    """One epoch of several streams, each a (v_n, fleet seed), in one world:
+    each stream's records, decoded mask and final generator state equal
+    those of the scalar reference run on that stream alone."""
+    geom = RoadGeometry(vr_pair_xs=tuple(100.0 + 40.0 * (i - (n_pairs - 1) / 2)
+                                         for i in range(n_pairs)))
+    radio = RadioParams(shadowing_sigma_db=sigma)
+    hash_params = HashParams(slot_count=slot_count, reseed_per_round=reseed)
+    fleets = [spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(seed)) for v_n, seed in streams]
+    rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
+    world = World(fleets, geom, radio, hash_params, TIMING, rngs)
+    result = run_epoch(world, epoch_index)
+    decoded = result.decoded(n_pairs).reshape(2 * n_pairs, -1)
+    assert decoded.shape[1] == sum(v_n for v_n, _ in streams)
+    for b, ((_, seed), fleet) in enumerate(zip(streams, fleets)):
+        reference_rng = np.random.default_rng([seed, b])
+        want = reference_run_epoch(fleet, geom, radio, hash_params, TIMING, epoch_index, reference_rng)
+        assert engine_records(world, result, b) == want
+        assert rngs[b].bit_generator.state == reference_rng.bit_generator.state
+        mask = decoded[:, world.offsets[b]:world.offsets[b + 1]]
+        assert [set(fleet.vrn[row].tolist()) for row in mask] == [set(want[vr]) for vr in world.vr_ids]
+
+
 def preset_world(text):
     """A world built from config text, fleet and shadowing seeded alike."""
     cfg = parse_config(text)
@@ -273,8 +296,9 @@ class TestRunEpoch:
     def test_reply_runs_match_reference(self, monkeypatch, max_links, sigma):
         # with a small link budget the replies are resolved in runs of a few
         # rounds (every round with a replier at one link): the records and
-        # generator state still match the reference, and the event text
-        # matches that of one reply call
+        # generator state still match the reference, for a world alone and
+        # for each of three streams, and the event text matches that of one
+        # reply call
         geom = single_pair_geometry()
         radio = RadioParams(shadowing_sigma_db=sigma)
         hash_params = HashParams(slot_count=1, reseed_per_round=True)
@@ -289,6 +313,7 @@ class TestRunEpoch:
         assert result.events == want_events
         assert_matches_reference(1, 1, True, None, 25, 108, 8, sigma)
         assert_matches_reference(5, 17, False, None, 25, 106, 6, sigma)
+        assert_streams_match_reference(1, 1, True, [(25, 108), (0, 1), (7, 2)], 8, sigma)
 
     def test_many_repliers_split_reply_calls(self, monkeypatch):
         # 2,495 one-slot rounds of 100 vehicles hold more replier links than
@@ -303,6 +328,43 @@ class TestRunEpoch:
         assert max(links) <= protocol.MAX_REPLY_LINKS + 100 * 10
         assert len(calls) == result.schedule.round_count + len(links)
         assert len(result.records)
+
+    # an empty stream between two others; two streams of one fleet (the
+    # same VRNs) under different generators
+    @example(2, 71, False, [(12, 1), (0, 2), (25, 3)], 5, 6.5)
+    @example(1, 17, True, [(10, 4), (10, 4)], 0, 6.5)
+    @example(5, 1, True, [(0, 5)], 3, 0.0)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_pairs=st.integers(1, 5),
+        slot_count=st.integers(1, 128),
+        reseed=st.booleans(),
+        streams=st.lists(
+            st.tuples(st.integers(0, 25), st.integers(0, 3)), min_size=1, max_size=4
+        ),
+        epoch_index=st.integers(0, 10_000),
+        sigma=st.just(0.0) | st.floats(0.5, 10.0),
+    )
+    def test_streams_match_reference_engine_alone(
+        self, n_pairs, slot_count, reseed, streams, epoch_index, sigma
+    ):
+        assert_streams_match_reference(n_pairs, slot_count, reseed, streams, epoch_index, sigma)
+
+    def test_stream_event_text_matches_a_world_alone(self):
+        # each stream's event lines equal those of a world of it alone, tags
+        # named by their index in their own stream
+        geom = RoadGeometry()
+        radio = RadioParams(shadowing_sigma_db=6.5)
+        hash_params = HashParams(slot_count=71)
+        fleets = [spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(v_n)) for v_n in (30, 0, 12)]
+        world = World(fleets, geom, radio, hash_params, TIMING,
+                      [np.random.default_rng(b) for b in range(3)])
+        result = run_epoch(world, 2, record_events=True)
+        for b, fleet in enumerate(fleets):
+            alone = World(fleet, geom, radio, hash_params, TIMING, np.random.default_rng(b))
+            want = run_epoch(alone, 2, record_events=True).events
+            lo, hi = result.event_offsets[b], result.event_offsets[b + 1]
+            assert result.events[lo:hi] == want
 
     def test_matches_reference_engine_reseed(self):
         assert_matches_reference(1, 17, True, None, 12, 55, 9)
@@ -372,3 +434,13 @@ class TestRunEpoch:
         with pytest.raises(ValueError):
             World(fleet, geom, RadioParams(shadowing_sigma_db=2.0),
                   HashParams(slot_count=71), TIMING)
+        with pytest.raises(ValueError):  # one stream of two without a generator
+            World([fleet, fleet], geom, RadioParams(shadowing_sigma_db=2.0),
+                  HashParams(slot_count=71), TIMING, [np.random.default_rng(1), None])
+
+    def test_one_rng_per_stream_required(self):
+        geom = single_pair_geometry()
+        fleet = static_fleet([Vehicle(1, 10.0, 2.0, 0.0)], geom)
+        with pytest.raises(ValueError):
+            World([fleet, fleet], geom, RADIO, HashParams(slot_count=71), TIMING,
+                  [np.random.default_rng(1)])
