@@ -2,10 +2,9 @@
 
 All randomness flows from the run's 64-bit master seed through
 ``numpy.random.SeedSequence`` spawn keys, one independent stream per
-(sweep cell, replication); streams run in lockstep (see :func:`_lockstep`).
-Given the same configuration and master seed the outputs are byte-identical
-across runs: no ambient entropy, no wall clock, no iteration-order or
-grouping dependence.
+(sweep cell, replication), run in lockstep (:func:`_lockstep`).  Given the
+same configuration and master seed the outputs are byte-identical across
+runs: no ambient entropy, no wall clock, no iteration-order dependence.
 """
 
 from __future__ import annotations
@@ -69,9 +68,11 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run warm-up plus measured epochs for every replication, replication
     ``rep`` drawing from the stream keyed ``(*seed_key, rep)``."""
-    streams = list(_lockstep(config, [(config, seed_key)], events))
-    rows = [row for stream_rows, _ in streams for row in stream_rows]
-    event_log = [line for _, lines in streams for line in lines] if events else None
+    rows, event_log = [], [] if events else None
+    for stream_rows, lines in _lockstep(config, [(config, seed_key)], events):
+        rows += stream_rows
+        if events:
+            event_log += lines
     by_pair = aggregate([s for _, s in rows], ("pair_id",))
     result = ExperimentResult(config, rows, summarize(config, rows), by_pair, event_log)
     if out_dir is not None:
@@ -80,16 +81,15 @@ def run_experiment(
 
 
 def _lockstep(config: SimConfig, cells, events: bool = False):
-    """Yield the (replication, stats) rows and event lines of each stream:
-    each replication of each (cell config, seed key) in ``cells``, a fleet
-    of the cell drawn from the generator keyed ``(*seed_key, rep)``.
-
+    """Yield the (replication, stats) rows and event lines of each stream,
+    in order: each replication of each (cell config, seed key) in ``cells``,
+    a fleet of the cell drawn from the generator keyed ``(*seed_key, rep)``.
     Consecutive streams run as one lockstep group, one ``run_epoch`` per
     epoch, of at most ``MAX_FLEET_SIZE`` tags (an empty fleet counts one)
-    and ``MAX_SCORED_EPOCHS`` scored epochs.  Warm-up epochs only move the
-    fleets.  Each measured epoch is scored per stream and pair, checking that
-    union coverage dominates either recorder alone and, with shadowing off,
-    that no record falls outside ground truth."""
+    and ``MAX_SCORED_EPOCHS`` scored epochs; the grouping changes no output.
+    Warm-up epochs only move the fleets; each measured epoch is scored per
+    stream and pair, checking that union coverage dominates either recorder
+    alone and, with shadowing off, that no record falls outside ground truth."""
     geom, radio, epochs = config.geometry, config.radio, config.run.epochs
     warmup_s = config.run.warmup_epochs * config.timing.glossy_period_us * 1e-6
 

@@ -5,12 +5,13 @@ Each case runs ``enp-sim run`` on a small config and compares the SHA-256 of
 taken from the per-slot engine before the reply phase was batched per round.
 The cases cover shadowed multi-pair fleets (a dense one puts many
 contenders in one slot), the event log, and per-round reseeding of the slot
-hash.  Two cases run several replications, and a sweep case several cells
-of two replications each (an empty fleet among them); their digests were
-taken from the engine that ran one replication of one cell at a time.  On a 260 m ring the seam lies 50 m from the outer pairs, inside their
-range, so vehicles that cross it during an epoch enter ground truth (117
-such memberships in 50 epochs); their digest was taken from the full
-boundary-by-boundary ground-truth scan.
+hash.  A run case of three replications and a sweep case of three cells
+of two replications each (an empty fleet among them) pin the multi-stream
+paths; their digests were taken from the engine that ran one replication
+of one cell at a time.  On a 260 m ring the seam lies 50 m from the outer
+pairs, inside their range, so vehicles that cross it during an epoch enter
+ground truth (117 such memberships in 50 epochs); their digest was taken
+from the full boundary-by-boundary ground-truth scan.
 
 To re-pin after a deliberate change of outputs, run this file as a script:
 ``PYTHONPATH=src python tests/test_digests.py`` prints the current digests,

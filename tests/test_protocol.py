@@ -25,6 +25,12 @@ SAME_SLOT_VRNS = (4000000000023333331, 4000000000031111108)
 DISTINCT_SLOT_VRNS = (9876543210, 10987654321, 12098765432, 13209876543, 15432098765)
 
 
+def spaced_pairs(n_pairs):
+    """A road with ``n_pairs`` recorder pairs 40 m apart around x = 100."""
+    return RoadGeometry(vr_pair_xs=tuple(100.0 + 40.0 * (i - (n_pairs - 1) / 2)
+                                         for i in range(n_pairs)))
+
+
 def assert_matches_reference(
     n_pairs, slot_count, reseed, probe_tx_power_dbm, v_n, fleet_seed, epoch_index, sigma=0.0
 ):
@@ -32,9 +38,8 @@ def assert_matches_reference(
     vrns per recorder, each first decoded in the same (epoch, round, slot).
     With shadowing on, both draw from generators seeded alike and must
     leave them in the same state.  The engine's decoded mask holds the same
-    vrns per recorder.  Pairs sit 40 m apart around road x = 100."""
-    geom = RoadGeometry(vr_pair_xs=tuple(100.0 + 40.0 * (i - (n_pairs - 1) / 2)
-                                         for i in range(n_pairs)))
+    vrns per recorder."""
+    geom = spaced_pairs(n_pairs)
     radio = RadioParams(probe_tx_power_dbm=probe_tx_power_dbm, shadowing_sigma_db=sigma)
     hash_params = HashParams(slot_count=slot_count, reseed_per_round=reseed)
     fleet = spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(fleet_seed))
@@ -53,8 +58,7 @@ def assert_streams_match_reference(n_pairs, slot_count, reseed, streams, epoch_i
     """One epoch of several streams, each a (v_n, fleet seed), in one world:
     each stream's records, decoded mask and final generator state equal
     those of the scalar reference run on that stream alone."""
-    geom = RoadGeometry(vr_pair_xs=tuple(100.0 + 40.0 * (i - (n_pairs - 1) / 2)
-                                         for i in range(n_pairs)))
+    geom = spaced_pairs(n_pairs)
     radio = RadioParams(shadowing_sigma_db=sigma)
     hash_params = HashParams(slot_count=slot_count, reseed_per_round=reseed)
     fleets = [spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(seed)) for v_n, seed in streams]
@@ -65,11 +69,15 @@ def assert_streams_match_reference(n_pairs, slot_count, reseed, streams, epoch_i
     assert decoded.shape[1] == sum(v_n for v_n, _ in streams)
     for b, ((_, seed), fleet) in enumerate(zip(streams, fleets)):
         reference_rng = np.random.default_rng([seed, b])
-        want = reference_run_epoch(fleet, geom, radio, hash_params, TIMING, epoch_index, reference_rng)
+        want = reference_run_epoch(
+            fleet, geom, radio, hash_params, TIMING, epoch_index, reference_rng
+        )
         assert engine_records(world, result, b) == want
         assert rngs[b].bit_generator.state == reference_rng.bit_generator.state
         mask = decoded[:, world.offsets[b]:world.offsets[b + 1]]
-        assert [set(fleet.vrn[row].tolist()) for row in mask] == [set(want[vr]) for vr in world.vr_ids]
+        assert [set(fleet.vrn[row].tolist()) for row in mask] == [
+            set(want[vr]) for vr in world.vr_ids
+        ]
 
 
 def preset_world(text):
@@ -356,7 +364,7 @@ class TestRunEpoch:
         geom = RoadGeometry()
         radio = RadioParams(shadowing_sigma_db=6.5)
         hash_params = HashParams(slot_count=71)
-        fleets = [spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(v_n)) for v_n in (30, 0, 12)]
+        fleets = [spawn_fleet(n, 30, 90, geom, np.random.default_rng(n)) for n in (30, 0, 12)]
         world = World(fleets, geom, radio, hash_params, TIMING,
                       [np.random.default_rng(b) for b in range(3)])
         result = run_epoch(world, 2, record_events=True)
