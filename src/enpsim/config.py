@@ -26,8 +26,10 @@ class ConfigError(Exception):
     """Invalid configuration text or field values."""
 
 
-# An epoch holds (sample times x vehicles) float arrays; at the paper
-# schedule's 216 sample times that is 17 MB each at this many vehicles.
+# Largest accepted fleet, and the most tags one lockstep group of streams
+# holds.  An epoch of it holds (recorders x vehicles) float arrays, 0.8 MB
+# each at the paper's 10 recorders, and is scored alone, with (pairs x
+# vehicles) ones; a 40-epoch paper-fig1b run of it peaks at about 60 MB.
 MAX_FLEET_SIZE = 10_000
 # Fastest accepted vehicle, well above any road vehicle; it also bounds how
 # far a vehicle moves within one (at most 10 s) epoch.

@@ -80,6 +80,12 @@ def run_experiment(
     return result
 
 
+# Most (epoch, tag) pairs a scoring chunk holds, unless one epoch alone has
+# more: each chunk costs a fixed overhead, and its ground truth holds a few
+# (pairs, epochs x tags) float arrays.
+MAX_SCORING_PAIRS = 2**14
+
+
 def _lockstep(config: SimConfig, cells, events: bool = False):
     """Yield the (replication, stats) rows and event lines of each stream,
     in order: each replication of each (cell config, seed key) in ``cells``,
@@ -87,9 +93,12 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
     Consecutive streams run as one lockstep group, one ``run_epoch`` per
     epoch, of at most ``MAX_FLEET_SIZE`` tags (an empty fleet counts one)
     and ``MAX_SCORED_EPOCHS`` scored epochs; the grouping changes no output.
-    Warm-up epochs only move the fleets; each measured epoch is scored per
-    stream and pair, checking that union coverage dominates either recorder
-    alone and, with shadowing off, that no record falls outside ground truth."""
+    Warm-up epochs only move the fleets.  The measured epochs are scored in
+    chunks of at most ``MAX_SCORING_PAIRS`` (epoch, tag) pairs, or one
+    epoch: one ``ground_truth`` and one ``iteration_accuracy`` call a chunk
+    score all its streams, epochs and pairs.  Scoring checks that union
+    coverage dominates either recorder alone and, with shadowing off, that
+    no record falls outside ground truth."""
     geom, radio, epochs = config.geometry, config.radio, config.run.epochs
     warmup_s = config.run.warmup_epochs * config.timing.glossy_period_us * 1e-6
 
@@ -97,24 +106,28 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
         reps, fleets, rngs = zip(*group)
         fleets = [advance(fleet, warmup_s) for fleet in fleets] if warmup_s else fleets
         world = World(fleets, geom, radio, config.hash, config.timing, rngs)
-        offsets = world.offsets.tolist()
         rows = [[] for _ in group]
         logs = [[] if events else None for _ in group]
+        chunk_epochs = max(1, MAX_SCORING_PAIRS // max(len(world.fleet), 1))
+        starts, masks = [], []
         for e in range(epochs):
-            epoch_index = config.run.warmup_epochs + e
-            result = run_epoch(world, epoch_index, record_events=events)
-            gt = ground_truth(result.fleet_start, result.schedule, geom, radio)
-            decoded = result.decoded(geom.n_pairs)
-            if radio.shadowing_sigma_db == 0 and (decoded.any(axis=1) & ~gt).any():
+            result = run_epoch(world, config.run.warmup_epochs + e, record_events=events)
+            starts.append(result.fleet_start.x)
+            masks.append(result.decoded(geom.n_pairs))
+            if events:
+                for b, log in enumerate(logs):
+                    log += result.events[result.event_offsets[b]:result.event_offsets[b + 1]]
+            if len(starts) < chunk_epochs and e < epochs - 1:
+                continue
+            gt = ground_truth(world.fleet, np.stack(starts), result.schedule, geom, radio)
+            decoded = np.stack(masks)
+            if radio.shadowing_sigma_db == 0 and (decoded.any(axis=2) & ~gt).any():
                 raise RuntimeError("record outside ground truth with shadowing off (engine bug)")
-            for b, (rep, lo, hi) in enumerate(zip(reps, offsets, offsets[1:])):
-                scored = iteration_accuracy(decoded[..., lo:hi], gt[:, lo:hi], epoch=epoch_index)
-                for stats in scored:
-                    if stats.union_count < max(stats.detected_1, stats.detected_2):
-                        raise RuntimeError("union dominance violated (engine bug)")
-                    rows[b].append((rep, stats))
-                if events:
-                    logs[b] += result.events[result.event_offsets[b]:result.event_offsets[b + 1]]
+            chunk = range(result.epoch_index + 1 - len(starts), result.epoch_index + 1)
+            scored = iteration_accuracy(decoded, gt, world.offsets, chunk)
+            for rep, stream_rows, stats in zip(reps, rows, scored):
+                stream_rows += [(rep, s) for s in stats]
+            starts, masks = [], []
         return zip(rows, logs)
 
     group, tags = [], 0

@@ -1,10 +1,15 @@
-"""Per-epoch ground truth, recording accuracy, and experiment aggregation.
+"""Ground truth, recording accuracy, and experiment aggregation.
 
 Ground truth for a recorder pair holds the vehicles whose zero-shadowing
 received power reaches the sensitivity floor at one of its recorders at some
 probe or slot boundary of the epoch.  Sampling at exactly the schedule
 boundaries with the engine's own link-budget test guarantees that, with
 shadowing off, every decoded reply's sender is a ground-truth member.
+
+Scoring takes a stack of epochs at once: :func:`ground_truth` decides every
+(epoch, pair, vehicle) of a stack of epoch-start positions in one call, and
+:func:`iteration_accuracy` scores every (stream, epoch, pair) of the stack
+from the decoded and ground-truth masks in another.
 
 The boundaries are not scanned one by one.  A vehicle that stays clear of
 the ring seam moves monotonically, so over the boundaries its longitudinal
@@ -56,42 +61,63 @@ class IterationStats:
 GT_MARGIN_DB = 1e-6
 
 
+# Most (boundary, vehicle) positions the full scan holds at once, 2 MB per
+# float array; a long schedule is scanned in blocks of boundaries.
+SCAN_ELEMENTS = 2**18
+
+
 def ground_truth(
     fleet: Fleet,
+    x: np.ndarray,
     schedule,
     geometry: RoadGeometry,
     radio: RadioParams,
 ) -> np.ndarray:
-    """A ``(pairs, vehicles)`` bool mask: True where the vehicle is within
-    nominal range of the pair at some schedule boundary.
+    """An ``(epochs, pairs, vehicles)`` bool mask: True where the vehicle is
+    within nominal range of the pair at some schedule boundary of the epoch.
 
-    ``fleet`` is the epoch-start snapshot.  A vehicle is in range at a
-    boundary when ``received_power_dbm(hypot(dx, dy)) >= sensitivity_dbm``
-    for either recorder, on positions computed exactly as the engine
-    computes them, which keeps the containment of decoded records exact.
+    ``x`` holds the ``(epochs, vehicles)`` ring positions of ``fleet`` at the
+    start of each epoch; the fleet gives the lateral offsets, speeds and
+    ring.  All epochs share the boundary offsets of ``schedule``, any one of
+    them, and each (epoch, vehicle) is decided on its own, so a stack gives
+    bit for bit the rows of its epochs scored alone.  A vehicle is in range
+    at a boundary when ``received_power_dbm(hypot(dx, dy)) >=
+    sensitivity_dbm`` for either recorder, on positions computed exactly as
+    the engine computes them, which keeps the containment of decoded
+    records exact.
 
-    Each (pair, vehicle) cell is decided at one boundary: the one of the two
-    around the vehicle's closest longitudinal approach t* that is nearer to
-    the pair.  A pass there is a pass.  A miss counts only when the vehicle
-    does not cross the ring seam during the epoch (so its offset to the pair
-    is monotone over the boundaries), the two boundaries really bracket the
-    sign change of that offset, and the power is below the floor by at least
-    ``GT_MARGIN_DB``; every other boundary is then at least as far away.
-    The vehicles of all remaining cells are tested at every boundary.
+    Each (pair, epoch, vehicle) cell is decided at one boundary: the one of
+    the two around the vehicle's closest longitudinal approach t* that is
+    nearer to the pair.  A pass there is a pass.  A miss counts only when
+    the vehicle does not cross the ring seam during the epoch (so its offset
+    to the pair is monotone over the boundaries), the two boundaries really
+    bracket the sign change of that offset, and the power is below the floor
+    by at least ``GT_MARGIN_DB``; every other boundary is then at least as
+    far away.  The vehicles of all remaining cells are tested at every
+    boundary, in blocks of at most ``SCAN_ELEMENTS`` positions.
     """
     times = schedule.sample_times_us()
     dts = (times - schedule.epoch_start_us) * 1e-6
 
+    # each (epoch, vehicle) as a vehicle of its own
+    n_epochs = len(x)
+    fleet = Fleet(
+        np.tile(fleet.vrn, n_epochs),
+        np.ravel(x),
+        np.tile(fleet.y, n_epochs),
+        np.tile(fleet.speed_mps, n_epochs),
+        fleet.ring_length_m,
+    )
     vr_x = np.asarray(geometry.vr_pair_xs, dtype=float)[:, None]  # (P, 1)
     speed = fleet.speed_mps
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t_star = (vr_x - geometry.road_x(fleet.x)) / speed  # (P, V)
+        t_star = (vr_x - geometry.road_x(fleet.x)) / speed  # (P, E * V)
     t_star = np.where(speed == 0, dts[0], t_star)
     k = np.searchsorted(dts, t_star)  # first boundary at or after t*
-    bracket = np.clip(np.stack([k - 1, k]), 0, len(dts) - 1)  # (2, P, V)
+    bracket = np.clip(np.stack([k - 1, k]), 0, len(dts) - 1)  # (2, P, E * V)
     dx = geometry.road_x(positions_at_each(fleet, dts[bracket])) - vr_x
     nearest = np.where(np.abs(dx[0]) <= np.abs(dx[1]), dx[0], dx[1])
-    power = _pair_power_dbm(nearest, fleet.y, geometry, radio)  # (P, V)
+    power = _pair_power_dbm(nearest, fleet.y, geometry, radio)  # (P, E * V)
     in_range = power >= radio.sensitivity_dbm
 
     direction = np.sign(speed)
@@ -105,7 +131,7 @@ def ground_truth(
     )
     undecided = np.flatnonzero((~in_range & ~out_of_range).any(axis=0))
     if len(undecided):
-        # the full test: every boundary, one pair at a time
+        # the full test: every boundary, one block of them and one pair at a time
         sub = Fleet(
             fleet.vrn[undecided],
             fleet.x[undecided],
@@ -113,11 +139,15 @@ def ground_truth(
             speed[undecided],
             fleet.ring_length_m,
         )
-        road_x = geometry.road_x(positions_at(sub, dts))  # (T, V')
-        for pair_id, pair_x in enumerate(vr_x):
-            power = _pair_power_dbm(road_x - pair_x, sub.y, geometry, radio)
-            in_range[pair_id, undecided] = (power >= radio.sensitivity_dbm).any(axis=0)
-    return in_range
+        hit = np.zeros((len(vr_x), len(sub)), dtype=bool)
+        step = max(1, SCAN_ELEMENTS // len(sub))
+        for lo in range(0, len(dts), step):
+            road_x = geometry.road_x(positions_at(sub, dts[lo:lo + step]))  # (T', V')
+            for pair_id, pair_x in enumerate(vr_x):
+                power = _pair_power_dbm(road_x - pair_x, sub.y, geometry, radio)
+                hit[pair_id] |= (power >= radio.sensitivity_dbm).any(axis=0)
+        in_range[:, undecided] = hit
+    return in_range.reshape(len(vr_x), n_epochs, -1).swapaxes(0, 1)
 
 
 def _pair_power_dbm(dx, y, geometry: RoadGeometry, radio: RadioParams) -> np.ndarray:
@@ -129,26 +159,40 @@ def _pair_power_dbm(dx, y, geometry: RoadGeometry, radio: RadioParams) -> np.nda
 
 
 def iteration_accuracy(
-    decoded: np.ndarray, gt: np.ndarray, *, epoch: int
-) -> list[IterationStats]:
-    """Per-VR and union accuracies of every pair of one epoch as fractions
-    of |GT|, one IterationStats per pair in pair order.
+    decoded: np.ndarray, gt: np.ndarray, offsets: Sequence[int], epochs: Sequence[int]
+) -> list[list[IterationStats]]:
+    """Per-VR and union accuracies of every (epoch, pair) of every stream as
+    fractions of |GT|: per stream, one IterationStats per epoch and pair in
+    (epoch, pair) order.
 
-    ``decoded`` is the ``(pairs, 2, vehicles)`` mask of the vehicles each
-    pair's recorder a and b decoded, ``gt`` the ``(pairs, vehicles)`` ground
-    truth.
+    ``decoded`` is the ``(epochs, pairs, 2, tags)`` mask of the tags each
+    pair's recorder a and b decoded in each of ``epochs``, ``gt`` the
+    ``(epochs, pairs, tags)`` ground truth.  Stream b holds tags
+    ``offsets[b]`` to ``offsets[b + 1] - 1``.  Raises ``RuntimeError``
+    where a union count falls below either recorder's.
     """
-    # rows per pair: recorder a, recorder b, the union of the two
-    seen = np.concatenate((decoded, decoded.any(axis=1, keepdims=True)), axis=1)
-    detected = seen.sum(axis=2)  # (P, 3)
-    n_gt = gt.sum(axis=1)
+    # rows per pair: recorder a, recorder b and their union, each of those
+    # within ground truth, and ground truth itself
+    seen = np.concatenate((decoded, decoded.any(axis=2, keepdims=True)), axis=2)
+    rows = np.concatenate((seen, seen & gt[:, :, None], gt[:, :, None]), axis=2)
+    # per-stream sums along the tag axis as differences of a running sum,
+    # which gives an empty stream 0
+    running = np.zeros(rows.shape[:-1] + (rows.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(rows, axis=-1, dtype=np.int64, out=running[..., 1:])
+    offsets = np.asarray(offsets)
+    counts = running[..., offsets[1:]] - running[..., offsets[:-1]]  # (E, P, 7, B)
+    if (counts[:, :, 2] < counts[:, :, :2].max(axis=2)).any():
+        raise RuntimeError("union dominance violated (engine bug)")
+    counts = np.moveaxis(counts, -1, 0)  # (B, E, P, 7)
     with np.errstate(invalid="ignore"):  # 0 / 0 = nan: empty ground truth
-        acc = (seen & gt[:, None]).sum(axis=2) / n_gt[:, None]
+        acc = counts[..., 3:6] / counts[..., 6:]
     return [
-        IterationStats(pair_id, epoch, n, *counts, *fractions)
-        for pair_id, (n, counts, fractions) in enumerate(
-            zip(n_gt.tolist(), detected.tolist(), acc.tolist())
-        )
+        [
+            IterationStats(pair_id, epoch, c[6], *c[:3], *a)
+            for epoch, epoch_counts, epoch_acc in zip(epochs, stream_counts, stream_acc)
+            for pair_id, (c, a) in enumerate(zip(epoch_counts, epoch_acc))
+        ]
+        for stream_counts, stream_acc in zip(counts.tolist(), acc.tolist())
     ]
 
 

@@ -130,7 +130,8 @@ class TestSweep:
 
 class TestLockstep:
     """Replications and sweep cells run as streams of lockstep groups, one
-    run_epoch call per group epoch; the grouping never changes an output."""
+    run_epoch call per group epoch, scored in chunks of epochs; neither the
+    grouping nor the chunking ever changes an output."""
 
     SWEEP = "preset = paper-fig1b\nrun.epochs = 4\nrun.warmup_epochs = 2\nrun.replications = 2\n"
     SWEEP_VN = [0, 7, 25, 12]
@@ -138,23 +139,31 @@ class TestLockstep:
 
     def run_both(self, out, monkeypatch):
         """The output files of a sweep and of a run of replications with
-        events, and the stream sizes of every world each of them stepped."""
+        events, the stream sizes of every world each of them stepped, and
+        how many scoring chunks each of them scored."""
         worlds = {"sweep": set(), "road": set()}
-        run_epoch = harness.run_epoch
+        chunks = {"sweep": 0, "road": 0}
+        run_epoch, ground_truth = harness.run_epoch, harness.ground_truth
 
         def spy(world, *args, **kwargs):
             worlds[phase].add(tuple(np.diff(world.offsets).tolist()))
             return run_epoch(world, *args, **kwargs)
 
+        def count(*args):
+            chunks[phase] += 1
+            return ground_truth(*args)
+
         monkeypatch.setattr(harness, "run_epoch", spy)
+        monkeypatch.setattr(harness, "ground_truth", count)
         phase = "sweep"
         sweep(parse_config(self.SWEEP), self.SWEEP_VN, out_dir=out)
         phase = "road"
         run_experiment(parse_config(self.ROAD), out_dir=out / "road", events=True)
         monkeypatch.setattr(harness, "run_epoch", run_epoch)
+        monkeypatch.setattr(harness, "ground_truth", ground_truth)
         files = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*.*")}
         assert len(files) == 5
-        return files, worlds
+        return files, worlds, chunks
 
     @pytest.mark.parametrize("replications", [1, 3])
     @pytest.mark.parametrize("sigma", [0.0, 6.5])
@@ -167,21 +176,30 @@ class TestLockstep:
         # repr: an empty fleet's cell has NaN accuracies
         assert repr(sweep(cfg, self.SWEEP_VN, ranges)) == repr(want)
 
-    # the default caps put every stream of a call in one group
-    @pytest.mark.parametrize("caps, sweep_groups, road_groups", [
-        ({}, {(0, 0, 7, 7, 25, 25, 12, 12)}, {(10, 10, 10)}),
-        ({"MAX_FLEET_SIZE": 1}, {(0,), (7,), (25,), (12,)}, {(10,)}),
-        ({"MAX_FLEET_SIZE": 40}, {(0, 0, 7, 7), (25,), (25, 12), (12,)}, {(10, 10, 10)}),
-        ({"MAX_SCORED_EPOCHS": 8}, {(0, 0), (7, 7), (25, 25), (12, 12)}, {(10,)}),
-    ])
+    # the default caps put every stream of a call in one group, scored in
+    # one chunk; the sweep's groups hold 4 epochs of 88 tags in all (its
+    # v_n = 0 streams hold none), the road run's 10 epochs of 30
+    @pytest.mark.parametrize("caps, sweep_groups, road_groups, chunks", [
+        ({}, {(0, 0, 7, 7, 25, 25, 12, 12)}, {(10, 10, 10)}, (1, 1)),
+        ({"MAX_FLEET_SIZE": 1}, {(0,), (7,), (25,), (12,)}, {(10,)}, (8, 3)),
+        ({"MAX_FLEET_SIZE": 40}, {(0, 0, 7, 7), (25,), (25, 12), (12,)}, {(10, 10, 10)},
+         (4, 1)),
+        ({"MAX_SCORED_EPOCHS": 8}, {(0, 0), (7, 7), (25, 25), (12, 12)}, {(10,)}, (4, 3)),
+        # one epoch a chunk
+        ({"MAX_SCORING_PAIRS": 1}, {(0, 0, 7, 7, 25, 25, 12, 12)}, {(10, 10, 10)}, (4, 10)),
+        # chunks of 3 sweep epochs (3 + 1) and of 8 road epochs (8 + 2)
+        ({"MAX_SCORING_PAIRS": 3 * 88}, {(0, 0, 7, 7, 25, 25, 12, 12)}, {(10, 10, 10)},
+         (2, 2)),
+    ], ids=[f"caps{i}-sweep_groups{i}-road_groups{i}" for i in range(6)])
     def test_group_caps_change_no_output(self, tmp_path, monkeypatch, caps, sweep_groups,
-                                         road_groups):
-        want, _ = self.run_both(tmp_path / "default", monkeypatch)
+                                         road_groups, chunks):
+        want, _, _ = self.run_both(tmp_path / "default", monkeypatch)
         for name, value in caps.items():
             monkeypatch.setattr(harness, name, value)
-        got, worlds = self.run_both(tmp_path / "capped", monkeypatch)
+        got, worlds, scored = self.run_both(tmp_path / "capped", monkeypatch)
         assert got == want
         assert worlds == {"sweep": sweep_groups, "road": road_groups}
+        assert scored == dict(zip(("sweep", "road"), chunks))
         for phase, epochs in (("sweep", 4), ("road", 10)):
             for sizes in worlds[phase]:
                 # only a stream alone may exceed a cap

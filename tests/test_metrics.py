@@ -1,10 +1,11 @@
 """Ground truth sampling, per-iteration accuracy, and aggregation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,7 +19,7 @@ from enpsim.metrics import (
     iteration_csv_line,
     summary_csv_line,
 )
-from enpsim.mobility import KMH_TO_MPS, Fleet, RoadGeometry, Vehicle, positions_at
+from enpsim.mobility import KMH_TO_MPS, Fleet, RoadGeometry, Vehicle, advance, positions_at
 from enpsim.protocol import TimingParams, build_epoch_schedule
 from enpsim.radio import RadioParams, comm_range_m, received_power_dbm
 
@@ -34,14 +35,22 @@ def fleet_of(*vehicles):
     return Fleet.from_vehicles(vehicles, GEOM.ring_length_m)
 
 
+def one_epoch(fleet, sched, geom, radio):
+    """The (pairs, vehicles) ground truth of one epoch-start snapshot: the
+    only row of a stack of one."""
+    gt = ground_truth(fleet, fleet.x[None], sched, geom, radio)
+    assert gt.shape == (1, geom.n_pairs, len(fleet))
+    return gt[0]
+
+
 class TestGroundTruth:
     def test_static_vehicle_nearby_included(self):
         fleet = fleet_of(Vehicle(7, GEOM.ring_x(100.0), 3.0, 0.0))  # ~5 m away
-        assert ground_truth(fleet, SCHED, GEOM, RADIO).tolist() == [[True]]
+        assert one_epoch(fleet, SCHED, GEOM, RADIO).tolist() == [[True]]
 
     def test_far_vehicle_excluded(self):
         fleet = fleet_of(Vehicle(8, GEOM.ring_x(-100.0), 3.0, 0.0))  # 200 m away
-        assert ground_truth(fleet, SCHED, GEOM, RADIO).tolist() == [[False]]
+        assert one_epoch(fleet, SCHED, GEOM, RADIO).tolist() == [[False]]
 
     def test_range_edge_uses_nominal_range(self):
         r = comm_range_m(RADIO)
@@ -53,8 +62,8 @@ class TestGroundTruth:
                 math.hypot(GEOM.road_x(f.x[0]) - vx, f.y[0] - vy)
                 for vx, vy in GEOM.vr_positions(0)
             )
-        assert (min_d(inside) <= r) == ground_truth(inside, SCHED, GEOM, RADIO)[0, 0]
-        assert (min_d(outside) <= r) == ground_truth(outside, SCHED, GEOM, RADIO)[0, 0]
+        assert (min_d(inside) <= r) == one_epoch(inside, SCHED, GEOM, RADIO)[0, 0]
+        assert (min_d(outside) <= r) == one_epoch(outside, SCHED, GEOM, RADIO)[0, 0]
 
     def test_crossing_trajectory_matches_dense_oracle(self):
         # vehicle crossing into range mid-epoch at 25 m/s, checked against a
@@ -63,7 +72,7 @@ class TestGroundTruth:
         for start_offset in (2.0, 5.0, 8.0, 11.0, 12.7):
             x0 = 100.0 - r - start_offset
             fleet = fleet_of(Vehicle(3, GEOM.ring_x(x0), 2.0, 25.0))
-            got = ground_truth(fleet, SCHED, GEOM, RADIO)[0, 0]
+            got = one_epoch(fleet, SCHED, GEOM, RADIO)[0, 0]
 
             dense_t = np.arange(0, TIMING.glossy_period_us, 10, dtype=np.int64)
             inside_at = {}
@@ -76,7 +85,7 @@ class TestGroundTruth:
             assert got == expected
 
     def test_empty_fleet(self):
-        gt = ground_truth(fleet_of(), SCHED, GEOM, RADIO)
+        gt = one_epoch(fleet_of(), SCHED, GEOM, RADIO)
         assert gt.shape == (1, 0) and gt.dtype == bool
 
     def test_one_set_per_pair_in_pair_order(self):
@@ -85,10 +94,10 @@ class TestGroundTruth:
             [Vehicle(1, geom.ring_x(20.0), 3.0, 0.0), Vehicle(2, geom.ring_x(180.0), 3.0, 0.0)],
             geom.ring_length_m,
         )
-        gt = ground_truth(fleet, SCHED, geom, RADIO)
+        gt = one_epoch(fleet, SCHED, geom, RADIO)
         assert gt.dtype == bool
         assert gt.tolist() == [[True, False], [False, False], [False, True]]
-        assert ground_truth(fleet_of(), SCHED, geom, RADIO).shape == (3, 0)
+        assert one_epoch(fleet_of(), SCHED, geom, RADIO).shape == (3, 0)
 
 
 MAX_SPEED_MPS = MAX_SPEED_KMH * KMH_TO_MPS
@@ -96,11 +105,13 @@ MAX_SPEED_MPS = MAX_SPEED_KMH * KMH_TO_MPS
 
 @st.composite
 def gt_cases(draw):
-    """A random (fleet, schedule, geometry, radio) for one epoch: 1-5 pairs,
-    any segment and ring length, any accepted radio (the floor optionally
-    right at tx - pl0 or at a drawn distance), probe and slot lengths drawn
-    apart, and vehicles that are static, level with a pair during the epoch,
-    crossing the ring seam or anywhere, at any accepted speed either way."""
+    """A random (snapshots, schedule, geometry, radio): the epoch-start
+    snapshots of 1-4 consecutive epochs of one fleet, the first epoch's
+    schedule, 1-5 pairs, any segment and ring length, any accepted radio
+    (the floor optionally right at tx - pl0 or at a drawn distance), probe
+    and slot lengths drawn apart, and vehicles that are parked, level with a
+    pair during the first epoch, crossing the ring seam within the stack or
+    anywhere, at any accepted speed either way."""
     segment = draw(st.floats(1.0, 1000.0))
     # huge rings put whole metres between adjacent floats near the pairs
     ring = segment + draw(st.floats(0.01, 2000.0) | st.floats(2000.0, 1e300))
@@ -133,6 +144,7 @@ def gt_cases(draw):
     timing = TimingParams(period, sync, probe_len, slot_len)
     sched = build_epoch_schedule(timing, slot_count, draw(st.integers(0, 10_000)))
 
+    n_epochs = draw(st.integers(1, 4))
     xs, ys, speeds = [], [], []
     for _ in range(draw(st.integers(0, 25))):
         kind = draw(st.sampled_from(["any", "static", "pass", "seam"]))
@@ -140,16 +152,27 @@ def gt_cases(draw):
         if kind == "pass":  # level with a pair at some point of [-0.2, 1.2] epochs
             when = draw(st.floats(-0.2, 1.2)) * period * 1e-6
             x = geom.ring_x(draw(st.sampled_from(pair_xs)) - speed * when)
-        elif kind == "seam":  # reaches the seam within two epochs
-            travel = abs(speed) * draw(st.floats(0.0, 2.0)) * period * 1e-6
+        elif kind == "seam":  # reaches the seam within the stack or the epoch after
+            travel = abs(speed) * draw(st.floats(0.0, n_epochs + 1.0)) * period * 1e-6
             x = ring - travel if speed > 0 else travel
         else:
             x = draw(st.floats(0.0, ring, exclude_max=True))
         xs.append(min(max(x, 0.0), float(np.nextafter(ring, 0.0))))
         ys.append(draw(st.floats(0.0, width)))
         speeds.append(speed)
-    fleet = Fleet(np.arange(len(xs), dtype=np.uint64), xs, ys, speeds, ring)
-    return fleet, sched, geom, radio
+    snapshots = [Fleet(np.arange(len(xs), dtype=np.uint64), xs, ys, speeds, ring)]
+    while len(snapshots) < n_epochs:
+        # a tiny backward step from x = 0 rounds to the ring length, which a
+        # snapshot rejects (a config accepts forward speeds only)
+        assume((positions_at(snapshots[-1], period * 1e-6) < ring).all())
+        snapshots.append(advance(snapshots[-1], period * 1e-6))
+    return snapshots, sched, geom, radio
+
+
+def later_epoch(sched, e):
+    """The schedule ``e`` epochs after ``sched``."""
+    return replace(sched, epoch_index=sched.epoch_index + e,
+                   epoch_start_us=sched.epoch_start_us + e * sched.glossy_period_us)
 
 
 def seam_crossing_case():
@@ -187,6 +210,11 @@ def oracle_static5_case():
     return fleet, build_epoch_schedule(cfg.timing, cfg.hash.slot_count, 0), geom, cfg.radio
 
 
+def stack_of_one(case):
+    fleet, *rest = case
+    return ([fleet], *rest)
+
+
 def assert_same_mask(got, want):
     np.testing.assert_array_equal(got, want, strict=True)
 
@@ -198,7 +226,7 @@ class TestGroundTruthMatchesFullScan:
         (oracle_static5_case, [[True] * 5]),
     ])
     def test_example_cases(self, make_case, expected):
-        assert_same_mask(ground_truth(*make_case()), np.array(expected))
+        assert_same_mask(one_epoch(*make_case()), np.array(expected))
 
     # vehicle 9 at road x with the given speed, vehicle 10 parked at the pair
     @pytest.mark.parametrize("ring, radio, x, speed, scanned", [
@@ -228,25 +256,59 @@ class TestGroundTruthMatchesFullScan:
                     Vehicle(10, geom.ring_x(100.0), 3.0, 0.0)]
         fleet = Fleet.from_vehicles(vehicles, ring)
         case = (fleet, SCHED, geom, radio)
-        assert_same_mask(ground_truth(*case), reference_ground_truth(*case))
+        assert_same_mask(one_epoch(*case), reference_ground_truth(*case))
         assert calls == scanned
 
-    @example(case=seam_crossing_case())
-    @example(case=between_boundaries_case())
-    @example(case=oracle_static5_case())
+    @pytest.mark.parametrize("elements, timing, n_boundaries", [
+        (100, TIMING, 216),
+        # the real bound on a 10 s epoch of 200 us probes and slots
+        (enpsim.metrics.SCAN_ELEMENTS, TimingParams(10_000_000, 20_000, 200, 200), 693 * 72),
+    ])
+    def test_full_scan_in_blocks_of_boundaries(self, monkeypatch, elements, timing,
+                                               n_boundaries):
+        calls = []
+
+        def spy(fleet, dts):
+            calls.append((len(dts), len(fleet)))
+            return positions_at(fleet, dts)
+
+        monkeypatch.setattr(enpsim.metrics, "positions_at", spy)
+        monkeypatch.setattr(enpsim.metrics, "SCAN_ELEMENTS", elements)
+        sched = build_epoch_schedule(timing, 71, 2)
+        assert len(sched.sample_times_us()) == n_boundaries
+        # 20 slow vehicles that cross the ring seam and never reach the
+        # pair: each is scanned at every boundary
+        fleet = fleet_of(*(Vehicle(i, 399.5 - 0.1 * i, 3.0, 10.0) for i in range(20)))
+        case = (fleet, sched, GEOM, RADIO)
+        assert_same_mask(one_epoch(*case), reference_ground_truth(*case))
+        step = elements // 20
+        sizes = [step] * (n_boundaries // step) + [n_boundaries % step] * bool(n_boundaries % step)
+        assert calls == [(size, 20) for size in sizes]
+
+    @example(case=stack_of_one(seam_crossing_case()))
+    @example(case=stack_of_one(between_boundaries_case()))
+    @example(case=stack_of_one(oracle_static5_case()))
     @settings(max_examples=300, deadline=None)
     @given(case=gt_cases())
     def test_randomized(self, case):
-        assert_same_mask(ground_truth(*case), reference_ground_truth(*case))
+        snapshots, sched, geom, radio = case
+        x = np.stack([snapshot.x for snapshot in snapshots])
+        got = ground_truth(snapshots[0], x, sched, geom, radio)
+        assert got.shape == (len(snapshots), geom.n_pairs, len(snapshots[0]))
+        for e, (row, snapshot) in enumerate(zip(got, snapshots)):
+            want = reference_ground_truth(snapshot, later_epoch(sched, e), geom, radio)
+            assert_same_mask(row, want)
 
 
 def one_pair(rec_1, rec_2, gt, n=10):
-    """The (1, 2, n) decoded and (1, n) ground-truth masks of one pair from
-    the vehicle indices recorder a and b decoded and those in ground truth."""
-    decoded = np.zeros((1, 2, n), dtype=bool)
-    gt_mask = np.zeros((1, n), dtype=bool)
-    decoded[0, 0, list(rec_1)] = decoded[0, 1, list(rec_2)] = gt_mask[0, list(gt)] = True
-    return decoded, gt_mask
+    """The stats of one pair over one epoch of one stream, from the vehicle
+    indices recorder a and b decoded and those in ground truth."""
+    decoded = np.zeros((1, 1, 2, n), dtype=bool)
+    gt_mask = np.zeros((1, 1, n), dtype=bool)
+    decoded[0, 0, 0, list(rec_1)] = decoded[0, 0, 1, list(rec_2)] = True
+    gt_mask[0, 0, list(gt)] = True
+    [[stats]] = iteration_accuracy(decoded, gt_mask, [0, n], [0])
+    return stats
 
 
 def set_accuracy(rec_1, rec_2, gt, pair_id, epoch):
@@ -260,65 +322,79 @@ def set_accuracy(rec_1, rec_2, gt, pair_id, epoch):
 
 
 @st.composite
-def pair_masks(draw):
-    """Random (pairs, 2, vehicles) decoded and (pairs, vehicles) ground-truth
-    masks: 1-5 pairs, 0-30 vehicles."""
-    n_pairs, n_vehicles = draw(st.integers(1, 5)), draw(st.integers(0, 30))
-    return (draw(arrays(bool, (n_pairs, 2, n_vehicles))),
-            draw(arrays(bool, (n_pairs, n_vehicles))))
+def stacked_masks(draw):
+    """Random (epochs, pairs, 2, tags) decoded and (epochs, pairs, tags)
+    ground-truth masks of 1-3 epochs, 1-5 pairs and 0-30 tags, and the
+    offsets of 1-5 streams splitting the tags, empty ones included."""
+    n_epochs, n_pairs = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    n_tags = draw(st.integers(0, 30))
+    cuts = draw(st.lists(st.integers(0, n_tags), max_size=4))
+    return (draw(arrays(bool, (n_epochs, n_pairs, 2, n_tags))),
+            draw(arrays(bool, (n_epochs, n_pairs, n_tags))),
+            [0, *sorted(cuts), n_tags])
 
 
 class TestIterationAccuracy:
     def test_full_coverage(self):
         gt = {1, 2, 3}
-        [st] = iteration_accuracy(*one_pair(gt, gt, gt), epoch=0)
+        st = one_pair(gt, gt, gt)
         assert st.acc_union == 1.0 and st.acc_1 == 1.0 and st.acc_2 == 1.0
         assert st.union_count == 3
 
     def test_partial_union(self):
-        [st] = iteration_accuracy(*one_pair({1, 2}, {2, 3}, {1, 2, 3, 4}), epoch=0)
-        assert st.acc_union == 0.75
+        assert one_pair({1, 2}, {2, 3}, {1, 2, 3, 4}).acc_union == 0.75
 
     def test_split_between_recorders(self):
-        [st] = iteration_accuracy(*one_pair({1}, {2}, {1, 2}), epoch=0)
+        st = one_pair({1}, {2}, {1, 2})
         assert st.acc_1 == 0.5 and st.acc_2 == 0.5 and st.acc_union == 1.0
 
     def test_empty_gt_excluded(self):
-        [st] = iteration_accuracy(*one_pair({1}, set(), set()), epoch=0)
+        st = one_pair({1}, set(), set())
         assert not st.included
         assert math.isnan(st.acc_union)
 
     def test_union_dominance_and_swap_invariance(self):
         rng = np.random.default_rng(31)
-        for _ in range(300):
-            decoded = rng.random((3, 2, 30)) < rng.random((3, 2, 1))
-            gt = rng.random((3, 30)) < rng.random((3, 1))
-            gt[:, 0] = True
-            swapped = iteration_accuracy(decoded[:, ::-1], gt, epoch=0)
-            for st, sw in zip(iteration_accuracy(decoded, gt, epoch=0), swapped):
+        decoded = rng.random((300, 3, 2, 30)) < rng.random((300, 3, 2, 1))
+        gt = rng.random((300, 3, 30)) < rng.random((300, 3, 1))
+        gt[..., [0, 20]] = True
+        offsets, epochs = [0, 20, 30], range(300)
+        scored = iteration_accuracy(decoded, gt, offsets, epochs)
+        swapped = iteration_accuracy(decoded[:, :, ::-1], gt, offsets, epochs)
+        assert [len(stats) for stats in scored] == [900, 900]
+        for stats, swapped_stats in zip(scored, swapped):
+            for st, sw in zip(stats, swapped_stats):
                 assert st.acc_union >= max(st.acc_1, st.acc_2)
                 assert st.union_count >= max(st.detected_1, st.detected_2)
                 assert st.acc_union == sw.acc_union
 
     def test_records_subset_gt_bounds_accuracy(self):
-        [st] = iteration_accuracy(*one_pair({1, 9}, {2, 9}, {1, 2, 3}), epoch=0)
-        assert st.acc_union <= 1.0
+        assert one_pair({1, 9}, {2, 9}, {1, 2, 3}).acc_union <= 1.0
 
-    @example(masks=(np.zeros((1, 2, 0), dtype=bool), np.zeros((1, 0), dtype=bool)))
-    @example(masks=(np.ones((2, 2, 3), dtype=bool), np.array([[0, 0, 0], [1, 0, 1]], bool)))
+    # no tags; a trailing empty stream; empty streams around a full one
+    @example(masks=(np.zeros((1, 1, 2, 0), bool), np.zeros((1, 1, 0), bool), [0, 0]))
+    @example(masks=(np.ones((1, 2, 2, 3), bool), np.array([[[0, 0, 0], [1, 0, 1]]], bool),
+                    [0, 3, 3]))
+    @example(masks=(np.ones((2, 1, 2, 3), bool), np.ones((2, 1, 3), bool), [0, 0, 3, 3]))
     @settings(max_examples=300, deadline=None)
-    @given(masks=pair_masks())
+    @given(masks=stacked_masks())
     def test_matches_set_definition(self, masks):
-        decoded, gt = masks
-        got = iteration_accuracy(decoded, gt, epoch=7)
+        decoded, gt, offsets = masks
+        epochs = range(7, 7 + len(decoded))
+        got = iteration_accuracy(decoded, gt, offsets, epochs)
         want = []
-        for pair_id, (rows, gt_row) in enumerate(zip(decoded, gt)):
-            rec_1, rec_2, gt_set = (set(np.flatnonzero(m).tolist()) for m in (*rows, gt_row))
-            want.append(set_accuracy(rec_1, rec_2, gt_set, pair_id, 7))
+        for lo, hi in zip(offsets, offsets[1:]):
+            want.append([])
+            for epoch, epoch_decoded, epoch_gt in zip(epochs, decoded, gt):
+                for pair_id, (rows, gt_row) in enumerate(zip(epoch_decoded, epoch_gt)):
+                    rec_1, rec_2, gt_set = (set(np.flatnonzero(m[lo:hi]).tolist())
+                                            for m in (*rows, gt_row))
+                    want[-1].append(set_accuracy(rec_1, rec_2, gt_set, pair_id, epoch))
         # repr compares nan fields as equal; the types must match too, since
         # the CSV prints a numpy scalar differently from a Python one
-        assert [repr(s) for s in got] == [repr(s) for s in want]
-        for g, w in zip(got, want):
+        assert [[repr(s) for s in stats] for stats in got] == [
+            [repr(s) for s in stats] for stats in want]
+        for g, w in zip(sum(got, []), sum(want, [])):
             assert [type(v) for v in vars(g).values()] == [type(v) for v in vars(w).values()]
 
 
