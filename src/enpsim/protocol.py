@@ -187,10 +187,10 @@ class EpochResult:
         return mask.reshape(n_pairs, 2, -1)
 
 
-# Most (replier x recorder) links one reply capture call decides: 2 MB per
-# float array, a few rounds at the largest fleet (10,000 vehicles x 5 pairs
-# x 2 recorders is 100,000 links a round).  A preset epoch holds a few
-# thousand, so it resolves its replies in one call.
+# Most links one reply capture call (replier x recorder) or one block of probe
+# powers (round x recorder x tag) holds: 2 MB per float array, a few rounds at
+# the largest fleet (10,000 vehicles x 5 pairs x 2 recorders is 100,000 links
+# a round).  A preset epoch takes one reply call and one probe block.
 MAX_REPLY_LINKS = 2**18
 
 
@@ -201,13 +201,14 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     tag, the concurrent probes of all pairs (pair replicas merged, cross-pair
     probes contending).  Only the shadowing draw order keeps it per round:
     round r + 1's probe draws follow round r's reply draws, whose count is
-    the number of round r's probe decodes.  Each stream draws from its own
-    generator as a world of it alone would, stitched along the tag axis.
-    The reply phase is resolved by :func:`_resolve_replies` after the last
-    round, in one capture call, or after each run of rounds whose repliers
-    (of all streams) reach ``MAX_REPLY_LINKS`` links.  The first decode of
-    each (recorder, tag) makes the record table; the event text is built
-    once from the verdict arrays, in schedule order per stream.
+    the number of round r's probe decodes; positions and zero-shadow powers
+    come from one call per block of at most ``MAX_REPLY_LINKS`` links.  Each
+    stream draws from its own generator as a world of it alone would,
+    stitched along the tag axis.  :func:`_resolve_replies` resolves the
+    reply phase in one capture call after the last round, or after each run
+    of rounds whose repliers (of all streams) reach ``MAX_REPLY_LINKS``
+    links.  A run's first decodes join the record table as it ends; its
+    verdicts are kept only for the event text, in schedule order per stream.
     """
     hash_params = world.hash_params
     sched = build_epoch_schedule(world.timing, hash_params.slot_count, epoch_index)
@@ -227,23 +228,27 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
 
     # ---- probe phase: every tag resolves the concurrent probes ----
     t_probe = sched.round_start_us(rounds)
-    road_x = geom.road_x(positions_at(fleet, (t_probe - sched.epoch_start_us) * 1e-6))
+    block = max(1, MAX_REPLY_LINKS // max(1, n_vr * n_enp))  # rounds of zero-shadow powers
     probe_codes = np.empty((rounds.size, n_enp), dtype=np.int8)
-    probe_pair = np.empty((rounds.size, n_enp), dtype=np.intp)
-    replies = []
-    draws = []  # this run of rounds' reply shadowing, one block per (round, stream)
-    links = 0
-    lo = 0  # first round of the run
+    probe_pair = np.empty((rounds.size, n_enp), dtype=np.intp) if record_events else None
+    replies = []  # each reply run's verdicts, kept for the event text only
+    draws, links, lo = [], 0, 0  # this run's shadowing per (round, stream), links, first round
     for r in rounds.tolist():
-        # received power at every recorder from every tag, (2P, V)
-        d = np.hypot(road_x[r] - world.vr_x[:, None], fleet.y - world.vr_y[:, None])
-        blocks = [rng.normal(0.0, sigma, size=(n_vr, b - a)) for rng, a, b in streams if sigma > 0]
-        shadow = np.concatenate(blocks, axis=1) if blocks else 0.0
-        link_pw = received_power_dbm(d, radio, shadow, tx_power_dbm=radio.probe_tx_power_dbm)
+        if r % block == 0:  # power at every recorder from every tag, (rounds, 2P, V)
+            dt = (t_probe[r:r + block] - sched.epoch_start_us) * 1e-6
+            road_x = geom.road_x(positions_at(fleet, dt))[:, None]
+            d = np.hypot(road_x - world.vr_x[:, None], fleet.y - world.vr_y[:, None])
+            base_pw = received_power_dbm(d, radio, tx_power_dbm=radio.probe_tx_power_dbm)
+        link_pw = base_pw[r % block]
+        if sigma > 0:
+            shadow = [rng.normal(0.0, sigma, size=(n_vr, b - a)) for rng, a, b in streams]
+            link_pw = link_pw + (shadow[0] if len(shadow) == 1 else np.concatenate(shadow, axis=1))
         # the two recorders of a pair send byte-identical probes:
         # non-destructive replicas, strongest link counts
         group_pw = link_pw.reshape(geom.n_pairs, 2, n_enp).max(axis=1)
-        probe_codes[r], probe_pair[r] = capture_verdicts(group_pw, radio)
+        probe_codes[r], pair = capture_verdicts(group_pw, radio)
+        if record_events:
+            probe_pair[r] = pair
         received = probe_codes[r] == RECEIVED_CODE
         for rng, a, b in streams:
             k = np.count_nonzero(received[a:b])
@@ -251,20 +256,17 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
                 draws.append(rng.normal(0.0, sigma, size=n_vr * k))
             links += n_vr * k
         if links >= MAX_REPLY_LINKS or r == rounds.size - 1:
-            replies.append(_resolve_replies(world, sched, slots, probe_codes, lo, r + 1, draws))
-            draws = []
-            links = 0
-            lo = r + 1
-
-    tag, counts, slot_round, slot, codes, winners = (np.concatenate(a) for a in zip(*replies))
-    first = np.cumsum(counts) - counts
-    rx_group, rx_vr = np.nonzero(codes == RECEIVED_CODE)
-    winner_tag = tag[first[rx_group] + winners[rx_group, rx_vr]]
-    table = np.column_stack((rx_vr, winner_tag, slot_round[rx_group], slot[rx_group]))
-    _, kept = np.unique(table[:, 0] * n_enp + table[:, 1], return_index=True)
+            run = _resolve_replies(world, sched, slots, probe_codes, lo, r + 1, draws)
+            # the first decodes so far: earlier runs' rows come first
+            table = run[0] if lo == 0 else _first_decodes(np.concatenate((table, run[0])), n_enp)
+            if record_events:
+                replies.append(run)
+            draws, links, lo = [], 0, r + 1
 
     events = event_offsets = None
     if record_events:
+        _, tag, counts, slot_round, slot, codes, winners = map(np.concatenate, zip(*replies))
+        first = np.cumsum(counts) - counts
         # stream b's lines of round r go to block b * n_r + r; a tag is
         # named by its index in its own stream
         n_r = rounds.size
@@ -284,9 +286,10 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
         starts = first.tolist()
         ends = np.cumsum(counts).tolist()
         slot_blocks = (world.tag_stream[tag[first]] * n_r + slot_round).tolist()
+        slot_t = sched.slot_start_us(slot_round, slot).tolist()
         for g, (blk, r, s) in enumerate(zip(slot_blocks, slot_round.tolist(), slot.tolist())):
             contenders = tags[starts[g]:ends[g]]
-            head = f"{sched.slot_start_us(r, s)}\t"
+            head = f"{slot_t[g]}\t"
             tail = f"\t{epoch_index}\t{r}\t{s}\t"
             lines[blk] += [f"{head}REPLY\tenp{local[i]}\t-{tail}{vrns[i]}" for i in contenders]
             for vr, code, w in zip(recorders, codes[g].tolist(), winners[g].tolist()):
@@ -302,7 +305,7 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
         epoch_index=epoch_index,
         schedule=sched,
         fleet_start=fleet,
-        records=table[kept].astype(np.int64, copy=False),
+        records=table.astype(np.int64, copy=False),
         events=events,
         event_offsets=event_offsets,
     )
@@ -318,9 +321,9 @@ def _resolve_replies(world, sched, slots, probe_codes, lo, hi, draws):
     x recorders) power tensor padded with -inf, and every recorder decides
     every occupied slot independently.  Each slot takes its (recorders x
     contenders) block of its draws, in slot order, so each stream's results
-    equal its slot-by-slot resolution.  Returns the repliers' tags grouped
-    by slot and, per occupied slot, its contender count, round and slot, and
-    its (recorders,) verdict codes and winning contender ranks.
+    equal its slot-by-slot resolution.  Returns the run's first decodes, the
+    repliers' tags grouped by slot and, per occupied slot, its contender count,
+    round and slot, and its (recorders,) verdict codes and winning ranks.
     """
     fleet = world.fleet
     n_vr = len(world.vr_ids)
@@ -350,4 +353,13 @@ def _resolve_replies(world, sched, slots, probe_codes, lo, hi, draws):
     power = np.full((first.size, counts.max(initial=0), n_vr), -np.inf)
     power[group, rank] = received_power_dbm(d, world.radio, shadow)
     codes, winners = capture_verdicts(power, world.radio)  # (slots, 2P)
-    return tag, counts, rnd[first], slot[first], codes, winners
+    rx_group, rx_vr = np.nonzero(codes == RECEIVED_CODE)
+    winner_tag = tag[first[rx_group] + winners[rx_group, rx_vr]]
+    table = np.column_stack((rx_vr, winner_tag, rnd[first[rx_group]], slot[first[rx_group]]))
+    return _first_decodes(table, len(fleet)), tag, counts, rnd[first], slot[first], codes, winners
+
+
+def _first_decodes(table, n_tags):
+    """The first row of each (recorder, tag), sorted by recorder then tag."""
+    _, kept = np.unique(table[:, 0] * n_tags + table[:, 1], return_index=True)
+    return table[kept]

@@ -114,6 +114,9 @@ def capture_verdicts(
             np.full(out_shape, SILENCE_CODE, dtype=np.int8),
             np.full(out_shape, -1, dtype=np.intp),
         )
+    if n_tx == 1:  # a lone signal meets no interference: only the floor decides
+        heard = p[..., 0, :] >= params.sensitivity_dbm
+        return np.where(heard, RECEIVED_CODE, SILENCE_CODE), np.where(heard, 0, -1)
 
     winner = p.argmax(axis=-2)
     strongest = p.max(axis=-2)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import enpsim.protocol as protocol
 from enpsim.config import parse_config
 from enpsim.harness import build_fleet
-from enpsim.mobility import Fleet, RoadGeometry, Vehicle, spawn_fleet
+from enpsim.mobility import Fleet, RoadGeometry, Vehicle, positions_at, spawn_fleet
 from enpsim.protocol import TimingParams, World, build_epoch_schedule, run_epoch
 from enpsim.radio import RadioParams, capture_verdicts
 from enpsim.slot_hash import HashParams, slot_for
@@ -336,6 +336,51 @@ class TestRunEpoch:
         assert max(links) <= protocol.MAX_REPLY_LINKS + 100 * 10
         assert len(calls) == result.schedule.round_count + len(links)
         assert len(result.records)
+
+    @pytest.mark.parametrize("block_rounds", [1, 2])
+    @pytest.mark.parametrize("sigma", [0.0, 6.5])
+    @pytest.mark.parametrize("n_pairs, streams", [
+        (1, [(25, 108)]),
+        (2, [(25, 108)]),
+        (1, [(25, 108), (0, 1), (7, 2)]),
+        (2, [(12, 3), (20, 4)]),
+    ])
+    def test_probe_blocks_match_one_block(self, monkeypatch, block_rounds, sigma, n_pairs,
+                                          streams):
+        # the zero-shadow probe powers of a block of rounds come from one
+        # positions call; blocks of one or two rounds (a MAX_REPLY_LINKS of
+        # that many rounds' links, which splits the replies too) give the
+        # records, event text and generator states of one block an epoch,
+        # and the reference records
+        geom = spaced_pairs(n_pairs)
+        radio = RadioParams(shadowing_sigma_db=sigma)
+        hash_params = HashParams(slot_count=3, reseed_per_round=True)
+        fleets = [spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(s)) for v_n, s in streams]
+
+        def epoch():
+            rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
+            world = World(fleets, geom, radio, hash_params, TIMING, rngs)
+            result = run_epoch(world, 8, record_events=True)
+            return result, [rng.bit_generator.state for rng in rngs]
+
+        want, want_states = epoch()
+        assert want.schedule.round_count > 2 * block_rounds
+        n_links = 2 * n_pairs * sum(v_n for v_n, _ in streams)
+        monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", block_rounds * n_links)
+        blocks = []
+
+        def spied(fleet, dt):
+            blocks.append(len(dt))
+            return positions_at(fleet, dt)
+
+        monkeypatch.setattr(protocol, "positions_at", spied)
+        got, got_states = epoch()
+        rounds = want.schedule.round_count
+        assert blocks == [min(block_rounds, rounds - r) for r in range(0, rounds, block_rounds)]
+        np.testing.assert_array_equal(got.records, want.records)
+        assert got.events == want.events and got.event_offsets == want.event_offsets
+        assert got_states == want_states
+        assert_streams_match_reference(n_pairs, 3, True, streams, 8, sigma)
 
     # an empty stream between two others; two streams of one fleet (the
     # same VRNs) under different generators

@@ -207,6 +207,35 @@ class TestBatchKernel:
         assert codes.dtype == np.int8
         assert (codes == SILENCE_CODE).all() and (winners == -1).all()
 
+    def test_lone_signal_rows(self):
+        # one signal row meets no interference: a (1, R) matrix and a stack of
+        # them give the general rule's verdicts, here forced by a row of
+        # padding, and the scalar rule's; a lone -inf is SILENCE
+        rng = np.random.default_rng(35)
+        for shape in [(1, 5), (3, 1, 4), (2, 3, 1, 2)]:
+            powers = rng.integers(-100, -85, size=shape).astype(float)
+            powers.flat[0] = -np.inf
+            codes, winners = capture_verdicts(powers, DEFAULTS)
+            padded = np.concatenate((powers, np.full(powers.shape, -np.inf)), axis=-2)
+            want_codes, want_winners = capture_verdicts(padded, DEFAULTS)
+            np.testing.assert_array_equal(codes, want_codes)
+            np.testing.assert_array_equal(winners, want_winners)
+            assert codes.shape == winners.shape == shape[:-2] + shape[-1:]
+            assert codes.dtype == np.int8 and winners.dtype == np.intp
+            flat_codes, flat_winners = codes.reshape(-1), winners.reshape(-1)
+            for j, p in enumerate(np.moveaxis(powers, -2, -1).reshape(-1).tolist()):
+                want = scalar_capture([p], DEFAULTS)
+                assert (Verdict(int(flat_codes[j])), int(flat_winners[j])) == want
+            assert flat_codes[0] == SILENCE_CODE and flat_winners[0] == -1
+
+    def test_lone_signal_far_outside_the_config_bounds(self):
+        # 10**(4000/10) overflows to inf: the milliwatt sum would give
+        # inf - inf = nan interference and a COLLISION, but a lone signal
+        # has no interference, so it is RECEIVED, as in the scalar rule
+        codes, winners = capture_verdicts(np.array([[4000.0]]), DEFAULTS)
+        assert (Verdict(int(codes[0])), int(winners[0])) == scalar_capture([4000.0], DEFAULTS)
+        assert codes.tolist() == [RECEIVED_CODE] and winners.tolist() == [0]
+
     def test_codes_are_the_verdict_values(self):
         assert (SILENCE_CODE, RECEIVED_CODE, COLLISION_CODE) == tuple(Verdict)
 
