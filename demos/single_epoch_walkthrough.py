@@ -56,12 +56,13 @@ for line in result.events:
         print("  " + line.replace("\t", "  "))
 
 print("\nrecords after the epoch:")
-# result.records holds one (recorder, vehicle, round, slot) row per first decode
+# result.records holds one (recorder, vehicle, round, slot) row per first
+# decode; recorder 2 * pair + side is side a (0) or b (1) of that pair
 vrns = result.fleet_start.vrn.tolist()
-for j, vr_id in enumerate(world.vr_ids):
+for j in range(2 * geometry.n_pairs):
     rows = sorted((vrns[tag], rnd, slot) for vr, tag, rnd, slot in result.records.tolist() if vr == j)
     entries = ", ".join(f"{vrn} (round {rnd}, slot {slot})" for vrn, rnd, slot in rows)
-    print(f"  {vr_id}: {entries or '-'}")
+    print(f"  vr{j // 2}{'ab'[j % 2]}: {entries or '-'}")
 
 # decoded(1) is a (pair, recorder a/b, vehicle) mask; the pair's union is
 # what either of its two recorders decoded

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import MAX_FLEET_SIZE, MAX_SCORED_EPOCHS, SimConfig, with_fleet_cell
+from .events import event_lines
 from .metrics import (
     ITERATION_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -116,14 +117,15 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
             masks.append(result.decoded(geom.n_pairs))
             if events:
                 for b, log in enumerate(logs):
-                    log += result.events[result.event_offsets[b]:result.event_offsets[b + 1]]
+                    log += event_lines(result, b)
             if len(starts) < chunk_epochs and e < epochs - 1:
                 continue
             gt = ground_truth(world.fleet, np.stack(starts), result.schedule, geom, radio)
             decoded = np.stack(masks)
             if radio.shadowing_sigma_db == 0 and (decoded.any(axis=2) & ~gt).any():
                 raise RuntimeError("record outside ground truth with shadowing off (engine bug)")
-            chunk = range(result.epoch_index + 1 - len(starts), result.epoch_index + 1)
+            end = result.schedule.epoch_index + 1
+            chunk = range(end - len(starts), end)
             scored = iteration_accuracy(decoded, gt, world.offsets, chunk)
             for rep, stream_rows, stats in zip(reps, rows, scored):
                 stream_rows += [(rep, s) for s in stats]

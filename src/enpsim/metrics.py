@@ -132,13 +132,7 @@ def ground_truth(
     undecided = np.flatnonzero((~in_range & ~out_of_range).any(axis=0))
     if len(undecided):
         # the full test: every boundary, one block of them and one pair at a time
-        sub = Fleet(
-            fleet.vrn[undecided],
-            fleet.x[undecided],
-            fleet.y[undecided],
-            speed[undecided],
-            fleet.ring_length_m,
-        )
+        sub = fleet.take(undecided)
         hit = np.zeros((len(vr_x), len(sub)), dtype=bool)
         step = max(1, SCAN_ELEMENTS // len(sub))
         for lo in range(0, len(dts), step):

@@ -117,6 +117,10 @@ class Fleet:
     def __len__(self) -> int:
         return len(self.vrn)
 
+    def take(self, idx) -> "Fleet":
+        """The vehicles at ``idx``, in that order, as a fleet of their own."""
+        return Fleet(self.vrn[idx], self.x[idx], self.y[idx], self.speed_mps[idx], self.ring_length_m)
+
 
 def _draw_distinct_vrns(n: int, rng: np.random.Generator) -> np.ndarray:
     vrns = rng.integers(0, 2**64, size=n, dtype=np.uint64)

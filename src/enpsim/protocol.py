@@ -18,7 +18,7 @@ draws its shadowing in the order a slot-by-slot resolution of it alone would,
 so outputs depend neither on the batching nor on the other streams.
 Positions come from the epoch-start fleet snapshot at each schedule event, so
 ground-truth sampling and decode decisions see bit-identical geometry.  The
-epoch's decodes reduce to one record table; its event text is built once.
+epoch's decodes reduce to one record table; the engine builds no event text.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+
+from .events import event_lines
 
 # Unused by the engine, but the benchmark's layer tracer (bench/spans.py)
 # counts probe frames by patching this module's ProbeFrame binding.
@@ -142,17 +144,14 @@ class World:
         columns = zip(*((f.vrn, f.x, f.y, f.speed_mps) for f in fleets))
         self.fleet = Fleet(*map(np.concatenate, columns), fleets[0].ring_length_m)
         self.offsets = np.cumsum([0] + [len(f) for f in fleets])
-        self.tag_stream = np.repeat(np.arange(len(fleets)), np.diff(self.offsets))
         self.geometry = geometry
         self.radio = radio
         self.hash_params = hash_params
         self.timing = timing
         self.rngs = rngs
         self.enp_slots = slot_for(self.fleet.vrn, hash_params)
-        # recorders as (2P,) columns in pair-major order, sides named a/b
+        # recorder 2 * pair + side as (2P,) columns, side 0 (a) then 1 (b)
         pairs = range(geometry.n_pairs)
-        self.vr_ids = tuple(f"vr{p}{side}" for p in pairs for side in "ab")
-        self.vr_pair = np.repeat(np.arange(geometry.n_pairs), 2)
         xy = np.array([pos for p in pairs for pos in geometry.vr_positions(p)], dtype=float)
         self.vr_x = xy[:, 0]
         self.vr_y = xy[:, 1]
@@ -161,27 +160,33 @@ class World:
 @dataclass
 class EpochResult:
     """Everything one epoch produced: the schedule it ran on, the fleet
-    snapshot it started from, and the record table.
+    snapshot it started from, the record table and, with events recorded,
+    the verdict trace :func:`enpsim.events.event_lines` formats.
 
     ``records`` is int64 ``(n, 4)``: (recorder, tag, round, slot) of the
-    first decode of each (recorder, tag), sorted by recorder then tag.  The
-    recorder indexes ``World.vr_ids`` and the tag indexes ``fleet_start``
-    (all streams); VRNs stay in its uint64 ``vrn`` column, which an int64
-    one would wrap.  Stream b's event lines are ``events[event_offsets[b]:
-    event_offsets[b + 1]]``.
+    first decode of each (recorder, tag), sorted by recorder then tag.
+    Recorder ``2 * pair + side`` is that side (a 0, b 1) of that pair and
+    the tag indexes ``fleet_start`` (all streams); VRNs stay in its uint64
+    ``vrn`` column, which an int64 one would wrap.  ``trace`` is the world's
+    stream offsets, the (rounds, V) probe verdict codes and winning pairs
+    (-1 where none), and the list of each reply run's verdict arrays.
     """
 
-    epoch_index: int
     schedule: EpochSchedule
     fleet_start: Fleet
     records: np.ndarray
-    events: list[str] | None = None
-    event_offsets: list[int] | None = None
+    trace: tuple | None = None
+
+    @property
+    def events(self) -> list[str] | None:
+        """Every stream's event lines in turn; None without a trace."""
+        if self.trace is None:
+            return None
+        return [line for b in range(len(self.trace[0]) - 1) for line in event_lines(self, b)]
 
     def decoded(self, n_pairs: int) -> np.ndarray:
         """A ``(pairs, 2, vehicles)`` bool mask: True where recorder a (0) or
-        b (1) of the pair decoded the tag.  Recorder ``2 * pair + side`` of
-        the table is that side of that pair, as in ``World.vr_ids``."""
+        b (1) of the pair decoded the tag."""
         mask = np.zeros((2 * n_pairs, len(self.fleet_start)), dtype=bool)
         mask[self.records[:, 0], self.records[:, 1]] = True
         return mask.reshape(n_pairs, 2, -1)
@@ -208,7 +213,7 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     reply phase in one capture call after the last round, or after each run
     of rounds whose repliers (of all streams) reach ``MAX_REPLY_LINKS``
     links.  A run's first decodes join the record table as it ends; its
-    verdicts are kept only for the event text, in schedule order per stream.
+    verdicts, like the probe verdicts, are kept only for the result's trace.
     """
     hash_params = world.hash_params
     sched = build_epoch_schedule(world.timing, hash_params.slot_count, epoch_index)
@@ -217,22 +222,17 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     radio = world.radio
     sigma = radio.shadowing_sigma_db
     n_enp = len(fleet)
-    n_vr = len(world.vr_ids)
+    n_vr = world.vr_x.size
     streams = list(zip(world.rngs, world.offsets[:-1].tolist(), world.offsets[1:].tolist()))
     rounds = np.arange(sched.round_count)
-    if hash_params.reseed_per_round:
-        seeds = [round_seed(hash_params.seed, epoch_index, r) for r in rounds.tolist()]
-        slots = np.array([slot_for(fleet.vrn, replace(hash_params, seed=s)) for s in seeds])
-    else:
-        slots = np.broadcast_to(world.enp_slots, (rounds.size, n_enp))
 
     # ---- probe phase: every tag resolves the concurrent probes ----
     t_probe = sched.round_start_us(rounds)
     block = max(1, MAX_REPLY_LINKS // max(1, n_vr * n_enp))  # rounds of zero-shadow powers
-    probe_codes = np.empty((rounds.size, n_enp), dtype=np.int8)
+    probe_codes = np.empty((rounds.size, n_enp), dtype=np.int8) if record_events else None
     probe_pair = np.empty((rounds.size, n_enp), dtype=np.intp) if record_events else None
-    replies = []  # each reply run's verdicts, kept for the event text only
-    draws, links, lo = [], 0, 0  # this run's shadowing per (round, stream), links, first round
+    replies = []  # each reply run's verdicts, kept for the trace only
+    heard, draws, links, lo = [], [], 0, 0  # this run's repliers, shadowing, links, first round
     for r in rounds.tolist():
         if r % block == 0:  # power at every recorder from every tag, (rounds, 2P, V)
             dt = (t_probe[r:r + block] - sched.epoch_start_us) * 1e-6
@@ -246,105 +246,68 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
         # the two recorders of a pair send byte-identical probes:
         # non-destructive replicas, strongest link counts
         group_pw = link_pw.reshape(geom.n_pairs, 2, n_enp).max(axis=1)
-        probe_codes[r], pair = capture_verdicts(group_pw, radio)
+        codes, pair = capture_verdicts(group_pw, radio)
         if record_events:
-            probe_pair[r] = pair
-        received = probe_codes[r] == RECEIVED_CODE
+            probe_codes[r], probe_pair[r] = codes, pair
+        received = codes == RECEIVED_CODE
+        heard.append(np.flatnonzero(received))
         for rng, a, b in streams:
             k = np.count_nonzero(received[a:b])
             if sigma > 0 and k:
                 draws.append(rng.normal(0.0, sigma, size=n_vr * k))
             links += n_vr * k
         if links >= MAX_REPLY_LINKS or r == rounds.size - 1:
-            run = _resolve_replies(world, sched, slots, probe_codes, lo, r + 1, draws)
+            run, *verdicts = _resolve_replies(world, sched, lo, heard, draws)
             # the first decodes so far: earlier runs' rows come first
-            table = run[0] if lo == 0 else _first_decodes(np.concatenate((table, run[0])), n_enp)
+            table = run if lo == 0 else _first_decodes(np.concatenate((table, run)), n_enp)
             if record_events:
-                replies.append(run)
-            draws, links, lo = [], 0, r + 1
-
-    events = event_offsets = None
-    if record_events:
-        _, tag, counts, slot_round, slot, codes, winners = map(np.concatenate, zip(*replies))
-        first = np.cumsum(counts) - counts
-        # stream b's lines of round r go to block b * n_r + r; a tag is
-        # named by its index in its own stream
-        n_r = rounds.size
-        local = (np.arange(n_enp) - world.offsets[world.tag_stream]).tolist()
-        vrns = fleet.vrn.tolist()
-        tags = tag.tolist()
-        recorders = [f"{v}\t{p}" for v, p in zip(world.vr_ids, world.vr_pair.tolist())]
-        t_probe = t_probe.tolist()
-        lines = [[f"{t}\tPROBE\t{vr}\t{epoch_index}\t{r}\t-\t-" for vr in recorders]
-                 for _ in streams for r, t in enumerate(t_probe)]
-        pr, pi = np.nonzero(probe_codes)
-        probe_blocks = (world.tag_stream[pi] * n_r + pr).tolist()
-        probe_winners = probe_pair[pr, pi].tolist()
-        for blk, r, i, w in zip(probe_blocks, pr.tolist(), pi.tolist(), probe_winners):
-            verdict = f"RX\tenp{local[i]}\t{w}" if w >= 0 else f"COLL\tenp{local[i]}\t-"
-            lines[blk].append(f"{t_probe[r]}\t{verdict}\t{epoch_index}\t{r}\t-\t-")
-        starts = first.tolist()
-        ends = np.cumsum(counts).tolist()
-        slot_blocks = (world.tag_stream[tag[first]] * n_r + slot_round).tolist()
-        slot_t = sched.slot_start_us(slot_round, slot).tolist()
-        for g, (blk, r, s) in enumerate(zip(slot_blocks, slot_round.tolist(), slot.tolist())):
-            contenders = tags[starts[g]:ends[g]]
-            head = f"{slot_t[g]}\t"
-            tail = f"\t{epoch_index}\t{r}\t{s}\t"
-            lines[blk] += [f"{head}REPLY\tenp{local[i]}\t-{tail}{vrns[i]}" for i in contenders]
-            for vr, code, w in zip(recorders, codes[g].tolist(), winners[g].tolist()):
-                if w >= 0:
-                    lines[blk].append(f"{head}RX\t{vr}{tail}{vrns[contenders[w]]}")
-                elif code:
-                    lines[blk].append(f"{head}COLL\t{vr}{tail}-")
-        events = [line for block in lines for line in block]
-        event_offsets = [0] + np.cumsum([len(block) for block in lines])[n_r - 1::n_r].tolist()
+                replies.append(verdicts)
+            heard, draws, links, lo = [], [], 0, r + 1
 
     world.fleet = advance(fleet, sched.glossy_period_us * 1e-6)
-    return EpochResult(
-        epoch_index=epoch_index,
-        schedule=sched,
-        fleet_start=fleet,
-        records=table.astype(np.int64, copy=False),
-        events=events,
-        event_offsets=event_offsets,
-    )
+    trace = (world.offsets, probe_codes, probe_pair, replies) if record_events else None
+    return EpochResult(sched, fleet, table.astype(np.int64, copy=False), trace)
 
 
-def _resolve_replies(world, sched, slots, probe_codes, lo, hi, draws):
-    """Resolve the reply slots of rounds ``lo`` to ``hi - 1`` in one capture
-    call, given the epoch's (rounds, V) reply slots and probe verdicts and
-    those rounds' reply shadowing, one block per (round, stream) with replies.
+def _resolve_replies(world, sched, lo, heard, draws):
+    """Resolve the reply slots of the rounds from ``lo`` in one capture call,
+    given each round's repliers (ascending tags) and those rounds' reply
+    shadowing, one block per (round, stream) with replies.
 
-    Every tag that decoded a probe sits at the start of its own slot, the
-    repliers are grouped by (round, stream, slot) into a (slots x contenders
-    x recorders) power tensor padded with -inf, and every recorder decides
+    Only the repliers are hashed and placed at the start of their slot.
+    They are grouped by (round, stream, slot) into a (slots x contenders x
+    recorders) power tensor padded with -inf, and every recorder decides
     every occupied slot independently.  Each slot takes its (recorders x
     contenders) block of its draws, in slot order, so each stream's results
     equal its slot-by-slot resolution.  Returns the run's first decodes, the
-    repliers' tags grouped by slot and, per occupied slot, its contender count,
-    round and slot, and its (recorders,) verdict codes and winning ranks.
+    repliers' tags grouped by slot and, per occupied slot, its contender
+    count, round and slot, and its (recorders,) verdict codes and winning ranks.
     """
     fleet = world.fleet
-    n_vr = len(world.vr_ids)
-    rnd, tag = np.nonzero(probe_codes[lo:hi] == RECEIVED_CODE)
-    rnd += lo
+    hp = world.hash_params
+    n_vr = world.vr_x.size
+    tag = np.concatenate(heard)
+    rnd = np.repeat(np.arange(lo, lo + len(heard)), [t.size for t in heard])
+    slot = world.enp_slots[tag]
+    if hp.reseed_per_round:  # each round's repliers hashed under that round's seed
+        hashed = [slot_for(fleet.vrn[t], replace(hp, seed=round_seed(hp.seed, sched.epoch_index, r)))
+                  for r, t in enumerate(heard, lo) if t.size]
+        slot = np.concatenate(hashed) if hashed else slot
     # group by (round, stream, slot); a stable sort keeps vehicle order inside each slot
-    round_stream = rnd * (world.offsets.size - 1) + world.tag_stream[tag]
-    key = round_stream * sched.slot_count + slots[rnd, tag]
+    stream = np.searchsorted(world.offsets, tag, side="right") - 1
+    key = (rnd * (world.offsets.size - 1) + stream) * sched.slot_count + slot
     order = np.argsort(key, kind="stable")
-    rnd, tag, key = rnd[order], tag[order], key[order]
-    slot = slots[rnd, tag]
+    rnd, tag, slot, key = rnd[order], tag[order], slot[order], key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
     counts = np.diff(np.append(first, key.size))
     group = np.repeat(np.arange(first.size), counts)
     rank = np.arange(key.size) - first[group]  # position inside its slot
 
     # every replier at the start of its own slot
-    rounds = np.arange(lo, hi)[:, None]
-    dt = (sched.slot_start_us(rounds, slots[lo:hi]) - sched.epoch_start_us) * 1e-6
-    tx_road_x = world.geometry.road_x(positions_at_each(fleet, dt)[rnd - lo, tag])
-    d = np.hypot(tx_road_x[:, None] - world.vr_x, fleet.y[tag, None] - world.vr_y)  # (repliers, 2P)
+    tx = fleet.take(tag)
+    dt = (sched.slot_start_us(rnd, slot) - sched.epoch_start_us) * 1e-6
+    tx_road_x = world.geometry.road_x(positions_at_each(tx, dt))
+    d = np.hypot(tx_road_x[:, None] - world.vr_x, tx.y[:, None] - world.vr_y)  # (repliers, 2P)
     shadow = 0.0
     if draws:
         # one (2P, k) block per occupied slot, back to back in key order

@@ -58,8 +58,13 @@ def _road_xy(fleet, i, dt_s, geometry):
 
 
 def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index, rng=None):
-    """Records per recorder id for one epoch: each decoded vrn's
-    (epoch, round, slot).
+    """Records per recorder id for one epoch, each decoded vrn's
+    (epoch, round, slot), and the epoch's event lines.
+
+    The event lines are built here in the order :mod:`enpsim.events`
+    documents: per round, a PROBE line per recorder, then an RX or COLL
+    line per tag whose probe was not silence, then per occupied slot a
+    REPLY line per contender and an RX or COLL line per recorder.
 
     With shadowing on, every round of a non-empty fleet draws from ``rng``
     first one (recorders x vehicles) block for the probe phase, then one
@@ -83,6 +88,7 @@ def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index
         for side, pos in enumerate(geometry.vr_positions(pair)):
             vrs.append((f"vr{pair}{'ab'[side]}", pair, pos))
     records = {vr_id: {} for vr_id, _, _ in vrs}
+    events = []
 
     for r in range(sched.round_count):
         seed = hash_params.seed
@@ -96,6 +102,8 @@ def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index
         # probe phase: merge each pair's two links (identical bytes), capture
         t_probe = sched.round_start_us(r)
         dt = (t_probe - sched.epoch_start_us) * 1e-6
+        probe_tail = f"{epoch_index}\t{r}\t-\t-"
+        events += [f"{t_probe}\tPROBE\t{vr_id}\t{pair}\t{probe_tail}" for vr_id, pair, _ in vrs]
         replies_by_slot = {}
         probe_shadow = shadow(len(vrs), len(fleet)) if len(fleet) else []
         for i in range(len(fleet)):
@@ -110,10 +118,13 @@ def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index
                     + probe_shadow[2 * pair + 1][i],
                 )
                 signals.append((pair, pw))
-            verdict, _pair = _resolve(signals, radio)
+            verdict, winner = _resolve(signals, radio)
             if verdict == "received":
+                events.append(f"{t_probe}\tRX\tenp{i}\t{winner}\t{probe_tail}")
                 slot = oracle_middle64(int(fleet.vrn[i]), seed) % sched.slot_count
                 replies_by_slot.setdefault(slot, []).append(i)
+            elif verdict == "collision":
+                events.append(f"{t_probe}\tCOLL\tenp{i}\t-\t{probe_tail}")
 
         # reply slots: every recorder resolves independently
         for slot in sorted(replies_by_slot):
@@ -122,6 +133,8 @@ def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index
             senders = replies_by_slot[slot]
             positions = {i: _road_xy(fleet, i, dt, geometry) for i in senders}
             reply_shadow = shadow(len(vrs), len(senders))
+            tail = f"{epoch_index}\t{r}\t{slot}"
+            events += [f"{t_slot}\tREPLY\tenp{i}\t-\t{tail}\t{int(fleet.vrn[i])}" for i in senders]
             for (vr_id, pair, (vx, vy)), draws in zip(vrs, reply_shadow):
                 signals = [
                     (i, _power(math.hypot(positions[i][0] - vx, positions[i][1] - vy), radio)
@@ -132,7 +145,10 @@ def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index
                 if verdict == "received":
                     vrn = int(fleet.vrn[winner])
                     records[vr_id].setdefault(vrn, (epoch_index, r, slot))
-    return records
+                    events.append(f"{t_slot}\tRX\t{vr_id}\t{pair}\t{tail}\t{vrn}")
+                elif verdict == "collision":
+                    events.append(f"{t_slot}\tCOLL\t{vr_id}\t{pair}\t{tail}\t-")
+    return records, events
 
 
 def engine_records(world, result, stream=0):
@@ -141,12 +157,18 @@ def engine_records(world, result, stream=0):
     (epoch, round, slot).  Tags are re-based to the stream's own fleet, the
     only place its VRNs are distinct."""
     lo, hi = world.offsets[stream], world.offsets[stream + 1]
-    records = {vr_id: {} for vr_id in world.vr_ids}
+    records = {recorder_id(vr): {} for vr in range(2 * world.geometry.n_pairs)}
     vrns = result.fleet_start.vrn[lo:hi].tolist()
+    epoch = result.schedule.epoch_index
     for recorder, tag, rnd, slot in result.records.tolist():
         if lo <= tag < hi:
-            records[world.vr_ids[recorder]][vrns[tag - lo]] = (result.epoch_index, rnd, slot)
+            records[recorder_id(recorder)][vrns[tag - lo]] = (epoch, rnd, slot)
     return records
+
+
+def recorder_id(recorder):
+    """The id of record-table recorder ``2 * pair + side``: vr<pair><a|b>."""
+    return f"vr{recorder // 2}{'ab'[recorder % 2]}"
 
 
 def reference_ground_truth(fleet, schedule, geometry, radio):

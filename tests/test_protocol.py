@@ -1,5 +1,7 @@
 """Epoch schedule and the per-epoch engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,13 +9,14 @@ from hypothesis import strategies as st
 
 import enpsim.protocol as protocol
 from enpsim.config import parse_config
+from enpsim.events import event_lines
 from enpsim.harness import build_fleet
 from enpsim.mobility import Fleet, RoadGeometry, Vehicle, positions_at, spawn_fleet
 from enpsim.protocol import TimingParams, World, build_epoch_schedule, run_epoch
 from enpsim.radio import RadioParams, capture_verdicts
 from enpsim.slot_hash import HashParams, slot_for
 
-from reference_engine import engine_records, reference_run_epoch
+from reference_engine import engine_records, recorder_id, reference_run_epoch
 
 TIMING = TimingParams()
 RADIO = RadioParams()
@@ -47,36 +50,42 @@ def assert_matches_reference(
     world = World(fleet, geom, radio, hash_params, TIMING, engine_rng)
     result = run_epoch(world, epoch_index)
     got = engine_records(world, result)
-    want = reference_run_epoch(fleet, geom, radio, hash_params, TIMING, epoch_index, reference_rng)
+    want, _ = reference_run_epoch(
+        fleet, geom, radio, hash_params, TIMING, epoch_index, reference_rng
+    )
     assert got == want
     assert engine_rng.bit_generator.state == reference_rng.bit_generator.state
+    # row 2 * pair + side of the decoded mask is that side of that pair
     decoded = result.decoded(n_pairs).reshape(2 * n_pairs, len(fleet))
-    assert [set(fleet.vrn[row].tolist()) for row in decoded] == [set(want[vr]) for vr in world.vr_ids]
+    assert [set(fleet.vrn[row].tolist()) for row in decoded] == [
+        set(want[recorder_id(vr)]) for vr in range(2 * n_pairs)
+    ]
 
 
 def assert_streams_match_reference(n_pairs, slot_count, reseed, streams, epoch_index, sigma):
     """One epoch of several streams, each a (v_n, fleet seed), in one world:
-    each stream's records, decoded mask and final generator state equal
-    those of the scalar reference run on that stream alone."""
+    each stream's records, decoded mask, event lines and final generator
+    state equal those of the scalar reference run on that stream alone."""
     geom = spaced_pairs(n_pairs)
     radio = RadioParams(shadowing_sigma_db=sigma)
     hash_params = HashParams(slot_count=slot_count, reseed_per_round=reseed)
     fleets = [spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(seed)) for v_n, seed in streams]
     rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
     world = World(fleets, geom, radio, hash_params, TIMING, rngs)
-    result = run_epoch(world, epoch_index)
+    result = run_epoch(world, epoch_index, record_events=True)
     decoded = result.decoded(n_pairs).reshape(2 * n_pairs, -1)
     assert decoded.shape[1] == sum(v_n for v_n, _ in streams)
     for b, ((_, seed), fleet) in enumerate(zip(streams, fleets)):
         reference_rng = np.random.default_rng([seed, b])
-        want = reference_run_epoch(
+        want, want_events = reference_run_epoch(
             fleet, geom, radio, hash_params, TIMING, epoch_index, reference_rng
         )
         assert engine_records(world, result, b) == want
+        assert event_lines(result, b) == want_events
         assert rngs[b].bit_generator.state == reference_rng.bit_generator.state
         mask = decoded[:, world.offsets[b]:world.offsets[b + 1]]
         assert [set(fleet.vrn[row].tolist()) for row in mask] == [
-            set(want[vr]) for vr in world.vr_ids
+            set(want[recorder_id(vr)]) for vr in range(2 * n_pairs)
         ]
 
 
@@ -196,8 +205,11 @@ class TestRunEpoch:
             assert decoded.shape == (1, 2, len(vehicles)) and decoded.dtype == bool
             assert not decoded.any()
             assert not any("\tREPLY\t" in line for line in result.events)
-            want = reference_run_epoch(fleet, geom, radio, hash_params, TIMING, 0, reference_rng)
+            want, want_events = reference_run_epoch(
+                fleet, geom, radio, hash_params, TIMING, 0, reference_rng
+            )
             assert engine_records(world, result) == want
+            assert result.events == want_events
             assert engine_rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_two_static_enps_distinct_slots(self):
@@ -337,6 +349,27 @@ class TestRunEpoch:
         assert len(calls) == result.schedule.round_count + len(links)
         assert len(result.records)
 
+    @pytest.mark.parametrize("reseed", [False, True])
+    def test_sparse_long_epoch_holds_no_round_by_tag_floats(self, reseed):
+        # 2,495 one-slot rounds of 2,000 tags on a 100 km ring, a few of them
+        # in range of the one pair: an epoch without events may hold less
+        # than one byte per (round, tag) beyond eight float arrays of
+        # MAX_REPLY_LINKS links (probe blocks and reply runs), so one float
+        # (or slot) per (round, tag), 40 MB here, cannot fit
+        geom = RoadGeometry(vr_pair_xs=(100.0,), ring_length_m=100_000.0)
+        fleet = spawn_fleet(2000, 30, 90, geom, np.random.default_rng(6))
+        hash_params = HashParams(slot_count=1, reseed_per_round=reseed)
+        world = World(fleet, geom, RADIO, hash_params, TimingParams(glossy_period_us=10_000_000))
+        tracemalloc.start()
+        try:
+            result = run_epoch(world, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = result.schedule.round_count * len(fleet)
+        assert cells == 2495 * 2000 and len(result.records)
+        assert peak < cells + 8 * 8 * protocol.MAX_REPLY_LINKS
+
     @pytest.mark.parametrize("block_rounds", [1, 2])
     @pytest.mark.parametrize("sigma", [0.0, 6.5])
     @pytest.mark.parametrize("n_pairs, streams", [
@@ -378,7 +411,8 @@ class TestRunEpoch:
         rounds = want.schedule.round_count
         assert blocks == [min(block_rounds, rounds - r) for r in range(0, rounds, block_rounds)]
         np.testing.assert_array_equal(got.records, want.records)
-        assert got.events == want.events and got.event_offsets == want.event_offsets
+        for b in range(len(streams)):
+            assert event_lines(got, b) == event_lines(want, b)
         assert got_states == want_states
         assert_streams_match_reference(n_pairs, 3, True, streams, 8, sigma)
 
@@ -416,8 +450,7 @@ class TestRunEpoch:
         for b, fleet in enumerate(fleets):
             alone = World(fleet, geom, radio, hash_params, TIMING, np.random.default_rng(b))
             want = run_epoch(alone, 2, record_events=True).events
-            lo, hi = result.event_offsets[b], result.event_offsets[b + 1]
-            assert result.events[lo:hi] == want
+            assert event_lines(result, b) == want
 
     def test_matches_reference_engine_reseed(self):
         assert_matches_reference(1, 17, True, None, 12, 55, 9)
