@@ -14,7 +14,7 @@ def event_lines(result, stream: int) -> list[str]:
     lo, hi = offsets[stream], offsets[stream + 1]
     sched = result.schedule
     epoch = sched.epoch_index
-    tag, counts, slot_round, slot, codes, winners = map(np.concatenate, zip(*replies))
+    tag, counts, slot_round, slot, codes, winners = replies
     recorders = [f"vr{vr // 2}{'ab'[vr % 2]}\t{vr // 2}" for vr in range(codes.shape[1])]
     t_probe = sched.round_start_us(np.arange(sched.round_count)).tolist()
     lines = [[f"{t}\tPROBE\t{vr}\t{epoch}\t{r}\t-\t-" for vr in recorders]
@@ -23,17 +23,22 @@ def event_lines(result, stream: int) -> list[str]:
     for r, i, w in zip(pr.tolist(), pi.tolist(), probe_pair[pr, lo + pi].tolist()):
         verdict = f"RX\tenp{i}\t{w}" if w >= 0 else f"COLL\tenp{i}\t-"
         lines[r].append(f"{t_probe[r]}\t{verdict}\t{epoch}\t{r}\t-\t-")
-    first = np.cumsum(counts) - counts
-    mine = np.flatnonzero((tag[first] >= lo) & (tag[first] < hi))  # this stream's slots
-    starts, ends = first.tolist(), (first + counts).tolist()
+    # this stream's slots, and their contenders in slot order (a slot's
+    # contenders are all of one stream)
+    first_tag = tag[np.cumsum(counts) - counts]
+    mine = np.flatnonzero((first_tag >= lo) & (first_tag < hi))
+    local = (tag[(tag >= lo) & (tag < hi)] - lo).tolist()
+    ends = np.cumsum(counts[mine]).tolist()
     vrns = result.fleet_start.vrn[lo:hi].tolist()
-    local = (tag - lo).tolist()
-    slot_t = sched.slot_start_us(slot_round[mine], slot[mine]).tolist()
-    for g, r, s, t in zip(mine.tolist(), slot_round[mine].tolist(), slot[mine].tolist(), slot_t):
-        contenders = local[starts[g]:ends[g]]
+    slot_round, slot = slot_round[mine], slot[mine]
+    slot_t = sched.slot_start_us(slot_round, slot).tolist()
+    start = 0
+    for end, r, s, t, code_row, win_row in zip(ends, slot_round.tolist(), slot.tolist(), slot_t,
+                                               codes[mine].tolist(), winners[mine].tolist()):
+        contenders, start = local[start:end], end
         tail = f"\t{epoch}\t{r}\t{s}\t"
         lines[r] += [f"{t}\tREPLY\tenp{i}\t-{tail}{vrns[i]}" for i in contenders]
-        for vr, code, w in zip(recorders, codes[g].tolist(), winners[g].tolist()):
+        for vr, code, w in zip(recorders, code_row, win_row):
             if w >= 0:
                 lines[r].append(f"{t}\tRX\t{vr}{tail}{vrns[contenders[w]]}")
             elif code:

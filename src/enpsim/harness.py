@@ -29,7 +29,7 @@ from .metrics import (
     summary_csv_line,
 )
 from .mobility import Fleet, advance, spawn_fleet, spawn_mixed_fleet
-from .protocol import World, run_epoch
+from .protocol import MAX_REPLY_LINKS, World, build_epoch_schedule, run_epoch
 
 
 def rng_stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -110,26 +110,31 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
         rows = [[] for _ in group]
         logs = [[] if events else None for _ in group]
         chunk_epochs = max(1, MAX_SCORING_PAIRS // max(len(world.fleet), 1))
-        starts, masks = [], []
+        if events:  # and at most MAX_REPLY_LINKS (epoch, round, tag) probe verdicts
+            rounds = build_epoch_schedule(config.timing, config.hash.slot_count, 0).round_count
+            per_epoch = max(rounds * len(world.fleet), 1)
+            chunk_epochs = min(chunk_epochs, max(1, MAX_REPLY_LINKS // per_epoch))
+        results = []
         for e in range(epochs):
-            result = run_epoch(world, config.run.warmup_epochs + e, record_events=events)
-            starts.append(result.fleet_start.x)
-            masks.append(result.decoded(geom.n_pairs))
-            if events:
-                for b, log in enumerate(logs):
-                    log += event_lines(result, b)
-            if len(starts) < chunk_epochs and e < epochs - 1:
+            results.append(run_epoch(world, config.run.warmup_epochs + e, record_events=events))
+            if len(results) < chunk_epochs and e < epochs - 1:
                 continue
-            gt = ground_truth(world.fleet, np.stack(starts), result.schedule, geom, radio)
-            decoded = np.stack(masks)
+            # the first read resolves every reply slot of the chunk
+            decoded = np.stack([result.decoded(geom.n_pairs) for result in results])
+            if events:
+                for result in results:
+                    for b, log in enumerate(logs):
+                        log += event_lines(result, b)
+            sched = results[-1].schedule
+            starts = np.stack([result.fleet_start.x for result in results])
+            gt = ground_truth(world.fleet, starts, sched, geom, radio)
             if radio.shadowing_sigma_db == 0 and (decoded.any(axis=2) & ~gt).any():
                 raise RuntimeError("record outside ground truth with shadowing off (engine bug)")
-            end = result.schedule.epoch_index + 1
-            chunk = range(end - len(starts), end)
+            chunk = range(sched.epoch_index + 1 - len(results), sched.epoch_index + 1)
             scored = iteration_accuracy(decoded, gt, world.offsets, chunk)
             for rep, stream_rows, stats in zip(reps, rows, scored):
                 stream_rows += [(rep, s) for s in stats]
-            starts, masks = [], []
+            results = []
         return zip(rows, logs)
 
     group, tags = [], 0

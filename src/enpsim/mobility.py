@@ -183,17 +183,21 @@ def spawn_mixed_fleet(
 
 
 def advance(fleet: Fleet, dt_s: float) -> Fleet:
-    """Move every vehicle dt_s seconds along the ring (modulo wraparound)."""
+    """Move every vehicle dt_s seconds along the ring (modulo wraparound).
+    A tiny backward step from x = 0 wraps to x + L, which rounds to the ring
+    length itself; such a position folds back to 0.0."""
     if dt_s < 0:
         raise ValueError(f"dt_s must be >= 0, got {dt_s}")
     x = positions_at_each(fleet, dt_s)
+    x[x == fleet.ring_length_m] = 0.0
     return Fleet(fleet.vrn, x, fleet.y, fleet.speed_mps, fleet.ring_length_m)
 
 
 def positions_at(fleet: Fleet, dt_s) -> np.ndarray:
     """Ring positions dt_s seconds ahead of the fleet snapshot, without
     mutating it.  ``dt_s`` may be a scalar -> (V,) or an array (T,) -> (T, V);
-    the arithmetic matches :func:`advance` exactly."""
+    the arithmetic matches :func:`advance` exactly (which also folds a
+    position equal to the ring length, reached only backwards, to 0.0)."""
     return positions_at_each(fleet, np.asarray(dt_s, dtype=float)[..., None])
 
 

@@ -10,12 +10,14 @@ at every receiver under the capture rule.
 
 The engine resolves the probe phase round by round, one capture call deciding
 the probe at every tag, because of the shadowing draw order alone.  The reply
-phase is resolved once an epoch: one capture call decides every occupied
-(round, stream, slot) at every recorder, over a (slots x contenders x
-recorders) power tensor padded with -inf; an epoch with very many repliers
-takes one such call per run of rounds, to bound its memory.  Each stream
-draws its shadowing in the order a slot-by-slot resolution of it alone would,
-so outputs depend neither on the batching nor on the other streams.
+phase draws nothing of its own (its shadowing is drawn in the probe loop), so
+it waits in the world's reply queue until a result is read: then one capture
+call decides every queued occupied (epoch, round, stream, slot) at every
+recorder, over a (slots x contenders x recorders) power tensor padded with
+-inf; a queue with very many repliers is resolved in runs of rounds, to bound
+its memory.  Each stream draws its shadowing in the order a slot-by-slot
+resolution of it alone would, so outputs depend neither on the batching nor
+on the other streams.
 Positions come from the epoch-start fleet snapshot at each schedule event, so
 ground-truth sampling and decode decisions see bit-identical geometry.  The
 epoch's decodes reduce to one record table; the engine builds no event text.
@@ -150,6 +152,10 @@ class World:
         self.timing = timing
         self.rngs = rngs
         self.enp_slots = slot_for(self.fleet.vrn, hash_params)
+        # reply slots whose resolution waits (see run_epoch): per queued epoch
+        # its result, first queued round and each queued round's repliers;
+        # their shadowing draws and (replier, recorder) links
+        self.reply_queue, self.reply_draws, self.reply_links = [], [], 0
         # recorder 2 * pair + side as (2P,) columns, side 0 (a) then 1 (b)
         pairs = range(geometry.n_pairs)
         xy = np.array([pos for p in pairs for pos in geometry.vr_positions(p)], dtype=float)
@@ -157,7 +163,6 @@ class World:
         self.vr_y = xy[:, 1]
 
 
-@dataclass
 class EpochResult:
     """Everything one epoch produced: the schedule it ran on, the fleet
     snapshot it started from, the record table and, with events recorded,
@@ -169,38 +174,79 @@ class EpochResult:
     the tag indexes ``fleet_start`` (all streams); VRNs stay in its uint64
     ``vrn`` column, which an int64 one would wrap.  ``trace`` is the world's
     stream offsets, the (rounds, V) probe verdict codes and winning pairs
-    (-1 where none), and the list of each reply run's verdict arrays.
+    (-1 where none), and the epoch's reply verdict arrays (see
+    :func:`_resolve_replies`).
+
+    The epoch's reply slots may still wait in its world's reply queue when
+    :func:`run_epoch` returns; the first read of ``records``, ``trace``,
+    ``events`` or ``decoded`` resolves every slot queued so far.
     """
 
-    schedule: EpochSchedule
-    fleet_start: Fleet
-    records: np.ndarray
-    trace: tuple | None = None
+    def __init__(self, schedule: EpochSchedule, fleet_start: Fleet, world: World, probe_trace):
+        self.schedule = schedule
+        self.fleet_start = fleet_start
+        self._world = world  # None once every reply slot of the epoch is resolved
+        self._probe = probe_trace  # (offsets, probe codes, probe pairs), None without events
+        self._records = None
+        self._replies = []  # the reply verdicts of each run that resolved some of its slots
+
+    def _add_run(self, table, replies, last: bool) -> None:
+        """Take one reply run's first decodes and verdicts of this epoch;
+        ``last`` when the run held the epoch's last round."""
+        if self._records is None:
+            self._records = table
+        else:  # earlier runs' rows come first
+            self._records = _first_decodes(np.concatenate((self._records, table)),
+                                           len(self.fleet_start))
+        if self._probe is not None:
+            self._replies.append(replies)
+        if last:
+            self._world = None
+            if len(self._replies) > 1:
+                self._replies = [tuple(map(np.concatenate, zip(*self._replies)))]
+
+    def _settle(self) -> None:
+        if self._world is not None:
+            _resolve_replies(self._world)
+
+    @property
+    def records(self) -> np.ndarray:
+        self._settle()
+        return self._records
+
+    @property
+    def trace(self) -> tuple | None:
+        self._settle()
+        return None if self._probe is None else (*self._probe, self._replies[0])
 
     @property
     def events(self) -> list[str] | None:
         """Every stream's event lines in turn; None without a trace."""
-        if self.trace is None:
+        trace = self.trace
+        if trace is None:
             return None
-        return [line for b in range(len(self.trace[0]) - 1) for line in event_lines(self, b)]
+        return [line for b in range(len(trace[0]) - 1) for line in event_lines(self, b)]
 
     def decoded(self, n_pairs: int) -> np.ndarray:
         """A ``(pairs, 2, vehicles)`` bool mask: True where recorder a (0) or
         b (1) of the pair decoded the tag."""
         mask = np.zeros((2 * n_pairs, len(self.fleet_start)), dtype=bool)
-        mask[self.records[:, 0], self.records[:, 1]] = True
+        records = self.records
+        mask[records[:, 0], records[:, 1]] = True
         return mask.reshape(n_pairs, 2, -1)
 
 
 # Most links one reply capture call (replier x recorder) or one block of probe
 # powers (round x recorder x tag) holds: 2 MB per float array, a few rounds at
 # the largest fleet (10,000 vehicles x 5 pairs x 2 recorders is 100,000 links
-# a round).  A preset epoch takes one reply call and one probe block.
+# a round).  A preset epoch takes one probe block, and the replies of hundreds
+# of preset epochs fit one reply call.
 MAX_REPLY_LINKS = 2**18
 
 
 def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> EpochResult:
-    """Run one full epoch of every stream and advance the fleet to its end.
+    """Run the probe phase of one full epoch of every stream, queue its
+    reply slots and advance the fleet to its end.
 
     The probe phase runs round by round: one capture call decides, at every
     tag, the concurrent probes of all pairs (pair replicas merged, cross-pair
@@ -209,11 +255,12 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     the number of round r's probe decodes; positions and zero-shadow powers
     come from one call per block of at most ``MAX_REPLY_LINKS`` links.  Each
     stream draws from its own generator as a world of it alone would,
-    stitched along the tag axis.  :func:`_resolve_replies` resolves the
-    reply phase in one capture call after the last round, or after each run
-    of rounds whose repliers (of all streams) reach ``MAX_REPLY_LINKS``
-    links.  A run's first decodes join the record table as it ends; its
-    verdicts, like the probe verdicts, are kept only for the result's trace.
+    stitched along the tag axis.  The reply phase draws nothing more, so its
+    resolution can wait: each round's repliers and their shadowing join the
+    world's reply queue, and :func:`_resolve_replies` resolves the whole
+    queue, across epochs, in one capture call when its repliers (of all
+    streams) reach ``MAX_REPLY_LINKS`` links or when a queued result is
+    first read.  Reading each result at once gives one reply call an epoch.
     """
     hash_params = world.hash_params
     sched = build_epoch_schedule(world.timing, hash_params.slot_count, epoch_index)
@@ -223,7 +270,7 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     sigma = radio.shadowing_sigma_db
     n_enp = len(fleet)
     n_vr = world.vr_x.size
-    streams = list(zip(world.rngs, world.offsets[:-1].tolist(), world.offsets[1:].tolist()))
+    sizes = np.diff(world.offsets).tolist()
     rounds = np.arange(sched.round_count)
 
     # ---- probe phase: every tag resolves the concurrent probes ----
@@ -231,8 +278,10 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     block = max(1, MAX_REPLY_LINKS // max(1, n_vr * n_enp))  # rounds of zero-shadow powers
     probe_codes = np.empty((rounds.size, n_enp), dtype=np.int8) if record_events else None
     probe_pair = np.empty((rounds.size, n_enp), dtype=np.intp) if record_events else None
-    replies = []  # each reply run's verdicts, kept for the trace only
-    heard, draws, links, lo = [], [], 0, 0  # this run's repliers, shadowing, links, first round
+    result = EpochResult(sched, fleet, world,
+                         (world.offsets, probe_codes, probe_pair) if record_events else None)
+    heard = []  # each queued round's repliers
+    world.reply_queue.append((result, 0, heard))
     for r in rounds.tolist():
         if r % block == 0:  # power at every recorder from every tag, (rounds, 2P, V)
             dt = (t_probe[r:r + block] - sched.epoch_start_us) * 1e-6
@@ -241,7 +290,7 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
             base_pw = received_power_dbm(d, radio, tx_power_dbm=radio.probe_tx_power_dbm)
         link_pw = base_pw[r % block]
         if sigma > 0:
-            shadow = [rng.normal(0.0, sigma, size=(n_vr, b - a)) for rng, a, b in streams]
+            shadow = [rng.normal(0.0, sigma, size=(n_vr, k)) for rng, k in zip(world.rngs, sizes)]
             link_pw = link_pw + (shadow[0] if len(shadow) == 1 else np.concatenate(shadow, axis=1))
         # the two recorders of a pair send byte-identical probes:
         # non-destructive replicas, strongest link counts
@@ -249,62 +298,79 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
         codes, pair = capture_verdicts(group_pw, radio)
         if record_events:
             probe_codes[r], probe_pair[r] = codes, pair
-        received = codes == RECEIVED_CODE
-        heard.append(np.flatnonzero(received))
-        for rng, a, b in streams:
-            k = np.count_nonzero(received[a:b])
-            if sigma > 0 and k:
-                draws.append(rng.normal(0.0, sigma, size=n_vr * k))
-            links += n_vr * k
-        if links >= MAX_REPLY_LINKS or r == rounds.size - 1:
-            run, *verdicts = _resolve_replies(world, sched, lo, heard, draws)
-            # the first decodes so far: earlier runs' rows come first
-            table = run if lo == 0 else _first_decodes(np.concatenate((table, run)), n_enp)
-            if record_events:
-                replies.append(verdicts)
-            heard, draws, links, lo = [], [], 0, r + 1
+        tags = np.flatnonzero(codes == RECEIVED_CODE)
+        heard.append(tags)
+        if sigma > 0 and tags.size:
+            repliers = [tags.size] if len(sizes) == 1 else np.diff(
+                np.searchsorted(tags, world.offsets)).tolist()
+            world.reply_draws += [rng.normal(0.0, sigma, size=n_vr * k)
+                                  for rng, k in zip(world.rngs, repliers) if k]
+        world.reply_links += n_vr * tags.size
+        if world.reply_links >= MAX_REPLY_LINKS:
+            _resolve_replies(world)
+            if r + 1 < rounds.size:
+                heard = []
+                world.reply_queue.append((result, r + 1, heard))
 
     world.fleet = advance(fleet, sched.glossy_period_us * 1e-6)
-    trace = (world.offsets, probe_codes, probe_pair, replies) if record_events else None
-    return EpochResult(sched, fleet, table.astype(np.int64, copy=False), trace)
+    return result
 
 
-def _resolve_replies(world, sched, lo, heard, draws):
-    """Resolve the reply slots of the rounds from ``lo`` in one capture call,
-    given each round's repliers (ascending tags) and those rounds' reply
-    shadowing, one block per (round, stream) with replies.
+def _resolve_replies(world):
+    """Resolve every queued reply slot of the world in one capture call and
+    hand each queued epoch its part.
 
-    Only the repliers are hashed and placed at the start of their slot.
-    They are grouped by (round, stream, slot) into a (slots x contenders x
-    recorders) power tensor padded with -inf, and every recorder decides
-    every occupied slot independently.  Each slot takes its (recorders x
-    contenders) block of its draws, in slot order, so each stream's results
-    equal its slot-by-slot resolution.  Returns the run's first decodes, the
-    repliers' tags grouped by slot and, per occupied slot, its contender
-    count, round and slot, and its (recorders,) verdict codes and winning ranks.
+    The queue holds, per epoch, its first queued round and each queued
+    round's repliers (ascending tags), and all their reply shadowing, one
+    block per (epoch, round, stream) with replies, in that order.  Only the
+    repliers are hashed (under reseeding, each round's under that epoch and
+    round's seed) and placed at the start of their slot from their own
+    epoch's snapshot.  They are grouped by (epoch, round, stream, slot) into
+    a (slots x contenders x recorders) power tensor padded with -inf, and
+    every recorder decides every occupied slot independently.  Each slot
+    takes its (recorders x contenders) block of its draws, in slot order, so
+    each stream's results equal its slot-by-slot resolution.  Each epoch
+    gets the first decodes of its slots and, with events, the repliers' tags
+    grouped by slot and, per occupied slot, its contender count, round and
+    slot, and its (recorders,) verdict codes and winning ranks.
     """
+    queue, draws = world.reply_queue, world.reply_draws
+    world.reply_queue, world.reply_draws, world.reply_links = [], [], 0
     fleet = world.fleet
     hp = world.hash_params
     n_vr = world.vr_x.size
+    sched = queue[0][0].schedule  # every epoch has the same slot offsets from its start
+    heard = [t for _, _, rows in queue for t in rows]
+    # each queued round (row) of each epoch: its round is its epoch's first
+    # queued round plus its place among the epoch's rows
+    per_epoch = [len(rows) for _, _, rows in queue]
+    row_epoch = np.repeat(np.arange(len(queue)), per_epoch)
+    shift = np.array([lo for _, lo, _ in queue]) - (np.cumsum(per_epoch) - per_epoch)
+    row_round = np.arange(row_epoch.size) + shift[row_epoch]
     tag = np.concatenate(heard)
-    rnd = np.repeat(np.arange(lo, lo + len(heard)), [t.size for t in heard])
+    row = np.repeat(np.arange(len(heard)), [t.size for t in heard])
     slot = world.enp_slots[tag]
-    if hp.reseed_per_round:  # each round's repliers hashed under that round's seed
-        hashed = [slot_for(fleet.vrn[t], replace(hp, seed=round_seed(hp.seed, sched.epoch_index, r)))
-                  for r, t in enumerate(heard, lo) if t.size]
+    if hp.reseed_per_round:  # each round's repliers hashed under that epoch and round's seed
+        hashed = []
+        for res, lo, rows in queue:
+            e = res.schedule.epoch_index
+            hashed += [slot_for(fleet.vrn[t], replace(hp, seed=round_seed(hp.seed, e, r)))
+                       for r, t in enumerate(rows, lo) if t.size]
         slot = np.concatenate(hashed) if hashed else slot
-    # group by (round, stream, slot); a stable sort keeps vehicle order inside each slot
+    # group by (epoch, round, stream, slot); a stable sort keeps vehicle order in each slot
     stream = np.searchsorted(world.offsets, tag, side="right") - 1
-    key = (rnd * (world.offsets.size - 1) + stream) * sched.slot_count + slot
+    key = (row * (world.offsets.size - 1) + stream) * sched.slot_count + slot
     order = np.argsort(key, kind="stable")
-    rnd, tag, slot, key = rnd[order], tag[order], slot[order], key[order]
+    row, tag, slot, key = row[order], tag[order], slot[order], key[order]
+    epoch, rnd = row_epoch[row], row_round[row]
     first = np.flatnonzero(np.diff(key, prepend=-1))
     counts = np.diff(np.append(first, key.size))
     group = np.repeat(np.arange(first.size), counts)
     rank = np.arange(key.size) - first[group]  # position inside its slot
 
-    # every replier at the start of its own slot
-    tx = fleet.take(tag)
+    # every replier at the start of its own slot, from its own epoch's snapshot
+    x = np.stack([res.fleet_start.x for res, _, _ in queue])[epoch, tag]
+    tx = Fleet(fleet.vrn[tag], x, fleet.y[tag], fleet.speed_mps[tag], fleet.ring_length_m)
     dt = (sched.slot_start_us(rnd, slot) - sched.epoch_start_us) * 1e-6
     tx_road_x = world.geometry.road_x(positions_at_each(tx, dt))
     d = np.hypot(tx_road_x[:, None] - world.vr_x, tx.y[:, None] - world.vr_y)  # (repliers, 2P)
@@ -316,10 +382,25 @@ def _resolve_replies(world, sched, lo, heard, draws):
     power = np.full((first.size, counts.max(initial=0), n_vr), -np.inf)
     power[group, rank] = received_power_dbm(d, world.radio, shadow)
     codes, winners = capture_verdicts(power, world.radio)  # (slots, 2P)
+
+    # the first decode of each (epoch, recorder, tag), split by epoch
     rx_group, rx_vr = np.nonzero(codes == RECEIVED_CODE)
-    winner_tag = tag[first[rx_group] + winners[rx_group, rx_vr]]
-    table = np.column_stack((rx_vr, winner_tag, rnd[first[rx_group]], slot[first[rx_group]]))
-    return _first_decodes(table, len(fleet)), tag, counts, rnd[first], slot[first], codes, winners
+    rx = first[rx_group]
+    winner_tag = tag[rx + winners[rx_group, rx_vr]]
+    _, kept = np.unique((epoch[rx] * n_vr + rx_vr) * len(fleet) + winner_tag, return_index=True)
+    rx, rx_vr, winner_tag = rx[kept], rx_vr[kept], winner_tag[kept]
+    table = np.column_stack((rx_vr, winner_tag, rnd[rx], slot[rx])).astype(np.int64, copy=False)
+    epochs = np.arange(len(queue) + 1)
+    rows_at = np.searchsorted(epoch[rx], epochs).tolist()
+    slots_at = np.searchsorted(epoch[first], epochs).tolist()
+    tags_at = np.append(first, key.size)[slots_at].tolist()
+    for i, (res, lo, rows) in enumerate(queue):
+        replies = None
+        if res._probe is not None:  # the epoch's slots and their repliers
+            g, t = slice(slots_at[i], slots_at[i + 1]), slice(tags_at[i], tags_at[i + 1])
+            replies = (tag[t], counts[g], rnd[first[g]], slot[first[g]], codes[g], winners[g])
+        res._add_run(table[rows_at[i]:rows_at[i + 1]], replies,
+                     lo + len(rows) == res.schedule.round_count)
 
 
 def _first_decodes(table, n_tags):

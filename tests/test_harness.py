@@ -1,6 +1,7 @@
 """Experiment harness: determinism, outputs, sweeps, and the CLI."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from enpsim.cli import main
 from enpsim.config import parse_config, with_fleet_cell
 from enpsim.harness import run_experiment, sweep
 from enpsim.metrics import ITERATION_CSV_HEADER
+from enpsim.protocol import MAX_REPLY_LINKS
 
 SMALL = """
 preset = paper-fig1b
@@ -190,7 +192,11 @@ class TestLockstep:
         # chunks of 3 sweep epochs (3 + 1) and of 8 road epochs (8 + 2)
         ({"MAX_SCORING_PAIRS": 3 * 88}, {(0, 0, 7, 7, 25, 25, 12, 12)}, {(10, 10, 10)},
          (2, 2)),
-    ], ids=[f"caps{i}-sweep_groups{i}-road_groups{i}" for i in range(6)])
+        # with events, chunks of at most two road epochs' (round, tag) probe
+        # verdicts (13 rounds of 30 tags); the sweep records none
+        ({"MAX_REPLY_LINKS": 2 * 13 * 30}, {(0, 0, 7, 7, 25, 25, 12, 12)}, {(10, 10, 10)},
+         (1, 5)),
+    ], ids=[f"caps{i}-sweep_groups{i}-road_groups{i}" for i in range(7)])
     def test_group_caps_change_no_output(self, tmp_path, monkeypatch, caps, sweep_groups,
                                          road_groups, chunks):
         want, _, _ = self.run_both(tmp_path / "default", monkeypatch)
@@ -207,6 +213,25 @@ class TestLockstep:
                     sum(max(n, 1) for n in sizes) <= harness.MAX_FLEET_SIZE
                     and len(sizes) * epochs <= harness.MAX_SCORED_EPOCHS
                 )
+
+
+def test_event_chunks_hold_bounded_probe_verdicts():
+    # 277-round epochs of 200 tags hold 55,400 (round, tag) probe verdicts
+    # each: with events a scoring chunk holds at most MAX_REPLY_LINKS of them
+    # (four epochs here), not all twelve epochs its (epoch, tag) pairs allow.
+    # Beyond the event text it keeps, the run then peaks below four float
+    # arrays of MAX_REPLY_LINKS links (a probe block, a chunk's verdicts)
+    cfg = parse_config("preset = paper-road\ntiming.glossy_period_us = 10000000\n"
+                       "fleet.v_n = 200\ngeometry.ring_length_m = 20000\nrun.epochs = 12\n"
+                       "run.warmup_epochs = 0\nrun.master_seed = 3\n")
+    tracemalloc.start()
+    try:
+        result = run_experiment(cfg, events=True)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.iterations) == 12 and len(result.events) > 12 * 277
+    assert peak - kept < 4 * 8 * MAX_REPLY_LINKS
 
 
 class TestCli:

@@ -83,6 +83,12 @@ class TestAdvance:
         moved = advance(fleet, 0.0)
         assert (moved.x == fleet.x).all()
 
+    def test_tiny_backward_step_from_zero_folds_to_zero(self):
+        # np.mod(-tiny, L) rounds to L itself, which a fleet rejects
+        fleet = Fleet([1], [0.0], [1.0], [-2.4e-250], 2.0)
+        assert positions_at(fleet, 1.0).tolist() == [2.0]
+        assert advance(fleet, 1.0).x.tolist() == [0.0]
+
     def test_negative_dt_rejected(self):
         fleet = Fleet([1], [0.0], [1.0], [10.0], 400.0)
         with pytest.raises(ValueError):

@@ -303,13 +303,19 @@ class TestRunEpoch:
         )
 
     @pytest.mark.parametrize("preset", ["paper-road", "paper-fig1b"])
-    def test_one_reply_capture_call_per_epoch(self, monkeypatch, preset):
-        # one capture call a round for the probe, one for the epoch's replies
+    @pytest.mark.parametrize("n_epochs", [1, 5])
+    def test_one_reply_capture_call_per_chunk(self, monkeypatch, preset, n_epochs):
+        # one capture call a round for the probe; the replies of every epoch
+        # wait for the first read, which resolves them all in one call
         world = preset_world(f"preset = {preset}\n")
         calls = count_capture_calls(monkeypatch)
-        result = run_epoch(world, 0)
-        assert len(calls) == result.schedule.round_count + 1
-        assert len(result.records)
+        results = [run_epoch(world, e) for e in range(n_epochs)]
+        rounds = results[0].schedule.round_count
+        assert len(calls) == n_epochs * rounds
+        assert len(results[-1].records)
+        assert len(calls) == n_epochs * rounds + 1
+        assert all(len(result.records) for result in results)
+        assert len(calls) == n_epochs * rounds + 1
 
     @pytest.mark.parametrize("max_links", [1, 50])
     @pytest.mark.parametrize("sigma", [0.0, 6.5])
@@ -334,6 +340,67 @@ class TestRunEpoch:
         assert_matches_reference(1, 1, True, None, 25, 108, 8, sigma)
         assert_matches_reference(5, 17, False, None, 25, 106, 6, sigma)
         assert_streams_match_reference(1, 1, True, [(25, 108), (0, 1), (7, 2)], 8, sigma)
+
+    @pytest.mark.parametrize("max_links", [None, 1, 50])
+    @pytest.mark.parametrize("sigma", [0.0, 6.5])
+    @pytest.mark.parametrize("reseed", [False, True])
+    @pytest.mark.parametrize("streams", [[(25, 108)], [(25, 108), (0, 1), (7, 2)]],
+                             ids=["one-stream", "three-streams"])
+    def test_reading_late_equals_reading_each_epoch(self, monkeypatch, max_links, sigma,
+                                                    reseed, streams):
+        # six epochs on a 2 km ring, each result read at once, and again
+        # read only at the end: the replies then wait in one queue, or in runs
+        # of rounds up to a link budget of 1 or 50 (runs of 50 straddle
+        # epochs), and give the same records, event text and generator states,
+        # each epoch those of the scalar reference from its snapshot
+        if max_links is not None:
+            monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", max_links)
+        geom = RoadGeometry(vr_pair_xs=(80.0, 120.0), ring_length_m=2000.0)
+        radio = RadioParams(shadowing_sigma_db=sigma)
+        hash_params = HashParams(slot_count=5, reseed_per_round=reseed)
+        fleets = [spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(s)) for v_n, s in streams]
+        calls = count_capture_calls(monkeypatch)
+        queued_epochs = []  # of each reply run
+        resolve = protocol._resolve_replies
+
+        def spied(world):
+            queued_epochs.append(len(world.reply_queue))
+            resolve(world)
+
+        monkeypatch.setattr(protocol, "_resolve_replies", spied)
+
+        def run(read_each):
+            rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
+            world = World(fleets, geom, radio, hash_params, TIMING, rngs)
+            results = []
+            for e in range(6):
+                results.append(run_epoch(world, e, record_events=True))
+                if read_each:
+                    results[-1].records
+            got = [(r.records.tolist(), [event_lines(r, b) for b in range(len(streams))])
+                   for r in results]
+            return got, [rng.bit_generator.state for rng in rngs], world, results
+
+        want, want_states, _, _ = run(read_each=True)
+        each_calls, rounds = len(calls), 6 * build_epoch_schedule(TIMING, 5, 0).round_count
+        del calls[:], queued_epochs[:]
+        got, got_states, world, results = run(read_each=False)
+        assert got == want and got_states == want_states
+        assert len(calls) <= each_calls
+        if max_links is None:
+            assert (each_calls, len(calls)) == (rounds + 6, rounds + 1)
+        if max_links != 1:
+            assert max(queued_epochs) > 1
+        assert sum(len(records) for records, _ in got) > 6
+        reference_rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
+        for result in results:
+            for b, rng in enumerate(reference_rngs):
+                snapshot = result.fleet_start.take(np.arange(*world.offsets[b:b + 2]))
+                records, events = reference_run_epoch(snapshot, geom, radio, hash_params, TIMING,
+                                                      result.schedule.epoch_index, rng)
+                assert engine_records(world, result, b) == records
+                assert event_lines(result, b) == events
+        assert [rng.bit_generator.state for rng in reference_rngs] == got_states
 
     def test_many_repliers_split_reply_calls(self, monkeypatch):
         # 2,495 one-slot rounds of 100 vehicles hold more replier links than
