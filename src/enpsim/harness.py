@@ -95,9 +95,11 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
     epoch, of at most ``MAX_FLEET_SIZE`` tags (an empty fleet counts one)
     and ``MAX_SCORED_EPOCHS`` scored epochs; the grouping changes no output.
     Warm-up epochs only move the fleets.  The measured epochs are scored in
-    chunks of at most ``MAX_SCORING_PAIRS`` (epoch, tag) pairs, or one
-    epoch: one ``ground_truth`` and one ``iteration_accuracy`` call a chunk
-    score all its streams, epochs and pairs.  Scoring checks that union
+    chunks of at most ``MAX_SCORING_PAIRS`` (epoch, tag) pairs and, with
+    events, ``MAX_REPLY_LINKS`` (epoch, round, tag) probe verdicts, or one
+    epoch: a chunk's results are read once its last epoch has run, so their
+    queued replies take one capture call, and one ``ground_truth`` and one
+    ``iteration_accuracy`` call score all its streams, epochs and pairs.  Scoring checks that union
     coverage dominates either recorder alone and, with shadowing off, that
     no record falls outside ground truth."""
     geom, radio, epochs = config.geometry, config.radio, config.run.epochs

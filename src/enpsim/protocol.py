@@ -300,11 +300,12 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
             probe_codes[r], probe_pair[r] = codes, pair
         tags = np.flatnonzero(codes == RECEIVED_CODE)
         heard.append(tags)
-        if sigma > 0 and tags.size:
-            repliers = [tags.size] if len(sizes) == 1 else np.diff(
-                np.searchsorted(tags, world.offsets)).tolist()
+        if sigma > 0 and tags.size:  # each stream's repliers draw their reply shadowing
+            counts = [tags.size]
+            if len(sizes) > 1:
+                counts = np.diff(np.searchsorted(tags, world.offsets)).tolist()
             world.reply_draws += [rng.normal(0.0, sigma, size=n_vr * k)
-                                  for rng, k in zip(world.rngs, repliers) if k]
+                                  for rng, k in zip(world.rngs, counts) if k]
         world.reply_links += n_vr * tags.size
         if world.reply_links >= MAX_REPLY_LINKS:
             _resolve_replies(world)
