@@ -13,9 +13,9 @@ the probe at every tag, because of the shadowing draw order alone.  The reply
 phase draws nothing of its own (its shadowing is drawn in the probe loop), so
 it waits in the world's reply queue until a result is read: then one capture
 call decides every queued occupied (epoch, round, stream, slot) at every
-recorder, over a (slots x contenders x recorders) power tensor padded with
--inf; a queue with very many repliers is resolved in runs of rounds, to bound
-its memory.  Each stream draws its shadowing in the order a slot-by-slot
+recorder, over the flat (repliers x recorders) powers grouped by slot; a
+queue with very many repliers is resolved in runs of rounds, to bound its
+memory.  Each stream draws its shadowing in the order a slot-by-slot
 resolution of it alone would, so outputs depend neither on the batching nor
 on the other streams.
 Positions come from the epoch-start fleet snapshot at each schedule event, so
@@ -36,12 +36,7 @@ from .events import event_lines
 # counts probe frames by patching this module's ProbeFrame binding.
 from .frames import ProbeFrame  # noqa: F401
 from .mobility import Fleet, RoadGeometry, advance, positions_at, positions_at_each
-from .radio import (
-    RECEIVED_CODE,
-    RadioParams,
-    capture_verdicts,
-    received_power_dbm,
-)
+from .radio import RECEIVED_CODE, RadioParams, capture_verdicts, received_power_dbm
 from .slot_hash import HashParams, round_seed, slot_for
 
 
@@ -326,14 +321,14 @@ def _resolve_replies(world):
     block per (epoch, round, stream) with replies, in that order.  Only the
     repliers are hashed (under reseeding, each round's under that epoch and
     round's seed) and placed at the start of their slot from their own
-    epoch's snapshot.  They are grouped by (epoch, round, stream, slot) into
-    a (slots x contenders x recorders) power tensor padded with -inf, and
-    every recorder decides every occupied slot independently.  Each slot
-    takes its (recorders x contenders) block of its draws, in slot order, so
-    each stream's results equal its slot-by-slot resolution.  Each epoch
-    gets the first decodes of its slots and, with events, the repliers' tags
-    grouped by slot and, per occupied slot, its contender count, round and
-    slot, and its (recorders,) verdict codes and winning ranks.
+    epoch's snapshot.  Sorted by (epoch, round, stream, slot), each occupied
+    slot is a run of rows of one (repliers x recorders) power array, which
+    one capture call decides at every recorder.  Each slot takes its
+    (recorders x contenders) block of its draws, in slot order, so each
+    stream's results equal its slot-by-slot resolution.  Each epoch gets the
+    first decodes of its slots and, with events, the repliers' tags grouped
+    by slot and, per occupied slot, its contender count, round, slot, and
+    (recorders,) verdict codes and winners' ranks in the slot.
     """
     queue, draws = world.reply_queue, world.reply_draws
     world.reply_queue, world.reply_draws, world.reply_links = [], [], 0
@@ -365,9 +360,7 @@ def _resolve_replies(world):
     row, tag, slot, key = row[order], tag[order], slot[order], key[order]
     epoch, rnd = row_epoch[row], row_round[row]
     first = np.flatnonzero(np.diff(key, prepend=-1))
-    counts = np.diff(np.append(first, key.size))
-    group = np.repeat(np.arange(first.size), counts)
-    rank = np.arange(key.size) - first[group]  # position inside its slot
+    counts = np.diff(first, append=key.size)
 
     # every replier at the start of its own slot, from its own epoch's snapshot
     x = np.stack([res.fleet_start.x for res, _, _ in queue])[epoch, tag]
@@ -377,20 +370,20 @@ def _resolve_replies(world):
     d = np.hypot(tx_road_x[:, None] - world.vr_x, tx.y[:, None] - world.vr_y)  # (repliers, 2P)
     shadow = 0.0
     if draws:
-        # one (2P, k) block per occupied slot, back to back in key order
-        at = (n_vr * first[group] + rank)[:, None] + np.arange(n_vr) * counts[group][:, None]
+        # one (2P, k) block per occupied slot, back to back in key order: row i
+        # of a slot of k from first holds column i - first of the block at 2P * first
+        first_of, k = np.repeat(first, counts), np.repeat(counts, counts)[:, None]
+        at = (np.arange(key.size) + (n_vr - 1) * first_of)[:, None] + k * np.arange(n_vr)
         shadow = np.concatenate(draws)[at]
-    power = np.full((first.size, counts.max(initial=0), n_vr), -np.inf)
-    power[group, rank] = received_power_dbm(d, world.radio, shadow)
-    codes, winners = capture_verdicts(power, world.radio)  # (slots, 2P)
+    power = received_power_dbm(d, world.radio, shadow)
+    codes, winners = capture_verdicts(power, world.radio, first)  # (slots, 2P)
 
     # the first decode of each (epoch, recorder, tag), split by epoch
     rx_group, rx_vr = np.nonzero(codes == RECEIVED_CODE)
-    rx = first[rx_group]
-    winner_tag = tag[rx + winners[rx_group, rx_vr]]
-    _, kept = np.unique((epoch[rx] * n_vr + rx_vr) * len(fleet) + winner_tag, return_index=True)
-    rx, rx_vr, winner_tag = rx[kept], rx_vr[kept], winner_tag[kept]
-    table = np.column_stack((rx_vr, winner_tag, rnd[rx], slot[rx])).astype(np.int64, copy=False)
+    rx = winners[rx_group, rx_vr]  # the decoded repliers' rows
+    _, kept = np.unique((epoch[rx] * n_vr + rx_vr) * len(fleet) + tag[rx], return_index=True)
+    rx, rx_vr = rx[kept], rx_vr[kept]
+    table = np.column_stack((rx_vr, tag[rx], rnd[rx], slot[rx])).astype(np.int64, copy=False)
     epochs = np.arange(len(queue) + 1)
     rows_at = np.searchsorted(epoch[rx], epochs).tolist()
     slots_at = np.searchsorted(epoch[first], epochs).tolist()
@@ -399,7 +392,8 @@ def _resolve_replies(world):
         replies = None
         if res._probe is not None:  # the epoch's slots and their repliers
             g, t = slice(slots_at[i], slots_at[i + 1]), slice(tags_at[i], tags_at[i + 1])
-            replies = (tag[t], counts[g], rnd[first[g]], slot[first[g]], codes[g], winners[g])
+            ranks = np.where(winners[g] >= 0, winners[g] - first[g, None], -1)
+            replies = (tag[t], counts[g], rnd[first[g]], slot[first[g]], codes[g], ranks)
         res._add_run(table[rows_at[i]:rows_at[i + 1]], replies,
                      lo + len(rows) == res.schedule.round_count)
 

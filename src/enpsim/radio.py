@@ -85,55 +85,61 @@ def comm_range_m(params: RadioParams) -> float:
     )
 
 
-def capture_verdicts(
-    power_dbm: np.ndarray, params: RadioParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized capture rule over a (... x signals x receivers) power array.
+def capture_verdicts(power_dbm: np.ndarray, params: RadioParams,
+                     starts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The one capture rule, of probe and reply alike, over (signals x receivers) powers.
 
-    The last two axes are (signals, receivers): rows are signals, columns
-    are receivers.  The replicas of one recorder pair are one row, holding
-    the stronger of the pair's two links.  Leading axes, if any, stack
-    independent slots that are resolved at once.  Rows padded with -inf
-    stand for absent signals: they never win and add no interference, and a
-    slot of padding only is SILENCE.  Returns int8 verdict codes and the
-    winning row index per receiver (-1 where nothing was received), both
-    shaped (..., receivers).
-
+    A recorder pair's replicas are one signal row, at the stronger of its
+    two links; -inf is an absent signal.  ``starts``, the strictly ascending
+    first row of each group (0 first), splits the rows into groups of
+    concurrent signals, each resolved alone; None makes all rows one group.
     Per receiver: SILENCE when the strongest signal is below the sensitivity
     floor; RECEIVED when it clears the floor, is the only strongest, and
     beats the summed remaining interference by the capture margin; COLLISION
-    otherwise (a tie for strongest collides even at a zero margin).  This is
-    the one capture rule: the probe and reply phases of the engine both call
-    it.
+    otherwise (a tie for strongest collides even at a zero margin); a group
+    of one row meets no interference.  Returns int8 verdict codes and each
+    winning row (-1 where none), shaped (groups, receivers), or (receivers,)
+    for the one group of None.
     """
-    p = np.atleast_2d(np.asarray(power_dbm, dtype=float))
-    n_tx = p.shape[-2]
-    out_shape = p.shape[:-2] + p.shape[-1:]
-    if n_tx == 0:
-        return (
-            np.full(out_shape, SILENCE_CODE, dtype=np.int8),
-            np.full(out_shape, -1, dtype=np.intp),
-        )
-    if n_tx == 1:  # a lone signal meets no interference: only the floor decides
-        heard = p[..., 0, :] >= params.sensitivity_dbm
+    p = np.asarray(power_dbm, dtype=float)
+    n_tx, n_rx = p.shape
+    if starts is None and n_tx > 1:  # one group: plain reductions, the probe phase's call
+        strongest = p.max(axis=0)
+        return _verdicts(params, strongest, p.argmax(axis=0), (p == strongest).sum(axis=0) > 1,
+                         (10.0 ** (p / 10.0)).sum(axis=0))
+    if starts is None:  # one lone signal, or none
+        heard = p[0] >= params.sensitivity_dbm if n_tx else np.zeros(n_rx, dtype=bool)
         return np.where(heard, RECEIVED_CODE, SILENCE_CODE), np.where(heard, 0, -1)
 
-    winner = p.argmax(axis=-2)
-    strongest = p.max(axis=-2)
-    tied = (p == strongest[..., None, :]).sum(axis=-2) > 1
-
-    interference_mw = (10.0 ** (p / 10.0)).sum(axis=-2) - 10.0 ** (strongest / 10.0)
-    # sole signal => -inf interference => margin always passes; a slot of
-    # padding only gives -inf - -inf = nan, which fails the margin but is
-    # SILENCE anyway
-    with np.errstate(divide="ignore", invalid="ignore"):
-        interference_dbm = 10.0 * np.log10(interference_mw)
-        captured = strongest - interference_dbm >= params.capture_threshold_db
-
-    codes = np.where(
-        strongest < params.sensitivity_dbm,
-        SILENCE_CODE,
-        np.where(tied | ~captured, COLLISION_CODE, RECEIVED_CODE),
-    )
-    winner = np.where(codes == RECEIVED_CODE, winner, -1)
+    counts = np.diff(starts, append=n_tx)
+    heard = p[starts] >= params.sensitivity_dbm  # all a group of one row needs
+    codes = np.where(heard, RECEIVED_CODE, SILENCE_CODE)
+    winner = np.where(heard, starts[:, None], -1)
+    if (counts > 1).any():  # the other groups, on their rows alone
+        groups = np.flatnonzero(counts > 1)
+        rows = np.flatnonzero(np.repeat(counts > 1, counts))
+        q, k = p[rows], counts[groups]
+        group = np.repeat(np.arange(groups.size), k)
+        strongest = np.maximum.reduceat(q, np.cumsum(k) - k, axis=0)
+        is_max = q == strongest[group]
+        # sums over each group's rows in row order, per (group, receiver) cell: the
+        # strongest's count, its row where that is 1, and the milliwatts
+        cell = (group[:, None] * n_rx + np.arange(n_rx)).ravel()
+        n_max, top, total_mw = (np.bincount(cell, w.ravel(), groups.size * n_rx).reshape(-1, n_rx)
+                                for w in (is_max, is_max * np.arange(q.shape[0])[:, None],
+                                          10.0 ** (q / 10.0)))
+        codes[groups], top = _verdicts(params, strongest, top.astype(np.intp), n_max > 1, total_mw)
+        winner[groups] = np.where(top >= 0, rows[top], -1)
     return codes, winner
+
+
+def _verdicts(params, strongest, winner, tied, total_mw):
+    """The capture rule from each group's reductions at each receiver."""
+    # nothing else present => -inf interference => the margin passes; absent
+    # signals only give -inf - -inf = nan, which fails it but is SILENCE anyway
+    with np.errstate(divide="ignore", invalid="ignore"):
+        interference_dbm = 10.0 * np.log10(total_mw - 10.0 ** (strongest / 10.0))
+        captured = strongest - interference_dbm >= params.capture_threshold_db
+    codes = np.where(strongest < params.sensitivity_dbm, SILENCE_CODE,
+                     np.where(tied | ~captured, COLLISION_CODE, RECEIVED_CODE))
+    return codes, np.where(codes == RECEIVED_CODE, winner, -1)

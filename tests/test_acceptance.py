@@ -188,9 +188,10 @@ def test_criterion_6_radio_invariants():
 
     # 50,000 slot scenarios at one receiver, resolved in one capture call:
     # 1-4 contenders at 1-80 m in rows 0-3 (absent ones at infinite distance,
-    # so -inf padding) and, in row 4, one extra interferer strictly farther
+    # so -inf power) and, in row 4, one extra interferer strictly farther
     # than the nearest contender.  Stacked three ways: the contenders alone,
     # with the extra, and alone with the strongest boosted by U(0, 12) dB.
+    # Each scenario is one group of its present signals' rows.
     n_scen = 50_000
     n = rng.integers(1, 5, size=n_scen)
     present = np.arange(4) < n[:, None]
@@ -201,8 +202,10 @@ def test_criterion_6_radio_invariants():
     tx[2, np.arange(n_scen), nearest] = rng.uniform(0.0, 12.0, size=n_scen)
     power = received_power_dbm(np.column_stack([dists, extra]), params, tx_power_dbm=tx)
     power[[0, 2], :, 4] = -np.inf
-    codes, _ = capture_verdicts(power[..., None], params)
-    base, more, boosted = codes[..., 0]
+    present = np.isfinite(power)
+    counts = present.sum(axis=-1).ravel()
+    codes, _ = capture_verdicts(power[present][:, None], params, np.cumsum(counts) - counts)
+    base, more, boosted = codes.reshape(3, n_scen)
     collided = base == COLLISION_CODE
     received = base == RECEIVED_CODE
     # capture monotonicity: a strictly weaker interferer never undoes a

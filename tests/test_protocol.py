@@ -98,12 +98,12 @@ def preset_world(text):
 
 def count_capture_calls(monkeypatch):
     """Wrap the engine's capture_verdicts; the returned list gets the power
-    array of every call."""
+    array and group starts (None for the probe's one group) of every call."""
     calls = []
 
-    def counted(power, radio):
-        calls.append(power)
-        return capture_verdicts(power, radio)
+    def counted(power, radio, starts=None):
+        calls.append((power, starts))
+        return capture_verdicts(power, radio, starts)
 
     monkeypatch.setattr(protocol, "capture_verdicts", counted)
     return calls
@@ -410,7 +410,7 @@ class TestRunEpoch:
                              "hash.slot_count = 1\nfleet.v_n = 100\n")
         calls = count_capture_calls(monkeypatch)
         result = run_epoch(world, 0)
-        links = [np.isfinite(power).sum() for power in calls if power.ndim == 3]
+        links = [power.size for power, starts in calls if starts is not None]
         assert len(links) > 1
         assert max(links) <= protocol.MAX_REPLY_LINKS + 100 * 10
         assert len(calls) == result.schedule.round_count + len(links)
@@ -437,6 +437,34 @@ class TestRunEpoch:
         cells = result.schedule.round_count * len(fleet)
         assert cells == 2495 * 2000 and decoded
         assert peak < cells + 8 * 8 * protocol.MAX_REPLY_LINKS
+
+    def test_crowded_slot_reply_memory_follows_live_links(self):
+        # 600 static tags in range of one pair over 19 rounds of 255 slots,
+        # 300 of them hashed to one slot: a (slots x contenders x recorders)
+        # tensor padded to that slot would hold about 3,500 x 300 x 2
+        # floats, 17 MB (53 MB peak with its temporaries); the reply phase
+        # holds arrays of the 22,800 live links only, and peaks below 24
+        # float arrays of them
+        geom = single_pair_geometry()
+        hash_params = HashParams(slot_count=255)
+        rng = np.random.default_rng(5)
+        vrns = rng.integers(1, 2**62, size=200_000, dtype=np.uint64)
+        slots = slot_for(vrns, hash_params)
+        vrn = np.concatenate((vrns[slots == 7][:300], vrns[slots != 7][:300]))
+        fleet = Fleet(vrn, geom.ring_x(rng.uniform(80.0, 120.0, size=600)),
+                      rng.uniform(0.0, 7.0, size=600), np.zeros(600), geom.ring_length_m)
+        world = World(fleet, geom, RADIO, hash_params, TimingParams(glossy_period_us=10_000_000))
+        result = run_epoch(world, 0)
+        links = world.reply_links  # every replier's links, all still queued
+        tracemalloc.start()
+        try:
+            decoded = len(result.records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.schedule.round_count == 19 and links == 19 * 600 * 2
+        assert (slot_for(vrn, hash_params) == 7).sum() == 300 and decoded
+        assert peak < 24 * 8 * links
 
     @pytest.mark.parametrize("block_rounds", [1, 2])
     @pytest.mark.parametrize("sigma", [0.0, 6.5])

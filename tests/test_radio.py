@@ -40,6 +40,16 @@ def scalar_capture(powers_dbm, params):
     return Verdict.RECEIVED, winner
 
 
+def flat_groups(stack):
+    """A -inf padded (groups x contenders x receivers) stack as the flat rule
+    takes it: its rows holding a signal (the first row of a group without
+    any), in order, and the first row of each group."""
+    live = np.isfinite(stack).any(axis=-1)
+    live[..., 0] |= ~live.any(axis=-1)
+    counts = live.sum(axis=-1).ravel()
+    return stack[live], np.cumsum(counts) - counts
+
+
 class TestReceivedPower:
     def test_reference_distance(self):
         assert received_power_dbm(1.0, DEFAULTS) == pytest.approx(-40.0)
@@ -115,7 +125,8 @@ def test_capture_and_power_monotonicity():
     # Coarse integer powers make ties and near-floor strongest signals common.
     # Rows 0-3 hold 1-4 contenders, -inf padded.  Stack 0 is the contenders
     # alone, stack 1 adds in row 4 an interferer strictly weaker than the
-    # strongest, stack 2 boosts the strongest by 0-10 dB.
+    # strongest, stack 2 boosts the strongest by 0-10 dB.  The flat rule
+    # takes each stack's slots as groups of their live rows.
     rng = np.random.default_rng(21)
     n_slots = 2000
     n = rng.integers(1, 5, size=n_slots)
@@ -127,8 +138,9 @@ def test_capture_and_power_monotonicity():
     stacks[:, :, :4] = base
     stacks[1, :, 4] = extra
     stacks[2, np.arange(n_slots), strongest] += boost
-    codes, _ = capture_verdicts(stacks[..., None], DEFAULTS)
-    before, more, boosted = codes[..., 0]
+    flat, starts = flat_groups(stacks.reshape(-1, 5, 1))
+    codes, _ = capture_verdicts(flat, DEFAULTS, starts)
+    before, more, boosted = codes.reshape(3, n_slots)
     collided = before == COLLISION_CODE
     received = before == RECEIVED_CODE
     assert collided.any() and received.any()
@@ -166,7 +178,8 @@ class TestBatchKernel:
         assert (codes == Verdict.SILENCE).all() and (winners == -1).all()
 
     def test_batch_matches_separate_calls(self):
-        # coarse integer powers make ties common; n_tx = 0 is a slot of padding only
+        # coarse integer powers make ties common; n_tx = 0 is a slot of
+        # padding only, one absent signal in the flat form
         rng = np.random.default_rng(34)
         for _ in range(100):
             batch, k_max, n_rx = (int(v) for v in rng.integers(1, 7, size=3))
@@ -175,58 +188,103 @@ class TestBatchKernel:
             stack = np.full((batch, k_max, n_rx), -np.inf)
             for b in range(batch):
                 stack[b, :n_tx[b]] = rng.integers(-100, -85, size=(n_tx[b], n_rx))
-            codes, winners = capture_verdicts(stack, DEFAULTS)
+            flat, starts = flat_groups(stack)
+            codes, winners = capture_verdicts(flat, DEFAULTS, starts)
             assert codes.shape == winners.shape == (batch, n_rx)
             assert codes.dtype == np.int8
+            ranks = np.where(winners >= 0, winners - starts[:, None], -1)
             for b in range(batch):
                 for matrix in (stack[b], stack[b, :n_tx[b]]):  # padded and unpadded
                     want_codes, want_winners = capture_verdicts(matrix, DEFAULTS)
                     np.testing.assert_array_equal(codes[b], want_codes)
-                    np.testing.assert_array_equal(winners[b], want_winners)
+                    np.testing.assert_array_equal(ranks[b], want_winners)
             assert (codes[0] == SILENCE_CODE).all() and (winners[0] == -1).all()
 
     @pytest.mark.parametrize("params", [DEFAULTS, RadioParams(capture_threshold_db=0.0)])
     def test_ties_and_padding_in_one_batch(self, params):
-        # with a zero capture margin only the tie rule makes rx 0 of slot 0 a collision
-        stack = np.array([
-            [[-60.0, -60.0], [-60.0, -90.0], [-np.inf, -np.inf]],   # tie at rx 0
-            [[-60.0, -np.inf], [-np.inf, -np.inf], [-np.inf, -np.inf]],  # sole signal
-            [[-np.inf, -np.inf]] * 3,                                  # silent slot
+        # with a zero capture margin only the tie rule makes rx 0 of slot 0 a
+        # collision; winners are row indexes of the flat array
+        flat = np.array([
+            [-60.0, -60.0], [-60.0, -90.0],  # slot 0 (rows 0-1): tie at rx 0
+            [-60.0, -np.inf],                # slot 1 (row 2): sole signal
+            [-np.inf, -np.inf],              # slot 2 (row 3): silent slot
         ])
-        codes, winners = capture_verdicts(stack, params)
+        codes, winners = capture_verdicts(flat, params, np.array([0, 2, 3]))
         assert codes.tolist() == [
             [COLLISION_CODE, RECEIVED_CODE],
             [RECEIVED_CODE, SILENCE_CODE],
             [SILENCE_CODE, SILENCE_CODE],
         ]
-        assert winners.tolist() == [[-1, 0], [0, -1], [-1, -1]]
+        assert winners.tolist() == [[-1, 0], [2, -1], [-1, -1]]
 
     def test_empty_signal_axis_keeps_batch_shape(self):
-        codes, winners = capture_verdicts(np.empty((4, 2, 0, 3)), DEFAULTS)
-        assert codes.shape == winners.shape == (4, 2, 3)
-        assert codes.dtype == np.int8
-        assert (codes == SILENCE_CODE).all() and (winners == -1).all()
+        # zero groups keep the receiver axis
+        codes, winners = capture_verdicts(np.empty((0, 3)), DEFAULTS, np.empty(0, dtype=np.intp))
+        assert codes.shape == winners.shape == (0, 3)
+        assert codes.dtype == np.int8 and winners.dtype == np.intp
 
     def test_lone_signal_rows(self):
-        # one signal row meets no interference: a (1, R) matrix and a stack of
-        # them give the general rule's verdicts, here forced by a row of
-        # padding, and the scalar rule's; a lone -inf is SILENCE
+        # one signal row meets no interference: a (1, R) matrix, and groups
+        # of one row each, give the general rule's verdicts, here forced by a
+        # second row of padding in each group, and the scalar rule's; a lone
+        # -inf is SILENCE
         rng = np.random.default_rng(35)
         for shape in [(1, 5), (3, 1, 4), (2, 3, 1, 2)]:
             powers = rng.integers(-100, -85, size=shape).astype(float)
             powers.flat[0] = -np.inf
-            codes, winners = capture_verdicts(powers, DEFAULTS)
+            flat = powers.reshape(-1, shape[-1])
+            starts = None if len(shape) == 2 else np.arange(flat.shape[0])
+            codes, winners = capture_verdicts(flat, DEFAULTS, starts)
             padded = np.concatenate((powers, np.full(powers.shape, -np.inf)), axis=-2)
-            want_codes, want_winners = capture_verdicts(padded, DEFAULTS)
+            if starts is None:
+                want_codes, want_winners = capture_verdicts(padded, DEFAULTS)
+            else:  # the signal of group g is row 2g of the padded groups
+                want_codes, want_winners = capture_verdicts(padded.reshape(-1, shape[-1]),
+                                                            DEFAULTS, 2 * starts)
+                want_winners = np.where(want_winners >= 0, want_winners // 2, -1)
             np.testing.assert_array_equal(codes, want_codes)
             np.testing.assert_array_equal(winners, want_winners)
-            assert codes.shape == winners.shape == shape[:-2] + shape[-1:]
+            assert codes.shape == winners.shape == (flat.shape if starts is not None else shape[-1:])
             assert codes.dtype == np.int8 and winners.dtype == np.intp
             flat_codes, flat_winners = codes.reshape(-1), winners.reshape(-1)
-            for j, p in enumerate(np.moveaxis(powers, -2, -1).reshape(-1).tolist()):
-                want = scalar_capture([p], DEFAULTS)
+            for j, p in enumerate(flat.reshape(-1).tolist()):
+                verdict, w = scalar_capture([p], DEFAULTS)
+                want = (verdict, j // shape[-1] if w >= 0 and starts is not None else w)
                 assert (Verdict(int(flat_codes[j])), int(flat_winners[j])) == want
             assert flat_codes[0] == SILENCE_CODE and flat_winners[0] == -1
+
+    @pytest.mark.parametrize("params", [DEFAULTS, RadioParams(capture_threshold_db=0.0)],
+                             ids=["3dB-margin", "zero-margin"])
+    def test_flat_groups_match_one_group_calls(self, params):
+        # groups of 1-6 rows, mostly singletons, powers on the 0.7 dB grid
+        # (ties common, no lead over one interferer exactly on the margin)
+        # and a tenth absent; calls of zero groups included.  One flat call
+        # gives each group the verdicts of a call on that group alone and of
+        # the scalar rule, its winners as rows of the flat array
+        rng = np.random.default_rng(36)
+        seen = set()
+        for _ in range(200):
+            n_groups = int(rng.integers(0, 12))
+            n_rx = int(rng.integers(1, 4))
+            sizes = np.where(rng.random(n_groups) < 0.6, 1, rng.integers(2, 7, size=n_groups))
+            starts = np.cumsum(sizes) - sizes
+            powers = rng.integers(-145, -115, size=(int(sizes.sum()), n_rx)) * 0.7
+            powers[rng.random(size=powers.shape) < 0.1] = -np.inf
+            codes, winners = capture_verdicts(powers, params, starts)
+            assert codes.shape == winners.shape == (n_groups, n_rx)
+            assert codes.dtype == np.int8 and winners.dtype == np.intp
+            for g, (lo, k) in enumerate(zip(starts.tolist(), sizes.tolist())):
+                group = powers[lo:lo + k]
+                want_codes, want_winners = capture_verdicts(group, params)
+                np.testing.assert_array_equal(codes[g], want_codes)
+                np.testing.assert_array_equal(winners[g],
+                                              np.where(want_winners >= 0, want_winners + lo, -1))
+                for j in range(n_rx):
+                    verdict, w = scalar_capture(group[:, j].tolist(), params)
+                    assert (Verdict(int(codes[g, j])), int(winners[g, j])) == (
+                        verdict, w + lo if w >= 0 else -1)
+                    seen.add(verdict)
+        assert seen == set(Verdict)
 
     def test_lone_signal_far_outside_the_config_bounds(self):
         # 10**(4000/10) overflows to inf: the milliwatt sum would give
