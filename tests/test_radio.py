@@ -286,6 +286,28 @@ class TestBatchKernel:
                     seen.add(verdict)
         assert seen == set(Verdict)
 
+    def test_contenders_add_in_row_order(self):
+        # with the capture margin set to a group's exact margin at receiver
+        # 0, or the next float above it, the verdict hangs on the last bit of
+        # the group's milliwatt sum: a flat call must add each group's rows
+        # in row order, as a call on the group alone does over two receivers
+        # (numpy adds a contiguous run as x0 + (x1 + ...), another order)
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            group = rng.uniform(-90.0, -60.0, size=(int(rng.integers(3, 7)), 2))
+            strongest = group.max(axis=0)
+            total_mw = 0.0
+            for row_mw in 10.0 ** (group / 10.0):
+                total_mw = total_mw + row_mw
+            margin = strongest - 10.0 * np.log10(total_mw - 10.0 ** (strongest / 10.0))
+            flat = np.vstack(([[-70.0, -70.0]], group))  # behind a group of one row
+            for threshold, verdict in ((margin[0], RECEIVED_CODE),
+                                       (np.nextafter(margin[0], np.inf), COLLISION_CODE)):
+                params = RadioParams(capture_threshold_db=float(threshold))
+                codes, _ = capture_verdicts(flat, params, np.array([0, 1]))
+                assert codes[:, 0].tolist() == [RECEIVED_CODE, verdict]
+                assert capture_verdicts(group, params)[0][0] == verdict
+
     def test_lone_signal_far_outside_the_config_bounds(self):
         # 10**(4000/10) overflows to inf: the milliwatt sum would give
         # inf - inf = nan interference and a COLLISION, but a lone signal
