@@ -31,6 +31,11 @@ class ConfigError(Exception):
 # each at the paper's 10 recorders, and is scored alone, with (pairs x
 # vehicles) ones; a 40-epoch paper-fig1b run of it peaks at about 60 MB.
 MAX_FLEET_SIZE = 10_000
+# Most recorder pairs.  The presets place 5 and 1.  Every probe block and
+# ground-truth chunk holds arrays over the pairs: a 409-epoch paper-fig1b run
+# (one scoring chunk) peaks at 59 MB of resident memory with 5 pairs and
+# 280 MB with 100.
+MAX_PAIRS = 100
 # Fastest accepted vehicle, well above any road vehicle; it also bounds how
 # far a vehicle moves within one (at most 10 s) epoch.
 MAX_SPEED_KMH = 500.0
@@ -108,13 +113,6 @@ def _float_list(s: str) -> tuple[float, ...]:
     return tuple(_float(p) for p in parts)
 
 
-def _float_pair(s: str) -> tuple[float, float]:
-    vals = _float_list(s)
-    if len(vals) != 2:
-        raise ValueError(f"expected exactly two values, got {len(vals)}")
-    return vals  # type: ignore[return-value]
-
-
 def _bool(s: str) -> bool:
     v = s.strip().lower()
     if v in ("true", "1", "yes", "on"):
@@ -167,7 +165,7 @@ _SCHEMA = {
     "geometry.ring_length_m": (_float, -_INF, 100_000.0),
     "geometry.road_width_m": (_float, 1.0, 100.0),
     "geometry.vr_pair_xs": (_float_list, None, None),
-    "geometry.vr_offsets_y": (_float_pair, -1_000.0, 1_000.0),
+    "geometry.vr_offsets_y": (_float_list, -1_000.0, 1_000.0),
     "radio.tx_power_dbm": (_float, -100.0, 100.0),
     "radio.pl0_db": (_float, 0.0, 200.0),
     "radio.exponent": (_float, -_INF, 10.0),
@@ -358,6 +356,8 @@ def _cross_validate(config: SimConfig) -> None:
             "run.warmup_epochs, run.epochs and timing.glossy_period_us give a run of "
             f"{run_us} us; at most {MAX_RUN_US} (the int64 range) is accepted"
         )
+    if len(config.geometry.vr_pair_xs) > MAX_PAIRS:
+        raise ConfigError(f"geometry.vr_pair_xs must list at most {MAX_PAIRS} recorder pairs")
     if len(config.fleet.explicit) > MAX_FLEET_SIZE:
         raise ConfigError(f"fleet.explicit must list at most {MAX_FLEET_SIZE} vehicles")
     geom = config.geometry

@@ -65,12 +65,11 @@ def run_experiment(
     *,
     out_dir: str | Path | None = None,
     events: bool = False,
-    seed_key: tuple[int, ...] = (),
 ) -> ExperimentResult:
     """Run warm-up plus measured epochs for every replication, replication
-    ``rep`` drawing from the stream keyed ``(*seed_key, rep)``."""
+    ``rep`` drawing from the stream keyed ``(rep,)``."""
     rows, event_log = [], [] if events else None
-    for stream_rows, lines in _lockstep(config, [(config, seed_key)], events):
+    for stream_rows, lines in _lockstep(config, [(config, ())], events):
         rows += stream_rows
         if events:
             event_log += lines

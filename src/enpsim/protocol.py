@@ -11,13 +11,13 @@ at every receiver under the capture rule.
 The engine resolves the probe phase round by round, one capture call deciding
 the probe at every tag, because of the shadowing draw order alone.  The reply
 phase draws nothing of its own (its shadowing is drawn in the probe loop), so
-it waits in the world's reply queue until a result is read: then one capture
-call decides every queued occupied (epoch, round, stream, slot) at every
-recorder, over the flat (repliers x recorders) powers grouped by slot; a
-queue with very many repliers is resolved in runs of rounds, to bound its
-memory.  Each stream draws its shadowing in the order a slot-by-slot
-resolution of it alone would, so outputs depend neither on the batching nor
-on the other streams.
+each round with repliers waits in the world's reply queue until a result is
+read: then one capture call decides every queued occupied (epoch, round,
+stream, slot) at every recorder, over the flat (repliers x recorders) powers
+grouped by slot; a queue with very many repliers is resolved in runs of
+rounds, to bound its memory.  Each stream draws its shadowing in the order a
+slot-by-slot resolution of it alone would, so outputs depend neither on the
+batching nor on the other streams.
 Positions come from the epoch-start fleet snapshot at each schedule event, so
 ground-truth sampling and decode decisions see bit-identical geometry.  The
 epoch's decodes reduce to one record table; the engine builds no event text.
@@ -147,10 +147,10 @@ class World:
         self.timing = timing
         self.rngs = rngs
         self.enp_slots = slot_for(self.fleet.vrn, hash_params)
-        # reply slots whose resolution waits (see run_epoch): per queued epoch
-        # its result, first queued round and each queued round's repliers;
-        # their shadowing draws and (replier, recorder) links
-        self.reply_queue, self.reply_draws, self.reply_links = [], [], 0
+        # reply slots whose resolution waits (see run_epoch): one (result,
+        # round, repliers, reply shadowing draws) entry per round with
+        # repliers and per epoch's round 0; their (replier, recorder) links
+        self.reply_queue, self.reply_links = [], 0
         # recorder 2 * pair + side as (2P,) columns, side 0 (a) then 1 (b)
         pairs = range(geometry.n_pairs)
         xy = np.array([pos for p in pairs for pos in geometry.vr_positions(p)], dtype=float)
@@ -174,20 +174,20 @@ class EpochResult:
 
     The epoch's reply slots may still wait in its world's reply queue when
     :func:`run_epoch` returns; the first read of ``records``, ``trace``,
-    ``events`` or ``decoded`` resolves every slot queued so far.
+    ``events`` or ``decoded`` resolves every slot queued so far, the
+    epoch's included, as none join once :func:`run_epoch` has returned.
     """
 
     def __init__(self, schedule: EpochSchedule, fleet_start: Fleet, world: World, probe_trace):
         self.schedule = schedule
         self.fleet_start = fleet_start
-        self._world = world  # None once every reply slot of the epoch is resolved
+        self._world = world  # None once read
         self._probe = probe_trace  # (offsets, probe codes, probe pairs), None without events
         self._records = None
         self._replies = []  # the reply verdicts of each run that resolved some of its slots
 
-    def _add_run(self, table, replies, last: bool) -> None:
-        """Take one reply run's first decodes and verdicts of this epoch;
-        ``last`` when the run held the epoch's last round."""
+    def _add_run(self, table, replies) -> None:
+        """Take one reply run's first decodes and verdicts of this epoch."""
         if self._records is None:
             self._records = table
         else:  # earlier runs' rows come first
@@ -195,24 +195,23 @@ class EpochResult:
                                            len(self.fleet_start))
         if self._probe is not None:
             self._replies.append(replies)
-        if last:
-            self._world = None
-            if len(self._replies) > 1:
-                self._replies = [tuple(map(np.concatenate, zip(*self._replies)))]
-
-    def _settle(self) -> None:
-        if self._world is not None:
-            _resolve_replies(self._world)
 
     @property
     def records(self) -> np.ndarray:
-        self._settle()
+        if self._world is not None:
+            if self._world.reply_queue:
+                _resolve_replies(self._world)
+            self._world = None
         return self._records
 
     @property
     def trace(self) -> tuple | None:
-        self._settle()
-        return None if self._probe is None else (*self._probe, self._replies[0])
+        self.records  # resolves the replies still queued
+        if self._probe is None:
+            return None
+        if len(self._replies) > 1:
+            self._replies = [tuple(map(np.concatenate, zip(*self._replies)))]
+        return (*self._probe, self._replies[0])
 
     @property
     def events(self) -> list[str] | None:
@@ -237,6 +236,8 @@ class EpochResult:
 # a round).  A preset epoch takes one probe block, and the replies of hundreds
 # of preset epochs fit one reply call.
 MAX_REPLY_LINKS = 2**18
+# The reply shadowing a queued round holds without repliers or shadowing.
+_NO_DRAWS = np.empty(0)
 
 
 def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> EpochResult:
@@ -251,11 +252,12 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     come from one call per block of at most ``MAX_REPLY_LINKS`` links.  Each
     stream draws from its own generator as a world of it alone would,
     stitched along the tag axis.  The reply phase draws nothing more, so its
-    resolution can wait: each round's repliers and their shadowing join the
-    world's reply queue, and :func:`_resolve_replies` resolves the whole
-    queue, across epochs, in one capture call when its repliers (of all
-    streams) reach ``MAX_REPLY_LINKS`` links or when a queued result is
-    first read.  Reading each result at once gives one reply call an epoch.
+    resolution can wait: each round with repliers, and round 0 (so every
+    epoch gets a record table and reply trace), queues its repliers and
+    their shadowing, and :func:`_resolve_replies` resolves the whole queue,
+    across epochs, in one capture call when its repliers (of all streams)
+    reach ``MAX_REPLY_LINKS`` links or when a queued result is first read.
+    Reading each result at once gives one reply call an epoch.
     """
     hash_params = world.hash_params
     sched = build_epoch_schedule(world.timing, hash_params.slot_count, epoch_index)
@@ -275,8 +277,6 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     probe_pair = np.empty((rounds.size, n_enp), dtype=np.intp) if record_events else None
     result = EpochResult(sched, fleet, world,
                          (world.offsets, probe_codes, probe_pair) if record_events else None)
-    heard = []  # each queued round's repliers
-    world.reply_queue.append((result, 0, heard))
     for r in rounds.tolist():
         if r % block == 0:  # power at every recorder from every tag, (rounds, 2P, V)
             dt = (t_probe[r:r + block] - sched.epoch_start_us) * 1e-6
@@ -294,19 +294,20 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
         if record_events:
             probe_codes[r], probe_pair[r] = codes, pair
         tags = np.flatnonzero(codes == RECEIVED_CODE)
-        heard.append(tags)
+        if not tags.size and r:  # a silent round other than round 0 queues nothing
+            continue
+        draws = _NO_DRAWS
         if sigma > 0 and tags.size:  # each stream's repliers draw their reply shadowing
             counts = [tags.size]
             if len(sizes) > 1:
                 counts = np.diff(np.searchsorted(tags, world.offsets)).tolist()
-            world.reply_draws += [rng.normal(0.0, sigma, size=n_vr * k)
-                                  for rng, k in zip(world.rngs, counts) if k]
+            blocks = [rng.normal(0.0, sigma, size=n_vr * k)
+                      for rng, k in zip(world.rngs, counts) if k]
+            draws = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        world.reply_queue.append((result, r, tags, draws))
         world.reply_links += n_vr * tags.size
         if world.reply_links >= MAX_REPLY_LINKS:
             _resolve_replies(world)
-            if r + 1 < rounds.size:
-                heard = []
-                world.reply_queue.append((result, r + 1, heard))
 
     world.fleet = advance(fleet, sched.glossy_period_us * 1e-6)
     return result
@@ -316,42 +317,41 @@ def _resolve_replies(world):
     """Resolve every queued reply slot of the world in one capture call and
     hand each queued epoch its part.
 
-    The queue holds, per epoch, its first queued round and each queued
-    round's repliers (ascending tags), and all their reply shadowing, one
-    block per (epoch, round, stream) with replies, in that order.  Only the
-    repliers are hashed (under reseeding, each round's under that epoch and
-    round's seed) and placed at the start of their slot from their own
-    epoch's snapshot.  Sorted by (epoch, round, stream, slot), each occupied
-    slot is a run of rows of one (repliers x recorders) power array, which
-    one capture call decides at every recorder.  Each slot takes its
-    (recorders x contenders) block of its draws, in slot order, so each
-    stream's results equal its slot-by-slot resolution.  Each epoch gets the
-    first decodes of its slots and, with events, the repliers' tags grouped
-    by slot and, per occupied slot, its contender count, round, slot, and
-    (recorders,) verdict codes and winners' ranks in the slot.
+    The queue holds one entry per queued round, those of an epoch adjacent
+    and in round order: its epoch's result, the round, its repliers
+    (ascending tags) and their reply shadowing, each stream's block in turn.
+    Only the repliers are hashed (under reseeding, each round's under that
+    epoch and round's seed) and placed at the start of their slot from their
+    own epoch's snapshot.  Sorted by (epoch, round, stream, slot),
+    each occupied slot is a run of rows of one (repliers x recorders) power
+    array, which one capture call decides at every recorder.  Each slot
+    takes its (recorders x contenders) block of its draws, in slot order, so
+    each stream's results equal its slot-by-slot resolution.  Each epoch
+    gets the first decodes of its slots and, with events, the repliers' tags
+    grouped by slot and, per occupied slot, its contender count, round, slot,
+    and (recorders,) verdict codes and winners' ranks in the slot.
     """
-    queue, draws = world.reply_queue, world.reply_draws
-    world.reply_queue, world.reply_draws, world.reply_links = [], [], 0
+    queue = world.reply_queue
+    world.reply_queue, world.reply_links = [], 0
+    results, rounds, heard, draws = zip(*queue)
     fleet = world.fleet
     hp = world.hash_params
     n_vr = world.vr_x.size
-    sched = queue[0][0].schedule  # every epoch has the same slot offsets from its start
-    heard = [t for _, _, rows in queue for t in rows]
-    # each queued round (row) of each epoch: its round is its epoch's first
-    # queued round plus its place among the epoch's rows
-    per_epoch = [len(rows) for _, _, rows in queue]
-    row_epoch = np.repeat(np.arange(len(queue)), per_epoch)
-    shift = np.array([lo for _, lo, _ in queue]) - (np.cumsum(per_epoch) - per_epoch)
-    row_round = np.arange(row_epoch.size) + shift[row_epoch]
+    sched = results[0].schedule  # every epoch has the same slot offsets from its start
+    # each entry's (row's) epoch: an epoch's entries are adjacent, and each
+    # epoch after the queue's first opens with its round 0
+    row_round = np.array(rounds)
+    opens = row_round == 0
+    opens[0] = True
+    row_epoch = np.cumsum(opens) - 1
+    epochs = [results[i] for i in np.flatnonzero(opens).tolist()]
     tag = np.concatenate(heard)
     row = np.repeat(np.arange(len(heard)), [t.size for t in heard])
     slot = world.enp_slots[tag]
     if hp.reseed_per_round:  # each round's repliers hashed under that epoch and round's seed
-        hashed = []
-        for res, lo, rows in queue:
-            e = res.schedule.epoch_index
-            hashed += [slot_for(fleet.vrn[t], replace(hp, seed=round_seed(hp.seed, e, r)))
-                       for r, t in enumerate(rows, lo) if t.size]
+        hashed = [slot_for(fleet.vrn[t],
+                           replace(hp, seed=round_seed(hp.seed, res.schedule.epoch_index, r)))
+                  for res, r, t in zip(results, rounds, heard) if t.size]
         slot = np.concatenate(hashed) if hashed else slot
     # group by (epoch, round, stream, slot); a stable sort keeps vehicle order in each slot
     stream = np.searchsorted(world.offsets, tag, side="right") - 1
@@ -363,13 +363,13 @@ def _resolve_replies(world):
     counts = np.diff(first, append=key.size)
 
     # every replier at the start of its own slot, from its own epoch's snapshot
-    x = np.stack([res.fleet_start.x for res, _, _ in queue])[epoch, tag]
+    x = np.stack([res.fleet_start.x for res in epochs])[epoch, tag]
     tx = Fleet(fleet.vrn[tag], x, fleet.y[tag], fleet.speed_mps[tag], fleet.ring_length_m)
     dt = (sched.slot_start_us(rnd, slot) - sched.epoch_start_us) * 1e-6
     tx_road_x = world.geometry.road_x(positions_at_each(tx, dt))
     d = np.hypot(tx_road_x[:, None] - world.vr_x, tx.y[:, None] - world.vr_y)  # (repliers, 2P)
     shadow = 0.0
-    if draws:
+    if world.radio.shadowing_sigma_db > 0:
         # one (2P, k) block per occupied slot, back to back in key order: row i
         # of a slot of k from first holds column i - first of the block at 2P * first
         first_of, k = np.repeat(first, counts), np.repeat(counts, counts)[:, None]
@@ -384,18 +384,17 @@ def _resolve_replies(world):
     _, kept = np.unique((epoch[rx] * n_vr + rx_vr) * len(fleet) + tag[rx], return_index=True)
     rx, rx_vr = rx[kept], rx_vr[kept]
     table = np.column_stack((rx_vr, tag[rx], rnd[rx], slot[rx])).astype(np.int64, copy=False)
-    epochs = np.arange(len(queue) + 1)
-    rows_at = np.searchsorted(epoch[rx], epochs).tolist()
-    slots_at = np.searchsorted(epoch[first], epochs).tolist()
+    ends = np.arange(len(epochs) + 1)
+    rows_at = np.searchsorted(epoch[rx], ends).tolist()
+    slots_at = np.searchsorted(epoch[first], ends).tolist()
     tags_at = np.append(first, key.size)[slots_at].tolist()
-    for i, (res, lo, rows) in enumerate(queue):
+    for i, res in enumerate(epochs):
         replies = None
         if res._probe is not None:  # the epoch's slots and their repliers
             g, t = slice(slots_at[i], slots_at[i + 1]), slice(tags_at[i], tags_at[i + 1])
             ranks = np.where(winners[g] >= 0, winners[g] - first[g, None], -1)
             replies = (tag[t], counts[g], rnd[first[g]], slot[first[g]], codes[g], ranks)
-        res._add_run(table[rows_at[i]:rows_at[i + 1]], replies,
-                     lo + len(rows) == res.schedule.round_count)
+        res._add_run(table[rows_at[i]:rows_at[i + 1]], replies)
 
 
 def _first_decodes(table, n_tags):

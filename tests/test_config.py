@@ -16,6 +16,7 @@ from enpsim.config import (
     _SCHEMA,
     _int,
     MAX_FLEET_SIZE,
+    MAX_PAIRS,
     MAX_SCORED_EPOCHS,
     MAX_SPEED_KMH,
     PRESETS,
@@ -223,6 +224,11 @@ def explicit(n, speed=0.0):
     return "fleet.explicit = " + ";".join(f"{i}:{i % 400}:3:{speed!r}" for i in range(n)) + "\n"
 
 
+def pair_xs(n):
+    """``n`` recorder pairs, 1 m apart from x = 0."""
+    return "geometry.vr_pair_xs = " + ",".join(str(x) for x in range(n)) + "\n"
+
+
 def run_cli(out_dir, text):
     """``enp-sim run`` on ``BASE + text`` with every warning an error:
     (exit code, stderr, summary.csv row or None)."""
@@ -286,6 +292,8 @@ def bound_cases():
     # test_scored_epochs_bound_is_inclusive)
     yield pytest.param(f"run.epochs = {MAX_SCORED_EPOCHS + 1}\n", "run.epochs",
                        id="scored_epochs>max")
+    yield pytest.param(pair_xs(MAX_PAIRS), None, id="pairs=100")
+    yield pytest.param(pair_xs(MAX_PAIRS + 1), "geometry.vr_pair_xs", id="pairs=101")
     yield pytest.param(explicit(MAX_FLEET_SIZE), None, id="explicit=10000")
     yield pytest.param(explicit(MAX_FLEET_SIZE + 1), "fleet.explicit", id="explicit=10001")
     yield pytest.param(explicit(1, MAX_SPEED_MPS), None, id="explicit_speed=max")
@@ -327,9 +335,7 @@ def value_texts(key):
         )
         return st.lists(vehicle, max_size=3).map(
             lambda vs: ";".join(":".join(text_of(f) for f in v) for v in vs))
-    if key == "geometry.vr_offsets_y":
-        return st.lists(scalar_values(key), min_size=2, max_size=2).map(text_of)
-    if key == "geometry.vr_pair_xs":
+    if key in ("geometry.vr_offsets_y", "geometry.vr_pair_xs"):
         return st.lists(scalar_values(key), min_size=1, max_size=3).map(text_of)
     return scalar_values(key).map(text_of)
 

@@ -174,7 +174,10 @@ class TestLockstep:
                            f"radio.shadowing_sigma_db = {sigma}\n")
         ranges = [(30.0, 60.0), (60.0, 90.0)]
         cells = [with_fleet_cell(cfg, v_n, *vs) for vs in ranges for v_n in self.SWEEP_VN]
-        want = [run_experiment(cell, seed_key=(i,)).summary for i, cell in enumerate(cells)]
+        want = []  # each cell alone, drawing from the generators keyed (cell index, rep)
+        for i, cell in enumerate(cells):
+            streams = harness._lockstep(cell, [(cell, (i,))])
+            want.append(harness.summarize(cell, [row for rows, _ in streams for row in rows]))
         # repr: an empty fleet's cell has NaN accuracies
         assert repr(sweep(cfg, self.SWEEP_VN, ranges)) == repr(want)
 

@@ -341,18 +341,20 @@ class TestRunEpoch:
         assert_matches_reference(5, 17, False, None, 25, 106, 6, sigma)
         assert_streams_match_reference(1, 1, True, [(25, 108), (0, 1), (7, 2)], 8, sigma)
 
+    @pytest.mark.parametrize("late_order", [1, -1], ids=["forward", "reverse"])
     @pytest.mark.parametrize("max_links", [None, 1, 50])
     @pytest.mark.parametrize("sigma", [0.0, 6.5])
     @pytest.mark.parametrize("reseed", [False, True])
     @pytest.mark.parametrize("streams", [[(25, 108)], [(25, 108), (0, 1), (7, 2)]],
                              ids=["one-stream", "three-streams"])
     def test_reading_late_equals_reading_each_epoch(self, monkeypatch, max_links, sigma,
-                                                    reseed, streams):
+                                                    reseed, streams, late_order):
         # six epochs on a 2 km ring, each result read at once, and again
-        # read only at the end: the replies then wait in one queue, or in runs
-        # of rounds up to a link budget of 1 or 50 (runs of 50 straddle
-        # epochs), and give the same records, event text and generator states,
-        # each epoch those of the scalar reference from its snapshot
+        # read only at the end, first to last or last to first: the replies
+        # then wait in one queue, or in runs of rounds up to a link budget of
+        # 1 or 50 (runs of 50 straddle epochs), and give the same records,
+        # event text and generator states, each epoch those of the scalar
+        # reference from its snapshot
         if max_links is not None:
             monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", max_links)
         geom = RoadGeometry(vr_pair_xs=(80.0, 120.0), ring_length_m=2000.0)
@@ -364,7 +366,7 @@ class TestRunEpoch:
         resolve = protocol._resolve_replies
 
         def spied(world):
-            queued_epochs.append(len(world.reply_queue))
+            queued_epochs.append(len({entry[0] for entry in world.reply_queue}))
             resolve(world)
 
         monkeypatch.setattr(protocol, "_resolve_replies", spied)
@@ -378,7 +380,7 @@ class TestRunEpoch:
                 if read_each:
                     results[-1].records
             got = [(r.records.tolist(), [event_lines(r, b) for b in range(len(streams))])
-                   for r in results]
+                   for r in results[::late_order]][::late_order]
             return got, [rng.bit_generator.state for rng in rngs], world, results
 
         want, want_states, _, _ = run(read_each=True)
@@ -437,6 +439,24 @@ class TestRunEpoch:
         cells = result.schedule.round_count * len(fleet)
         assert cells == 2495 * 2000 and decoded
         assert peak < cells + 8 * 8 * protocol.MAX_REPLY_LINKS
+
+    def test_unread_silent_rounds_hold_no_queue_entries(self):
+        # four unread epochs of 2,495 one-slot rounds of one tag 50 km from
+        # the only pair: no round has a replier, so the reply queue holds one
+        # entry an epoch (its round 0), not one a round (620 KB an epoch)
+        geom = RoadGeometry(vr_pair_xs=(100.0,), ring_length_m=100_000.0)
+        fleet = static_fleet([Vehicle(vrn=7, x=0.0, y=3.0, speed_mps=0.0)], geom)
+        world = World(fleet, geom, RADIO, HashParams(slot_count=1),
+                      TimingParams(glossy_period_us=10_000_000))
+        tracemalloc.start()
+        try:
+            results = [run_epoch(world, e) for e in range(4)]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert results[0].schedule.round_count == 2495 and len(world.reply_queue) == 4
+        assert held < 4 * 4096
+        assert not any(len(result.records) for result in results) and not world.reply_queue
 
     def test_crowded_slot_reply_memory_follows_live_links(self):
         # 600 static tags in range of one pair over 19 rounds of 255 slots,
