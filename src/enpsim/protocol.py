@@ -219,7 +219,7 @@ class EpochResult:
         trace = self.trace
         if trace is None:
             return None
-        return [line for b in range(len(trace[0]) - 1) for line in event_lines(self, b)]
+        return [line for b in range(len(trace[0]) - 1) for line in event_lines([self], b)]
 
     def decoded(self, n_pairs: int) -> np.ndarray:
         """A ``(pairs, 2, vehicles)`` bool mask: True where recorder a (0) or

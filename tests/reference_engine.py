@@ -62,9 +62,11 @@ def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index
     (epoch, round, slot), and the epoch's event lines.
 
     The event lines are built here in the order :mod:`enpsim.events`
-    documents: per round, a PROBE line per recorder, then an RX or COLL
-    line per tag whose probe was not silence, then per occupied slot a
-    REPLY line per contender and an RX or COLL line per recorder.
+    documents, so they must equal ``event_lines([result], b)`` of the
+    engine's result of the epoch for this fleet's stream b: per round, a
+    PROBE line per recorder, then an RX or COLL line per tag whose probe was
+    not silence, then per occupied slot a REPLY line per contender and an RX
+    or COLL line per recorder.
 
     With shadowing on, every round of a non-empty fleet draws from ``rng``
     first one (recorders x vehicles) block for the probe phase, then one

@@ -237,6 +237,56 @@ def test_event_chunks_hold_bounded_probe_verdicts():
     assert peak - kept < 4 * 8 * MAX_REPLY_LINKS
 
 
+@pytest.mark.parametrize("cap, value", [("MAX_SCORING_PAIRS", 1), ("MAX_EVENT_EPOCHS", 1),
+                                        ("MAX_EVENT_EPOCHS", 3)])
+def test_event_runs_change_no_event_text(monkeypatch, cap, value):
+    # by default the 25 epochs are one scoring chunk and take event_lines
+    # calls of 16 and 9 epochs; one epoch a chunk, or one or three epochs a
+    # call, give the same lines
+    cfg = parse_config("preset = paper-road\nrun.epochs = 25\nrun.warmup_epochs = 3\n"
+                       "run.replications = 2\nrun.master_seed = 5\n")
+    want = run_experiment(cfg, events=True).events
+    monkeypatch.setattr(harness, cap, value)
+    assert run_experiment(cfg, events=True).events == want
+
+
+def test_event_text_of_a_chunk_is_formatted_in_bounded_runs():
+    # 300 paper-road epochs are one scoring chunk.  Beyond what the run
+    # returns (45,477 event lines, the rows), it peaked at 2.7 MB with
+    # MAX_EVENT_EPOCHS = 16, no more than with one event_lines call an epoch,
+    # and at 8.5 MB with one call for all 300 epochs (CPython 3.11, NumPy 2)
+    cfg = parse_config("preset = paper-road\nrun.epochs = 300\nrun.master_seed = 11\n")
+    tracemalloc.start()
+    try:
+        (rows, lines), = harness._lockstep(cfg, [(cfg, ())], events=True)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 300 and len(lines) > 40_000
+    assert peak - kept < 4_000_000
+
+
+def test_write_text_holds_one_block_at_a_time(tmp_path):
+    # 2.2 MB of event lines: the writer joins and encodes one block of
+    # WRITE_BLOCK_LINES at a time and peaked at 98 KB; joining the whole
+    # file held two copies of its text and its bytes, 4.5 MB
+    lines = [f"{t}\tRX\tvr0a\t0\t{t % 300}\t{t % 13}\t4\t12650906850082307721"
+             for t in range(50_000)]
+    path = tmp_path / "events.log"
+    tracemalloc.start()
+    try:
+        harness._write_text(path, lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 2_000_000 and peak < size / 10
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    for empty in ([], [""]):
+        harness._write_text(path, empty)
+        assert path.read_bytes() == b"\n"
+
+
 class TestCli:
     def write_config(self, tmp_path, text=SMALL):
         path = tmp_path / "sim.conf"

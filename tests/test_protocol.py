@@ -81,7 +81,7 @@ def assert_streams_match_reference(n_pairs, slot_count, reseed, streams, epoch_i
             fleet, geom, radio, hash_params, TIMING, epoch_index, reference_rng
         )
         assert engine_records(world, result, b) == want
-        assert event_lines(result, b) == want_events
+        assert event_lines([result], b) == want_events
         assert rngs[b].bit_generator.state == reference_rng.bit_generator.state
         mask = decoded[:, world.offsets[b]:world.offsets[b + 1]]
         assert [set(fleet.vrn[row].tolist()) for row in mask] == [
@@ -379,7 +379,7 @@ class TestRunEpoch:
                 results.append(run_epoch(world, e, record_events=True))
                 if read_each:
                     results[-1].records
-            got = [(r.records.tolist(), [event_lines(r, b) for b in range(len(streams))])
+            got = [(r.records.tolist(), [event_lines([r], b) for b in range(len(streams))])
                    for r in results[::late_order]][::late_order]
             return got, [rng.bit_generator.state for rng in rngs], world, results
 
@@ -401,7 +401,7 @@ class TestRunEpoch:
                 records, events = reference_run_epoch(snapshot, geom, radio, hash_params, TIMING,
                                                       result.schedule.epoch_index, rng)
                 assert engine_records(world, result, b) == records
-                assert event_lines(result, b) == events
+                assert event_lines([result], b) == events
         assert [rng.bit_generator.state for rng in reference_rngs] == got_states
 
     def test_many_repliers_split_reply_calls(self, monkeypatch):
@@ -528,7 +528,7 @@ class TestRunEpoch:
         assert blocks == [min(block_rounds, rounds - r) for r in range(0, rounds, block_rounds)]
         np.testing.assert_array_equal(got.records, want.records)
         for b in range(len(streams)):
-            assert event_lines(got, b) == event_lines(want, b)
+            assert event_lines([got], b) == event_lines([want], b)
         assert got_states == want_states
         assert_streams_match_reference(n_pairs, 3, True, streams, 8, sigma)
 
@@ -566,7 +566,7 @@ class TestRunEpoch:
         for b, fleet in enumerate(fleets):
             alone = World(fleet, geom, radio, hash_params, TIMING, np.random.default_rng(b))
             want = run_epoch(alone, 2, record_events=True).events
-            assert event_lines(result, b) == want
+            assert event_lines([result], b) == want
 
     def test_matches_reference_engine_reseed(self):
         assert_matches_reference(1, 17, True, None, 12, 55, 9)
