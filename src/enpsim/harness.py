@@ -84,10 +84,10 @@ def run_experiment(
 # more: each chunk costs a fixed overhead, and its ground truth holds a few
 # (pairs, epochs x tags) float arrays.
 MAX_SCORING_PAIRS = 2**14
-# Most epochs one event_lines call formats: its fixed cost is spread over
-# them, but its temporaries grow with them and fragment the memory the kept
-# lines live in (one call for a 300-epoch road-events chunk raised peak RSS
-# from 51.3 to 55.3 MB; runs of 16 epochs are as fast).
+# Most stream-epochs (streams x epochs, at least one epoch) one event_lines call
+# formats: its fixed cost is spread over them, but its temporaries grow with them
+# and fragment the memory the kept lines live in (one call for a 300-epoch
+# road-events chunk raised peak RSS from 51.3 to 55.3 MB; runs of 16 are as fast).
 MAX_EVENT_EPOCHS = 16
 
 
@@ -104,10 +104,10 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
     epoch: a chunk's results are read once its last epoch has run, so their
     queued replies take one capture call, and one ``ground_truth`` and one
     ``iteration_accuracy`` call score all its streams, epochs and pairs;
-    one ``event_lines`` call formats a stream's lines of a run of at most
-    ``MAX_EVENT_EPOCHS`` of its epochs.  Scoring checks that union coverage
-    dominates either recorder alone and, with shadowing off, that no record
-    falls outside ground truth."""
+    one ``event_lines`` call formats every stream's lines of a run of epochs,
+    at most ``MAX_EVENT_EPOCHS`` stream-epochs or one epoch.  Scoring checks
+    that union coverage dominates either recorder alone and, with shadowing
+    off, that no record falls outside ground truth."""
     geom, radio, epochs = config.geometry, config.radio, config.run.epochs
     warmup_s = config.run.warmup_epochs * config.timing.glossy_period_us * 1e-6
 
@@ -130,9 +130,10 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
             # the first read resolves every reply slot of the chunk
             decoded = np.stack([result.decoded(geom.n_pairs) for result in results])
             if events:
-                for i in range(0, len(results), MAX_EVENT_EPOCHS):
-                    for b, log in enumerate(logs):
-                        log += event_lines(results[i:i + MAX_EVENT_EPOCHS], b)
+                run_epochs = max(1, MAX_EVENT_EPOCHS // len(group))
+                for i in range(0, len(results), run_epochs):
+                    for log, lines in zip(logs, event_lines(results[i:i + run_epochs])):
+                        log += lines
             sched = results[-1].schedule
             starts = np.stack([result.fleet_start.x for result in results])
             gt = ground_truth(world.fleet, starts, sched, geom, radio)

@@ -121,8 +121,8 @@ def build_epoch_schedule(
 class World:
     """Mutable simulation state: the fleet and generator of each independent
     stream (one, or a sequence of each), plus the recorder and channel
-    context they share.  Stream b holds tags ``offsets[b]`` to
-    ``offsets[b + 1] - 1`` of the concatenated ``fleet``, whose composition
+    context they share.  Stream b holds the ``sizes[b]`` tags ``offsets[b]``
+    to ``offsets[b + 1] - 1`` of the concatenated ``fleet``, whose composition
     is fixed for the world's lifetime; reply slots are hashed once up front."""
 
     def __init__(
@@ -140,7 +140,8 @@ class World:
             raise ValueError("every fleet needs an rng of its own (None only without shadowing)")
         columns = zip(*((f.vrn, f.x, f.y, f.speed_mps) for f in fleets))
         self.fleet = Fleet(*map(np.concatenate, columns), fleets[0].ring_length_m)
-        self.offsets = np.cumsum([0] + [len(f) for f in fleets])
+        self.sizes = [len(f) for f in fleets]
+        self.offsets = np.cumsum([0] + self.sizes)
         self.geometry = geometry
         self.radio = radio
         self.hash_params = hash_params
@@ -219,7 +220,7 @@ class EpochResult:
         trace = self.trace
         if trace is None:
             return None
-        return [line for b in range(len(trace[0]) - 1) for line in event_lines([self], b)]
+        return [line for lines in event_lines([self]) for line in lines]
 
     def decoded(self, n_pairs: int) -> np.ndarray:
         """A ``(pairs, 2, vehicles)`` bool mask: True where recorder a (0) or
@@ -267,7 +268,7 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     sigma = radio.shadowing_sigma_db
     n_enp = len(fleet)
     n_vr = world.vr_x.size
-    sizes = np.diff(world.offsets).tolist()
+    sizes = world.sizes
     rounds = np.arange(sched.round_count)
 
     # ---- probe phase: every tag resolves the concurrent probes ----
@@ -289,11 +290,10 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
             link_pw = link_pw + (shadow[0] if len(shadow) == 1 else np.concatenate(shadow, axis=1))
         # the two recorders of a pair send byte-identical probes:
         # non-destructive replicas, strongest link counts
-        group_pw = link_pw.reshape(geom.n_pairs, 2, n_enp).max(axis=1)
-        codes, pair = capture_verdicts(group_pw, radio)
+        codes, pair = capture_verdicts(np.maximum(link_pw[0::2], link_pw[1::2]), radio)
         if record_events:
             probe_codes[r], probe_pair[r] = codes, pair
-        tags = np.flatnonzero(codes == RECEIVED_CODE)
+        tags = (codes == RECEIVED_CODE).nonzero()[0]
         if not tags.size and r:  # a silent round other than round 0 queues nothing
             continue
         draws = _NO_DRAWS
@@ -388,12 +388,14 @@ def _resolve_replies(world):
     rows_at = np.searchsorted(epoch[rx], ends).tolist()
     slots_at = np.searchsorted(epoch[first], ends).tolist()
     tags_at = np.append(first, key.size)[slots_at].tolist()
+    if any(res._probe is not None for res in epochs):  # each slot's round, slot and ranks
+        slot_trace = rnd[first], slot[first], np.where(winners >= 0, winners - first[:, None], -1)
     for i, res in enumerate(epochs):
         replies = None
         if res._probe is not None:  # the epoch's slots and their repliers
             g, t = slice(slots_at[i], slots_at[i + 1]), slice(tags_at[i], tags_at[i + 1])
-            ranks = np.where(winners[g] >= 0, winners[g] - first[g, None], -1)
-            replies = (tag[t], counts[g], rnd[first[g]], slot[first[g]], codes[g], ranks)
+            slot_round, slot_no, ranks = (a[g] for a in slot_trace)
+            replies = (tag[t], counts[g], slot_round, slot_no, codes[g], ranks)
         res._add_run(table[rows_at[i]:rows_at[i + 1]], replies)
 
 

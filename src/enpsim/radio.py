@@ -107,29 +107,31 @@ def capture_verdicts(power_dbm: np.ndarray, params: RadioParams,
         strongest = p.max(axis=0)
         return _verdicts(params, strongest, p.argmax(axis=0), (p == strongest).sum(axis=0) > 1,
                          (10.0 ** (p / 10.0)).sum(axis=0))
-    if starts is None:  # one lone signal, or none
+    if starts is None:  # one lone signal, or none: False/True are SILENCE/RECEIVED
         heard = p[0] >= params.sensitivity_dbm if n_tx else np.zeros(n_rx, dtype=bool)
-        return np.where(heard, RECEIVED_CODE, SILENCE_CODE), np.where(heard, 0, -1)
+        return heard.view(np.int8), heard - 1
 
-    counts = np.diff(starts, append=n_tx)
+    counts = np.append(starts[1:], n_tx) - starts
     heard = p[starts] >= params.sensitivity_dbm  # all a group of one row needs
-    codes = np.where(heard, RECEIVED_CODE, SILENCE_CODE)
-    winner = np.where(heard, starts[:, None], -1)
-    if (counts > 1).any():  # the other groups, on their rows alone
-        groups = np.flatnonzero(counts > 1)
-        rows = np.flatnonzero(np.repeat(counts > 1, counts))
+    # a copy: as a view, the codes kept `heard` alive and the heap refaulted each call
+    codes, winner = heard.astype(np.int8), np.where(heard, starts[:, None], -1)
+    contended = counts > 1
+    if contended.any():  # the other groups, on their rows alone
+        groups = contended.nonzero()[0]
+        rows = np.repeat(contended, counts).nonzero()[0]
         q, k = p[rows], counts[groups]
+        at = np.cumsum(k) - k  # each group's first row in q
+        strongest = np.maximum.reduceat(q, at, axis=0)
         group = np.repeat(np.arange(groups.size), k)
-        strongest = np.maximum.reduceat(q, np.cumsum(k) - k, axis=0)
         is_max = q == strongest[group]
-        # sums over each group's rows in row order, per (group, receiver) cell: the
-        # strongest's count, its row where that is 1, and the milliwatts
+        # per (group, receiver): the strongest's count and its row where that is
+        # 1, and the milliwatts summed in row order (reduceat adds them in another)
+        n_max, top = (np.add.reduceat(w, at, axis=0, dtype=np.intp)
+                      for w in (is_max, is_max * rows[:, None]))
         cell = (group[:, None] * n_rx + np.arange(n_rx)).ravel()
-        n_max, top, total_mw = (np.bincount(cell, w.ravel(), groups.size * n_rx).reshape(-1, n_rx)
-                                for w in (is_max, is_max * np.arange(q.shape[0])[:, None],
-                                          10.0 ** (q / 10.0)))
-        codes[groups], top = _verdicts(params, strongest, top.astype(np.intp), n_max > 1, total_mw)
-        winner[groups] = np.where(top >= 0, rows[top], -1)
+        total_mw = np.bincount(cell, (10.0 ** (q / 10.0)).ravel(), groups.size * n_rx)
+        codes[groups], winner[groups] = _verdicts(params, strongest, top, n_max > 1,
+                                                  total_mw.reshape(-1, n_rx))
     return codes, winner
 
 
@@ -139,7 +141,7 @@ def _verdicts(params, strongest, winner, tied, total_mw):
     # signals only give -inf - -inf = nan, which fails it but is SILENCE anyway
     with np.errstate(divide="ignore", invalid="ignore"):
         interference_dbm = 10.0 * np.log10(total_mw - 10.0 ** (strongest / 10.0))
-        captured = strongest - interference_dbm >= params.capture_threshold_db
-    codes = np.where(strongest < params.sensitivity_dbm, SILENCE_CODE,
-                     np.where(tied | ~captured, COLLISION_CODE, RECEIVED_CODE))
-    return codes, np.where(codes == RECEIVED_CODE, winner, -1)
+        won = (strongest - interference_dbm >= params.capture_threshold_db) & ~tied
+    heard = ~(strongest < params.sensitivity_dbm)
+    # SILENCE, RECEIVED, COLLISION are 0, 1, 2: 1 where heard, shifted to 2 where not won
+    return heard.view(np.int8) << ~won, np.where(heard & won, winner, -1)

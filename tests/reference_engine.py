@@ -62,7 +62,7 @@ def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index
     (epoch, round, slot), and the epoch's event lines.
 
     The event lines are built here in the order :mod:`enpsim.events`
-    documents, so they must equal ``event_lines([result], b)`` of the
+    documents, so they must equal ``event_lines([result])[b]`` of the
     engine's result of the epoch for this fleet's stream b: per round, a
     PROBE line per recorder, then an RX or COLL line per tag whose probe was
     not silence, then per occupied slot a REPLY line per contender and an RX

@@ -44,11 +44,11 @@ def test_runs_of_epochs_format_as_single_epochs(monkeypatch, case, max_links):
     text, v_ns = CASES[case]
     results = epoch_results(text, v_ns)
     for b in range(len(v_ns)):
-        each = [event_lines([result], b) for result in results]
+        each = [event_lines([result])[b] for result in results]
         want = [line for lines in each for line in lines]
-        assert event_lines(results, b) == want
+        assert event_lines(results)[b] == want
         for size in (3, 16):
-            runs = [event_lines(results[i:i + size], b) for i in range(0, len(results), size)]
+            runs = [event_lines(results[i:i + size])[b] for i in range(0, len(results), size)]
             assert [line for lines in runs for line in lines] == want
         if v_ns[b] == 0:
             assert want and all("\tPROBE\t" in line for line in want)

@@ -10,9 +10,11 @@ import pytest
 import enpsim.harness as harness
 from enpsim.cli import main
 from enpsim.config import parse_config, with_fleet_cell
+from enpsim.events import event_lines
 from enpsim.harness import run_experiment, sweep
 from enpsim.metrics import ITERATION_CSV_HEADER
-from enpsim.protocol import MAX_REPLY_LINKS
+from enpsim.mobility import advance
+from enpsim.protocol import MAX_REPLY_LINKS, World, run_epoch
 
 SMALL = """
 preset = paper-fig1b
@@ -238,15 +240,33 @@ def test_event_chunks_hold_bounded_probe_verdicts():
 
 
 @pytest.mark.parametrize("cap, value", [("MAX_SCORING_PAIRS", 1), ("MAX_EVENT_EPOCHS", 1),
-                                        ("MAX_EVENT_EPOCHS", 3)])
+                                        ("MAX_EVENT_EPOCHS", 6)])
 def test_event_runs_change_no_event_text(monkeypatch, cap, value):
-    # by default the 25 epochs are one scoring chunk and take event_lines
-    # calls of 16 and 9 epochs; one epoch a chunk, or one or three epochs a
-    # call, give the same lines
+    # by default the 25 epochs are one scoring chunk, and each event_lines
+    # call formats 8 epochs of both streams; one epoch a chunk, or one or
+    # three epochs a call, give the same lines
     cfg = parse_config("preset = paper-road\nrun.epochs = 25\nrun.warmup_epochs = 3\n"
                        "run.replications = 2\nrun.master_seed = 5\n")
     want = run_experiment(cfg, events=True).events
     monkeypatch.setattr(harness, cap, value)
+    assert run_experiment(cfg, events=True).events == want
+
+
+def test_lockstep_event_text_equals_each_stream_formatted_alone():
+    # five replications run as one lockstep group, whose event text is
+    # formatted for all five streams at once in runs of 3 epochs; each
+    # replication run in a world of its own, one epoch a call, gives the
+    # same lines in turn
+    cfg = parse_config("preset = paper-road\nrun.epochs = 20\nrun.warmup_epochs = 2\n"
+                       "run.replications = 5\nrun.master_seed = 5\n")
+    warmup_s = cfg.run.warmup_epochs * cfg.timing.glossy_period_us * 1e-6
+    want = []
+    for rep in range(5):
+        rng = harness.rng_stream(5, rep)
+        world = World(advance(harness.build_fleet(cfg, rng), warmup_s), cfg.geometry,
+                      cfg.radio, cfg.hash, cfg.timing, rng)
+        for e in range(20):
+            want += event_lines([run_epoch(world, 2 + e, record_events=True)])[0]
     assert run_experiment(cfg, events=True).events == want
 
 
@@ -263,6 +283,24 @@ def test_event_text_of_a_chunk_is_formatted_in_bounded_runs():
     finally:
         tracemalloc.stop()
     assert len(rows) == 300 and len(lines) > 40_000
+    assert peak - kept < 4_000_000
+
+
+def test_event_text_of_many_streams_is_formatted_in_bounded_runs():
+    # 20 replications of 16 paper-road epochs are one lockstep group and one
+    # scoring chunk.  Beyond what the run returns, one event_lines call for
+    # all 20 streams' 16 epochs peaked at 8.4 MB; runs of MAX_EVENT_EPOCHS
+    # stream-epochs (one epoch of the 20 streams a call) peak at 2.5 MB, as
+    # one call per stream of 16 epochs did (CPython 3.11, NumPy 2)
+    cfg = parse_config("preset = paper-road\nrun.epochs = 16\nrun.replications = 20\n"
+                       "run.master_seed = 11\n")
+    tracemalloc.start()
+    try:
+        streams = list(harness._lockstep(cfg, [(cfg, ())], events=True))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(streams) == 20 and sum(len(lines) for _, lines in streams) > 50_000
     assert peak - kept < 4_000_000
 
 

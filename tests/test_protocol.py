@@ -13,7 +13,7 @@ from enpsim.events import event_lines
 from enpsim.harness import build_fleet
 from enpsim.mobility import Fleet, RoadGeometry, Vehicle, positions_at, spawn_fleet
 from enpsim.protocol import TimingParams, World, build_epoch_schedule, run_epoch
-from enpsim.radio import RadioParams, capture_verdicts
+from enpsim.radio import RECEIVED_CODE, RadioParams, capture_verdicts
 from enpsim.slot_hash import HashParams, slot_for
 
 from reference_engine import engine_records, recorder_id, reference_run_epoch
@@ -81,7 +81,7 @@ def assert_streams_match_reference(n_pairs, slot_count, reseed, streams, epoch_i
             fleet, geom, radio, hash_params, TIMING, epoch_index, reference_rng
         )
         assert engine_records(world, result, b) == want
-        assert event_lines([result], b) == want_events
+        assert event_lines([result])[b] == want_events
         assert rngs[b].bit_generator.state == reference_rng.bit_generator.state
         mask = decoded[:, world.offsets[b]:world.offsets[b + 1]]
         assert [set(fleet.vrn[row].tolist()) for row in mask] == [
@@ -379,7 +379,7 @@ class TestRunEpoch:
                 results.append(run_epoch(world, e, record_events=True))
                 if read_each:
                     results[-1].records
-            got = [(r.records.tolist(), [event_lines([r], b) for b in range(len(streams))])
+            got = [(r.records.tolist(), event_lines([r]))
                    for r in results[::late_order]][::late_order]
             return got, [rng.bit_generator.state for rng in rngs], world, results
 
@@ -401,7 +401,7 @@ class TestRunEpoch:
                 records, events = reference_run_epoch(snapshot, geom, radio, hash_params, TIMING,
                                                       result.schedule.epoch_index, rng)
                 assert engine_records(world, result, b) == records
-                assert event_lines([result], b) == events
+                assert event_lines([result])[b] == events
         assert [rng.bit_generator.state for rng in reference_rngs] == got_states
 
     def test_many_repliers_split_reply_calls(self, monkeypatch):
@@ -528,7 +528,7 @@ class TestRunEpoch:
         assert blocks == [min(block_rounds, rounds - r) for r in range(0, rounds, block_rounds)]
         np.testing.assert_array_equal(got.records, want.records)
         for b in range(len(streams)):
-            assert event_lines([got], b) == event_lines([want], b)
+            assert event_lines([got])[b] == event_lines([want])[b]
         assert got_states == want_states
         assert_streams_match_reference(n_pairs, 3, True, streams, 8, sigma)
 
@@ -566,7 +566,7 @@ class TestRunEpoch:
         for b, fleet in enumerate(fleets):
             alone = World(fleet, geom, radio, hash_params, TIMING, np.random.default_rng(b))
             want = run_epoch(alone, 2, record_events=True).events
-            assert event_lines([result], b) == want
+            assert event_lines([result])[b] == want
 
     def test_matches_reference_engine_reseed(self):
         assert_matches_reference(1, 17, True, None, 12, 55, 9)
@@ -629,6 +629,36 @@ class TestRunEpoch:
         assert rng.bit_generator.state == state_before
         np.testing.assert_array_equal(with_rng.records, without.records)
         assert len(with_rng.records)
+
+    def test_each_round_draws_its_probes_then_its_replies(self):
+        # paper-road: round r draws 2P x V probe shadowing values, then 2P x c
+        # reply values for its c probe decodes (none when c = 0), each block
+        # one normal call, and the engine touches its generator no other way
+        cfg = parse_config("preset = paper-road\n")
+        rng = np.random.default_rng(4)
+        fleet = build_fleet(cfg, rng)
+        draws = []
+
+        class Spy:
+            def normal(self, loc, scale, size):
+                draws.append((loc, scale, int(np.prod(size))))
+                return rng.normal(loc, scale, size=size)
+
+            def __getattr__(self, name):
+                raise AssertionError(f"the engine used the generator's {name}")
+
+        world = World(fleet, cfg.geometry, cfg.radio, cfg.hash, cfg.timing, Spy())
+        n_vr, sigma = 2 * cfg.geometry.n_pairs, cfg.radio.shadowing_sigma_db
+        decodes = []
+        for e in range(16):  # round 6 of epoch 13 has no decodes
+            draws.clear()
+            probe_codes = run_epoch(world, e, record_events=True).trace[1]
+            want = []
+            for c in (probe_codes == RECEIVED_CODE).sum(axis=1).tolist():
+                want += [n_vr * len(fleet)] + ([n_vr * c] if c else [])
+                decodes.append(c)
+            assert draws == [(0.0, sigma, n) for n in want]
+        assert 0 in decodes and max(decodes) > 1
 
     def test_shadowing_without_rng_rejected(self):
         geom = single_pair_geometry()

@@ -316,6 +316,30 @@ class TestBatchKernel:
         assert (Verdict(int(codes[0])), int(winners[0])) == scalar_capture([4000.0], DEFAULTS)
         assert codes.tolist() == [RECEIVED_CODE] and winners.tolist() == [0]
 
+    def test_the_floor_itself_decodes(self):
+        # a strongest signal exactly at the sensitivity floor decodes, one ulp
+        # below it is silence, and a tie at the floor collides: for a lone
+        # row, one group and flat groups alike (receivers: at the floor, one
+        # ulp below, a tie at the floor; -inf is an absent signal)
+        floor = DEFAULTS.sensitivity_dbm
+        below = np.nextafter(floor, -np.inf)
+        lone = np.array([[floor, below, floor]])
+        pair = np.array([[floor, below, floor], [-np.inf, -np.inf, floor]])
+        R, S, C = RECEIVED_CODE, SILENCE_CODE, COLLISION_CODE
+        for powers, starts, want_codes, want_winners in (
+            (lone, None, [R, S, R], [0, -1, 0]),
+            (pair, None, [R, S, C], [0, -1, -1]),
+            (lone, np.array([0]), [[R, S, R]], [[0, -1, 0]]),
+            (np.vstack((lone, pair)), np.array([0, 1]), [[R, S, R], [R, S, C]],
+             [[0, -1, 0], [1, -1, -1]]),
+            (np.vstack((pair, lone)), np.array([0, 2]), [[R, S, C], [R, S, R]],
+             [[0, -1, -1], [2, -1, 2]]),
+        ):
+            codes, winners = capture_verdicts(powers, DEFAULTS, starts)
+            assert codes.tolist() == want_codes and winners.tolist() == want_winners
+        for j, verdict in enumerate((Verdict.RECEIVED, Verdict.SILENCE, Verdict.COLLISION)):
+            assert scalar_capture(pair[:, j].tolist(), DEFAULTS)[0] == verdict
+
     def test_codes_are_the_verdict_values(self):
         assert (SILENCE_CODE, RECEIVED_CODE, COLLISION_CODE) == tuple(Verdict)
 
