@@ -101,8 +101,8 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
     Warm-up epochs only move the fleets.  The measured epochs are scored in
     chunks of at most ``MAX_SCORING_PAIRS`` (epoch, tag) pairs and, with
     events, ``MAX_REPLY_LINKS`` (epoch, round, tag) probe verdicts, or one
-    epoch: a chunk's results are read once its last epoch has run, so their
-    queued replies take one capture call, and one ``ground_truth`` and one
+    epoch: a chunk's results are read once its last epoch has run, so its
+    epochs take one probe-and-reply pass, and one ``ground_truth`` and one
     ``iteration_accuracy`` call score all its streams, epochs and pairs;
     one ``event_lines`` call formats every stream's lines of a run of epochs,
     at most ``MAX_EVENT_EPOCHS`` stream-epochs or one epoch.  Scoring checks
@@ -127,7 +127,7 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
             results.append(run_epoch(world, config.run.warmup_epochs + e, record_events=events))
             if len(results) < chunk_epochs and e < epochs - 1:
                 continue
-            # the first read resolves every reply slot of the chunk
+            # the first read runs the pass of every epoch of the chunk
             decoded = np.stack([result.decoded(geom.n_pairs) for result in results])
             if events:
                 run_epochs = max(1, MAX_EVENT_EPOCHS // len(group))

@@ -1,4 +1,4 @@
-"""The epoch schedule and the per-epoch simulation engine.
+"""The epoch schedule and the simulation engine.
 
 An epoch is one sync period: a flooding-sync window (no radio traffic
 modeled inside it) followed by back-to-back query rounds.  Each round is one
@@ -8,19 +8,16 @@ probes simultaneously, and every tag that decodes a probe answers in the
 slot its registration number hashes to.  Reception is resolved independently
 at every receiver under the capture rule.
 
-The engine resolves the probe phase round by round, one capture call deciding
-the probe at every tag, because of the shadowing draw order alone.  The reply
-phase draws nothing of its own (its shadowing is drawn in the probe loop), so
-each round with repliers waits in the world's reply queue until a result is
-read: then one capture call decides every queued occupied (epoch, round,
-stream, slot) at every recorder, over the flat (repliers x recorders) powers
-grouped by slot; a queue with very many repliers is resolved in runs of
-rounds, to bound its memory.  Each stream draws its shadowing in the order a
-slot-by-slot resolution of it alone would, so outputs depend neither on the
-batching nor on the other streams.
+:func:`run_epoch` only starts an epoch; one pass runs every epoch waiting
+on a world.  Its probe phase runs round by round, one capture call deciding
+the probe at every tag, because of the shadowing draw order alone.  The
+reply phase draws nothing of its own, so one capture call then decides
+every occupied (epoch, round, stream, slot) of the pass at every recorder,
+over the flat (repliers x recorders) powers grouped by slot.  Each stream
+draws its shadowing in the order a slot-by-slot resolution of it alone
+would, so outputs depend neither on the batching nor on the other streams.
 Positions come from the epoch-start fleet snapshot at each schedule event, so
-ground-truth sampling and decode decisions see bit-identical geometry.  The
-epoch's decodes reduce to one record table; the engine builds no event text.
+ground-truth sampling and decode decisions see bit-identical geometry.
 """
 
 from __future__ import annotations
@@ -148,10 +145,7 @@ class World:
         self.timing = timing
         self.rngs = rngs
         self.enp_slots = slot_for(self.fleet.vrn, hash_params)
-        # reply slots whose resolution waits (see run_epoch): one (result,
-        # round, repliers, reply shadowing draws) entry per round with
-        # repliers and per epoch's round 0; their (replier, recorder) links
-        self.reply_queue, self.reply_links = [], 0
+        self.pending = []  # the epochs waiting for a pass (see run_epoch)
         # recorder 2 * pair + side as (2P,) columns, side 0 (a) then 1 (b)
         pairs = range(geometry.n_pairs)
         xy = np.array([pos for p in pairs for pos in geometry.vr_positions(p)], dtype=float)
@@ -173,17 +167,17 @@ class EpochResult:
     (-1 where none), and the epoch's reply verdict arrays (see
     :func:`_resolve_replies`).
 
-    The epoch's reply slots may still wait in its world's reply queue when
-    :func:`run_epoch` returns; the first read of ``records``, ``trace``,
-    ``events`` or ``decoded`` resolves every slot queued so far, the
-    epoch's included, as none join once :func:`run_epoch` has returned.
+    The first read of ``records``, ``trace``, ``events`` or ``decoded``
+    runs the pass of every epoch still waiting on the world, this one too.
     """
 
-    def __init__(self, schedule: EpochSchedule, fleet_start: Fleet, world: World, probe_trace):
+    def __init__(self, schedule: EpochSchedule, fleet_start: Fleet, world: World,
+                 record_events: bool):
         self.schedule = schedule
         self.fleet_start = fleet_start
-        self._world = world  # None once read
-        self._probe = probe_trace  # (offsets, probe codes, probe pairs), None without events
+        self.record_events = record_events
+        self._world = world  # None once its pass has run
+        self._probe = None  # (offsets, probe codes, probe pairs), with events
         self._records = None
         self._replies = []  # the reply verdicts of each run that resolved some of its slots
 
@@ -192,23 +186,21 @@ class EpochResult:
         if self._records is None:
             self._records = table
         else:  # earlier runs' rows come first
-            self._records = _first_decodes(np.concatenate((self._records, table)),
-                                           len(self.fleet_start))
-        if self._probe is not None:
+            table = np.concatenate((self._records, table))
+            self._records = table[_firsts(table[:, 0] * len(self.fleet_start) + table[:, 1])]
+        if self.record_events:
             self._replies.append(replies)
 
     @property
     def records(self) -> np.ndarray:
         if self._world is not None:
-            if self._world.reply_queue:
-                _resolve_replies(self._world)
-            self._world = None
+            _run_pass(self._world)
         return self._records
 
     @property
     def trace(self) -> tuple | None:
-        self.records  # resolves the replies still queued
-        if self._probe is None:
+        self.records  # runs the epoch's pass if it still waits
+        if not self.record_events:
             return None
         if len(self._replies) > 1:
             self._replies = [tuple(map(np.concatenate, zip(*self._replies)))]
@@ -217,8 +209,7 @@ class EpochResult:
     @property
     def events(self) -> list[str] | None:
         """Every stream's event lines in turn; None without a trace."""
-        trace = self.trace
-        if trace is None:
+        if self.trace is None:
             return None
         return [line for lines in event_lines([self]) for line in lines]
 
@@ -231,134 +222,143 @@ class EpochResult:
         return mask.reshape(n_pairs, 2, -1)
 
 
-# Most links one reply capture call (replier x recorder) or one block of probe
-# powers (round x recorder x tag) holds: 2 MB per float array, a few rounds at
-# the largest fleet (10,000 vehicles x 5 pairs x 2 recorders is 100,000 links
-# a round).  A preset epoch takes one probe block, and the replies of hundreds
-# of preset epochs fit one reply call.
+# Most links the epochs of a pass or a block of probe powers (round x
+# recorder x tag), or a reply capture call (replier x recorder), hold: 2 MB
+# per float array, a few rounds of the largest fleet (100,000 links a round
+# at 10,000 vehicles and 5 pairs).  Hundreds of preset epochs fit one pass.
 MAX_REPLY_LINKS = 2**18
-# The reply shadowing a queued round holds without repliers or shadowing.
-_NO_DRAWS = np.empty(0)
 
 
 def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> EpochResult:
-    """Run the probe phase of one full epoch of every stream, queue its
-    reply slots and advance the fleet to its end.
-
-    The probe phase runs round by round: one capture call decides, at every
-    tag, the concurrent probes of all pairs (pair replicas merged, cross-pair
-    probes contending).  Only the shadowing draw order keeps it per round:
-    round r + 1's probe draws follow round r's reply draws, whose count is
-    the number of round r's probe decodes; positions and zero-shadow powers
-    come from one call per block of at most ``MAX_REPLY_LINKS`` links.  Each
-    stream draws from its own generator as a world of it alone would,
-    stitched along the tag axis.  The reply phase draws nothing more, so its
-    resolution can wait: each round with repliers, and round 0 (so every
-    epoch gets a record table and reply trace), queues its repliers and
-    their shadowing, and :func:`_resolve_replies` resolves the whole queue,
-    across epochs, in one capture call when its repliers (of all streams)
-    reach ``MAX_REPLY_LINKS`` links or when a queued result is first read.
-    Reading each result at once gives one reply call an epoch.
-    """
-    hash_params = world.hash_params
-    sched = build_epoch_schedule(world.timing, hash_params.slot_count, epoch_index)
-    fleet = world.fleet
-    geom = world.geometry
-    radio = world.radio
-    sigma = radio.shadowing_sigma_db
-    n_enp = len(fleet)
-    n_vr = world.vr_x.size
-    sizes = world.sizes
-    rounds = np.arange(sched.round_count)
-
-    # ---- probe phase: every tag resolves the concurrent probes ----
-    t_probe = sched.round_start_us(rounds)
-    block = max(1, MAX_REPLY_LINKS // max(1, n_vr * n_enp))  # rounds of zero-shadow powers
-    probe_codes = np.empty((rounds.size, n_enp), dtype=np.int8) if record_events else None
-    probe_pair = np.empty((rounds.size, n_enp), dtype=np.intp) if record_events else None
-    result = EpochResult(sched, fleet, world,
-                         (world.offsets, probe_codes, probe_pair) if record_events else None)
-    for r in rounds.tolist():
-        if r % block == 0:  # power at every recorder from every tag, (rounds, 2P, V)
-            dt = (t_probe[r:r + block] - sched.epoch_start_us) * 1e-6
-            road_x = geom.road_x(positions_at(fleet, dt))[:, None]
-            d = np.hypot(road_x - world.vr_x[:, None], fleet.y - world.vr_y[:, None])
-            base_pw = received_power_dbm(d, radio, tx_power_dbm=radio.probe_tx_power_dbm)
-        link_pw = base_pw[r % block]
-        if sigma > 0:
-            shadow = [rng.normal(0.0, sigma, size=(n_vr, k)) for rng, k in zip(world.rngs, sizes)]
-            link_pw = link_pw + (shadow[0] if len(shadow) == 1 else np.concatenate(shadow, axis=1))
-        # the two recorders of a pair send byte-identical probes:
-        # non-destructive replicas, strongest link counts
-        codes, pair = capture_verdicts(np.maximum(link_pw[0::2], link_pw[1::2]), radio)
-        if record_events:
-            probe_codes[r], probe_pair[r] = codes, pair
-        tags = (codes == RECEIVED_CODE).nonzero()[0]
-        if not tags.size and r:  # a silent round other than round 0 queues nothing
-            continue
-        draws = _NO_DRAWS
-        if sigma > 0 and tags.size:  # each stream's repliers draw their reply shadowing
-            counts = [tags.size]
-            if len(sizes) > 1:
-                counts = np.diff(np.searchsorted(tags, world.offsets)).tolist()
-            blocks = [rng.normal(0.0, sigma, size=n_vr * k)
-                      for rng, k in zip(world.rngs, counts) if k]
-            draws = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        world.reply_queue.append((result, r, tags, draws))
-        world.reply_links += n_vr * tags.size
-        if world.reply_links >= MAX_REPLY_LINKS:
-            _resolve_replies(world)
-
-    world.fleet = advance(fleet, sched.glossy_period_us * 1e-6)
+    """Start one full epoch of every stream: build its schedule, snapshot
+    the fleet and advance it to the epoch's end.  The epoch's probe and
+    reply phases wait on the world for :func:`_run_pass`, which runs every
+    waiting epoch when a result is first read or once their probe links
+    reach ``MAX_REPLY_LINKS``; reading each result at once gives the same
+    outputs."""
+    sched = build_epoch_schedule(world.timing, world.hash_params.slot_count, epoch_index)
+    result = EpochResult(sched, world.fleet, world, record_events)
+    world.fleet = advance(world.fleet, sched.glossy_period_us * 1e-6)
+    world.pending.append(result)
+    links = sched.round_count * world.vr_x.size * len(world.fleet)
+    if len(world.pending) * links >= MAX_REPLY_LINKS:
+        _run_pass(world)
     return result
 
 
-def _resolve_replies(world):
-    """Resolve every queued reply slot of the world in one capture call and
-    hand each queued epoch its part.
+def _run_pass(world: World) -> None:
+    """Run the probe phase of every epoch waiting on the world, then resolve
+    their replies in runs of rounds, each ending with the round in which its
+    repliers reach ``MAX_REPLY_LINKS`` links; the last run holds the rest if
+    it has a replier or a round 0 (each epoch gets a record table and trace)."""
+    results, world.pending = world.pending, []
+    row, tag, draws, codes, pairs = _probe_rounds(world, results)
+    n_rounds = results[0].schedule.round_count
+    for e, res in enumerate(results):
+        res._world = None
+        if res.record_events:
+            rows = slice(e * n_rounds, (e + 1) * n_rounds)
+            res._probe = world.offsets, codes[rows], pairs[rows]
+    n_vr, n_rows = world.vr_x.size, len(results) * n_rounds
+    need = -(-MAX_REPLY_LINKS // n_vr)  # repliers that end a run
+    lo = first_row = 0
+    while lo < tag.size or -(-first_row // n_rounds) * n_rounds < n_rows:
+        last_row = row[lo + need - 1] if tag.size - lo >= need else n_rows - 1
+        hi = int(np.searchsorted(row, last_row, side="right"))
+        e0, e1 = first_row // n_rounds, last_row // n_rounds + 1
+        _resolve_replies(world, results[e0:e1], row[lo:hi] - e0 * n_rounds, tag[lo:hi],
+                         draws[n_vr * lo:n_vr * hi])
+        lo, first_row = hi, last_row + 1
 
-    The queue holds one entry per queued round, those of an epoch adjacent
-    and in round order: its epoch's result, the round, its repliers
-    (ascending tags) and their reply shadowing, each stream's block in turn.
-    Only the repliers are hashed (under reseeding, each round's under that
-    epoch and round's seed) and placed at the start of their slot from their
-    own epoch's snapshot.  Sorted by (epoch, round, stream, slot),
-    each occupied slot is a run of rows of one (repliers x recorders) power
-    array, which one capture call decides at every recorder.  Each slot
-    takes its (recorders x contenders) block of its draws, in slot order, so
-    each stream's results equal its slot-by-slot resolution.  Each epoch
-    gets the first decodes of its slots and, with events, the repliers' tags
-    grouped by slot and, per occupied slot, its contender count, round, slot,
-    and (recorders,) verdict codes and winners' ranks in the slot.
-    """
-    queue = world.reply_queue
-    world.reply_queue, world.reply_links = [], 0
-    results, rounds, heard, draws = zip(*queue)
-    fleet = world.fleet
-    hp = world.hash_params
-    n_vr = world.vr_x.size
-    sched = results[0].schedule  # every epoch has the same slot offsets from its start
-    # each entry's (row's) epoch: an epoch's entries are adjacent, and each
-    # epoch after the queue's first opens with its round 0
-    row_round = np.array(rounds)
-    opens = row_round == 0
-    opens[0] = True
-    row_epoch = np.cumsum(opens) - 1
-    epochs = [results[i] for i in np.flatnonzero(opens).tolist()]
-    tag = np.concatenate(heard)
-    row = np.repeat(np.arange(len(heard)), [t.size for t in heard])
+
+def _probe_rounds(world: World, results: list[EpochResult]):
+    """The probe phase of ``results``, epochs of the world in order, round
+    by round: one capture call decides, at every tag, the concurrent probes
+    of all pairs (pair replicas merged, cross-pair probes contending).  Only
+    the shadowing draw order keeps it per round: round r + 1's probe draws
+    follow round r's reply draws, whose count is the number of round r's
+    probe decodes; zero-shadow powers come from one positions call per block
+    of at most ``MAX_REPLY_LINKS`` links of an epoch.  Each stream draws from
+    its own generator as a world of it alone would, stitched along the tag
+    axis.  Returns each replier's (epoch, round) row, counting from round 0
+    of the first epoch, and tag, ascending; their reply shadowing, each
+    row's stream blocks in turn; and the (rows, V) probe verdict codes and,
+    with events, winning pairs."""
+    geom, radio, sigma = world.geometry, world.radio, world.radio.shadowing_sigma_db
+    rngs, sizes, offsets = world.rngs, world.sizes, world.offsets
+    n_vr, n_enp = world.vr_x.size, len(world.fleet)
+    sched = results[0].schedule  # every epoch probes at the same offsets from its start
+    dt = (sched.round_start_us(np.arange(sched.round_count)) - sched.epoch_start_us) * 1e-6
+    block = max(1, MAX_REPLY_LINKS // max(1, n_vr * n_enp))  # rounds of zero-shadow powers
+    codes = np.empty((len(results) * sched.round_count, n_enp), dtype=np.int8)
+    events = any(res.record_events for res in results)
+    pairs = np.empty(codes.shape, dtype=np.intp) if events else None
+    normal = rngs[0].normal if sigma > 0 and len(sizes) == 1 else None  # one stream's draws
+    draws, i = [], 0
+    for res in results:
+        fleet = res.fleet_start
+        for b in range(0, sched.round_count, block):
+            road_x = geom.road_x(positions_at(fleet, dt[b:b + block]))[:, None]
+            d = np.hypot(road_x - world.vr_x[:, None], fleet.y - world.vr_y[:, None])
+            for link_pw in received_power_dbm(d, radio, tx_power_dbm=radio.probe_tx_power_dbm):
+                if normal is not None:
+                    link_pw = link_pw + normal(0.0, sigma, size=(n_vr, n_enp))
+                elif sigma > 0:
+                    link_pw = link_pw + np.concatenate(
+                        [rng.normal(0.0, sigma, size=(n_vr, k)) for rng, k in zip(rngs, sizes)],
+                        axis=1)
+                # the two recorders of a pair send byte-identical probes:
+                # non-destructive replicas, strongest link counts
+                codes[i], pair = capture_verdicts(np.maximum(link_pw[0::2], link_pw[1::2]), radio)
+                if events:
+                    pairs[i] = pair
+                # each stream's repliers draw their reply shadowing
+                if normal is not None:
+                    k = codes[i].tobytes().count(RECEIVED_CODE)  # faster than np.count_nonzero
+                    if k:
+                        draws.append(normal(0.0, sigma, size=n_vr * k))
+                elif sigma > 0:
+                    tags = (codes[i] == RECEIVED_CODE).nonzero()[0]
+                    counts = np.diff(np.searchsorted(tags, offsets)).tolist()
+                    draws += [rng.normal(0.0, sigma, size=n_vr * k)
+                              for rng, k in zip(rngs, counts) if k]
+                i += 1
+    row, tag = (codes == RECEIVED_CODE).nonzero()
+    draws = draws[0] if len(draws) == 1 else np.concatenate(draws) if draws else np.empty(0)
+    return row, tag, draws, codes, pairs
+
+
+def _resolve_replies(world, epochs, row, tag, draws):
+    """Resolve one run of reply slots of consecutive ``epochs`` in one
+    capture call and hand each epoch its part; ``row``, ``tag`` and
+    ``draws`` are as :func:`_probe_rounds` returns them, rows counted from
+    ``epochs[0]``.  Only the repliers are hashed (under reseeding, each
+    round's under that epoch and round's seed) and placed at the start of
+    their slot from their own epoch's snapshot.  Sorted by (epoch, round,
+    stream, slot), each occupied slot is a run of rows of one (repliers x
+    recorders) power array, which one capture call decides at every
+    recorder.  Each slot takes its (recorders x contenders) block of the
+    draws, in slot order, so each stream's results equal its slot-by-slot
+    resolution.  Each epoch gets the first decodes of its slots and, with
+    events, the repliers' tags grouped by slot and, per occupied slot, its
+    contender count, round, slot, (recorders,) verdict codes and winners'
+    ranks in the slot."""
+    fleet, hp, n_vr = world.fleet, world.hash_params, world.vr_x.size
+    sched = epochs[0].schedule  # every epoch has the same slot offsets from its start
     slot = world.enp_slots[tag]
-    if hp.reseed_per_round:  # each round's repliers hashed under that epoch and round's seed
-        hashed = [slot_for(fleet.vrn[t],
-                           replace(hp, seed=round_seed(hp.seed, res.schedule.epoch_index, r)))
-                  for res, r, t in zip(results, rounds, heard) if t.size]
-        slot = np.concatenate(hashed) if hashed else slot
+    if hp.reseed_per_round and tag.size:  # each round's repliers under its own seed
+        cuts = np.flatnonzero(np.diff(row)) + 1
+        heads = np.divmod(row[np.append(0, cuts)], sched.round_count)
+        seeds = [round_seed(hp.seed, epochs[e].schedule.epoch_index, r)
+                 for e, r in zip(*(a.tolist() for a in heads))]
+        slot = np.concatenate([slot_for(fleet.vrn[t], replace(hp, seed=seed))
+                               for t, seed in zip(np.split(tag, cuts), seeds)])
     # group by (epoch, round, stream, slot); a stable sort keeps vehicle order in each slot
     stream = np.searchsorted(world.offsets, tag, side="right") - 1
     key = (row * (world.offsets.size - 1) + stream) * sched.slot_count + slot
     order = np.argsort(key, kind="stable")
     row, tag, slot, key = row[order], tag[order], slot[order], key[order]
-    epoch, rnd = row_epoch[row], row_round[row]
+    epoch, rnd = np.divmod(row, sched.round_count)
     first = np.flatnonzero(np.diff(key, prepend=-1))
     counts = np.diff(first, append=key.size)
 
@@ -374,32 +374,31 @@ def _resolve_replies(world):
         # of a slot of k from first holds column i - first of the block at 2P * first
         first_of, k = np.repeat(first, counts), np.repeat(counts, counts)[:, None]
         at = (np.arange(key.size) + (n_vr - 1) * first_of)[:, None] + k * np.arange(n_vr)
-        shadow = np.concatenate(draws)[at]
+        shadow = draws[at]
     power = received_power_dbm(d, world.radio, shadow)
     codes, winners = capture_verdicts(power, world.radio, first)  # (slots, 2P)
 
     # the first decode of each (epoch, recorder, tag), split by epoch
     rx_group, rx_vr = np.nonzero(codes == RECEIVED_CODE)
     rx = winners[rx_group, rx_vr]  # the decoded repliers' rows
-    _, kept = np.unique((epoch[rx] * n_vr + rx_vr) * len(fleet) + tag[rx], return_index=True)
+    kept = _firsts((epoch[rx] * n_vr + rx_vr) * len(fleet) + tag[rx])
     rx, rx_vr = rx[kept], rx_vr[kept]
     table = np.column_stack((rx_vr, tag[rx], rnd[rx], slot[rx])).astype(np.int64, copy=False)
     ends = np.arange(len(epochs) + 1)
     rows_at = np.searchsorted(epoch[rx], ends).tolist()
     slots_at = np.searchsorted(epoch[first], ends).tolist()
     tags_at = np.append(first, key.size)[slots_at].tolist()
-    if any(res._probe is not None for res in epochs):  # each slot's round, slot and ranks
-        slot_trace = rnd[first], slot[first], np.where(winners >= 0, winners - first[:, None], -1)
-    for i, res in enumerate(epochs):
-        replies = None
-        if res._probe is not None:  # the epoch's slots and their repliers
-            g, t = slice(slots_at[i], slots_at[i + 1]), slice(tags_at[i], tags_at[i + 1])
-            slot_round, slot_no, ranks = (a[g] for a in slot_trace)
-            replies = (tag[t], counts[g], slot_round, slot_no, codes[g], ranks)
+    if any(res.record_events for res in epochs):  # each slot's round, slot, codes and ranks
+        ranks = np.where(winners >= 0, winners - first[:, None], -1)
+        slot_trace = rnd[first], slot[first], codes, ranks
+    for i, res in enumerate(epochs):  # the epoch's first decodes, slots and their repliers
+        g, t = slice(slots_at[i], slots_at[i + 1]), slice(tags_at[i], tags_at[i + 1])
+        replies = (tag[t], counts[g], *(a[g] for a in slot_trace)) if res.record_events else None
         res._add_run(table[rows_at[i]:rows_at[i + 1]], replies)
 
 
-def _first_decodes(table, n_tags):
-    """The first row of each (recorder, tag), sorted by recorder then tag."""
-    _, kept = np.unique(table[:, 0] * n_tags + table[:, 1], return_index=True)
-    return table[kept]
+def _firsts(cells):
+    """The index of the first of each distinct value of ``cells`` (ints >= 0), by value."""
+    first = np.full(int(cells.max()) + 1 if cells.size else 0, cells.size, dtype=np.intp)
+    np.minimum.at(first, cells, np.arange(cells.size))
+    return first[first < cells.size]

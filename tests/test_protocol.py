@@ -305,13 +305,13 @@ class TestRunEpoch:
     @pytest.mark.parametrize("preset", ["paper-road", "paper-fig1b"])
     @pytest.mark.parametrize("n_epochs", [1, 5])
     def test_one_reply_capture_call_per_chunk(self, monkeypatch, preset, n_epochs):
-        # one capture call a round for the probe; the replies of every epoch
-        # wait for the first read, which resolves them all in one call
+        # every epoch waits for the first read, whose one pass makes one
+        # capture call a round for the probe and one for all the replies
         world = preset_world(f"preset = {preset}\n")
         calls = count_capture_calls(monkeypatch)
         results = [run_epoch(world, e) for e in range(n_epochs)]
         rounds = results[0].schedule.round_count
-        assert len(calls) == n_epochs * rounds
+        assert len(calls) == 0
         assert len(results[-1].records)
         assert len(calls) == n_epochs * rounds + 1
         assert all(len(result.records) for result in results)
@@ -342,7 +342,7 @@ class TestRunEpoch:
         assert_streams_match_reference(1, 1, True, [(25, 108), (0, 1), (7, 2)], 8, sigma)
 
     @pytest.mark.parametrize("late_order", [1, -1], ids=["forward", "reverse"])
-    @pytest.mark.parametrize("max_links", [None, 1, 50])
+    @pytest.mark.parametrize("max_links", [None, 1, 50, "flush"])
     @pytest.mark.parametrize("sigma", [0.0, 6.5])
     @pytest.mark.parametrize("reseed", [False, True])
     @pytest.mark.parametrize("streams", [[(25, 108)], [(25, 108), (0, 1), (7, 2)]],
@@ -350,26 +350,31 @@ class TestRunEpoch:
     def test_reading_late_equals_reading_each_epoch(self, monkeypatch, max_links, sigma,
                                                     reseed, streams, late_order):
         # six epochs on a 2 km ring, each result read at once, and again
-        # read only at the end, first to last or last to first: the replies
-        # then wait in one queue, or in runs of rounds up to a link budget of
-        # 1 or 50 (runs of 50 straddle epochs), and give the same records,
-        # event text and generator states, each epoch those of the scalar
-        # reference from its snapshot
+        # read only at the end, first to last or last to first: the epochs
+        # then wait for one pass, or each run its own pass under a link
+        # budget of 1 or 50 (their replies in runs of rounds), or, under a
+        # budget of three and a half epochs' probe links, run_epoch runs a
+        # pass of the first four partway through and the read a pass of the
+        # other two; all give the same records, event text and generator
+        # states, each epoch those of the scalar reference from its snapshot
+        geom = RoadGeometry(vr_pair_xs=(80.0, 120.0), ring_length_m=2000.0)
+        rounds = build_epoch_schedule(TIMING, 5, 0).round_count
+        if max_links == "flush":
+            max_links = 7 * rounds * 4 * sum(v_n for v_n, _ in streams) // 2
         if max_links is not None:
             monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", max_links)
-        geom = RoadGeometry(vr_pair_xs=(80.0, 120.0), ring_length_m=2000.0)
         radio = RadioParams(shadowing_sigma_db=sigma)
         hash_params = HashParams(slot_count=5, reseed_per_round=reseed)
         fleets = [spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(s)) for v_n, s in streams]
         calls = count_capture_calls(monkeypatch)
-        queued_epochs = []  # of each reply run
-        resolve = protocol._resolve_replies
+        passes = []  # the epochs of each pass
+        run_pass = protocol._run_pass
 
         def spied(world):
-            queued_epochs.append(len({entry[0] for entry in world.reply_queue}))
-            resolve(world)
+            passes.append(len(world.pending))
+            run_pass(world)
 
-        monkeypatch.setattr(protocol, "_resolve_replies", spied)
+        monkeypatch.setattr(protocol, "_run_pass", spied)
 
         def run(read_each):
             rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
@@ -379,20 +384,26 @@ class TestRunEpoch:
                 results.append(run_epoch(world, e, record_events=True))
                 if read_each:
                     results[-1].records
+            unread = passes[:]
             got = [(r.records.tolist(), event_lines([r]))
                    for r in results[::late_order]][::late_order]
-            return got, [rng.bit_generator.state for rng in rngs], world, results
+            return got, [rng.bit_generator.state for rng in rngs], world, results, unread
 
-        want, want_states, _, _ = run(read_each=True)
-        each_calls, rounds = len(calls), 6 * build_epoch_schedule(TIMING, 5, 0).round_count
-        del calls[:], queued_epochs[:]
-        got, got_states, world, results = run(read_each=False)
+        want, want_states, _, _, _ = run(read_each=True)
+        each_calls, rounds = len(calls), 6 * rounds
+        assert passes == [1] * 6
+        del calls[:], passes[:]
+        got, got_states, world, results, unread = run(read_each=False)
         assert got == want and got_states == want_states
         assert len(calls) <= each_calls
         if max_links is None:
             assert (each_calls, len(calls)) == (rounds + 6, rounds + 1)
-        if max_links != 1:
-            assert max(queued_epochs) > 1
+            assert (unread, passes) == ([], [6])
+        elif max_links > 50:
+            assert (each_calls, len(calls)) == (rounds + 6, rounds + 2)
+            assert (unread, passes) == ([4], [4, 2])
+        else:  # every epoch's probe links reach the budget
+            assert unread == passes == [1] * 6
         assert sum(len(records) for records, _ in got) > 6
         reference_rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
         for result in results:
@@ -442,8 +453,8 @@ class TestRunEpoch:
 
     def test_unread_silent_rounds_hold_no_queue_entries(self):
         # four unread epochs of 2,495 one-slot rounds of one tag 50 km from
-        # the only pair: no round has a replier, so the reply queue holds one
-        # entry an epoch (its round 0), not one a round (620 KB an epoch)
+        # the only pair: each waits on the world as its result alone, with
+        # nothing held per round (620 KB an epoch), until the read's pass
         geom = RoadGeometry(vr_pair_xs=(100.0,), ring_length_m=100_000.0)
         fleet = static_fleet([Vehicle(vrn=7, x=0.0, y=3.0, speed_mps=0.0)], geom)
         world = World(fleet, geom, RADIO, HashParams(slot_count=1),
@@ -454,17 +465,17 @@ class TestRunEpoch:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert results[0].schedule.round_count == 2495 and len(world.reply_queue) == 4
+        assert results[0].schedule.round_count == 2495 and world.pending == results
         assert held < 4 * 4096
-        assert not any(len(result.records) for result in results) and not world.reply_queue
+        assert not any(len(result.records) for result in results) and not world.pending
 
-    def test_crowded_slot_reply_memory_follows_live_links(self):
+    def test_crowded_slot_reply_memory_follows_live_links(self, monkeypatch):
         # 600 static tags in range of one pair over 19 rounds of 255 slots,
         # 300 of them hashed to one slot: a (slots x contenders x recorders)
         # tensor padded to that slot would hold about 3,500 x 300 x 2
-        # floats, 17 MB (53 MB peak with its temporaries); the reply phase
-        # holds arrays of the 22,800 live links only, and peaks below 24
-        # float arrays of them
+        # floats, 17 MB (53 MB peak with its temporaries); the epoch's pass
+        # holds arrays of the 22,800 live reply links only, and peaks below
+        # 24 float arrays of them
         geom = single_pair_geometry()
         hash_params = HashParams(slot_count=255)
         rng = np.random.default_rng(5)
@@ -475,13 +486,21 @@ class TestRunEpoch:
                       rng.uniform(0.0, 7.0, size=600), np.zeros(600), geom.ring_length_m)
         world = World(fleet, geom, RADIO, hash_params, TimingParams(glossy_period_us=10_000_000))
         result = run_epoch(world, 0)
-        links = world.reply_links  # every replier's links, all still queued
+        links = []  # of each reply capture call
+
+        def counted(power, radio, starts=None):
+            if starts is not None:
+                links.append(power.size)
+            return capture_verdicts(power, radio, starts)
+
+        monkeypatch.setattr(protocol, "capture_verdicts", counted)
         tracemalloc.start()
         try:
             decoded = len(result.records)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        links, = links  # every replier's links, in one call
         assert result.schedule.round_count == 19 and links == 19 * 600 * 2
         assert (slot_for(vrn, hash_params) == 7).sum() == 300 and decoded
         assert peak < 24 * 8 * links
@@ -510,6 +529,7 @@ class TestRunEpoch:
             rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
             world = World(fleets, geom, radio, hash_params, TIMING, rngs)
             result = run_epoch(world, 8, record_events=True)
+            result.records  # runs the epoch's pass if it still waits
             return result, [rng.bit_generator.state for rng in rngs]
 
         want, want_states = epoch()
@@ -659,6 +679,35 @@ class TestRunEpoch:
                 decodes.append(c)
             assert draws == [(0.0, sigma, n) for n in want]
         assert 0 in decodes and max(decodes) > 1
+
+    def test_one_pass_draws_each_round_in_epoch_order(self):
+        # 16 unread paper-road epochs draw nothing; the read's one pass then
+        # draws, (epoch, round) by (epoch, round), 2P x V probe values and
+        # 2P x c reply values for the round's c probe decodes, as epochs run
+        # one by one would
+        cfg = parse_config("preset = paper-road\n")
+        rng = np.random.default_rng(4)
+        fleet = build_fleet(cfg, rng)
+        draws = []
+
+        class Spy:
+            def normal(self, loc, scale, size):
+                draws.append((loc, scale, int(np.prod(size))))
+                return rng.normal(loc, scale, size=size)
+
+            def __getattr__(self, name):
+                raise AssertionError(f"the engine used the generator's {name}")
+
+        world = World(fleet, cfg.geometry, cfg.radio, cfg.hash, cfg.timing, Spy())
+        results = [run_epoch(world, e, record_events=True) for e in range(16)]
+        assert draws == [] and len(world.pending) == 16
+        probe_codes = [result.trace[1] for result in results]
+        n_vr, sigma = 2 * cfg.geometry.n_pairs, cfg.radio.shadowing_sigma_db
+        want = []
+        for c in (np.concatenate(probe_codes) == RECEIVED_CODE).sum(axis=1).tolist():
+            want += [n_vr * len(fleet)] + ([n_vr * c] if c else [])
+        assert draws == [(0.0, sigma, n) for n in want]
+        assert len(draws) > 16 * results[0].schedule.round_count and not world.pending
 
     def test_shadowing_without_rng_rejected(self):
         geom = single_pair_geometry()
