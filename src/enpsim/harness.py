@@ -127,7 +127,7 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
             results.append(run_epoch(world, config.run.warmup_epochs + e, record_events=events))
             if len(results) < chunk_epochs and e < epochs - 1:
                 continue
-            # the first read runs the pass of every epoch of the chunk
+            # the first read runs the pass of the chunk's epochs still waiting
             decoded = np.stack([result.decoded(geom.n_pairs) for result in results])
             if events:
                 run_epochs = max(1, MAX_EVENT_EPOCHS // len(group))
