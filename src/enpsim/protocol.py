@@ -252,14 +252,11 @@ def _run_pass(world: World) -> None:
     repliers reach ``MAX_REPLY_LINKS`` links; the last run holds the rest if
     it has a replier or a round 0 (each epoch gets a record table and trace)."""
     results, world.pending = world.pending, []
-    row, tag, draws, codes, pairs = _probe_rounds(world, results)
-    n_rounds = results[0].schedule.round_count
-    for e, res in enumerate(results):
+    row, tag, draws = _probe_rounds(world, results)
+    for res in results:
         res._world = None
-        if res.record_events:
-            rows = slice(e * n_rounds, (e + 1) * n_rounds)
-            res._probe = world.offsets, codes[rows], pairs[rows]
-    n_vr, n_rows = world.vr_x.size, len(results) * n_rounds
+    n_vr, n_rounds = world.vr_x.size, results[0].schedule.round_count
+    n_rows = len(results) * n_rounds
     need = -(-MAX_REPLY_LINKS // n_vr)  # repliers that end a run
     lo = first_row = 0
     while lo < tag.size or -(-first_row // n_rounds) * n_rounds < n_rows:
@@ -280,52 +277,52 @@ def _probe_rounds(world: World, results: list[EpochResult]):
     probe decodes; zero-shadow powers come from one positions call per block
     of at most ``MAX_REPLY_LINKS`` links of an epoch.  Each stream draws from
     its own generator as a world of it alone would, stitched along the tag
-    axis.  Returns each replier's (epoch, round) row, counting from round 0
-    of the first epoch, and tag, ascending; their reply shadowing, each
-    row's stream blocks in turn; and the (rows, V) probe verdict codes and,
-    with events, winning pairs."""
+    axis.  An epoch recording events keeps its (rounds, V) probe verdict
+    codes and winning pairs in its trace; the others keep no verdict past
+    its block of rounds.  Returns each replier's (epoch, round) row, counting from round 0
+    of the first epoch, and tag, ascending, and their reply shadowing, each
+    row's stream blocks in turn."""
     geom, radio, sigma = world.geometry, world.radio, world.radio.shadowing_sigma_db
-    rngs, sizes, offsets = world.rngs, world.sizes, world.offsets
-    n_vr, n_enp = world.vr_x.size, len(world.fleet)
+    n_vr, n_enp, cuts = world.vr_x.size, len(world.fleet), world.offsets.tolist()
+    streams = list(zip(world.rngs, cuts[:-1], cuts[1:]))
     sched = results[0].schedule  # every epoch probes at the same offsets from its start
-    dt = (sched.round_start_us(np.arange(sched.round_count)) - sched.epoch_start_us) * 1e-6
+    n_rounds = sched.round_count
+    dt = (sched.round_start_us(np.arange(n_rounds)) - sched.epoch_start_us) * 1e-6
     block = max(1, MAX_REPLY_LINKS // max(1, n_vr * n_enp))  # rounds of zero-shadow powers
-    codes = np.empty((len(results) * sched.round_count, n_enp), dtype=np.int8)
-    events = any(res.record_events for res in results)
-    pairs = np.empty(codes.shape, dtype=np.intp) if events else None
-    normal = rngs[0].normal if sigma > 0 and len(sizes) == 1 else None  # one stream's draws
-    draws, i = [], 0
-    for res in results:
-        fleet = res.fleet_start
-        for b in range(0, sched.round_count, block):
+    hits, draws = [], []
+    for e, res in enumerate(results):
+        fleet, pairs = res.fleet_start, None
+        if res.record_events:
+            codes = np.empty((n_rounds, n_enp), dtype=np.int8)
+            pairs = np.empty(codes.shape, dtype=np.intp)
+            res._probe = world.offsets, codes, pairs
+        for b in range(0, n_rounds, block):
+            # (rounds, 2P, V) distances, then zero-shadow powers, in one array
             road_x = geom.road_x(positions_at(fleet, dt[b:b + block]))[:, None]
-            d = np.hypot(road_x - world.vr_x[:, None], fleet.y - world.vr_y[:, None])
-            for link_pw in received_power_dbm(d, radio, tx_power_dbm=radio.probe_tx_power_dbm):
-                if normal is not None:
-                    link_pw = link_pw + normal(0.0, sigma, size=(n_vr, n_enp))
-                elif sigma > 0:
-                    link_pw = link_pw + np.concatenate(
-                        [rng.normal(0.0, sigma, size=(n_vr, k)) for rng, k in zip(rngs, sizes)],
-                        axis=1)
+            power = road_x - world.vr_x[:, None]
+            np.hypot(power, fleet.y - world.vr_y[:, None], out=power)
+            received_power_dbm(power, radio, tx_power_dbm=radio.probe_tx_power_dbm, out=power)
+            out = codes[b:b + block] if pairs is not None else np.empty(power.shape[::2], np.int8)
+            for r, link_pw in enumerate(power):
+                if sigma > 0:
+                    shadow = [rng.normal(0.0, sigma, size=(n_vr, hi - lo))
+                              for rng, lo, hi in streams]
+                    link_pw = link_pw + (shadow[0] if len(shadow) == 1 else np.hstack(shadow))
                 # the two recorders of a pair send byte-identical probes:
                 # non-destructive replicas, strongest link counts
-                codes[i], pair = capture_verdicts(np.maximum(link_pw[0::2], link_pw[1::2]), radio)
-                if events:
-                    pairs[i] = pair
-                # each stream's repliers draw their reply shadowing
-                if normal is not None:
-                    k = codes[i].tobytes().count(RECEIVED_CODE)  # faster than np.count_nonzero
-                    if k:
-                        draws.append(normal(0.0, sigma, size=n_vr * k))
-                elif sigma > 0:
-                    tags = (codes[i] == RECEIVED_CODE).nonzero()[0]
-                    counts = np.diff(np.searchsorted(tags, offsets)).tolist()
-                    draws += [rng.normal(0.0, sigma, size=n_vr * k)
-                              for rng, k in zip(rngs, counts) if k]
-                i += 1
-    row, tag = (codes == RECEIVED_CODE).nonzero()
+                out[r], pair = capture_verdicts(np.maximum(link_pw[0::2], link_pw[1::2]), radio)
+                if pairs is not None:
+                    pairs[b + r] = pair
+                if sigma > 0:  # each stream's repliers draw their reply shadowing
+                    for rng, lo, hi in streams:
+                        k = out[r, lo:hi].tobytes().count(RECEIVED_CODE)
+                        if k:
+                            draws.append(rng.normal(0.0, sigma, size=n_vr * k))
+            r, t = (out == RECEIVED_CODE).nonzero()
+            hits.append((r + (e * n_rounds + b), t))
+    row, tag = (a[0] if len(a) == 1 else np.concatenate(a) for a in zip(*hits))
     draws = draws[0] if len(draws) == 1 else np.concatenate(draws) if draws else np.empty(0)
-    return row, tag, draws, codes, pairs
+    return row, tag, draws
 
 
 def _resolve_replies(world, epochs, row, tag, draws):
@@ -367,16 +364,19 @@ def _resolve_replies(world, epochs, row, tag, draws):
     tx = Fleet(fleet.vrn[tag], x, fleet.y[tag], fleet.speed_mps[tag], fleet.ring_length_m)
     dt = (sched.slot_start_us(rnd, slot) - sched.epoch_start_us) * 1e-6
     tx_road_x = world.geometry.road_x(positions_at_each(tx, dt))
-    d = np.hypot(tx_road_x[:, None] - world.vr_x, tx.y[:, None] - world.vr_y)  # (repliers, 2P)
-    shadow = 0.0
+    # (repliers, 2P) distances, then powers in place: less heap to take anew
+    power = np.subtract.outer(tx_road_x, world.vr_x)
+    np.hypot(power, np.subtract.outer(tx.y, world.vr_y), out=power)
+    received_power_dbm(power, world.radio, out=power)
     if world.radio.shadowing_sigma_db > 0:
         # one (2P, k) block per occupied slot, back to back in key order: row i
         # of a slot of k from first holds column i - first of the block at 2P * first
         first_of, k = np.repeat(first, counts), np.repeat(counts, counts)[:, None]
         at = (np.arange(key.size) + (n_vr - 1) * first_of)[:, None] + k * np.arange(n_vr)
-        shadow = draws[at]
-    power = received_power_dbm(d, world.radio, shadow)
+        power += draws[at]
+        del at
     codes, winners = capture_verdicts(power, world.radio, first)  # (slots, 2P)
+    del power
 
     # the first decode of each (epoch, recorder, tag), split by epoch
     rx_group, rx_vr = np.nonzero(codes == RECEIVED_CODE)

@@ -64,6 +64,7 @@ def received_power_dbm(
     params: RadioParams,
     shadow_draw_db: float | np.ndarray = 0.0,
     tx_power_dbm: float | None = None,
+    out: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Received power over a link of ``distance_m`` meters.
 
@@ -71,10 +72,13 @@ def received_power_dbm(
     work, elementwise.  Distances below the 1 m reference are clamped to
     1 m.  ``shadow_draw_db`` is the caller-supplied shadowing offset for
     each link (zero when shadowing is off), added after the path loss.
+    ``out``, a float array shaped like the result (``distance_m`` itself
+    too), takes every step in place of a new array.
     """
     tx = params.tx_power_dbm if tx_power_dbm is None else tx_power_dbm
-    d = np.maximum(distance_m, 1.0)
-    return tx - params.pl0_db - 10.0 * params.exponent * np.log10(d) + shadow_draw_db
+    d = np.maximum(distance_m, 1.0, out=out)
+    loss = np.multiply(10.0 * params.exponent, np.log10(d, out=out), out=out)
+    return np.add(np.subtract(tx - params.pl0_db, loss, out=out), shadow_draw_db, out=out)
 
 
 def comm_range_m(params: RadioParams) -> float:
@@ -129,7 +133,8 @@ def capture_verdicts(power_dbm: np.ndarray, params: RadioParams,
         n_max, top = (np.add.reduceat(w, at, axis=0, dtype=np.intp)
                       for w in (is_max, is_max * rows[:, None]))
         cell = (group[:, None] * n_rx + np.arange(n_rx)).ravel()
-        total_mw = np.bincount(cell, (10.0 ** (q / 10.0)).ravel(), groups.size * n_rx)
+        mw = q / 10.0
+        total_mw = np.bincount(cell, np.power(10.0, mw, out=mw).ravel(), groups.size * n_rx)
         codes[groups], winner[groups] = _verdicts(params, strongest, top, n_max > 1,
                                                   total_mw.reshape(-1, n_rx))
     return codes, winner

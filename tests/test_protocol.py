@@ -433,9 +433,9 @@ class TestRunEpoch:
     def test_sparse_long_epoch_holds_no_round_by_tag_floats(self, reseed):
         # 2,495 one-slot rounds of 2,000 tags on a 100 km ring, a few of them
         # in range of the one pair: an epoch without events may hold less
-        # than one byte per (round, tag) beyond eight float arrays of
-        # MAX_REPLY_LINKS links (probe blocks and reply runs), so one float
-        # (or slot) per (round, tag), 40 MB here, cannot fit
+        # than one bit per (round, tag) beyond four float arrays of
+        # MAX_REPLY_LINKS links (probe blocks and reply runs), so one float,
+        # slot or verdict per (round, tag), 5-40 MB here, cannot fit
         geom = RoadGeometry(vr_pair_xs=(100.0,), ring_length_m=100_000.0)
         fleet = spawn_fleet(2000, 30, 90, geom, np.random.default_rng(6))
         hash_params = HashParams(slot_count=1, reseed_per_round=reseed)
@@ -449,7 +449,7 @@ class TestRunEpoch:
             tracemalloc.stop()
         cells = result.schedule.round_count * len(fleet)
         assert cells == 2495 * 2000 and decoded
-        assert peak < cells + 8 * 8 * protocol.MAX_REPLY_LINKS
+        assert peak < cells // 8 + 4 * 8 * protocol.MAX_REPLY_LINKS
 
     def test_unread_silent_rounds_hold_no_queue_entries(self):
         # four unread epochs of 2,495 one-slot rounds of one tag 50 km from
