@@ -284,7 +284,9 @@ def _probe_rounds(world: World, results: list[EpochResult]):
     row's stream blocks in turn."""
     geom, radio, sigma = world.geometry, world.radio, world.radio.shadowing_sigma_db
     n_vr, n_enp, cuts = world.vr_x.size, len(world.fleet), world.offsets.tolist()
-    streams = list(zip(world.rngs, cuts[:-1], cuts[1:]))
+    # each stream's draws and tag columns; no stream draws without shadowing
+    streams = [(rng.normal, lo, hi) for rng, lo, hi in zip(world.rngs, cuts, cuts[1:])
+               if sigma > 0]
     sched = results[0].schedule  # every epoch probes at the same offsets from its start
     n_rounds = sched.round_count
     dt = (sched.round_start_us(np.arange(n_rounds)) - sched.epoch_start_us) * 1e-6
@@ -303,24 +305,22 @@ def _probe_rounds(world: World, results: list[EpochResult]):
             np.hypot(power, fleet.y - world.vr_y[:, None], out=power)
             received_power_dbm(power, radio, tx_power_dbm=radio.probe_tx_power_dbm, out=power)
             out = codes[b:b + block] if pairs is not None else np.empty(power.shape[::2], np.int8)
+            parts = [(normal, power[:, :, lo:hi], (n_vr, hi - lo)) for normal, lo, hi in streams]
             for r, link_pw in enumerate(power):
-                if sigma > 0:
-                    shadow = [rng.normal(0.0, sigma, size=(n_vr, hi - lo))
-                              for rng, lo, hi in streams]
-                    link_pw = link_pw + (shadow[0] if len(shadow) == 1 else np.hstack(shadow))
+                for normal, part, size in parts:  # each stream's probe shadowing, in place
+                    part[r] += normal(0.0, sigma, size=size)
                 # the two recorders of a pair send byte-identical probes:
                 # non-destructive replicas, strongest link counts
                 out[r], pair = capture_verdicts(np.maximum(link_pw[0::2], link_pw[1::2]), radio)
                 if pairs is not None:
                     pairs[b + r] = pair
-                if sigma > 0:  # each stream's repliers draw their reply shadowing
-                    for rng, lo, hi in streams:
-                        k = out[r, lo:hi].tobytes().count(RECEIVED_CODE)
-                        if k:
-                            draws.append(rng.normal(0.0, sigma, size=n_vr * k))
-            r, t = (out == RECEIVED_CODE).nonzero()
-            hits.append((r + (e * n_rounds + b), t))
-    row, tag = (a[0] if len(a) == 1 else np.concatenate(a) for a in zip(*hits))
+                heard = out[r].tobytes()  # each stream's repliers draw their reply shadowing
+                for normal, lo, hi in streams:
+                    k = heard.count(RECEIVED_CODE, lo, hi)
+                    if k:
+                        draws.append(normal(0.0, sigma, size=n_vr * k))
+            hits.append(np.flatnonzero(out == RECEIVED_CODE) + (e * n_rounds + b) * n_enp)
+    row, tag = np.divmod(hits[0] if len(hits) == 1 else np.concatenate(hits), max(n_enp, 1))
     draws = draws[0] if len(draws) == 1 else np.concatenate(draws) if draws else np.empty(0)
     return row, tag, draws
 
