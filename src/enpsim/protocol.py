@@ -279,9 +279,9 @@ def _probe_rounds(world: World, results: list[EpochResult]):
     its own generator as a world of it alone would, stitched along the tag
     axis.  An epoch recording events keeps its (rounds, V) probe verdict
     codes and winning pairs in its trace; the others keep no verdict past
-    its block of rounds.  Returns each replier's (epoch, round) row, counting from round 0
-    of the first epoch, and tag, ascending, and their reply shadowing, each
-    row's stream blocks in turn."""
+    their block of rounds.  Returns each replier's (epoch, round) row,
+    counting from round 0 of the first epoch, and tag, ascending, and their
+    reply shadowing, each row's stream blocks in turn."""
     geom, radio, sigma = world.geometry, world.radio, world.radio.shadowing_sigma_db
     n_vr, n_enp, cuts = world.vr_x.size, len(world.fleet), world.offsets.tolist()
     # each stream's draws and tag columns; no stream draws without shadowing

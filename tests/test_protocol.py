@@ -342,7 +342,7 @@ class TestRunEpoch:
         assert_streams_match_reference(1, 1, True, [(25, 108), (0, 1), (7, 2)], 8, sigma)
 
     @pytest.mark.parametrize("late_order", [1, -1], ids=["forward", "reverse"])
-    @pytest.mark.parametrize("max_links", [None, 1, 50, "flush"])
+    @pytest.mark.parametrize("max_links", [None, 1, 50, "flush", "straddle"])
     @pytest.mark.parametrize("sigma", [0.0, 6.5])
     @pytest.mark.parametrize("reseed", [False, True])
     @pytest.mark.parametrize("streams", [[(25, 108)], [(25, 108), (0, 1), (7, 2)]],
@@ -355,26 +355,41 @@ class TestRunEpoch:
         # budget of 1 or 50 (their replies in runs of rounds), or, under a
         # budget of three and a half epochs' probe links, run_epoch runs a
         # pass of the first four partway through and the read a pass of the
-        # other two; all give the same records, event text and generator
-        # states, each epoch those of the scalar reference from its snapshot
+        # other two; or, on a 40 m ring of one pair where every tag hears
+        # every probe (all but a few under shadowing), so that an epoch holds
+        # about as many replier links as probe links, under a budget of two
+        # and a half epochs' probe links run_epoch runs two passes of three,
+        # each with a reply run of two and a half epochs and one that starts
+        # partway through the third; all give the same records, event text
+        # and generator states, each epoch those of the scalar reference
+        # from its snapshot
+        case = max_links
         geom = RoadGeometry(vr_pair_xs=(80.0, 120.0), ring_length_m=2000.0)
-        rounds = build_epoch_schedule(TIMING, 5, 0).round_count
-        if max_links == "flush":
-            max_links = 7 * rounds * 4 * sum(v_n for v_n, _ in streams) // 2
+        rounds, n_tags = build_epoch_schedule(TIMING, 5, 0).round_count, sum(v for v, _ in streams)
+        if case == "flush":
+            max_links = 7 * rounds * 4 * n_tags // 2
+        if case == "straddle":
+            geom = RoadGeometry(segment_length_m=20.0, ring_length_m=40.0, vr_pair_xs=(10.0,))
+            max_links = 5 * rounds * 2 * n_tags // 2
         if max_links is not None:
             monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", max_links)
         radio = RadioParams(shadowing_sigma_db=sigma)
         hash_params = HashParams(slot_count=5, reseed_per_round=reseed)
         fleets = [spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(s)) for v_n, s in streams]
         calls = count_capture_calls(monkeypatch)
-        passes = []  # the epochs of each pass
-        run_pass = protocol._run_pass
+        passes, runs = [], []  # the epochs of each pass; each reply run's epochs and first row
+        run_pass, resolve = protocol._run_pass, protocol._resolve_replies
 
-        def spied(world):
+        def spied_pass(world):
             passes.append(len(world.pending))
             run_pass(world)
 
-        monkeypatch.setattr(protocol, "_run_pass", spied)
+        def spied_resolve(world, epochs, row, tag, draws):
+            runs.append(([res.schedule.epoch_index for res in epochs], int(row[0])))
+            resolve(world, epochs, row, tag, draws)
+
+        monkeypatch.setattr(protocol, "_run_pass", spied_pass)
+        monkeypatch.setattr(protocol, "_resolve_replies", spied_resolve)
 
         def run(read_each):
             rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
@@ -392,16 +407,26 @@ class TestRunEpoch:
         want, want_states, _, _, _ = run(read_each=True)
         each_calls, rounds = len(calls), 6 * rounds
         assert passes == [1] * 6
-        del calls[:], passes[:]
+        del calls[:], passes[:], runs[:]
         got, got_states, world, results, unread = run(read_each=False)
         assert got == want and got_states == want_states
         assert len(calls) <= each_calls
-        if max_links is None:
+        if case is None:
             assert (each_calls, len(calls)) == (rounds + 6, rounds + 1)
             assert (unread, passes) == ([], [6])
-        elif max_links > 50:
+        elif case == "flush":
             assert (each_calls, len(calls)) == (rounds + 6, rounds + 2)
             assert (unread, passes) == ([4], [4, 2])
+        elif case == "straddle":
+            assert (each_calls, len(calls)) == (rounds + 6, rounds + 4)
+            assert unread == passes == [3, 3]
+            # a run of several epochs, and one that starts partway through
+            # an epoch other than the first of its pass
+            assert any(len(epochs) > 1 for epochs, _ in runs)
+            assert any(epochs[0] % 3 and row for epochs, row in runs)
+            if sigma == 0:
+                half = rounds // 6 // 2  # rounds counts all six epochs' rounds here
+                assert runs == [([0, 1, 2], 0), ([2], half + 1), ([3, 4, 5], 0), ([5], half + 1)]
         else:  # every epoch's probe links reach the budget
             assert unread == passes == [1] * 6
         assert sum(len(records) for records, _ in got) > 6
