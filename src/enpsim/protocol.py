@@ -305,20 +305,20 @@ def _probe_rounds(world: World, results: list[EpochResult]):
             np.hypot(power, fleet.y - world.vr_y[:, None], out=power)
             received_power_dbm(power, radio, tx_power_dbm=radio.probe_tx_power_dbm, out=power)
             out = codes[b:b + block] if pairs is not None else np.empty(power.shape[::2], np.int8)
-            parts = [(normal, power[:, :, lo:hi], (n_vr, hi - lo)) for normal, lo, hi in streams]
             for r, link_pw in enumerate(power):
-                for normal, part, size in parts:  # each stream's probe shadowing, in place
-                    part[r] += normal(0.0, sigma, size=size)
+                if streams:  # each stream's probe shadowing, stitched along the tag axis
+                    shadow = [draw(0.0, sigma, size=(n_vr, hi - lo)) for draw, lo, hi in streams]
+                    link_pw = link_pw + (shadow[0] if len(shadow) == 1 else np.hstack(shadow))
                 # the two recorders of a pair send byte-identical probes:
                 # non-destructive replicas, strongest link counts
                 out[r], pair = capture_verdicts(np.maximum(link_pw[0::2], link_pw[1::2]), radio)
                 if pairs is not None:
                     pairs[b + r] = pair
                 heard = out[r].tobytes()  # each stream's repliers draw their reply shadowing
-                for normal, lo, hi in streams:
+                for draw, lo, hi in streams:
                     k = heard.count(RECEIVED_CODE, lo, hi)
                     if k:
-                        draws.append(normal(0.0, sigma, size=n_vr * k))
+                        draws.append(draw(0.0, sigma, size=n_vr * k))
             hits.append(np.flatnonzero(out == RECEIVED_CODE) + (e * n_rounds + b) * n_enp)
     row, tag = np.divmod(hits[0] if len(hits) == 1 else np.concatenate(hits), max(n_enp, 1))
     draws = draws[0] if len(draws) == 1 else np.concatenate(draws) if draws else np.empty(0)
