@@ -10,12 +10,7 @@ together with a seeded experiment harness and the ``enp-sim`` CLI.
 from .config import ConfigError, FleetConfig, PRESETS, RunConfig, SimConfig, parse_config
 from .harness import ExperimentResult, build_fleet, rng_stream, run_experiment, sweep
 from .frames import ProbeFrame
-from .metrics import (
-    IterationStats,
-    aggregate,
-    ground_truth,
-    iteration_accuracy,
-)
+from .metrics import accuracies, aggregate, ground_truth, iteration_accuracy
 from .mobility import (
     Fleet,
     RoadGeometry,
@@ -52,7 +47,6 @@ __all__ = [
     "Fleet",
     "FleetConfig",
     "HashParams",
-    "IterationStats",
     "PRESETS",
     "ProbeFrame",
     "RadioParams",
@@ -63,6 +57,7 @@ __all__ = [
     "Vehicle",
     "Verdict",
     "World",
+    "accuracies",
     "advance",
     "aggregate",
     "build_epoch_schedule",

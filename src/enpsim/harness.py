@@ -16,16 +16,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import MAX_FLEET_SIZE, MAX_SCORED_EPOCHS, SimConfig, with_fleet_cell
+from .config import ConfigError, MAX_FLEET_SIZE, MAX_SCORED_EPOCHS, SimConfig, with_fleet_cell
 from .events import event_lines
 from .metrics import (
     ITERATION_CSV_HEADER,
     SUMMARY_CSV_HEADER,
-    IterationStats,
+    accuracies,
     aggregate,
     ground_truth,
     iteration_accuracy,
-    iteration_csv_line,
+    iteration_csv_rows,
     summary_csv_line,
 )
 from .mobility import Fleet, advance, spawn_fleet, spawn_mixed_fleet
@@ -50,11 +50,14 @@ def build_fleet(config: SimConfig, rng: np.random.Generator) -> Fleet:
 
 @dataclass
 class ExperimentResult:
-    """Per-iteration stats (tagged with their replication), the pooled
-    summary row, per-pair aggregates, and the optional event log."""
+    """The iterations.csv rows, one per (replication, epoch, pair) in that
+    order; their ``(replications x epochs, pairs, 3)`` acc_1, acc_2 and
+    acc_union; the pooled summary row, per-pair aggregates, and the optional
+    event log lines."""
 
     config: SimConfig
-    iterations: list[tuple[int, IterationStats]]
+    iterations: list[str]
+    accuracy: np.ndarray
     summary: dict
     by_pair: list[dict]
     events: list[str] | None = None
@@ -68,13 +71,20 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run warm-up plus measured epochs for every replication, replication
     ``rep`` drawing from the stream keyed ``(rep,)``."""
-    rows, event_log = [], [] if events else None
-    for stream_rows, lines in _lockstep(config, [(config, ())], events):
-        rows += stream_rows
+    rows, accuracy, event_log = [], [], [] if events else None
+    for rep, (counts, lines) in enumerate(_lockstep(config, [(config, ())], events)):
+        rows += iteration_csv_rows(rep, config.run.warmup_epochs, counts)
+        accuracy.append(accuracies(counts))
         if events:
             event_log += lines
-    by_pair = aggregate([s for _, s in rows], ("pair_id",))
-    result = ExperimentResult(config, rows, summarize(config, rows), by_pair, event_log)
+    accuracy = np.concatenate(accuracy)
+    by_pair = []
+    for pair_id in range(accuracy.shape[1]):
+        pooled = aggregate(accuracy[:, pair_id])
+        if pooled is not None:
+            by_pair.append({"pair_id": pair_id, **pooled})
+    summary = summarize(config, accuracy)
+    result = ExperimentResult(config, rows, accuracy, summary, by_pair, event_log)
     if out_dir is not None:
         write_experiment_outputs(result, Path(out_dir))
     return result
@@ -92,9 +102,10 @@ MAX_EVENT_EPOCHS = 16
 
 
 def _lockstep(config: SimConfig, cells, events: bool = False):
-    """Yield the (replication, stats) rows and event lines of each stream,
-    in order: each replication of each (cell config, seed key) in ``cells``,
-    a fleet of the cell drawn from the generator keyed ``(*seed_key, rep)``.
+    """Yield the ``(epochs, pairs, 7)`` ``iteration_accuracy`` counts and
+    the event lines of each stream, in order: each replication of each (cell
+    config, seed key) in ``cells``, a fleet of the cell drawn from the
+    generator keyed ``(*seed_key, rep)``.
     Consecutive streams run as one lockstep group, one ``run_epoch`` per
     epoch, of at most ``MAX_FLEET_SIZE`` tags (an empty fleet counts one)
     and ``MAX_SCORED_EPOCHS`` scored epochs; the grouping changes no output.
@@ -112,10 +123,10 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
     warmup_s = config.run.warmup_epochs * config.timing.glossy_period_us * 1e-6
 
     def run(group):
-        reps, fleets, rngs = zip(*group)
+        fleets, rngs = zip(*group)
         fleets = [advance(fleet, warmup_s) for fleet in fleets] if warmup_s else fleets
         world = World(fleets, geom, radio, config.hash, config.timing, rngs)
-        rows = [[] for _ in group]
+        counts = np.empty((len(group), epochs, geom.n_pairs, 7), dtype=np.int32)
         logs = [[] if events else None for _ in group]
         chunk_epochs = max(1, MAX_SCORING_PAIRS // max(len(world.fleet), 1))
         if events:  # and at most MAX_REPLY_LINKS (epoch, round, tag) probe verdicts
@@ -139,12 +150,9 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
             gt = ground_truth(world.fleet, starts, sched, geom, radio)
             if radio.shadowing_sigma_db == 0 and (decoded.any(axis=2) & ~gt).any():
                 raise RuntimeError("record outside ground truth with shadowing off (engine bug)")
-            chunk = range(sched.epoch_index + 1 - len(results), sched.epoch_index + 1)
-            scored = iteration_accuracy(decoded, gt, world.offsets, chunk)
-            for rep, stream_rows, stats in zip(reps, rows, scored):
-                stream_rows += [(rep, s) for s in stats]
+            counts[:, e + 1 - len(results):e + 1] = iteration_accuracy(decoded, gt, world.offsets)
             results = []
-        return zip(rows, logs)
+        return zip(counts, logs)
 
     group, tags = [], 0
     for cell, seed_key in cells:
@@ -156,14 +164,14 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
             if group and (tags + size > MAX_FLEET_SIZE or full):
                 yield from run(group)
                 group, tags = [], 0
-            group.append((rep, fleet, rng))
+            group.append((fleet, rng))
             tags += size
     yield from run(group)
 
 
-def summarize(config: SimConfig, rows: Sequence[tuple[int, IterationStats]]) -> dict:
-    """Pooled summary across pairs, epochs and replications (one sweep cell)."""
-    pooled = aggregate([s for _, s in rows])
+def summarize(config: SimConfig, accuracy: np.ndarray) -> dict:
+    """Pooled summary of the acc_1, acc_2 and acc_union along the last axis
+    of ``accuracy``, across pairs, epochs and replications (one sweep cell)."""
     fl = config.fleet
     summary = {
         "v_n": len(fl.explicit) if fl.explicit else fl.v_n,
@@ -175,14 +183,7 @@ def summarize(config: SimConfig, rows: Sequence[tuple[int, IterationStats]]) -> 
         "std_acc_union": float("nan"),
         "mean_acc_single": float("nan"),
     }
-    if pooled:
-        row = pooled[0]
-        summary.update(
-            iterations=row["iterations"],
-            mean_acc_union=row["mean_acc_union"],
-            std_acc_union=row["std_acc_union"],
-            mean_acc_single=row["mean_acc_single"],
-        )
+    summary.update(aggregate(accuracy.reshape(-1, 3)) or {})
     return summary
 
 
@@ -190,34 +191,33 @@ def summarize(config: SimConfig, rows: Sequence[tuple[int, IterationStats]]) -> 
 WRITE_BLOCK_LINES = 2**10
 
 
-def _write_text(path: Path, lines: Sequence[str]) -> None:
-    """Write every line and a newline after it (no lines: one newline)."""
+def _write_text(path: Path, lines: Sequence[str], header: str | None = None) -> None:
+    """Write the header, if any, and every line, each with a newline after
+    it (no header and no lines: one newline)."""
     with path.open("w", encoding="utf-8") as out:
-        for i in range(0, max(len(lines), 1), WRITE_BLOCK_LINES):
+        if header is not None:
+            out.write(header + "\n")
+        elif not lines:
+            out.write("\n")
+        for i in range(0, len(lines), WRITE_BLOCK_LINES):
             out.write("\n".join(lines[i:i + WRITE_BLOCK_LINES]) + "\n")
 
 
 def write_experiment_outputs(result: ExperimentResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(
-        out_dir / "iterations.csv",
-        [ITERATION_CSV_HEADER] + [iteration_csv_line(rep, s) for rep, s in result.iterations],
-    )
-    _write_text(
-        out_dir / "summary.csv",
-        [SUMMARY_CSV_HEADER, summary_csv_line(result.summary)],
-    )
+    _write_text(out_dir / "iterations.csv", result.iterations, ITERATION_CSV_HEADER)
+    _write_text(out_dir / "summary.csv", [summary_csv_line(result.summary)], SUMMARY_CSV_HEADER)
     _write_text(
         out_dir / "summary_by_pair.csv",
-        ["pair_id,iterations,mean_acc_union,std_acc_union,mean_acc_single"]
-        + [
+        [
             f"{r['pair_id']},{r['iterations']},{r['mean_acc_union']:.6f},"
             f"{r['std_acc_union']:.6f},{r['mean_acc_single']:.6f}"
             for r in result.by_pair
         ],
+        "pair_id,iterations,mean_acc_union,std_acc_union,mean_acc_single",
     )
     if result.events is not None:
-        _write_text(out_dir / "events.log", result.events or [""])
+        _write_text(out_dir / "events.log", result.events)
 
 
 def sweep(
@@ -236,7 +236,7 @@ def sweep(
     if not v_n_list:
         raise ValueError("v_n_list must be non-empty")
     if config.fleet.explicit:
-        raise ValueError("cannot sweep a config with an explicit fleet")
+        raise ConfigError("fleet.explicit: cannot sweep a config with an explicit fleet")
     if v_s_ranges is None:
         v_s_ranges = [(config.fleet.v_min_kmh, config.fleet.v_max_kmh)]
     if not v_s_ranges:
@@ -251,15 +251,12 @@ def sweep(
     streams = _lockstep(config, [(cell, (i,)) for i, cell in enumerate(cells)])
     reps = config.run.replications
     summaries = [
-        summarize(cell, [row for rows, _ in islice(streams, reps) for row in rows])
+        summarize(cell, np.concatenate([accuracies(counts) for counts, _ in islice(streams, reps)]))
         for cell in cells
     ]
 
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_text(
-            out / "sweep.csv",
-            [SUMMARY_CSV_HEADER] + [summary_csv_line(s) for s in summaries],
-        )
+        _write_text(out / "sweep.csv", [summary_csv_line(s) for s in summaries], SUMMARY_CSV_HEADER)
     return summaries

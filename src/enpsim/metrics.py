@@ -8,8 +8,10 @@ shadowing off, every decoded reply's sender is a ground-truth member.
 
 Scoring takes a stack of epochs at once: :func:`ground_truth` decides every
 (epoch, pair, vehicle) of a stack of epoch-start positions in one call, and
-:func:`iteration_accuracy` scores every (stream, epoch, pair) of the stack
-from the decoded and ground-truth masks in another.
+:func:`iteration_accuracy` counts the records of every (stream, epoch, pair)
+of the stack from the decoded and ground-truth masks in another.  Scores stay
+columns from there on: :func:`accuracies` divides them, :func:`aggregate`
+pools the accuracies and :func:`iteration_csv_rows` formats the CSV rows.
 
 The boundaries are not scanned one by one.  A vehicle that stays clear of
 the ring seam moves monotonically, so over the boundaries its longitudinal
@@ -22,37 +24,12 @@ the test at every boundary (see :func:`ground_truth`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .mobility import Fleet, RoadGeometry, positions_at, positions_at_each, stays_on_ring
 from .radio import RadioParams, received_power_dbm
-
-
-@dataclass(frozen=True)
-class IterationStats:
-    """Accuracy of one recorder pair over one epoch ("iteration").
-
-    ``acc_union`` is the fraction of ground-truth vehicles recorded by at
-    least one recorder of the pair.  Iterations with empty ground truth carry
-    NaN accuracies and are excluded from aggregates.
-    """
-
-    pair_id: int
-    epoch: int
-    gt_count: int
-    detected_1: int
-    detected_2: int
-    union_count: int
-    acc_1: float
-    acc_2: float
-    acc_union: float
-
-    @property
-    def included(self) -> bool:
-        return self.gt_count > 0
 
 
 # A miss at the nearest boundary counts as out of range only this far below
@@ -152,18 +129,17 @@ def _pair_power_dbm(dx, y, geometry: RoadGeometry, radio: RadioParams) -> np.nda
     return received_power_dbm(np.hypot(dx, y - vr_y), radio).max(axis=0)
 
 
-def iteration_accuracy(
-    decoded: np.ndarray, gt: np.ndarray, offsets: Sequence[int], epochs: Sequence[int]
-) -> list[list[IterationStats]]:
-    """Per-VR and union accuracies of every (epoch, pair) of every stream as
-    fractions of |GT|: per stream, one IterationStats per epoch and pair in
-    (epoch, pair) order.
+def iteration_accuracy(decoded: np.ndarray, gt: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
+    """The ``(streams, epochs, pairs, 7)`` recording counts of every (stream,
+    epoch, pair), in this order along the last axis: the tags recorder a,
+    recorder b and either of them decoded, the same three within ground
+    truth, and the ground truth.
 
     ``decoded`` is the ``(epochs, pairs, 2, tags)`` mask of the tags each
-    pair's recorder a and b decoded in each of ``epochs``, ``gt`` the
-    ``(epochs, pairs, tags)`` ground truth.  Stream b holds tags
-    ``offsets[b]`` to ``offsets[b + 1] - 1``.  Raises ``RuntimeError``
-    where a union count falls below either recorder's.
+    pair's recorder a and b decoded in each epoch, ``gt`` the ``(epochs,
+    pairs, tags)`` ground truth.  Stream b holds tags ``offsets[b]`` to
+    ``offsets[b + 1] - 1``.  Raises ``RuntimeError`` where a union count
+    falls below either recorder's.
     """
     # rows per pair: recorder a, recorder b and their union, each of those
     # within ground truth, and ground truth itself
@@ -177,17 +153,15 @@ def iteration_accuracy(
     counts = running[..., offsets[1:]] - running[..., offsets[:-1]]  # (E, P, 7, B)
     if (counts[:, :, 2] < counts[:, :, :2].max(axis=2)).any():
         raise RuntimeError("union dominance violated (engine bug)")
-    counts = np.moveaxis(counts, -1, 0)  # (B, E, P, 7)
-    with np.errstate(invalid="ignore"):  # 0 / 0 = nan: empty ground truth
-        acc = counts[..., 3:6] / counts[..., 6:]
-    return [
-        [
-            IterationStats(pair_id, epoch, c[6], *c[:3], *a)
-            for epoch, epoch_counts, epoch_acc in zip(epochs, stream_counts, stream_acc)
-            for pair_id, (c, a) in enumerate(zip(epoch_counts, epoch_acc))
-        ]
-        for stream_counts, stream_acc in zip(counts.tolist(), acc.tolist())
-    ]
+    return np.moveaxis(counts, -1, 0)
+
+
+def accuracies(counts: np.ndarray) -> np.ndarray:
+    """acc_1, acc_2 and acc_union along the last axis: the in-ground-truth
+    counts of :func:`iteration_accuracy` as fractions of ground truth, NaN
+    where it is empty."""
+    with np.errstate(invalid="ignore"):  # 0 / 0
+        return counts[..., 3:6] / counts[..., 6:]
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -198,39 +172,24 @@ def _std(values: Sequence[float], mean: float) -> float:
     return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
 
 
-def aggregate(
-    stats: Iterable[IterationStats], group_keys: tuple[str, ...] = ()
-) -> list[dict]:
-    """Summarize included iterations per group (population std-dev).
+def aggregate(accuracy: np.ndarray) -> dict | None:
+    """Summarize the iterations of a ``(rows, 3)`` array of acc_1, acc_2 and
+    acc_union (population std-dev), or None if none is included.
 
-    Group keys name IterationStats fields (e.g. ("pair_id",)); with no keys
-    everything pools into one row.  Single-recorder accuracies pool acc_1 and
-    acc_2 with equal weight.  Groups with no included iteration are simply
-    absent, never reported as zero.
+    Rows of empty ground truth (NaN) are excluded.  Single-recorder
+    accuracies pool acc_1 and acc_2 with equal weight.
     """
-    groups: dict[tuple, list[IterationStats]] = {}
-    for s in stats:
-        if not s.included:
-            continue
-        key = tuple(getattr(s, k) for k in group_keys)
-        groups.setdefault(key, []).append(s)
-
-    rows = []
-    for key in sorted(groups):
-        members = groups[key]
-        union = [s.acc_union for s in members]
-        single = [s.acc_1 for s in members] + [s.acc_2 for s in members]
-        mean_u = _mean(union)
-        mean_s = _mean(single)
-        row = dict(zip(group_keys, key))
-        row.update(
-            iterations=len(members),
-            mean_acc_union=mean_u,
-            std_acc_union=_std(union, mean_u),
-            mean_acc_single=mean_s,
-        )
-        rows.append(row)
-    return rows
+    accuracy = accuracy[~np.isnan(accuracy[:, 2])]
+    if not len(accuracy):
+        return None
+    union = accuracy[:, 2].tolist()
+    mean_u = _mean(union)
+    return {
+        "iterations": len(union),
+        "mean_acc_union": mean_u,
+        "std_acc_union": _std(union, mean_u),
+        "mean_acc_single": _mean(accuracy[:, :2].ravel().tolist()),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -239,26 +198,34 @@ def aggregate(
 ITERATION_CSV_HEADER = "replication,pair_id,epoch,gt_count,det1,det2,det_union,acc1,acc2,acc_union"
 SUMMARY_CSV_HEADER = "v_n,v_s_min,v_s_max,s_slots,iterations,mean_acc_union,std_acc_union,mean_acc_single"
 
+# One iterations.csv row; empty ground truth's NaN accuracies print as "nan",
+# the only letters a row can hold, and are then blanked.
+_ITERATION_ROW = "%d,%d,%d,%d,%d,%d,%d,%.6f,%.6f,%.6f"
+# Rows formatted at once: each holds ten objects and their text meanwhile.
+FORMAT_BLOCK_ROWS = 2**12
 
-def _fmt_acc(x: float) -> str:
-    return "" if math.isnan(x) else f"{x:.6f}"
 
-
-def iteration_csv_line(replication: int, s: IterationStats) -> str:
-    return ",".join(
-        [
-            str(replication),
-            str(s.pair_id),
-            str(s.epoch),
-            str(s.gt_count),
-            str(s.detected_1),
-            str(s.detected_2),
-            str(s.union_count),
-            _fmt_acc(s.acc_1),
-            _fmt_acc(s.acc_2),
-            _fmt_acc(s.acc_union),
-        ]
-    )
+def iteration_csv_rows(replication: int, first_epoch: int, counts: np.ndarray) -> list[str]:
+    """The iterations.csv rows of one stream's ``(epochs, pairs, 7)``
+    :func:`iteration_accuracy` counts, in (epoch, pair) order, epochs
+    numbered from ``first_epoch``: integers, accuracies to six decimals, and
+    empty fields for the accuracies of empty ground truth.  One ``%``
+    formats a block of rows from an object table of its columns."""
+    n_pairs = counts.shape[1]
+    step = max(1, FORMAT_BLOCK_ROWS // n_pairs)
+    rows = []
+    for lo in range(0, len(counts), step):
+        block = counts[lo:lo + step]
+        table = np.empty(block.shape[:2] + (10,), dtype=object)
+        table[..., 0] = replication
+        table[..., 1] = np.arange(n_pairs)
+        table[..., 2] = np.arange(len(block))[:, None] + (first_epoch + lo)
+        table[..., 3] = block[..., 6]
+        table[..., 4:7] = block[..., :3]
+        table[..., 7:] = accuracies(block)
+        text = "\n".join([_ITERATION_ROW] * (table.size // 10)) % tuple(table.ravel().tolist())
+        rows += text.replace("nan", "").split("\n")
+    return rows
 
 
 def summary_csv_line(summary: dict) -> str:

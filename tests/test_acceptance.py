@@ -13,7 +13,7 @@ import pytest
 
 from enpsim.config import parse_config
 from enpsim.harness import run_experiment, sweep
-from enpsim.metrics import ground_truth, iteration_accuracy
+from enpsim.metrics import accuracies, ground_truth, iteration_accuracy
 from enpsim.mobility import Fleet, RoadGeometry, Vehicle, spawn_fleet
 from enpsim.protocol import TimingParams, World, build_epoch_schedule, run_epoch
 from enpsim.radio import (
@@ -259,13 +259,12 @@ def test_criterion_7_metrics_invariants():
     gt = ground_truth(fleet, starts, results[0].schedule, geom, radio)
     decoded = np.stack([result.decoded(geom.n_pairs) for result in results])
     contain_ok = not (decoded.any(axis=2) & ~gt).any()
-    dominance_ok = True
-    [scored] = iteration_accuracy(decoded, gt, world.offsets, range(80))
-    for st in scored:
-        if st.union_count < max(st.detected_1, st.detected_2):
-            dominance_ok = False
-        if st.included and not (st.acc_union >= max(st.acc_1, st.acc_2)):
-            dominance_ok = False
+    [counts] = iteration_accuracy(decoded, gt, world.offsets)
+    acc = accuracies(counts)
+    # every count, and every accuracy where ground truth is not empty
+    dominance_ok = bool((counts[..., 2] >= counts[..., :2].max(axis=-1)).all()
+                        and ((acc[..., 2] >= acc[..., :2].max(axis=-1))
+                             | (counts[..., 6] == 0)).all())
 
     ok = rounds_ok and contain_ok and dominance_ok
     report(7, ok, f"metrics invariants: rounds 3@S71/13@S17 ({rounds_ok}), records within "

@@ -1,5 +1,6 @@
 """Experiment harness: determinism, outputs, sweeps, and the CLI."""
 
+import gc
 import math
 import tracemalloc
 from pathlib import Path
@@ -9,10 +10,10 @@ import pytest
 
 import enpsim.harness as harness
 from enpsim.cli import main
-from enpsim.config import parse_config, with_fleet_cell
+from enpsim.config import ConfigError, parse_config, with_fleet_cell
 from enpsim.events import event_lines
 from enpsim.harness import run_experiment, sweep
-from enpsim.metrics import ITERATION_CSV_HEADER
+from enpsim.metrics import ITERATION_CSV_HEADER, accuracies
 from enpsim.mobility import advance
 from enpsim.protocol import MAX_REPLY_LINKS, World, run_epoch
 
@@ -30,9 +31,9 @@ def test_run_experiment_shapes_and_columns(tmp_path):
     cfg = parse_config(SMALL)
     result = run_experiment(cfg, out_dir=tmp_path)
     assert len(result.iterations) == 2 * 40 * 5  # reps x epochs x pairs
+    assert result.accuracy.shape == (2 * 40, 5, 3)
     lines = (tmp_path / "iterations.csv").read_text().splitlines()
-    assert lines[0] == ITERATION_CSV_HEADER
-    assert len(lines) == 1 + len(result.iterations)
+    assert lines == [ITERATION_CSV_HEADER] + result.iterations
     assert (tmp_path / "summary.csv").exists()
     by_pair = (tmp_path / "summary_by_pair.csv").read_text().splitlines()
     assert len(by_pair) == 1 + 5
@@ -56,27 +57,41 @@ def test_seed_changes_results(tmp_path):
     assert a.summary["mean_acc_union"] != b.summary["mean_acc_union"]
 
 
+def pooled(acc):
+    """Iterations, mean and std of acc_union, and mean of acc_1 and acc_2,
+    over the rows of ``acc`` whose ground truth is not empty."""
+    acc = acc.reshape(-1, 3)
+    acc = acc[~np.isnan(acc[:, 2])]
+    union, singles = acc[:, 2].tolist(), acc[:, :2].ravel().tolist()
+    mean = math.fsum(union) / len(union)
+    std = math.sqrt(math.fsum((u - mean) ** 2 for u in union) / len(union))
+    return len(union), mean, std, math.fsum(singles) / len(singles)
+
+
 def test_summary_self_consistent_with_iterations():
     cfg = parse_config(SMALL)
     result = run_experiment(cfg)
-    accs = [s.acc_union for _, s in result.iterations if s.included]
-    singles = [s.acc_1 for _, s in result.iterations if s.included] + \
-              [s.acc_2 for _, s in result.iterations if s.included]
-    assert result.summary["iterations"] == len(accs)
-    assert result.summary["mean_acc_union"] == pytest.approx(math.fsum(accs) / len(accs), abs=1e-12)
-    assert result.summary["mean_acc_single"] == pytest.approx(
-        math.fsum(singles) / len(singles), abs=1e-12)
+    # the rows print the accuracies the summaries pool, row for row
+    assert [row.split(",")[7:] for row in result.iterations] == [
+        ["" if math.isnan(a) else f"{a:.6f}" for a in row]
+        for row in result.accuracy.reshape(-1, 3).tolist()]
+    keys = ("iterations", "mean_acc_union", "std_acc_union", "mean_acc_single")
+    assert tuple(result.summary[k] for k in keys) == pooled(result.accuracy)
+    assert [r["pair_id"] for r in result.by_pair] == [0, 1, 2, 3, 4]
+    for r in result.by_pair:
+        assert tuple(r[k] for k in keys) == pooled(result.accuracy[:, r["pair_id"]])
 
 
 def test_replications_differ():
     cfg = parse_config(SMALL)
     result = run_experiment(cfg)
     per_rep = {}
-    for rep, s in result.iterations:
-        if s.included:
-            per_rep.setdefault(rep, []).append(s.acc_union)
+    for row in result.iterations:
+        rep, *_, acc_union = row.split(",")
+        if acc_union:
+            per_rep.setdefault(rep, []).append(acc_union)
     assert len(per_rep) == 2
-    assert per_rep[0] != per_rep[1]
+    assert per_rep["0"] != per_rep["1"]
 
 
 def test_warmup_changes_first_epoch():
@@ -84,7 +99,8 @@ def test_warmup_changes_first_epoch():
     no_warm = parse_config(SMALL.replace("warmup_epochs = 5", "warmup_epochs = 0"))
     a = run_experiment(base)
     b = run_experiment(no_warm)
-    assert [s.gt_count for _, s in a.iterations] != [s.gt_count for _, s in b.iterations]
+    assert [row.split(",")[2] for row in a.iterations[:5]] == ["5"] * 5
+    assert [row.split(",")[3] for row in a.iterations] != [row.split(",")[3] for row in b.iterations]
 
 
 def test_events_log(tmp_path):
@@ -128,7 +144,7 @@ class TestSweep:
         cfg = parse_config(SMALL)
         with pytest.raises(ValueError):
             sweep(cfg, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="fleet.explicit"):
             sweep(parse_config("preset = oracle-static5\n"), [5])
 
 
@@ -179,7 +195,8 @@ class TestLockstep:
         want = []  # each cell alone, drawing from the generators keyed (cell index, rep)
         for i, cell in enumerate(cells):
             streams = harness._lockstep(cell, [(cell, (i,))])
-            want.append(harness.summarize(cell, [row for rows, _ in streams for row in rows]))
+            want.append(harness.summarize(cell, np.concatenate(
+                [accuracies(counts) for counts, _ in streams])))
         # repr: an empty fleet's cell has NaN accuracies
         assert repr(sweep(cfg, self.SWEEP_VN, ranges)) == repr(want)
 
@@ -239,6 +256,39 @@ def test_event_chunks_hold_bounded_probe_verdicts():
     assert peak - kept < 4 * 8 * MAX_REPLY_LINKS
 
 
+def test_scored_rows_keep_text_and_three_floats(tmp_path):
+    # A scored (epoch, pair) keeps its iterations.csv row (about 94 B of text
+    # at v_n = 40 and an 8 B list slot) and its three accuracies (24 B):
+    # 127 B.  A frozen per-row object tagged with its replication kept 294 B.
+    # Writing 20,000 rows peaks at 2.4 B a row, one block of joined rows at
+    # a time; building a second list of lines for the file peaked at 84 B
+    # (CPython 3.11, NumPy 2)
+    def kept(epochs):
+        cfg = parse_config(f"preset = paper-fig1b\nrun.epochs = {epochs}\nrun.warmup_epochs = 0\n")
+        tracemalloc.start()
+        try:
+            result = run_experiment(cfg)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0], len(result.iterations)
+        finally:
+            tracemalloc.stop()
+
+    kept(2)  # first-call caches
+    (short, short_rows), (long, long_rows) = kept(50), kept(250)
+    assert long_rows - short_rows == 200 * 5
+    assert (long - short) / (long_rows - short_rows) <= 160
+
+    result = run_experiment(parse_config("preset = paper-fig1b\nfleet.v_n = 0\nrun.epochs = 4000\n"))
+    assert len(result.iterations) == 20_000
+    tracemalloc.start()
+    try:
+        harness.write_experiment_outputs(result, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 20_000
+
+
 @pytest.mark.parametrize("cap, value", [("MAX_SCORING_PAIRS", 1), ("MAX_EVENT_EPOCHS", 1),
                                         ("MAX_EVENT_EPOCHS", 6)])
 def test_event_runs_change_no_event_text(monkeypatch, cap, value):
@@ -272,17 +322,17 @@ def test_lockstep_event_text_equals_each_stream_formatted_alone():
 
 def test_event_text_of_a_chunk_is_formatted_in_bounded_runs():
     # 300 paper-road epochs are one scoring chunk.  Beyond what the run
-    # returns (45,477 event lines, the rows), it peaked at 2.7 MB with
+    # returns (45,477 event lines, the counts), it peaked at 2.7 MB with
     # MAX_EVENT_EPOCHS = 16, no more than with one event_lines call an epoch,
     # and at 8.5 MB with one call for all 300 epochs (CPython 3.11, NumPy 2)
     cfg = parse_config("preset = paper-road\nrun.epochs = 300\nrun.master_seed = 11\n")
     tracemalloc.start()
     try:
-        (rows, lines), = harness._lockstep(cfg, [(cfg, ())], events=True)
+        (counts, lines), = harness._lockstep(cfg, [(cfg, ())], events=True)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rows) == 300 and len(lines) > 40_000
+    assert len(counts) == 300 and len(lines) > 40_000
     assert peak - kept < 4_000_000
 
 
@@ -323,6 +373,10 @@ def test_write_text_holds_one_block_at_a_time(tmp_path):
     for empty in ([], [""]):
         harness._write_text(path, empty)
         assert path.read_bytes() == b"\n"
+    harness._write_text(path, [], "a,b")
+    assert path.read_bytes() == b"a,b\n"
+    harness._write_text(path, lines[:3], "a,b")
+    assert path.read_bytes() == ("\n".join(["a,b"] + lines[:3]) + "\n").encode()
 
 
 class TestCli:
@@ -411,6 +465,13 @@ class TestCli:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and line.split(" = ")[0] in err
+
+    def test_sweep_of_explicit_fleet_exit_2_names_key(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, "preset = oracle-static5\n")
+        assert main(["sweep", "--config", cfg, "--vn", "5", "--out", str(tmp_path / "sw")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "fleet.explicit" in err
+        assert not (tmp_path / "sw").exists()
 
     def test_sweep_cell_out_of_range_exit_2_names_key(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

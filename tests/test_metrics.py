@@ -12,11 +12,11 @@ from hypothesis.extra.numpy import arrays
 import enpsim.metrics
 from enpsim.config import MAX_SPEED_KMH, parse_config
 from enpsim.metrics import (
-    IterationStats,
+    accuracies,
     aggregate,
     ground_truth,
     iteration_accuracy,
-    iteration_csv_line,
+    iteration_csv_rows,
     summary_csv_line,
 )
 from enpsim.mobility import KMH_TO_MPS, Fleet, RoadGeometry, Vehicle, advance, positions_at
@@ -298,24 +298,25 @@ class TestGroundTruthMatchesFullScan:
 
 
 def one_pair(rec_1, rec_2, gt, n=10):
-    """The stats of one pair over one epoch of one stream, from the vehicle
-    indices recorder a and b decoded and those in ground truth."""
+    """The counts and accuracies of one pair over one epoch of one stream,
+    from the vehicle indices recorder a and b decoded and those in ground
+    truth."""
     decoded = np.zeros((1, 1, 2, n), dtype=bool)
     gt_mask = np.zeros((1, 1, n), dtype=bool)
     decoded[0, 0, 0, list(rec_1)] = decoded[0, 0, 1, list(rec_2)] = True
     gt_mask[0, 0, list(gt)] = True
-    [[stats]] = iteration_accuracy(decoded, gt_mask, [0, n], [0])
-    return stats
+    [[[counts]]] = iteration_accuracy(decoded, gt_mask, [0, n])
+    return counts.tolist(), accuracies(counts).tolist()
 
 
-def set_accuracy(rec_1, rec_2, gt, pair_id, epoch):
-    """The set definition of one pair-epoch's accuracy: |recorded & GT| / |GT|."""
-    union = rec_1 | rec_2
-    if gt:
-        acc = [len(rec & gt) / len(gt) for rec in (rec_1, rec_2, union)]
-    else:
-        acc = [float("nan")] * 3
-    return IterationStats(pair_id, epoch, len(gt), len(rec_1), len(rec_2), len(union), *acc)
+def set_scores(rec_1, rec_2, gt):
+    """The set definition of one pair-epoch's counts (recorder a, b and
+    their union; each within ground truth; ground truth) and accuracies
+    |recorded & GT| / |GT|."""
+    recorded = (rec_1, rec_2, rec_1 | rec_2)
+    counts = [len(rec) for rec in recorded] + [len(rec & gt) for rec in recorded] + [len(gt)]
+    acc = [len(rec & gt) / len(gt) if gt else float("nan") for rec in recorded]
+    return counts, acc
 
 
 @st.composite
@@ -334,39 +335,38 @@ def stacked_masks(draw):
 class TestIterationAccuracy:
     def test_full_coverage(self):
         gt = {1, 2, 3}
-        st = one_pair(gt, gt, gt)
-        assert st.acc_union == 1.0 and st.acc_1 == 1.0 and st.acc_2 == 1.0
-        assert st.union_count == 3
+        counts, acc = one_pair(gt, gt, gt)
+        assert acc == [1.0, 1.0, 1.0]
+        assert counts == [3, 3, 3, 3, 3, 3, 3]
 
     def test_partial_union(self):
-        assert one_pair({1, 2}, {2, 3}, {1, 2, 3, 4}).acc_union == 0.75
+        assert one_pair({1, 2}, {2, 3}, {1, 2, 3, 4})[1][2] == 0.75
 
     def test_split_between_recorders(self):
-        st = one_pair({1}, {2}, {1, 2})
-        assert st.acc_1 == 0.5 and st.acc_2 == 0.5 and st.acc_union == 1.0
+        assert one_pair({1}, {2}, {1, 2})[1] == [0.5, 0.5, 1.0]
 
     def test_empty_gt_excluded(self):
-        st = one_pair({1}, set(), set())
-        assert not st.included
-        assert math.isnan(st.acc_union)
+        counts, acc = one_pair({1}, set(), set())
+        assert counts[6] == 0 and all(math.isnan(a) for a in acc)
+        assert aggregate(np.array([acc])) is None
 
     def test_union_dominance_and_swap_invariance(self):
         rng = np.random.default_rng(31)
         decoded = rng.random((300, 3, 2, 30)) < rng.random((300, 3, 2, 1))
         gt = rng.random((300, 3, 30)) < rng.random((300, 3, 1))
         gt[..., [0, 20]] = True
-        offsets, epochs = [0, 20, 30], range(300)
-        scored = iteration_accuracy(decoded, gt, offsets, epochs)
-        swapped = iteration_accuracy(decoded[:, :, ::-1], gt, offsets, epochs)
-        assert [len(stats) for stats in scored] == [900, 900]
-        for stats, swapped_stats in zip(scored, swapped):
-            for st, sw in zip(stats, swapped_stats):
-                assert st.acc_union >= max(st.acc_1, st.acc_2)
-                assert st.union_count >= max(st.detected_1, st.detected_2)
-                assert st.acc_union == sw.acc_union
+        offsets = [0, 20, 30]
+        counts = iteration_accuracy(decoded, gt, offsets)
+        swapped = iteration_accuracy(decoded[:, :, ::-1], gt, offsets)
+        assert counts.shape == (2, 300, 3, 7)
+        acc, swapped_acc = accuracies(counts), accuracies(swapped)
+        assert (acc[..., 2] >= acc[..., :2].max(axis=-1)).all()
+        assert (counts[..., 2] >= counts[..., :2].max(axis=-1)).all()
+        assert np.array_equal(acc[..., 2], swapped_acc[..., 2])
+        assert np.array_equal(acc[..., :2], swapped_acc[..., 1::-1])
 
     def test_records_subset_gt_bounds_accuracy(self):
-        assert one_pair({1, 9}, {2, 9}, {1, 2, 3}).acc_union <= 1.0
+        assert one_pair({1, 9}, {2, 9}, {1, 2, 3})[1][2] <= 1.0
 
     # no tags; a trailing empty stream; empty streams around a full one
     @example(masks=(np.zeros((1, 1, 2, 0), bool), np.zeros((1, 1, 0), bool), [0, 0]))
@@ -377,75 +377,88 @@ class TestIterationAccuracy:
     @given(masks=stacked_masks())
     def test_matches_set_definition(self, masks):
         decoded, gt, offsets = masks
-        epochs = range(7, 7 + len(decoded))
-        got = iteration_accuracy(decoded, gt, offsets, epochs)
-        want = []
-        for lo, hi in zip(offsets, offsets[1:]):
-            want.append([])
-            for epoch, epoch_decoded, epoch_gt in zip(epochs, decoded, gt):
+        got = iteration_accuracy(decoded, gt, offsets)
+        assert got.shape == (len(offsets) - 1,) + gt.shape[:2] + (7,)
+        assert got.dtype.kind == "i" and accuracies(got).dtype == np.float64
+        for stream, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            want_counts, want_acc, want_rows = [], [], []
+            for epoch, (epoch_decoded, epoch_gt) in enumerate(zip(decoded, gt), start=7):
                 for pair_id, (rows, gt_row) in enumerate(zip(epoch_decoded, epoch_gt)):
                     rec_1, rec_2, gt_set = (set(np.flatnonzero(m[lo:hi]).tolist())
                                             for m in (*rows, gt_row))
-                    want[-1].append(set_accuracy(rec_1, rec_2, gt_set, pair_id, epoch))
-        # repr compares nan fields as equal; the types must match too, since
-        # the CSV prints a numpy scalar differently from a Python one
-        assert [[repr(s) for s in stats] for stats in got] == [
-            [repr(s) for s in stats] for stats in want]
-        for g, w in zip(sum(got, []), sum(want, [])):
-            assert [type(v) for v in vars(g).values()] == [type(v) for v in vars(w).values()]
+                    counts, acc = set_scores(rec_1, rec_2, gt_set)
+                    want_counts.append(counts)
+                    want_acc.append(acc)
+                    want_rows.append(",".join(
+                        [str(v) for v in (stream, pair_id, epoch, counts[6], *counts[:3])]
+                        + ["" if math.isnan(a) else f"{a:.6f}" for a in acc]))
+            assert got[stream].reshape(-1, 7).tolist() == want_counts
+            # equal arrays, NaN where ground truth is empty
+            np.testing.assert_array_equal(accuracies(got[stream]).reshape(-1, 3), want_acc)
+            assert iteration_csv_rows(stream, 7, got[stream]) == want_rows
 
 
-def stats(pair_id, epoch, acc, gt=4):
-    hit = round(acc * gt)
-    return IterationStats(pair_id, epoch, gt, hit, hit, hit, acc, acc, acc)
+def acc_rows(*union, single=None):
+    """A (rows, 3) accuracy array: acc_1 = acc_2 = acc_union unless given."""
+    union = np.array(union, dtype=float)
+    single = union if single is None else np.array(single, dtype=float)
+    return np.stack([single, single, union], axis=1)
 
 
 class TestAggregate:
     def test_single_iteration(self):
-        rows = aggregate([stats(0, 0, 1.0)])
-        assert rows[0]["mean_acc_union"] == 1.0
-        assert rows[0]["std_acc_union"] == 0.0
-        assert rows[0]["iterations"] == 1
+        row = aggregate(acc_rows(1.0))
+        assert row == {"iterations": 1, "mean_acc_union": 1.0, "std_acc_union": 0.0,
+                       "mean_acc_single": 1.0}
 
     def test_two_iterations_mean(self):
-        rows = aggregate([stats(0, 0, 1.0), stats(0, 1, 0.5)])
-        assert rows[0]["mean_acc_union"] == pytest.approx(0.75)
+        row = aggregate(acc_rows(1.0, 0.5))
+        assert row["mean_acc_union"] == 0.75 and row["std_acc_union"] == 0.25
 
     def test_excluded_iterations_dropped(self):
-        excl = IterationStats(0, 2, 0, 0, 0, 0, float("nan"), float("nan"), float("nan"))
-        rows = aggregate([stats(0, 0, 1.0), excl])
-        assert rows[0]["iterations"] == 1
+        row = aggregate(acc_rows(1.0, float("nan"), 0.5))
+        assert row["iterations"] == 2 and row["mean_acc_union"] == 0.75
 
-    def test_all_excluded_gives_no_rows(self):
-        excl = IterationStats(0, 0, 0, 0, 0, 0, float("nan"), float("nan"), float("nan"))
-        assert aggregate([excl]) == []
+    def test_all_excluded_gives_none(self):
+        assert aggregate(acc_rows(float("nan"), float("nan"))) is None
+        assert aggregate(np.empty((0, 3))) is None
 
-    def test_grouping_by_pair(self):
-        rows = aggregate([stats(0, 0, 1.0), stats(1, 0, 0.5), stats(1, 1, 1.0)],
-                         ("pair_id",))
-        assert [r["pair_id"] for r in rows] == [0, 1]
-        assert rows[1]["mean_acc_union"] == pytest.approx(0.75)
+    def test_pair_columns(self):
+        # a (rows, pairs, 3) stack pools per pair through its column slices
+        stack = np.stack([acc_rows(1.0, 0.5), acc_rows(float("nan"), float("nan"))], axis=1)
+        assert aggregate(stack[:, 0])["mean_acc_union"] == 0.75
+        assert aggregate(stack[:, 1]) is None
 
-    def test_shard_linearity(self):
+    def test_order_free_and_exact(self):
+        # math.fsum is correctly rounded, so any order of the rows gives the
+        # same bytes, and the mean is the exactly rounded one
         rng = np.random.default_rng(41)
-        all_stats = [stats(0, e, float(rng.uniform(0, 1))) for e in range(500)]
-        whole = aggregate(all_stats)[0]
-        parts = all_stats[:123] + all_stats[123:]  # same content, concatenated shards
-        again = aggregate(parts)[0]
-        assert whole["iterations"] == again["iterations"]
-        assert abs(whole["mean_acc_union"] - again["mean_acc_union"]) < 1e-12
+        acc = acc_rows(*rng.uniform(0, 1, 500), single=rng.uniform(0, 1, 500))
+        whole = aggregate(acc)
+        assert aggregate(acc[rng.permutation(500)]) == whole
+        assert whole["mean_acc_union"] == math.fsum(acc[:, 2].tolist()) / 500
+        assert whole["mean_acc_single"] == math.fsum(acc[:, :2].ravel().tolist()) / 1000
 
     def test_single_pools_both_recorders(self):
-        st = IterationStats(0, 0, 4, 4, 2, 4, 1.0, 0.5, 1.0)
-        rows = aggregate([st])
-        assert rows[0]["mean_acc_single"] == pytest.approx(0.75)
+        row = aggregate(np.array([[1.0, 0.5, 1.0]]))
+        assert row["mean_acc_single"] == 0.75
 
 
-def test_csv_lines_format():
-    st = IterationStats(2, 31, 5, 4, 3, 5, 0.8, 0.6, 1.0)
-    assert iteration_csv_line(1, st) == "1,2,31,5,4,3,5,0.800000,0.600000,1.000000"
-    excl = IterationStats(0, 7, 0, 1, 0, 1, float("nan"), float("nan"), float("nan"))
-    assert iteration_csv_line(0, excl) == "0,0,7,0,1,0,1,,,"
+def test_csv_lines_format(monkeypatch):
+    # pair 2 of epoch 31: 5 in ground truth, 4 and 3 recorded within it;
+    # pair 0 of epoch 32: ground truth empty
+    counts = np.zeros((2, 3, 7), dtype=np.int32)
+    counts[0, 2] = [4, 3, 5, 4, 3, 5, 5]
+    counts[1, 0] = [1, 0, 1, 0, 0, 0, 0]
+    rows = iteration_csv_rows(1, 31, counts)
+    assert len(rows) == 6
+    assert rows[2] == "1,2,31,5,4,3,5,0.800000,0.600000,1.000000"
+    assert rows[3] == "1,0,32,0,1,0,1,,,"
+    # epochs past float64's exact integers, and blocks of one epoch
+    far = 2**62 + 1
+    want = [row.replace(",31,", f",{far},").replace(",32,", f",{far + 1},") for row in rows]
+    monkeypatch.setattr(enpsim.metrics, "FORMAT_BLOCK_ROWS", 1)
+    assert iteration_csv_rows(1, far, counts) == want
     summary = dict(v_n=40, v_s_min=30.0, v_s_max=90.0, s_slots=71, iterations=1000,
                    mean_acc_union=0.9753, std_acc_union=0.01, mean_acc_single=0.91)
     assert summary_csv_line(summary) == "40,30,90,71,1000,0.975300,0.010000,0.910000"
