@@ -259,10 +259,10 @@ def test_event_chunks_hold_bounded_probe_verdicts():
 def test_scored_rows_keep_text_and_three_floats(tmp_path):
     # A scored (epoch, pair) keeps its iterations.csv row (about 94 B of text
     # at v_n = 40 and an 8 B list slot) and its three accuracies (24 B):
-    # 127 B.  A frozen per-row object tagged with its replication kept 294 B.
-    # Writing 20,000 rows peaks at 2.4 B a row, one block of joined rows at
-    # a time; building a second list of lines for the file peaked at 84 B
-    # (CPython 3.11, NumPy 2)
+    # 127 B.  A frozen per-row object tagged with its replication kept 273 B
+    # here.  Writing 20,000 rows of an empty fleet peaks at 2.4 B a row, one
+    # block of joined rows at a time; building a second list of lines for
+    # the file peaked at 84 B (CPython 3.11, NumPy 2)
     def kept(epochs):
         cfg = parse_config(f"preset = paper-fig1b\nrun.epochs = {epochs}\nrun.warmup_epochs = 0\n")
         tracemalloc.start()
