@@ -28,10 +28,6 @@ def phi(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-def test_one_round_an_epoch():
-    assert build_epoch_schedule(TIMING, SLOTS, 0).round_count == 1
-
-
 def test_pair_union_miss_is_the_product_of_recorder_misses():
     # One static tag between the recorders of one pair (5 m from a, 6 m
     # from b) whose probes always decode (100 dB above the floor).  Its two
@@ -42,6 +38,7 @@ def test_pair_union_miss_is_the_product_of_recorder_misses():
     # gives mean(A B) - mean(A) mean(B) a variance of
     # p_a p_b (1 - p_a) (1 - p_b) / n.
     n = 3000
+    assert build_epoch_schedule(TIMING, SLOTS, 0).round_count == 1
     cfg = parse_config(
         "geometry.vr_pair_xs = 100\n"
         f"hash.slot_count = {SLOTS}\n"
@@ -74,6 +71,7 @@ def test_two_contender_capture_share():
     # decodes it with probability Phi((dmu - theta) / (sigma sqrt 2)), and
     # the weaker one with Phi((-dmu - theta) / (sigma sqrt 2)).
     n, sigma, theta = 3000, 4.0, 3.0
+    assert build_epoch_schedule(TIMING, SLOTS, 0).round_count == 1
     hp = HashParams(slot_count=SLOTS)
     vrns = np.arange(1, 1000, dtype=np.uint64)
     slots = slot_for(vrns, hp)
