@@ -11,13 +11,16 @@ at every receiver under the capture rule.
 :func:`run_epoch` only starts an epoch; one pass runs every epoch waiting
 on a world.  Its probe phase runs round by round, one capture call deciding
 the probe at every tag, because of the shadowing draw order alone.  The
-reply phase draws nothing of its own, so one capture call then decides
-every occupied (epoch, round, stream, slot) of the pass at every recorder,
-over the flat (repliers x recorders) powers grouped by slot.  Each stream
-draws its shadowing in the order a slot-by-slot resolution of it alone
-would, so outputs depend neither on the batching nor on the other streams.
-Positions come from the epoch-start fleet snapshot at each schedule event, so
-ground-truth sampling and decode decisions see bit-identical geometry.
+reply phase draws nothing of its own, so one capture call decides every
+occupied (epoch, round, stream, slot) of a reply run at every recorder,
+over the flat (repliers x recorders) powers grouped by slot: a run gathers
+the repliers of consecutive blocks of probe rounds, at most
+``MAX_REPLY_LINKS`` links, and is resolved as the next block would overfill
+it.  Each stream draws its shadowing in the order a slot-by-slot resolution
+of it alone would, so outputs depend neither on the batching nor on the
+other streams.  Positions come from the epoch-start fleet snapshot at each
+schedule event, so ground-truth sampling and decode decisions see
+bit-identical geometry.
 """
 
 from __future__ import annotations
@@ -222,10 +225,10 @@ class EpochResult:
         return mask.reshape(n_pairs, 2, -1)
 
 
-# Most links the epochs of a pass or a block of probe powers (round x
-# recorder x tag), or a reply capture call (replier x recorder), hold: 2 MB
-# per float array, a few rounds of the largest fleet (100,000 links a round
-# at 10,000 vehicles and 5 pairs).  Hundreds of preset epochs fit one pass.
+# Most links a block of probe powers (round x recorder x tag) or a reply run
+# (replier x recorder) holds, unless one round alone has more: 2 MB per float
+# array, a few rounds of the largest fleet (100,000 links a round at 10,000
+# vehicles and 5 pairs).
 MAX_REPLY_LINKS = 2**18
 
 
@@ -233,55 +236,34 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
     """Start one full epoch of every stream: build its schedule, snapshot
     the fleet and advance it to the epoch's end.  The epoch's probe and
     reply phases wait on the world for :func:`_run_pass`, which runs every
-    waiting epoch when a result is first read or once their probe links
-    reach ``MAX_REPLY_LINKS``; reading each result at once gives the same
-    outputs."""
+    waiting epoch when a result is first read; reading each result at once
+    gives the same outputs."""
     sched = build_epoch_schedule(world.timing, world.hash_params.slot_count, epoch_index)
     result = EpochResult(sched, world.fleet, world, record_events)
     world.fleet = advance(world.fleet, sched.glossy_period_us * 1e-6)
     world.pending.append(result)
-    links = sched.round_count * world.vr_x.size * len(world.fleet)
-    if len(world.pending) * links >= MAX_REPLY_LINKS:
-        _run_pass(world)
     return result
 
 
 def _run_pass(world: World) -> None:
-    """Run the probe phase of every epoch waiting on the world, then resolve
-    their replies in runs of rounds, each ending with the round in which its
-    repliers reach ``MAX_REPLY_LINKS`` links; the last run holds the rest if
-    it has a replier or a round 0 (each epoch gets a record table and trace)."""
+    """The probe and reply phases of every epoch waiting on the world, in
+    order.  The probe phase runs round by round: one capture call decides,
+    at every tag, the concurrent probes of all pairs (pair replicas merged,
+    cross-pair probes contending).  Only the shadowing draw order keeps it
+    per round: round r + 1's probe draws follow round r's reply draws, whose
+    count is the number of round r's probe decodes; zero-shadow powers come
+    from one positions call per block of at most ``MAX_REPLY_LINKS`` links
+    of an epoch.  Each stream draws from its own generator as a world of it
+    alone would, stitched along the tag axis.  An epoch recording events
+    keeps its (rounds, V) probe verdict codes and winning pairs in its
+    trace; the others keep no verdict past their block of rounds.  Each
+    block's repliers and their reply shadowing join the one open reply run;
+    a block that would take a run of repliers past ``MAX_REPLY_LINKS`` links
+    first resolves it, over every epoch from its first block to its last, so
+    every epoch gets its record table and trace."""
     results, world.pending = world.pending, []
-    row, tag, draws = _probe_rounds(world, results)
     for res in results:
         res._world = None
-    n_vr, n_rounds = world.vr_x.size, results[0].schedule.round_count
-    n_rows = len(results) * n_rounds
-    need = -(-MAX_REPLY_LINKS // n_vr)  # repliers that end a run
-    lo = first_row = 0
-    while lo < tag.size or -(-first_row // n_rounds) * n_rounds < n_rows:
-        last_row = row[lo + need - 1] if tag.size - lo >= need else n_rows - 1
-        hi = int(np.searchsorted(row, last_row, side="right"))
-        e0, e1 = first_row // n_rounds, last_row // n_rounds + 1
-        _resolve_replies(world, results[e0:e1], row[lo:hi] - e0 * n_rounds, tag[lo:hi],
-                         draws[n_vr * lo:n_vr * hi])
-        lo, first_row = hi, last_row + 1
-
-
-def _probe_rounds(world: World, results: list[EpochResult]):
-    """The probe phase of ``results``, epochs of the world in order, round
-    by round: one capture call decides, at every tag, the concurrent probes
-    of all pairs (pair replicas merged, cross-pair probes contending).  Only
-    the shadowing draw order keeps it per round: round r + 1's probe draws
-    follow round r's reply draws, whose count is the number of round r's
-    probe decodes; zero-shadow powers come from one positions call per block
-    of at most ``MAX_REPLY_LINKS`` links of an epoch.  Each stream draws from
-    its own generator as a world of it alone would, stitched along the tag
-    axis.  An epoch recording events keeps its (rounds, V) probe verdict
-    codes and winning pairs in its trace; the others keep no verdict past
-    their block of rounds.  Returns each replier's (epoch, round) row,
-    counting from round 0 of the first epoch, and tag, ascending, and their
-    reply shadowing, each row's stream blocks in turn."""
     geom, radio, sigma = world.geometry, world.radio, world.radio.shadowing_sigma_db
     n_vr, n_enp, cuts = world.vr_x.size, len(world.fleet), world.offsets.tolist()
     # each stream's draws and tag columns; no stream draws without shadowing
@@ -291,7 +273,9 @@ def _probe_rounds(world: World, results: list[EpochResult]):
     n_rounds = sched.round_count
     dt = (sched.round_start_us(np.arange(n_rounds)) - sched.epoch_start_us) * 1e-6
     block = max(1, MAX_REPLY_LINKS // max(1, n_vr * n_enp))  # rounds of zero-shadow powers
-    hits, draws = [], []
+    # the open reply run: its first epoch, its repliers' rows (counted from
+    # round 0 of that epoch) and tags per block, and their reply shadowing
+    first, rows, tags, draws, held = 0, [], [], [], 0
     for e, res in enumerate(results):
         fleet, pairs = res.fleet_start, None
         if res.record_events:
@@ -305,6 +289,7 @@ def _probe_rounds(world: World, results: list[EpochResult]):
             np.hypot(power, fleet.y - world.vr_y[:, None], out=power)
             received_power_dbm(power, radio, tx_power_dbm=radio.probe_tx_power_dbm, out=power)
             out = codes[b:b + block] if pairs is not None else np.empty(power.shape[::2], np.int8)
+            mark = len(draws)  # the block's reply draws follow
             for r, link_pw in enumerate(power):
                 if streams:  # each stream's probe shadowing, stitched along the tag axis
                     shadow = [draw(0.0, sigma, size=(n_vr, hi - lo)) for draw, lo, hi in streams]
@@ -319,19 +304,30 @@ def _probe_rounds(world: World, results: list[EpochResult]):
                     k = heard.count(RECEIVED_CODE, lo, hi)
                     if k:
                         draws.append(draw(0.0, sigma, size=n_vr * k))
-            hits.append(np.flatnonzero(out == RECEIVED_CODE) + (e * n_rounds + b) * n_enp)
-    row, tag = np.divmod(hits[0] if len(hits) == 1 else np.concatenate(hits), max(n_enp, 1))
-    draws = draws[0] if len(draws) == 1 else np.concatenate(draws) if draws else np.empty(0)
-    return row, tag, draws
+            rnd, tag = np.divmod(np.flatnonzero(out == RECEIVED_CODE), max(n_enp, 1))
+            if held and (held + tag.size) * n_vr > MAX_REPLY_LINKS:  # resolve the open run first
+                _resolve_replies(world, results[first:e + (b > 0)],
+                                 *map(_joined, (rows, tags, draws[:mark])))
+                first, rows, tags, draws, held = e, [], [], draws[mark:], 0
+            rows.append(rnd + ((e - first) * n_rounds + b))
+            tags.append(tag)
+            held += tag.size
+    _resolve_replies(world, results[first:], *map(_joined, (rows, tags, draws)))
+
+
+def _joined(arrays):
+    """The arrays end to end: the one array itself, or float64 for none."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays) if arrays else np.empty(0)
 
 
 def _resolve_replies(world, epochs, row, tag, draws):
     """Resolve one run of reply slots of consecutive ``epochs`` in one
-    capture call and hand each epoch its part; ``row``, ``tag`` and
-    ``draws`` are as :func:`_probe_rounds` returns them, rows counted from
-    ``epochs[0]``.  Only the repliers are hashed (under reseeding, each
-    round's under that epoch and round's seed) and placed at the start of
-    their slot from their own epoch's snapshot.  Sorted by (epoch, round,
+    capture call and hand each epoch its part: ``row`` and ``tag`` are each
+    replier's (epoch, round) row, counting from round 0 of ``epochs[0]``,
+    and tag, ascending, and ``draws`` their reply shadowing, each row's
+    stream blocks in turn.  Only the repliers are hashed (under reseeding,
+    each round's under that epoch and round's seed) and placed at the start
+    of their slot from their own epoch's snapshot.  Sorted by (epoch, round,
     stream, slot), each occupied slot is a run of rows of one (repliers x
     recorders) power array, which one capture call decides at every
     recorder.  Each slot takes its (recorders x contenders) block of the

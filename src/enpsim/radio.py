@@ -62,7 +62,6 @@ COLLISION_CODE = np.int8(Verdict.COLLISION)
 def received_power_dbm(
     distance_m: float | np.ndarray,
     params: RadioParams,
-    shadow_draw_db: float | np.ndarray = 0.0,
     tx_power_dbm: float | None = None,
     out: np.ndarray | None = None,
 ) -> float | np.ndarray:
@@ -70,15 +69,14 @@ def received_power_dbm(
 
     The one place the path-loss formula is written; scalars and arrays both
     work, elementwise.  Distances below the 1 m reference are clamped to
-    1 m.  ``shadow_draw_db`` is the caller-supplied shadowing offset for
-    each link (zero when shadowing is off), added after the path loss.
-    ``out``, a float array shaped like the result (``distance_m`` itself
-    too), takes every step in place of a new array.
+    1 m; shadowing is the caller's to add.  ``out``, a float array shaped
+    like the result (``distance_m`` itself too), takes every step in place
+    of a new array.
     """
     tx = params.tx_power_dbm if tx_power_dbm is None else tx_power_dbm
     d = np.maximum(distance_m, 1.0, out=out)
     loss = np.multiply(10.0 * params.exponent, np.log10(d, out=out), out=out)
-    return np.add(np.subtract(tx - params.pl0_db, loss, out=out), shadow_draw_db, out=out)
+    return np.subtract(tx - params.pl0_db, loss, out=out)
 
 
 def comm_range_m(params: RadioParams) -> float:

@@ -335,14 +335,14 @@ class TestRunEpoch:
         calls = count_capture_calls(monkeypatch)
         runs = World(fleet, geom, radio, hash_params, TIMING, np.random.default_rng(8))
         result = run_epoch(runs, 8, record_events=True)
+        assert result.events == want_events  # the read runs the epoch's pass
         assert len(calls) > result.schedule.round_count + 2
-        assert result.events == want_events
         assert_matches_reference(1, 1, True, None, 25, 108, 8, sigma)
         assert_matches_reference(5, 17, False, None, 25, 106, 6, sigma)
         assert_streams_match_reference(1, 1, True, [(25, 108), (0, 1), (7, 2)], 8, sigma)
 
     @pytest.mark.parametrize("late_order", [1, -1], ids=["forward", "reverse"])
-    @pytest.mark.parametrize("max_links", [None, 1, 50, "flush", "straddle"])
+    @pytest.mark.parametrize("max_links", [None, 1, 50, "straddle"])
     @pytest.mark.parametrize("sigma", [0.0, 6.5])
     @pytest.mark.parametrize("reseed", [False, True])
     @pytest.mark.parametrize("streams", [[(25, 108)], [(25, 108), (0, 1), (7, 2)]],
@@ -350,42 +350,38 @@ class TestRunEpoch:
     def test_reading_late_equals_reading_each_epoch(self, monkeypatch, max_links, sigma,
                                                     reseed, streams, late_order):
         # six epochs on a 2 km ring, each result read at once, and again
-        # read only at the end, first to last or last to first: the epochs
-        # then wait for one pass, or each run its own pass under a link
-        # budget of 1 or 50 (their replies in runs of rounds), or, under a
-        # budget of three and a half epochs' probe links, run_epoch runs a
-        # pass of the first four partway through and the read a pass of the
-        # other two; or, on a 40 m ring of one pair where every tag hears
-        # every probe (all but a few under shadowing), so that an epoch holds
-        # about as many replier links as probe links, under a budget of two
-        # and a half epochs' probe links run_epoch runs two passes of three,
-        # each with a reply run of two and a half epochs and one that starts
-        # partway through the third; all give the same records, event text
-        # and generator states, each epoch those of the scalar reference
-        # from its snapshot
+        # read only at the end, first to last or last to first: the first
+        # read runs one pass of every epoch waiting, whose replies take one
+        # run, or, under a link budget of 1 or 50, runs of one round's or a
+        # few rounds' repliers, or, under a budget of five rounds' probe links
+        # (probe blocks of five rounds), runs of about two epochs' repliers,
+        # some starting partway through an epoch; each run holds at most the
+        # budget's repliers or one probe block's, and all give the same
+        # records, event text and generator states, each epoch those of the
+        # scalar reference from its snapshot
         case = max_links
         geom = RoadGeometry(vr_pair_xs=(80.0, 120.0), ring_length_m=2000.0)
         rounds, n_tags = build_epoch_schedule(TIMING, 5, 0).round_count, sum(v for v, _ in streams)
-        if case == "flush":
-            max_links = 7 * rounds * 4 * n_tags // 2
         if case == "straddle":
-            geom = RoadGeometry(segment_length_m=20.0, ring_length_m=40.0, vr_pair_xs=(10.0,))
-            max_links = 5 * rounds * 2 * n_tags // 2
+            max_links = 5 * 4 * n_tags
         if max_links is not None:
             monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", max_links)
+        block = max(1, protocol.MAX_REPLY_LINKS // (4 * n_tags))  # rounds of a probe block
         radio = RadioParams(shadowing_sigma_db=sigma)
         hash_params = HashParams(slot_count=5, reseed_per_round=reseed)
         fleets = [spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(s)) for v_n, s in streams]
         calls = count_capture_calls(monkeypatch)
-        passes, runs = [], []  # the epochs of each pass; each reply run's epochs and first row
-        run_pass, resolve = protocol._run_pass, protocol._resolve_replies
+        passes, runs = [], []  # the epochs of each pass; of each reply run, its epochs,
+        run_pass, resolve = protocol._run_pass, protocol._resolve_replies  # repliers, blocks
 
         def spied_pass(world):
             passes.append(len(world.pending))
             run_pass(world)
 
         def spied_resolve(world, epochs, row, tag, draws):
-            runs.append(([res.schedule.epoch_index for res in epochs], int(row[0])))
+            blocks = {(r // rounds, r % rounds // block) for r in row.tolist()}
+            runs.append(([res.schedule.epoch_index for res in epochs], tag.size, len(blocks),
+                         int(row[0]) if row.size else None))
             resolve(world, epochs, row, tag, draws)
 
         monkeypatch.setattr(protocol, "_run_pass", spied_pass)
@@ -405,30 +401,29 @@ class TestRunEpoch:
             return got, [rng.bit_generator.state for rng in rngs], world, results, unread
 
         want, want_states, _, _, _ = run(read_each=True)
-        each_calls, rounds = len(calls), 6 * rounds
-        assert passes == [1] * 6
+        each_calls, each_runs, rounds = len(calls), runs[:], 6 * rounds
+        assert passes == [1] * 6 and each_calls == rounds + len(each_runs)
         del calls[:], passes[:], runs[:]
         got, got_states, world, results, unread = run(read_each=False)
         assert got == want and got_states == want_states
-        assert len(calls) <= each_calls
+        assert (unread, passes) == ([], [6])
+        assert len(calls) == rounds + len(runs) <= each_calls
+        for _, repliers, blocks, _ in each_runs + runs:
+            assert repliers * 4 <= protocol.MAX_REPLY_LINKS or blocks == 1
         if case is None:
             assert (each_calls, len(calls)) == (rounds + 6, rounds + 1)
-            assert (unread, passes) == ([], [6])
-        elif case == "flush":
-            assert (each_calls, len(calls)) == (rounds + 6, rounds + 2)
-            assert (unread, passes) == ([4], [4, 2])
         elif case == "straddle":
-            assert (each_calls, len(calls)) == (rounds + 6, rounds + 4)
-            assert unread == passes == [3, 3]
-            # a run of several epochs, and one that starts partway through
-            # an epoch other than the first of its pass
-            assert any(len(epochs) > 1 for epochs, _ in runs)
-            assert any(epochs[0] % 3 and row for epochs, row in runs)
-            if sigma == 0:
-                half = rounds // 6 // 2  # rounds counts all six epochs' rounds here
-                assert runs == [([0, 1, 2], 0), ([2], half + 1), ([3, 4, 5], 0), ([5], half + 1)]
-        else:  # every epoch's probe links reach the budget
-            assert unread == passes == [1] * 6
+            # a run of several epochs, and one that starts partway through an epoch
+            assert block == 5 and len(runs) > 1
+            assert any(len(run[0]) > 1 for run in runs)
+            assert any(a[0][-1] == b[0][0] for a, b in zip(runs, runs[1:]))
+            if sigma == 0:  # each run's epochs and first replier's row
+                assert [(run[0], run[3]) for run in runs] == {
+                    1: [([0, 1], 0), ([1, 2, 3, 4], 20), ([4, 5], 5)],
+                    3: [([0, 1], 0), ([2, 3, 4, 5], 0), ([5], 35)],
+                }[len(streams)]
+        else:  # each run ends with the block of one round that fills it
+            assert block == 1 and len(runs) > 6
         assert sum(len(records) for records, _ in got) > 6
         reference_rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
         for result in results:
@@ -448,11 +443,11 @@ class TestRunEpoch:
                              "hash.slot_count = 1\nfleet.v_n = 100\n")
         calls = count_capture_calls(monkeypatch)
         result = run_epoch(world, 0)
+        assert len(result.records)  # the read runs the epoch's pass
         links = [power.size for power, starts in calls if starts is not None]
         assert len(links) > 1
         assert max(links) <= protocol.MAX_REPLY_LINKS + 100 * 10
         assert len(calls) == result.schedule.round_count + len(links)
-        assert len(result.records)
 
     @pytest.mark.parametrize("reseed", [False, True])
     def test_sparse_long_epoch_holds_no_round_by_tag_floats(self, reseed):
@@ -475,6 +470,26 @@ class TestRunEpoch:
         cells = result.schedule.round_count * len(fleet)
         assert cells == 2495 * 2000 and decoded
         assert peak < cells // 8 + 4 * 8 * protocol.MAX_REPLY_LINKS
+
+    def test_dense_epoch_holds_one_reply_run_at_a_time(self, monkeypatch):
+        # 2,495 one-slot rounds of 500 tags on a 201 m ring in range of the
+        # one pair, nearly every tag replying every round: under a budget of
+        # 2**14 links the pass holds one probe block and one open reply run
+        # at a time and peaks below 32 float arrays of the budget; holding
+        # every replier of the pass (about 1.2 million) took 40 MB
+        monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", 2**14)
+        world = preset_world("preset = paper-road\ngeometry.segment_length_m = 200\n"
+                             "geometry.ring_length_m = 201\nhash.slot_count = 1\n"
+                             "timing.glossy_period_us = 10000000\nfleet.v_n = 500\n")
+        tracemalloc.start()
+        try:
+            result = run_epoch(world, 0)
+            decoded = len(result.records)  # the read runs the epoch's pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.schedule.round_count == 2495 and decoded
+        assert peak < 32 * 8 * protocol.MAX_REPLY_LINKS
 
     def test_unread_silent_rounds_hold_no_queue_entries(self):
         # four unread epochs of 2,495 one-slot rounds of one tag 50 km from

@@ -13,7 +13,9 @@ itself come from the change tree's ``bench/run.py`` (``WORKLOADS`` and
 ``call_workload``), so this tool and ``tools/ab_pairs.py`` measure the same
 calls.  Prints one JSON object: ``tools/ab_pairs.py``'s summary of the wall
 milliseconds per epoch (unscaled by the bench's reference loop) and of the
-minor faults (``ru_minflt`` of this process) per call.
+minor faults (``ru_minflt`` of this process) per call.  An A/A run, one
+tree on both sides, reports that tree's time and faults per call: faults show
+how much memory a call takes from the kernel anew.
 """
 
 from __future__ import annotations
@@ -31,9 +33,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from ab_pairs import summarize  # noqa: E402
-from call_faults import load_bench  # noqa: E402
 
 SIDES = ("parent", "change")
+
+
+def load_bench(tree: Path):
+    """The ``bench/run.py`` module of ``tree``, its package imported from ``tree/src``."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(tree / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run", tree / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_package(tree: Path, name: str):
