@@ -371,8 +371,10 @@ class TestRunEpoch:
         hash_params = HashParams(slot_count=5, reseed_per_round=reseed)
         fleets = [spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(s)) for v_n, s in streams]
         calls = count_capture_calls(monkeypatch)
-        passes, runs = [], []  # the epochs of each pass; of each reply run, its epochs,
-        run_pass, resolve = protocol._run_pass, protocol._resolve_replies  # repliers, blocks
+        # the epochs of each pass; of each reply run, its epochs, its repliers,
+        # the probe blocks they come from and the first one's row
+        passes, runs = [], []
+        run_pass, resolve = protocol._run_pass, protocol._resolve_replies
 
         def spied_pass(world):
             passes.append(len(world.pending))
@@ -422,7 +424,7 @@ class TestRunEpoch:
                     1: [([0, 1], 0), ([1, 2, 3, 4], 20), ([4, 5], 5)],
                     3: [([0, 1], 0), ([2, 3, 4, 5], 0), ([5], 35)],
                 }[len(streams)]
-        else:  # each run ends with the block of one round that fills it
+        else:  # probe blocks of one round, and more runs than epochs
             assert block == 1 and len(runs) > 6
         assert sum(len(records) for records, _ in got) > 6
         reference_rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
@@ -473,10 +475,10 @@ class TestRunEpoch:
 
     def test_dense_epoch_holds_one_reply_run_at_a_time(self, monkeypatch):
         # 2,495 one-slot rounds of 500 tags on a 201 m ring in range of the
-        # one pair, nearly every tag replying every round: under a budget of
+        # one pair, more than half replying each round: under a budget of
         # 2**14 links the pass holds one probe block and one open reply run
         # at a time and peaks below 32 float arrays of the budget; holding
-        # every replier of the pass (about 1.2 million) took 40 MB
+        # every replier of the pass (711,236 here) took 40 MB
         monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", 2**14)
         world = preset_world("preset = paper-road\ngeometry.segment_length_m = 200\n"
                              "geometry.ring_length_m = 201\nhash.slot_count = 1\n"
