@@ -342,7 +342,7 @@ class TestRunEpoch:
         assert_streams_match_reference(1, 1, True, [(25, 108), (0, 1), (7, 2)], 8, sigma)
 
     @pytest.mark.parametrize("late_order", [1, -1], ids=["forward", "reverse"])
-    @pytest.mark.parametrize("max_links", [None, 1, 50, "straddle"])
+    @pytest.mark.parametrize("max_links", [None, 1, 50, "straddle", "exact", "one-short"])
     @pytest.mark.parametrize("sigma", [0.0, 6.5])
     @pytest.mark.parametrize("reseed", [False, True])
     @pytest.mark.parametrize("streams", [[(25, 108)], [(25, 108), (0, 1), (7, 2)]],
@@ -355,18 +355,17 @@ class TestRunEpoch:
         # run, or, under a link budget of 1 or 50, runs of one round's or a
         # few rounds' repliers, or, under a budget of five rounds' probe links
         # (probe blocks of five rounds), runs of about two epochs' repliers,
-        # some starting partway through an epoch; each run holds at most the
-        # budget's repliers or one probe block's, and all give the same
-        # records, event text and generator states, each epoch those of the
-        # scalar reference from its snapshot
+        # some starting partway through an epoch, or, under a budget of
+        # exactly the late pass's reply links, one run, and under one link
+        # less, a second run of the last block with repliers; each run holds
+        # at most the budget's repliers or one probe block's, and all give the
+        # same records, event text and generator states, each epoch those of
+        # the scalar reference from its snapshot
         case = max_links
         geom = RoadGeometry(vr_pair_xs=(80.0, 120.0), ring_length_m=2000.0)
         rounds, n_tags = build_epoch_schedule(TIMING, 5, 0).round_count, sum(v for v, _ in streams)
         if case == "straddle":
             max_links = 5 * 4 * n_tags
-        if max_links is not None:
-            monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", max_links)
-        block = max(1, protocol.MAX_REPLY_LINKS // (4 * n_tags))  # rounds of a probe block
         radio = RadioParams(shadowing_sigma_db=sigma)
         hash_params = HashParams(slot_count=5, reseed_per_round=reseed)
         fleets = [spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(s)) for v_n, s in streams]
@@ -402,18 +401,27 @@ class TestRunEpoch:
                    for r in results[::late_order]][::late_order]
             return got, [rng.bit_generator.state for rng in rngs], world, results, unread
 
+        block = rounds  # read by the spy before any budget is set
+        if case in ("exact", "one-short"):  # the late pass's repliers, in one run by default
+            run(read_each=False)
+            (_, repliers, _, _), = runs
+            max_links = 4 * repliers - (case == "one-short")
+            del calls[:], passes[:], runs[:]
+        if max_links is not None:
+            monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", max_links)
+        block = max(1, protocol.MAX_REPLY_LINKS // (4 * n_tags))  # rounds of a probe block
         want, want_states, _, _, _ = run(read_each=True)
-        each_calls, each_runs, rounds = len(calls), runs[:], 6 * rounds
-        assert passes == [1] * 6 and each_calls == rounds + len(each_runs)
+        each_calls, each_runs, probes = len(calls), runs[:], 6 * rounds  # probe calls
+        assert passes == [1] * 6 and each_calls == probes + len(each_runs)
         del calls[:], passes[:], runs[:]
         got, got_states, world, results, unread = run(read_each=False)
         assert got == want and got_states == want_states
         assert (unread, passes) == ([], [6])
-        assert len(calls) == rounds + len(runs) <= each_calls
+        assert len(calls) == probes + len(runs) <= each_calls
         for _, repliers, blocks, _ in each_runs + runs:
             assert repliers * 4 <= protocol.MAX_REPLY_LINKS or blocks == 1
         if case is None:
-            assert (each_calls, len(calls)) == (rounds + 6, rounds + 1)
+            assert (each_calls, len(calls)) == (probes + 6, probes + 1)
         elif case == "straddle":
             # a run of several epochs, and one that starts partway through an epoch
             assert block == 5 and len(runs) > 1
@@ -424,6 +432,12 @@ class TestRunEpoch:
                     1: [([0, 1], 0), ([1, 2, 3, 4], 20), ([4, 5], 5)],
                     3: [([0, 1], 0), ([2, 3, 4, 5], 0), ([5], 35)],
                 }[len(streams)]
+        elif case == "exact":  # the budget holds every replier at once
+            assert [(run[0], run[1] * 4) for run in runs] == [(list(range(6)), max_links)]
+            assert len(calls) == probes + 1
+        elif case == "one-short":  # the last block with repliers overfills the first run
+            assert len(runs) == 2 and runs[1][2] == 1
+            assert (runs[0][1] + runs[1][1]) * 4 == max_links + 1
         else:  # probe blocks of one round, and more runs than epochs
             assert block == 1 and len(runs) > 6
         assert sum(len(records) for records, _ in got) > 6
