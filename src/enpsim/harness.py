@@ -29,7 +29,8 @@ from .metrics import (
     summary_csv_line,
 )
 from .mobility import Fleet, advance, spawn_fleet, spawn_mixed_fleet
-from .protocol import MAX_REPLY_LINKS, World, build_epoch_schedule, run_epoch
+from . import protocol
+from .protocol import World, build_epoch_schedule, run_epoch
 
 
 def rng_stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -132,7 +133,7 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
         if events:  # and at most MAX_REPLY_LINKS (epoch, round, tag) probe verdicts
             rounds = build_epoch_schedule(config.timing, config.hash.slot_count, 0).round_count
             per_epoch = max(rounds * len(world.fleet), 1)
-            chunk_epochs = min(chunk_epochs, max(1, MAX_REPLY_LINKS // per_epoch))
+            chunk_epochs = min(chunk_epochs, max(1, protocol.MAX_REPLY_LINKS // per_epoch))
         results = []
         for e in range(epochs):
             results.append(run_epoch(world, config.run.warmup_epochs + e, record_events=events))

@@ -9,18 +9,17 @@ slot its registration number hashes to.  Reception is resolved independently
 at every receiver under the capture rule.
 
 :func:`run_epoch` only starts an epoch; one pass runs every epoch waiting
-on a world.  Its probe phase runs round by round, one capture call deciding
-the probe at every tag, because of the shadowing draw order alone.  The
-reply phase draws nothing of its own, so one capture call decides every
-occupied (epoch, round, stream, slot) of a reply run at every recorder,
-over the flat (repliers x recorders) powers grouped by slot: a run gathers
-the repliers of consecutive blocks of probe rounds, at most
-``MAX_REPLY_LINKS`` links, and is resolved as the next block would overfill
-it.  Each stream draws its shadowing in the order a slot-by-slot resolution
-of it alone would, so outputs depend neither on the batching nor on the
-other streams.  Positions come from the epoch-start fleet snapshot at each
-schedule event, so ground-truth sampling and decode decisions see
-bit-identical geometry.
+on a world, in blocks of its (epoch, round) rows of at most
+``MAX_REPLY_LINKS`` probe links.  Its probe phase runs round by round, one
+capture call deciding the probe at every tag, because of the shadowing draw
+order alone.  The reply phase draws nothing of its own, so one capture call
+decides every occupied (epoch, round, stream, slot) of a block at every
+recorder, over the flat (repliers x recorders) powers grouped by slot; each
+epoch takes its results once, at the end of the pass.  Each stream draws its
+shadowing in the order a slot-by-slot resolution of it alone would, so
+outputs depend neither on the batching nor on the other streams.  Positions
+come from the epoch-start fleet snapshot at each schedule event, so
+ground-truth sampling and decode decisions see bit-identical geometry.
 """
 
 from __future__ import annotations
@@ -121,9 +120,9 @@ def build_epoch_schedule(
 class World:
     """Mutable simulation state: the fleet and generator of each independent
     stream (one, or a sequence of each), plus the recorder and channel
-    context they share.  Stream b holds the ``sizes[b]`` tags ``offsets[b]``
-    to ``offsets[b + 1] - 1`` of the concatenated ``fleet``, whose composition
-    is fixed for the world's lifetime; reply slots are hashed once up front."""
+    context they share.  Stream b holds the tags ``offsets[b]`` to
+    ``offsets[b + 1] - 1`` of the concatenated ``fleet``, whose composition is
+    fixed for the world's lifetime; reply slots are hashed once up front."""
 
     def __init__(
         self,
@@ -140,8 +139,7 @@ class World:
             raise ValueError("every fleet needs an rng of its own (None only without shadowing)")
         columns = zip(*((f.vrn, f.x, f.y, f.speed_mps) for f in fleets))
         self.fleet = Fleet(*map(np.concatenate, columns), fleets[0].ring_length_m)
-        self.sizes = [len(f) for f in fleets]
-        self.offsets = np.cumsum([0] + self.sizes)
+        self.offsets = np.cumsum([0] + [len(f) for f in fleets])
         self.geometry = geometry
         self.radio = radio
         self.hash_params = hash_params
@@ -168,7 +166,7 @@ class EpochResult:
     ``vrn`` column, which an int64 one would wrap.  ``trace`` is the world's
     stream offsets, the (rounds, V) probe verdict codes and winning pairs
     (-1 where none), and the epoch's reply verdict arrays (see
-    :func:`_resolve_replies`).
+    :func:`_resolve_replies`); :func:`_run_pass` sets both once.
 
     The first read of ``records``, ``trace``, ``events`` or ``decoded``
     runs the pass of every epoch still waiting on the world, this one too.
@@ -180,19 +178,8 @@ class EpochResult:
         self.fleet_start = fleet_start
         self.record_events = record_events
         self._world = world  # None once its pass has run
-        self._probe = None  # (offsets, probe codes, probe pairs), with events
         self._records = None
-        self._replies = []  # the reply verdicts of each run that resolved some of its slots
-
-    def _add_run(self, table, replies) -> None:
-        """Take one reply run's first decodes and verdicts of this epoch."""
-        if self._records is None:
-            self._records = table
-        else:  # earlier runs' rows come first
-            table = np.concatenate((self._records, table))
-            self._records = table[_firsts(table[:, 0] * len(self.fleet_start) + table[:, 1])]
-        if self.record_events:
-            self._replies.append(replies)
+        self._trace = None
 
     @property
     def records(self) -> np.ndarray:
@@ -203,11 +190,7 @@ class EpochResult:
     @property
     def trace(self) -> tuple | None:
         self.records  # runs the epoch's pass if it still waits
-        if not self.record_events:
-            return None
-        if len(self._replies) > 1:
-            self._replies = [tuple(map(np.concatenate, zip(*self._replies)))]
-        return (*self._probe, self._replies[0])
+        return self._trace
 
     @property
     def events(self) -> list[str] | None:
@@ -225,10 +208,10 @@ class EpochResult:
         return mask.reshape(n_pairs, 2, -1)
 
 
-# Most links a block of probe powers (round x recorder x tag) or a reply run
-# (replier x recorder) holds, unless one round alone has more: 2 MB per float
-# array, a few rounds of the largest fleet (100,000 links a round at 10,000
-# vehicles and 5 pairs).
+# Most links a block of probe powers (row x recorder x tag) holds, unless one
+# round alone has more; its reply links (replier x recorder) are fewer: 2 MB
+# per float array, a few rounds of the largest fleet (100,000 links a round
+# at 10,000 vehicles and 5 pairs).  The harness reads it to size event chunks.
 MAX_REPLY_LINKS = 2**18
 
 
@@ -247,20 +230,18 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
 
 def _run_pass(world: World) -> None:
     """The probe and reply phases of every epoch waiting on the world, in
-    order.  The probe phase runs round by round: one capture call decides,
-    at every tag, the concurrent probes of all pairs (pair replicas merged,
-    cross-pair probes contending).  Only the shadowing draw order keeps it
-    per round: round r + 1's probe draws follow round r's reply draws, whose
-    count is the number of round r's probe decodes; zero-shadow powers come
-    from one positions call per block of at most ``MAX_REPLY_LINKS`` links
-    of an epoch.  Each stream draws from its own generator as a world of it
-    alone would, stitched along the tag axis.  An epoch recording events
-    keeps its (rounds, V) probe verdict codes and winning pairs in its
-    trace; the others keep no verdict past their block of rounds.  Each
-    block's repliers and their reply shadowing join the one open reply run;
-    a block that would take a run of repliers past ``MAX_REPLY_LINKS`` links
-    first resolves it, over every epoch from its first block to its last, so
-    every epoch gets its record table and trace."""
+    order, over its (epoch, round) rows in blocks of at most
+    ``MAX_REPLY_LINKS`` probe links (row x recorder x tag), at least one row.
+    A block may span epochs; each epoch's share of its zero-shadow powers
+    comes from one positions call.  Row by row, one capture call decides at
+    every tag the concurrent probes of all pairs (pair replicas merged,
+    cross-pair probes contending), as the shadowing draw order alone
+    demands: round r + 1's probe draws follow round r's reply draws, as many
+    as its probe decodes.  Each stream draws from its own generator as a
+    world of it alone would, stitched along the tag axis.  A probe link
+    yields at most one reply link, so one :func:`_resolve_replies` call per
+    block keeps the budget.  Each epoch then takes its record table, from
+    every block's first decodes in block order, and its trace, once."""
     results, world.pending = world.pending, []
     for res in results:
         res._world = None
@@ -270,49 +251,66 @@ def _run_pass(world: World) -> None:
     streams = [(rng.normal, lo, hi) for rng, lo, hi in zip(world.rngs, cuts, cuts[1:])
                if sigma > 0]
     sched = results[0].schedule  # every epoch probes at the same offsets from its start
-    n_rounds = sched.round_count
+    n_rounds, n_rows = sched.round_count, sched.round_count * len(results)
     dt = (sched.round_start_us(np.arange(n_rounds)) - sched.epoch_start_us) * 1e-6
-    block = max(1, MAX_REPLY_LINKS // max(1, n_vr * n_enp))  # rounds of zero-shadow powers
-    # the open reply run: its first epoch, its repliers' rows (counted from
-    # round 0 of that epoch) and tags per block, and their reply shadowing
-    first, rows, tags, draws, held = 0, [], [], [], 0
+    block = max(1, MAX_REPLY_LINKS // max(1, n_vr * n_enp))  # rows of zero-shadow powers
+    events = any(res.record_events for res in results)
+    if events:  # every row's probe verdict codes and winning pairs (-1 where none)
+        codes = np.empty((n_rows, n_enp), dtype=np.int8)
+        pairs = np.empty(codes.shape, dtype=np.intp)
+    tables, traces = [], []  # each block's first decodes and slot verdicts
+    for b in range(0, n_rows, block):
+        end = min(b + block, n_rows)
+        first, last = b // n_rounds, (end - 1) // n_rounds  # the epochs of the block's rows
+        # (rows, 2P, V) distances, then zero-shadow powers, in one array: each
+        # epoch's share of the rows from its own snapshot (e its first row)
+        road_x = _joined([
+            geom.road_x(positions_at(res.fleet_start, dt[max(b - e, 0):end - e]))
+            for e, res in zip(range(first * n_rounds, end, n_rounds), results[first:])])
+        power = road_x[:, None] - world.vr_x[:, None]
+        np.hypot(power, world.fleet.y - world.vr_y[:, None], out=power)
+        received_power_dbm(power, radio, tx_power_dbm=radio.probe_tx_power_dbm, out=power)
+        out = codes[b:end] if events else np.empty(power.shape[::2], np.int8)
+        draws = []  # the block's reply shadowing
+        for r, link_pw in enumerate(power):
+            if streams:  # each stream's probe shadowing, stitched along the tag axis
+                shadow = [draw(0.0, sigma, size=(n_vr, hi - lo)) for draw, lo, hi in streams]
+                link_pw = link_pw + (shadow[0] if len(shadow) == 1 else np.hstack(shadow))
+            # the two recorders of a pair send byte-identical probes:
+            # non-destructive replicas, strongest link counts
+            out[r], pair = capture_verdicts(np.maximum(link_pw[0::2], link_pw[1::2]), radio)
+            if events:
+                pairs[b + r] = pair
+            heard = out[r].tobytes()  # each stream's repliers draw their reply shadowing
+            for draw, lo, hi in streams:
+                k = heard.count(RECEIVED_CODE, lo, hi)
+                if k:
+                    draws.append(draw(0.0, sigma, size=n_vr * k))
+        row, tag = np.divmod(np.flatnonzero(out == RECEIVED_CODE), max(n_enp, 1))
+        table, trace = _resolve_replies(world, results[first:last + 1],
+                                        row + (b - first * n_rounds), tag, _joined(draws))
+        table[:, 0] += first
+        tables.append(table)
+        if trace is not None:
+            trace[0] += first
+            traces.append(trace)
+
+    # each epoch's first decodes, sorted by (epoch, recorder, tag), and slots
+    table = _joined(tables)
+    table = table[_firsts((table[:, 0] * n_vr + table[:, 1]) * n_enp + table[:, 2])]
+    ends = np.arange(len(results) + 1)
+    rows_at = np.searchsorted(table[:, 0], ends).tolist()
+    if events:
+        slot_epoch, slot_tags, counts, *slot_trace = map(_joined, zip(*traces))
+        slots_at = np.searchsorted(slot_epoch, ends).tolist()
+        tags_at = np.append(0, np.cumsum(counts))[slots_at].tolist()
     for e, res in enumerate(results):
-        fleet, pairs = res.fleet_start, None
+        res._records = table[rows_at[e]:rows_at[e + 1], 1:]
         if res.record_events:
-            codes = np.empty((n_rounds, n_enp), dtype=np.int8)
-            pairs = np.empty(codes.shape, dtype=np.intp)
-            res._probe = world.offsets, codes, pairs
-        for b in range(0, n_rounds, block):
-            # (rounds, 2P, V) distances, then zero-shadow powers, in one array
-            road_x = geom.road_x(positions_at(fleet, dt[b:b + block]))[:, None]
-            power = road_x - world.vr_x[:, None]
-            np.hypot(power, fleet.y - world.vr_y[:, None], out=power)
-            received_power_dbm(power, radio, tx_power_dbm=radio.probe_tx_power_dbm, out=power)
-            out = codes[b:b + block] if pairs is not None else np.empty(power.shape[::2], np.int8)
-            mark = len(draws)  # the block's reply draws follow
-            for r, link_pw in enumerate(power):
-                if streams:  # each stream's probe shadowing, stitched along the tag axis
-                    shadow = [draw(0.0, sigma, size=(n_vr, hi - lo)) for draw, lo, hi in streams]
-                    link_pw = link_pw + (shadow[0] if len(shadow) == 1 else np.hstack(shadow))
-                # the two recorders of a pair send byte-identical probes:
-                # non-destructive replicas, strongest link counts
-                out[r], pair = capture_verdicts(np.maximum(link_pw[0::2], link_pw[1::2]), radio)
-                if pairs is not None:
-                    pairs[b + r] = pair
-                heard = out[r].tobytes()  # each stream's repliers draw their reply shadowing
-                for draw, lo, hi in streams:
-                    k = heard.count(RECEIVED_CODE, lo, hi)
-                    if k:
-                        draws.append(draw(0.0, sigma, size=n_vr * k))
-            rnd, tag = np.divmod(np.flatnonzero(out == RECEIVED_CODE), max(n_enp, 1))
-            if held and (held + tag.size) * n_vr > MAX_REPLY_LINKS:  # resolve the open run first
-                _resolve_replies(world, results[first:e + (b > 0)],
-                                 *map(_joined, (rows, tags, draws[:mark])))
-                first, rows, tags, draws, held = e, [], [], draws[mark:], 0
-            rows.append(rnd + ((e - first) * n_rounds + b))
-            tags.append(tag)
-            held += tag.size
-    _resolve_replies(world, results[first:], *map(_joined, (rows, tags, draws)))
+            g, t = slice(slots_at[e], slots_at[e + 1]), slice(tags_at[e], tags_at[e + 1])
+            rows = slice(e * n_rounds, (e + 1) * n_rounds)
+            res._trace = (world.offsets, codes[rows], pairs[rows],
+                          (slot_tags[t], counts[g], *(a[g] for a in slot_trace)))
 
 
 def _joined(arrays):
@@ -321,21 +319,23 @@ def _joined(arrays):
 
 
 def _resolve_replies(world, epochs, row, tag, draws):
-    """Resolve one run of reply slots of consecutive ``epochs`` in one
-    capture call and hand each epoch its part: ``row`` and ``tag`` are each
-    replier's (epoch, round) row, counting from round 0 of ``epochs[0]``,
-    and tag, ascending, and ``draws`` their reply shadowing, each row's
-    stream blocks in turn.  Only the repliers are hashed (under reseeding,
-    each round's under that epoch and round's seed) and placed at the start
-    of their slot from their own epoch's snapshot.  Sorted by (epoch, round,
-    stream, slot), each occupied slot is a run of rows of one (repliers x
-    recorders) power array, which one capture call decides at every
-    recorder.  Each slot takes its (recorders x contenders) block of the
-    draws, in slot order, so each stream's results equal its slot-by-slot
-    resolution.  Each epoch gets the first decodes of its slots and, with
-    events, the repliers' tags grouped by slot and, per occupied slot, its
+    """Resolve the reply slots of one probe block, over consecutive
+    ``epochs``, in one capture call: ``row`` and ``tag`` are each replier's
+    (epoch, round) row, counting from round 0 of ``epochs[0]``, and tag,
+    ascending, and ``draws`` their reply shadowing, each row's stream blocks
+    in turn.  Only the repliers are hashed (under reseeding, each round's
+    under that epoch and round's seed) and placed at the start of their slot
+    from their own epoch's snapshot.  Sorted by (epoch, round, stream,
+    slot), each occupied slot is a run of rows of one (repliers x recorders)
+    power array, which one capture call decides at every recorder.  Each
+    slot takes its (recorders x contenders) block of the draws, in slot
+    order, so each stream's results equal its slot-by-slot resolution.
+
+    Returns the first decode of each (epoch, recorder, tag), as sorted int64
+    rows (epoch, recorder, tag, round, slot), and, with events, the slots'
+    epochs, the repliers' tags grouped by slot and, per occupied slot, its
     contender count, round, slot, (recorders,) verdict codes and winners'
-    ranks in the slot."""
+    ranks in the slot (-1 where none); epochs count from ``epochs[0]``."""
     fleet, hp, n_vr = world.fleet, world.hash_params, world.vr_x.size
     sched = epochs[0].schedule  # every epoch has the same slot offsets from its start
     slot = world.enp_slots[tag]
@@ -374,23 +374,17 @@ def _resolve_replies(world, epochs, row, tag, draws):
     codes, winners = capture_verdicts(power, world.radio, first)  # (slots, 2P)
     del power
 
-    # the first decode of each (epoch, recorder, tag), split by epoch
+    # the first decode of each (epoch, recorder, tag)
     rx_group, rx_vr = np.nonzero(codes == RECEIVED_CODE)
     rx = winners[rx_group, rx_vr]  # the decoded repliers' rows
     kept = _firsts((epoch[rx] * n_vr + rx_vr) * len(fleet) + tag[rx])
     rx, rx_vr = rx[kept], rx_vr[kept]
-    table = np.column_stack((rx_vr, tag[rx], rnd[rx], slot[rx])).astype(np.int64, copy=False)
-    ends = np.arange(len(epochs) + 1)
-    rows_at = np.searchsorted(epoch[rx], ends).tolist()
-    slots_at = np.searchsorted(epoch[first], ends).tolist()
-    tags_at = np.append(first, key.size)[slots_at].tolist()
-    if any(res.record_events for res in epochs):  # each slot's round, slot, codes and ranks
-        ranks = np.where(winners >= 0, winners - first[:, None], -1)
-        slot_trace = rnd[first], slot[first], codes, ranks
-    for i, res in enumerate(epochs):  # the epoch's first decodes, slots and their repliers
-        g, t = slice(slots_at[i], slots_at[i + 1]), slice(tags_at[i], tags_at[i + 1])
-        replies = (tag[t], counts[g], *(a[g] for a in slot_trace)) if res.record_events else None
-        res._add_run(table[rows_at[i]:rows_at[i + 1]], replies)
+    table = np.column_stack((epoch[rx], rx_vr, tag[rx], rnd[rx], slot[rx])).astype(np.int64,
+                                                                                 copy=False)
+    if not any(res.record_events for res in epochs):
+        return table, None
+    ranks = np.where(winners >= 0, winners - first[:, None], -1)
+    return table, [epoch[first], tag, counts, rnd[first], slot[first], codes, ranks]
 
 
 def _firsts(cells):

@@ -38,7 +38,7 @@ def epoch_results(text, v_ns, epochs=40, first_epoch=7, seed=11):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_runs_of_epochs_format_as_single_epochs(monkeypatch, case, max_links):
     # with a MAX_REPLY_LINKS of 50 the epochs' one pass resolves their
-    # replies in runs of a few rounds, each epoch's from several runs
+    # replies in probe blocks of one round, each epoch's in several blocks
     if max_links is not None:
         monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", max_links)
     text, v_ns = CASES[case]

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 import enpsim.harness as harness
+import enpsim.protocol as protocol
 from enpsim.cli import main
 from enpsim.config import ConfigError, parse_config, with_fleet_cell
 from enpsim.events import event_lines
 from enpsim.harness import run_experiment, sweep
 from enpsim.metrics import ITERATION_CSV_HEADER, accuracies
 from enpsim.mobility import advance
-from enpsim.protocol import MAX_REPLY_LINKS, World, run_epoch
+from enpsim.protocol import World, run_epoch
 
 SMALL = """
 preset = paper-fig1b
@@ -214,16 +215,17 @@ class TestLockstep:
         # chunks of 3 sweep epochs (3 + 1) and of 8 road epochs (8 + 2)
         ({"MAX_SCORING_PAIRS": 3 * 88}, {(0, 0, 7, 7, 25, 25, 12, 12)}, {(10, 10, 10)},
          (2, 2)),
-        # with events, chunks of at most two road epochs' (round, tag) probe
-        # verdicts (13 rounds of 30 tags); the sweep records none
+        # the engine's link budget: with events, chunks of at most two road
+        # epochs' (round, tag) probe verdicts (13 rounds of 30 tags), and
+        # probe blocks of at most that many links; the sweep records none
         ({"MAX_REPLY_LINKS": 2 * 13 * 30}, {(0, 0, 7, 7, 25, 25, 12, 12)}, {(10, 10, 10)},
          (1, 5)),
     ], ids=[f"caps{i}-sweep_groups{i}-road_groups{i}" for i in range(7)])
     def test_group_caps_change_no_output(self, tmp_path, monkeypatch, caps, sweep_groups,
                                          road_groups, chunks):
         want, _, _ = self.run_both(tmp_path / "default", monkeypatch)
-        for name, value in caps.items():
-            monkeypatch.setattr(harness, name, value)
+        for name, value in caps.items():  # the link budget is the engine's
+            monkeypatch.setattr(protocol if name == "MAX_REPLY_LINKS" else harness, name, value)
         got, worlds, scored = self.run_both(tmp_path / "capped", monkeypatch)
         assert got == want
         assert worlds == {"sweep": sweep_groups, "road": road_groups}
@@ -253,7 +255,7 @@ def test_event_chunks_hold_bounded_probe_verdicts():
     finally:
         tracemalloc.stop()
     assert len(result.iterations) == 12 and len(result.events) > 12 * 277
-    assert peak - kept < 4 * 8 * MAX_REPLY_LINKS
+    assert peak - kept < 4 * 8 * protocol.MAX_REPLY_LINKS
 
 
 def test_scored_rows_keep_text_and_three_floats(tmp_path):

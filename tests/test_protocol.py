@@ -320,11 +320,10 @@ class TestRunEpoch:
     @pytest.mark.parametrize("max_links", [1, 50])
     @pytest.mark.parametrize("sigma", [0.0, 6.5])
     def test_reply_runs_match_reference(self, monkeypatch, max_links, sigma):
-        # with a small link budget the replies are resolved in runs of a few
-        # rounds (every round with a replier at one link): the records and
-        # generator state still match the reference, for a world alone and
-        # for each of three streams, and the event text matches that of one
-        # reply call
+        # with a small link budget the replies are resolved in probe blocks
+        # of one round, one capture call each: the records and generator
+        # state still match the reference, for a world alone and for each of
+        # three streams, and the event text matches that of one reply call
         geom = single_pair_geometry()
         radio = RadioParams(shadowing_sigma_db=sigma)
         hash_params = HashParams(slot_count=1, reseed_per_round=True)
@@ -342,37 +341,39 @@ class TestRunEpoch:
         assert_streams_match_reference(1, 1, True, [(25, 108), (0, 1), (7, 2)], 8, sigma)
 
     @pytest.mark.parametrize("late_order", [1, -1], ids=["forward", "reverse"])
-    @pytest.mark.parametrize("max_links", [None, 1, 50, "straddle", "exact", "one-short"])
+    @pytest.mark.parametrize("max_links", [None, 1, 50, "straddle", "epoch", "epoch-and-a-row"])
     @pytest.mark.parametrize("sigma", [0.0, 6.5])
     @pytest.mark.parametrize("reseed", [False, True])
     @pytest.mark.parametrize("streams", [[(25, 108)], [(25, 108), (0, 1), (7, 2)]],
                              ids=["one-stream", "three-streams"])
     def test_reading_late_equals_reading_each_epoch(self, monkeypatch, max_links, sigma,
                                                     reseed, streams, late_order):
-        # six epochs on a 2 km ring, each result read at once, and again
-        # read only at the end, first to last or last to first: the first
-        # read runs one pass of every epoch waiting, whose replies take one
-        # run, or, under a link budget of 1 or 50, runs of one round's or a
-        # few rounds' repliers, or, under a budget of five rounds' probe links
-        # (probe blocks of five rounds), runs of about two epochs' repliers,
-        # some starting partway through an epoch, or, under a budget of
-        # exactly the late pass's reply links, one run, and under one link
-        # less, a second run of the last block with repliers; each run holds
-        # at most the budget's repliers or one probe block's, and all give the
-        # same records, event text and generator states, each epoch those of
-        # the scalar reference from its snapshot
+        # six epochs of 41 rounds on a 2 km ring, each result read at once,
+        # and again read only at the end, first to last or last to first:
+        # the first read runs one pass of every epoch waiting, over its 246
+        # (epoch, round) rows in probe blocks, one reply call each.  By
+        # default a pass is one block; under a link budget of 1 or 50 a block
+        # is one row; under five rounds' probe links, five rows, so one block
+        # spans two epochs and an epoch spans several blocks; under one
+        # epoch's or one epoch and a row's, 41 or 42 rows.  Each call gets
+        # exactly its block's probe decodes and epochs, and all give the same
+        # records, event text and generator states, each epoch those of the
+        # scalar reference from its snapshot
         case = max_links
         geom = RoadGeometry(vr_pair_xs=(80.0, 120.0), ring_length_m=2000.0)
         rounds, n_tags = build_epoch_schedule(TIMING, 5, 0).round_count, sum(v for v, _ in streams)
-        if case == "straddle":
-            max_links = 5 * 4 * n_tags
+        rows = {"straddle": 5, "epoch": rounds, "epoch-and-a-row": rounds + 1}.get(case)
+        if case is not None:
+            monkeypatch.setattr(protocol, "MAX_REPLY_LINKS",
+                                case if rows is None else rows * 4 * n_tags)
+        block = max(1, protocol.MAX_REPLY_LINKS // (4 * n_tags))  # rows of a probe block
         radio = RadioParams(shadowing_sigma_db=sigma)
         hash_params = HashParams(slot_count=5, reseed_per_round=reseed)
         fleets = [spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(s)) for v_n, s in streams]
         calls = count_capture_calls(monkeypatch)
-        # the epochs of each pass; of each reply run, its epochs, its repliers,
-        # the probe blocks they come from and the first one's row
-        passes, runs = [], []
+        # the epochs of each pass; of each reply call, its epochs and its
+        # repliers' rows (counted from round 0 of epoch 0) and tags
+        passes, blocks = [], []
         run_pass, resolve = protocol._run_pass, protocol._resolve_replies
 
         def spied_pass(world):
@@ -380,10 +381,10 @@ class TestRunEpoch:
             run_pass(world)
 
         def spied_resolve(world, epochs, row, tag, draws):
-            blocks = {(r // rounds, r % rounds // block) for r in row.tolist()}
-            runs.append(([res.schedule.epoch_index for res in epochs], tag.size, len(blocks),
-                         int(row[0]) if row.size else None))
-            resolve(world, epochs, row, tag, draws)
+            start = epochs[0].schedule.epoch_index * rounds
+            blocks.append(([res.schedule.epoch_index for res in epochs], (row + start).tolist(),
+                           tag.tolist()))
+            return resolve(world, epochs, row, tag, draws)
 
         monkeypatch.setattr(protocol, "_run_pass", spied_pass)
         monkeypatch.setattr(protocol, "_resolve_replies", spied_resolve)
@@ -401,45 +402,42 @@ class TestRunEpoch:
                    for r in results[::late_order]][::late_order]
             return got, [rng.bit_generator.state for rng in rngs], world, results, unread
 
-        block = rounds  # read by the spy before any budget is set
-        if case in ("exact", "one-short"):  # the late pass's repliers, in one run by default
-            run(read_each=False)
-            (_, repliers, _, _), = runs
-            max_links = 4 * repliers - (case == "one-short")
-            del calls[:], passes[:], runs[:]
-        if max_links is not None:
-            monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", max_links)
-        block = max(1, protocol.MAX_REPLY_LINKS // (4 * n_tags))  # rounds of a probe block
-        want, want_states, _, _, _ = run(read_each=True)
-        each_calls, each_runs, probes = len(calls), runs[:], 6 * rounds  # probe calls
-        assert passes == [1] * 6 and each_calls == probes + len(each_runs)
-        del calls[:], passes[:], runs[:]
+        def block_calls(codes, passes):
+            """Each block's epochs, and the rows and tags of its RECEIVED
+            probe verdicts, of passes over the given (first, end) rows."""
+            want = []
+            for lo, hi in passes:
+                for b in range(lo, hi, block):
+                    end = min(b + block, hi)
+                    row, tag = np.nonzero(codes[b:end] == RECEIVED_CODE)
+                    want.append((list(range(b // rounds, (end - 1) // rounds + 1)),
+                                 (row + b).tolist(), tag.tolist()))
+            return want
+
+        want, want_states, _, results, _ = run(read_each=True)
+        codes = np.concatenate([result.trace[1] for result in results])  # (6 x rounds, V)
+        each_calls, each_blocks, probes = len(calls), blocks[:], 6 * rounds  # probe calls
+        assert passes == [1] * 6 and each_calls == probes + len(each_blocks)
+        assert each_blocks == block_calls(codes, [(e * rounds, (e + 1) * rounds)
+                                                  for e in range(6)])
+        del calls[:], passes[:], blocks[:]
         got, got_states, world, results, unread = run(read_each=False)
         assert got == want and got_states == want_states
         assert (unread, passes) == ([], [6])
-        assert len(calls) == probes + len(runs) <= each_calls
-        for _, repliers, blocks, _ in each_runs + runs:
-            assert repliers * 4 <= protocol.MAX_REPLY_LINKS or blocks == 1
-        if case is None:
-            assert (each_calls, len(calls)) == (probes + 6, probes + 1)
-        elif case == "straddle":
-            # a run of several epochs, and one that starts partway through an epoch
-            assert block == 5 and len(runs) > 1
-            assert any(len(run[0]) > 1 for run in runs)
-            assert any(a[0][-1] == b[0][0] for a, b in zip(runs, runs[1:]))
-            if sigma == 0:  # each run's epochs and first replier's row
-                assert [(run[0], run[3]) for run in runs] == {
-                    1: [([0, 1], 0), ([1, 2, 3, 4], 20), ([4, 5], 5)],
-                    3: [([0, 1], 0), ([2, 3, 4, 5], 0), ([5], 35)],
-                }[len(streams)]
-        elif case == "exact":  # the budget holds every replier at once
-            assert [(run[0], run[1] * 4) for run in runs] == [(list(range(6)), max_links)]
-            assert len(calls) == probes + 1
-        elif case == "one-short":  # the last block with repliers overfills the first run
-            assert len(runs) == 2 and runs[1][2] == 1
-            assert (runs[0][1] + runs[1][1]) * 4 == max_links + 1
-        else:  # probe blocks of one round, and more runs than epochs
-            assert block == 1 and len(runs) > 6
+        assert len(blocks) == -(-probes // block) and len(calls) == probes + len(blocks)
+        assert blocks == block_calls(codes, [(0, probes)])
+        spans = [epochs for epochs, _, _ in blocks]
+        if case is None:  # the pass is one block
+            assert block >= probes and spans == [list(range(6))]
+        elif case == "straddle":  # a block of two epochs, and an epoch of several blocks
+            assert block == 5 and [2] == sorted({len(span) for span in spans} - {1})
+            assert max(sum(e in span for span in spans) for e in range(6)) > 1
+        elif case == "epoch":
+            assert block == rounds and spans == [[e] for e in range(6)]
+        elif case == "epoch-and-a-row":
+            assert block == rounds + 1 and spans == [[e, e + 1] for e in range(5)] + [[5]]
+        else:  # blocks of one row
+            assert block == 1 and len(spans) == probes
         assert sum(len(records) for records, _ in got) > 6
         reference_rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
         for result in results:
@@ -453,24 +451,26 @@ class TestRunEpoch:
 
     def test_many_repliers_split_reply_calls(self, monkeypatch):
         # 2,495 one-slot rounds of 100 vehicles hold more replier links than
-        # MAX_REPLY_LINKS: the replies take several capture calls, each at
-        # most one round (100 vehicles x 10 recorders) past the bound
+        # MAX_REPLY_LINKS: the replies take one capture call per probe block
+        # of 262 rounds (100 vehicles x 10 recorders each), each within the
+        # bound
         world = preset_world("preset = paper-fig1b\ntiming.glossy_period_us = 10000000\n"
                              "hash.slot_count = 1\nfleet.v_n = 100\n")
         calls = count_capture_calls(monkeypatch)
         result = run_epoch(world, 0)
         assert len(result.records)  # the read runs the epoch's pass
         links = [power.size for power, starts in calls if starts is not None]
-        assert len(links) > 1
-        assert max(links) <= protocol.MAX_REPLY_LINKS + 100 * 10
-        assert len(calls) == result.schedule.round_count + len(links)
+        rounds, block = result.schedule.round_count, protocol.MAX_REPLY_LINKS // (100 * 10)
+        assert len(links) == -(-rounds // block) > 1
+        assert max(links) <= protocol.MAX_REPLY_LINKS
+        assert len(calls) == rounds + len(links)
 
     @pytest.mark.parametrize("reseed", [False, True])
     def test_sparse_long_epoch_holds_no_round_by_tag_floats(self, reseed):
         # 2,495 one-slot rounds of 2,000 tags on a 100 km ring, a few of them
         # in range of the one pair: an epoch without events may hold less
         # than one bit per (round, tag) beyond four float arrays of
-        # MAX_REPLY_LINKS links (probe blocks and reply runs), so one float,
+        # MAX_REPLY_LINKS links (a probe block and its replies), so one float,
         # slot or verdict per (round, tag), 5-40 MB here, cannot fit
         geom = RoadGeometry(vr_pair_xs=(100.0,), ring_length_m=100_000.0)
         fleet = spawn_fleet(2000, 30, 90, geom, np.random.default_rng(6))
@@ -487,11 +487,11 @@ class TestRunEpoch:
         assert cells == 2495 * 2000 and decoded
         assert peak < cells // 8 + 4 * 8 * protocol.MAX_REPLY_LINKS
 
-    def test_dense_epoch_holds_one_reply_run_at_a_time(self, monkeypatch):
+    def test_dense_epoch_holds_one_probe_block_at_a_time(self, monkeypatch):
         # 2,495 one-slot rounds of 500 tags on a 201 m ring in range of the
         # one pair, more than half replying each round: under a budget of
-        # 2**14 links the pass holds one probe block and one open reply run
-        # at a time and peaks below 32 float arrays of the budget; holding
+        # 2**14 links the pass holds one probe block and its repliers at a
+        # time and peaks below 32 float arrays of the budget; holding
         # every replier of the pass (711,236 here) took 40 MB
         monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", 2**14)
         world = preset_world("preset = paper-road\ngeometry.segment_length_m = 200\n"
