@@ -295,9 +295,11 @@ def _run_pass(world: World) -> None:
             trace[0] += first
             traces.append(trace)
 
-    # each epoch's first decodes, sorted by (epoch, recorder, tag), and slots
+    # each epoch's first decodes, sorted by (epoch, recorder, tag), and
+    # slots; one block's table holds only first decodes already
     table = _joined(tables)
-    table = table[_firsts((table[:, 0] * n_vr + table[:, 1]) * n_enp + table[:, 2])]
+    if len(tables) > 1:
+        table = table[_firsts((table[:, 0] * n_vr + table[:, 1]) * n_enp + table[:, 2])]
     ends = np.arange(len(results) + 1)
     rows_at = np.searchsorted(table[:, 0], ends).tolist()
     if events:
