@@ -112,10 +112,11 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
     and ``MAX_SCORED_EPOCHS`` scored epochs; the grouping changes no output.
     Warm-up epochs only move the fleets.  The measured epochs are scored in
     chunks of at most ``MAX_SCORING_PAIRS`` (epoch, tag) pairs and, with
-    events, ``MAX_REPLY_LINKS`` (epoch, round, tag) probe verdicts, or one
-    epoch: a chunk's results are read once its last epoch has run, so its
-    epochs take one probe-and-reply pass, and one ``ground_truth`` and one
-    ``iteration_accuracy`` call score all its streams, epochs and pairs;
+    events, the engine's ``protocol.MAX_REPLY_LINKS`` (epoch, round, tag)
+    probe verdicts, or one epoch: a chunk's results are read once its last
+    epoch has run, so its epochs take one probe-and-reply pass, and one
+    ``ground_truth`` and one ``iteration_accuracy`` call score all its
+    streams, epochs and pairs;
     one ``event_lines`` call formats every stream's lines of a run of epochs,
     at most ``MAX_EVENT_EPOCHS`` stream-epochs or one epoch.  Scoring checks
     that union coverage dominates either recorder alone and, with shadowing

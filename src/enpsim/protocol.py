@@ -263,7 +263,7 @@ def _run_pass(world: World) -> None:
         end = min(b + block, n_rows)
         first, last = b // n_rounds, (end - 1) // n_rounds  # the epochs of the block's rows
         # (rows, 2P, V) distances, then zero-shadow powers, in one array: each
-        # epoch's share of the rows from its own snapshot (e its first row)
+        # epoch's share of the rows from its own snapshot (e is its first row)
         road_x = _joined([
             geom.road_x(positions_at(res.fleet_start, dt[max(b - e, 0):end - e]))
             for e, res in zip(range(first * n_rounds, end, n_rounds), results[first:])])
@@ -381,8 +381,8 @@ def _resolve_replies(world, epochs, row, tag, draws):
     rx = winners[rx_group, rx_vr]  # the decoded repliers' rows
     kept = _firsts((epoch[rx] * n_vr + rx_vr) * len(fleet) + tag[rx])
     rx, rx_vr = rx[kept], rx_vr[kept]
-    table = np.column_stack((epoch[rx], rx_vr, tag[rx], rnd[rx], slot[rx])).astype(np.int64,
-                                                                                 copy=False)
+    table = np.column_stack((epoch[rx], rx_vr, tag[rx], rnd[rx], slot[rx]))
+    table = table.astype(np.int64, copy=False)
     if not any(res.record_events for res in epochs):
         return table, None
     ranks = np.where(winners >= 0, winners - first[:, None], -1)

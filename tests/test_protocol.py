@@ -402,11 +402,11 @@ class TestRunEpoch:
                    for r in results[::late_order]][::late_order]
             return got, [rng.bit_generator.state for rng in rngs], world, results, unread
 
-        def block_calls(codes, passes):
+        def block_calls(codes, pass_rows):
             """Each block's epochs, and the rows and tags of its RECEIVED
             probe verdicts, of passes over the given (first, end) rows."""
             want = []
-            for lo, hi in passes:
+            for lo, hi in pass_rows:
                 for b in range(lo, hi, block):
                     end = min(b + block, hi)
                     row, tag = np.nonzero(codes[b:end] == RECEIVED_CODE)
