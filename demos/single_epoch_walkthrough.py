@@ -41,8 +41,9 @@ world = World(
     RadioParams(),
     hash_params,
     TimingParams(),
+    record_events=True,
 )
-result = run_epoch(world, 0, record_events=True)
+result = run_epoch(world, 0)
 
 sched = result.schedule
 print(f"schedule: sync window {sched.sync_window_us // 1000} ms, then "

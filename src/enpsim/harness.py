@@ -127,7 +127,7 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
     def run(group):
         fleets, rngs = zip(*group)
         fleets = [advance(fleet, warmup_s) for fleet in fleets] if warmup_s else fleets
-        world = World(fleets, geom, radio, config.hash, config.timing, rngs)
+        world = World(fleets, geom, radio, config.hash, config.timing, rngs, record_events=events)
         counts = np.empty((len(group), epochs, geom.n_pairs, 7), dtype=np.int32)
         logs = [[] if events else None for _ in group]
         chunk_epochs = max(1, MAX_SCORING_PAIRS // max(len(world.fleet), 1))
@@ -137,7 +137,7 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
             chunk_epochs = min(chunk_epochs, max(1, protocol.MAX_REPLY_LINKS // per_epoch))
         results = []
         for e in range(epochs):
-            results.append(run_epoch(world, config.run.warmup_epochs + e, record_events=events))
+            results.append(run_epoch(world, config.run.warmup_epochs + e))
             if len(results) < chunk_epochs and e < epochs - 1:
                 continue
             # the first read runs the pass of the chunk's epochs still waiting

@@ -121,8 +121,9 @@ class World:
     """Mutable simulation state: the fleet and generator of each independent
     stream (one, or a sequence of each), plus the recorder and channel
     context they share.  Stream b holds the tags ``offsets[b]`` to
-    ``offsets[b + 1] - 1`` of the concatenated ``fleet``, whose composition is
-    fixed for the world's lifetime; reply slots are hashed once up front."""
+    ``offsets[b + 1] - 1`` of the concatenated ``fleet`` on the geometry's
+    ring, fixed for the world's lifetime; reply slots are hashed once up
+    front.  With ``record_events`` each epoch's result keeps its trace."""
 
     def __init__(
         self,
@@ -132,19 +133,24 @@ class World:
         hash_params: HashParams,
         timing: TimingParams,
         rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+        *,
+        record_events: bool = False,
     ):
         fleets, rngs = ([fleet], [rng]) if isinstance(fleet, Fleet) else (fleet, rng)
         rngs = list(rngs or [None] * len(fleets))
         if len(rngs) != len(fleets) or (radio.shadowing_sigma_db > 0 and None in rngs):
             raise ValueError("every fleet needs an rng of its own (None only without shadowing)")
+        if any(f.ring_length_m != geometry.ring_length_m for f in fleets):
+            raise ValueError("every fleet must be on the geometry's ring")
         columns = zip(*((f.vrn, f.x, f.y, f.speed_mps) for f in fleets))
-        self.fleet = Fleet(*map(np.concatenate, columns), fleets[0].ring_length_m)
+        self.fleet = Fleet(*map(np.concatenate, columns), geometry.ring_length_m)
         self.offsets = np.cumsum([0] + [len(f) for f in fleets])
         self.geometry = geometry
         self.radio = radio
         self.hash_params = hash_params
         self.timing = timing
         self.rngs = rngs
+        self.record_events = record_events
         self.enp_slots = slot_for(self.fleet.vrn, hash_params)
         self.pending = []  # the epochs waiting for a pass (see run_epoch)
         # recorder 2 * pair + side as (2P,) columns, side 0 (a) then 1 (b)
@@ -156,8 +162,8 @@ class World:
 
 class EpochResult:
     """Everything one epoch produced: the schedule it ran on, the fleet
-    snapshot it started from, the record table and, with events recorded,
-    the verdict trace :func:`enpsim.events.event_lines` formats.
+    snapshot it started from, the record table and, in a world recording
+    events, the verdict trace :func:`enpsim.events.event_lines` formats.
 
     ``records`` is int64 ``(n, 4)``: (recorder, tag, round, slot) of the
     first decode of each (recorder, tag), sorted by recorder then tag.
@@ -172,11 +178,9 @@ class EpochResult:
     runs the pass of every epoch still waiting on the world, this one too.
     """
 
-    def __init__(self, schedule: EpochSchedule, fleet_start: Fleet, world: World,
-                 record_events: bool):
+    def __init__(self, schedule: EpochSchedule, fleet_start: Fleet, world: World):
         self.schedule = schedule
         self.fleet_start = fleet_start
-        self.record_events = record_events
         self._world = world  # None once its pass has run
         self._records = None
         self._trace = None
@@ -215,14 +219,14 @@ class EpochResult:
 MAX_REPLY_LINKS = 2**18
 
 
-def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> EpochResult:
+def run_epoch(world: World, epoch_index: int) -> EpochResult:
     """Start one full epoch of every stream: build its schedule, snapshot
     the fleet and advance it to the epoch's end.  The epoch's probe and
     reply phases wait on the world for :func:`_run_pass`, which runs every
     waiting epoch when a result is first read; reading each result at once
     gives the same outputs."""
     sched = build_epoch_schedule(world.timing, world.hash_params.slot_count, epoch_index)
-    result = EpochResult(sched, world.fleet, world, record_events)
+    result = EpochResult(sched, world.fleet, world)
     world.fleet = advance(world.fleet, sched.glossy_period_us * 1e-6)
     world.pending.append(result)
     return result
@@ -230,7 +234,7 @@ def run_epoch(world: World, epoch_index: int, record_events: bool = False) -> Ep
 
 def _run_pass(world: World) -> None:
     """The probe and reply phases of every epoch waiting on the world, in
-    order, over its (epoch, round) rows in blocks of at most
+    order, over the pass's (epoch, round) rows in blocks of at most
     ``MAX_REPLY_LINKS`` probe links (row x recorder x tag), at least one row.
     A block may span epochs; each epoch's share of its zero-shadow powers
     comes from one positions call.  Row by row, one capture call decides at
@@ -240,8 +244,9 @@ def _run_pass(world: World) -> None:
     as its probe decodes.  Each stream draws from its own generator as a
     world of it alone would, stitched along the tag axis.  A probe link
     yields at most one reply link, so one :func:`_resolve_replies` call per
-    block keeps the budget.  Each epoch then takes its record table, from
-    every block's first decodes in block order, and its trace, once."""
+    block, over the pass's rows and the (epochs, tags) start positions
+    stacked once, keeps the budget.  Each epoch then takes its record table,
+    from every block's first decodes in block order, and its trace, once."""
     results, world.pending = world.pending, []
     for res in results:
         res._world = None
@@ -253,20 +258,20 @@ def _run_pass(world: World) -> None:
     sched = results[0].schedule  # every epoch probes at the same offsets from its start
     n_rounds, n_rows = sched.round_count, sched.round_count * len(results)
     dt = (sched.round_start_us(np.arange(n_rounds)) - sched.epoch_start_us) * 1e-6
+    starts = np.stack([res.fleet_start.x for res in results])  # (epochs, tags)
     block = max(1, MAX_REPLY_LINKS // max(1, n_vr * n_enp))  # rows of zero-shadow powers
-    events = any(res.record_events for res in results)
+    events = world.record_events
     if events:  # every row's probe verdict codes and winning pairs (-1 where none)
         codes = np.empty((n_rows, n_enp), dtype=np.int8)
         pairs = np.empty(codes.shape, dtype=np.intp)
-    tables, traces = [], []  # each block's first decodes and slot verdicts
+    blocks = []  # each block's first decodes (epochs, table) and slot verdicts
     for b in range(0, n_rows, block):
         end = min(b + block, n_rows)
-        first, last = b // n_rounds, (end - 1) // n_rounds  # the epochs of the block's rows
         # (rows, 2P, V) distances, then zero-shadow powers, in one array: each
         # epoch's share of the rows from its own snapshot (e is its first row)
         road_x = _joined([
             geom.road_x(positions_at(res.fleet_start, dt[max(b - e, 0):end - e]))
-            for e, res in zip(range(first * n_rounds, end, n_rounds), results[first:])])
+            for e, res in zip(range(b - b % n_rounds, end, n_rounds), results[b // n_rounds:])])
         power = road_x[:, None] - world.vr_x[:, None]
         np.hypot(power, world.fleet.y - world.vr_y[:, None], out=power)
         received_power_dbm(power, radio, tx_power_dbm=radio.probe_tx_power_dbm, out=power)
@@ -287,28 +292,24 @@ def _run_pass(world: World) -> None:
                 if k:
                     draws.append(draw(0.0, sigma, size=n_vr * k))
         row, tag = np.divmod(np.flatnonzero(out == RECEIVED_CODE), max(n_enp, 1))
-        table, trace = _resolve_replies(world, results[first:last + 1],
-                                        row + (b - first * n_rounds), tag, _joined(draws))
-        table[:, 0] += first
-        tables.append(table)
-        if trace is not None:
-            trace[0] += first
-            traces.append(trace)
+        blocks.append(_resolve_replies(world, results, starts, row + b, tag, _joined(draws)))
 
     # each epoch's first decodes, sorted by (epoch, recorder, tag), and
     # slots; one block's table holds only first decodes already
-    table = _joined(tables)
+    epochs, tables, traces = zip(*blocks)
+    epoch, table = _joined(epochs), _joined(tables)
     if len(tables) > 1:
-        table = table[_firsts((table[:, 0] * n_vr + table[:, 1]) * n_enp + table[:, 2])]
+        kept = _firsts((epoch * n_vr + table[:, 0]) * n_enp + table[:, 1])
+        epoch, table = epoch[kept], table[kept]
     ends = np.arange(len(results) + 1)
-    rows_at = np.searchsorted(table[:, 0], ends).tolist()
+    rows_at = np.searchsorted(epoch, ends).tolist()
     if events:
         slot_epoch, slot_tags, counts, *slot_trace = map(_joined, zip(*traces))
         slots_at = np.searchsorted(slot_epoch, ends).tolist()
         tags_at = np.append(0, np.cumsum(counts))[slots_at].tolist()
     for e, res in enumerate(results):
-        res._records = table[rows_at[e]:rows_at[e + 1], 1:]
-        if res.record_events:
+        res._records = table[rows_at[e]:rows_at[e + 1]]
+        if events:
             g, t = slice(slots_at[e], slots_at[e + 1]), slice(tags_at[e], tags_at[e + 1])
             rows = slice(e * n_rounds, (e + 1) * n_rounds)
             res._trace = (world.offsets, codes[rows], pairs[rows],
@@ -320,31 +321,33 @@ def _joined(arrays):
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays) if arrays else np.empty(0)
 
 
-def _resolve_replies(world, epochs, row, tag, draws):
-    """Resolve the reply slots of one probe block, over consecutive
-    ``epochs``, in one capture call: ``row`` and ``tag`` are each replier's
-    (epoch, round) row, counting from round 0 of ``epochs[0]``, and tag,
-    ascending, and ``draws`` their reply shadowing, each row's stream blocks
-    in turn.  Only the repliers are hashed (under reseeding, each round's
-    under that epoch and round's seed) and placed at the start of their slot
-    from their own epoch's snapshot.  Sorted by (epoch, round, stream,
-    slot), each occupied slot is a run of rows of one (repliers x recorders)
-    power array, which one capture call decides at every recorder.  Each
-    slot takes its (recorders x contenders) block of the draws, in slot
-    order, so each stream's results equal its slot-by-slot resolution.
+def _resolve_replies(world, results, starts, row, tag, draws):
+    """Resolve the reply slots of one probe block of the pass over
+    ``results``, in one capture call: ``row`` and ``tag`` are each replier's
+    (epoch, round) row, counting from round 0 of ``results[0]``, and tag,
+    ascending, ``starts`` the (epochs, tags) start positions of the pass and
+    ``draws`` the repliers' reply shadowing, each row's stream blocks in
+    turn.  Only the repliers are hashed (under reseeding, each round's under
+    that epoch and round's seed) and placed at the start of their slot from
+    their own epoch's start.  Sorted by (epoch, round, stream, slot), each
+    occupied slot is a run of rows of one (repliers x recorders) power
+    array, which one capture call decides at every recorder.  Each slot
+    takes its (recorders x contenders) block of the draws, in slot order,
+    so each stream's results equal its slot-by-slot resolution.
 
-    Returns the first decode of each (epoch, recorder, tag), as sorted int64
-    rows (epoch, recorder, tag, round, slot), and, with events, the slots'
-    epochs, the repliers' tags grouped by slot and, per occupied slot, its
-    contender count, round, slot, (recorders,) verdict codes and winners'
-    ranks in the slot (-1 where none); epochs count from ``epochs[0]``."""
+    Returns the first decode of each (epoch, recorder, tag), sorted: its
+    epoch and, as int64 ``(n, 4)`` rows, its (recorder, tag, round, slot);
+    then, in a world recording events, the slots' epochs, the repliers' tags
+    grouped by slot and, per occupied slot, its contender count, round,
+    slot, (recorders,) verdict codes and winners' ranks in the slot (-1
+    where none), or None.  Epochs count from ``results[0]``."""
     fleet, hp, n_vr = world.fleet, world.hash_params, world.vr_x.size
-    sched = epochs[0].schedule  # every epoch has the same slot offsets from its start
+    sched = results[0].schedule  # every epoch has the same slot offsets from its start
     slot = world.enp_slots[tag]
     if hp.reseed_per_round and tag.size:  # each round's repliers under its own seed
         cuts = np.flatnonzero(np.diff(row)) + 1
         heads = np.divmod(row[np.append(0, cuts)], sched.round_count)
-        seeds = [round_seed(hp.seed, epochs[e].schedule.epoch_index, r)
+        seeds = [round_seed(hp.seed, results[e].schedule.epoch_index, r)
                  for e, r in zip(*(a.tolist() for a in heads))]
         slot = np.concatenate([slot_for(fleet.vrn[t], replace(hp, seed=seed))
                                for t, seed in zip(np.split(tag, cuts), seeds)])
@@ -358,8 +361,8 @@ def _resolve_replies(world, epochs, row, tag, draws):
     counts = np.diff(first, append=key.size)
 
     # every replier at the start of its own slot, from its own epoch's snapshot
-    x = np.stack([res.fleet_start.x for res in epochs])[epoch, tag]
-    tx = Fleet(fleet.vrn[tag], x, fleet.y[tag], fleet.speed_mps[tag], fleet.ring_length_m)
+    tx = Fleet(fleet.vrn[tag], starts[epoch, tag], fleet.y[tag], fleet.speed_mps[tag],
+               fleet.ring_length_m)
     dt = (sched.slot_start_us(rnd, slot) - sched.epoch_start_us) * 1e-6
     tx_road_x = world.geometry.road_x(positions_at_each(tx, dt))
     # (repliers, 2P) distances, then powers in place: less heap to take anew
@@ -381,12 +384,11 @@ def _resolve_replies(world, epochs, row, tag, draws):
     rx = winners[rx_group, rx_vr]  # the decoded repliers' rows
     kept = _firsts((epoch[rx] * n_vr + rx_vr) * len(fleet) + tag[rx])
     rx, rx_vr = rx[kept], rx_vr[kept]
-    table = np.column_stack((epoch[rx], rx_vr, tag[rx], rnd[rx], slot[rx]))
-    table = table.astype(np.int64, copy=False)
-    if not any(res.record_events for res in epochs):
-        return table, None
+    table = np.column_stack((rx_vr, tag[rx], rnd[rx], slot[rx])).astype(np.int64, copy=False)
+    if not world.record_events:
+        return epoch[rx], table, None
     ranks = np.where(winners >= 0, winners - first[:, None], -1)
-    return table, [epoch[first], tag, counts, rnd[first], slot[first], codes, ranks]
+    return epoch[rx], table, [epoch[first], tag, counts, rnd[first], slot[first], codes, ranks]
 
 
 def _firsts(cells):

@@ -30,8 +30,8 @@ def epoch_results(text, v_ns, epochs=40, first_epoch=7, seed=11):
     rngs = [rng_stream(seed, b) for b in range(len(v_ns))]
     cfg = cfgs[0]
     world = World([build_fleet(c, rng) for c, rng in zip(cfgs, rngs)], cfg.geometry,
-                  cfg.radio, cfg.hash, cfg.timing, rngs)
-    return [run_epoch(world, first_epoch + e, record_events=True) for e in range(epochs)]
+                  cfg.radio, cfg.hash, cfg.timing, rngs, record_events=True)
+    return [run_epoch(world, first_epoch + e) for e in range(epochs)]
 
 
 @pytest.mark.parametrize("max_links", [None, 50])

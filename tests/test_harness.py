@@ -316,9 +316,9 @@ def test_lockstep_event_text_equals_each_stream_formatted_alone():
     for rep in range(5):
         rng = harness.rng_stream(5, rep)
         world = World(advance(harness.build_fleet(cfg, rng), warmup_s), cfg.geometry,
-                      cfg.radio, cfg.hash, cfg.timing, rng)
+                      cfg.radio, cfg.hash, cfg.timing, rng, record_events=True)
         for e in range(20):
-            want += event_lines([run_epoch(world, 2 + e, record_events=True)])[0]
+            want += event_lines([run_epoch(world, 2 + e)])[0]
     assert run_experiment(cfg, events=True).events == want
 
 

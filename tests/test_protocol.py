@@ -1,5 +1,6 @@
 """Epoch schedule and the per-epoch engine."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ import enpsim.protocol as protocol
 from enpsim.config import parse_config
 from enpsim.events import event_lines
 from enpsim.harness import build_fleet
-from enpsim.mobility import Fleet, RoadGeometry, Vehicle, positions_at, spawn_fleet
+from enpsim.mobility import Fleet, RoadGeometry, Vehicle, advance, positions_at, spawn_fleet
 from enpsim.protocol import TimingParams, World, build_epoch_schedule, run_epoch
 from enpsim.radio import RECEIVED_CODE, RadioParams, capture_verdicts
 from enpsim.slot_hash import HashParams, slot_for
@@ -71,8 +72,8 @@ def assert_streams_match_reference(n_pairs, slot_count, reseed, streams, epoch_i
     hash_params = HashParams(slot_count=slot_count, reseed_per_round=reseed)
     fleets = [spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(seed)) for v_n, seed in streams]
     rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
-    world = World(fleets, geom, radio, hash_params, TIMING, rngs)
-    result = run_epoch(world, epoch_index, record_events=True)
+    world = World(fleets, geom, radio, hash_params, TIMING, rngs, record_events=True)
+    result = run_epoch(world, epoch_index)
     decoded = result.decoded(n_pairs).reshape(2 * n_pairs, -1)
     assert decoded.shape[1] == sum(v_n for v_n, _ in streams)
     for b, ((_, seed), fleet) in enumerate(zip(streams, fleets)):
@@ -87,6 +88,31 @@ def assert_streams_match_reference(n_pairs, slot_count, reseed, streams, epoch_i
         assert [set(fleet.vrn[row].tolist()) for row in mask] == [
             set(want[recorder_id(vr)]) for vr in range(2 * n_pairs)
         ]
+
+
+LATE_READ_GEOMETRY = RoadGeometry(vr_pair_xs=(80.0, 120.0), ring_length_m=2000.0)
+
+
+@functools.cache
+def late_read_reference(sigma, reseed, streams):
+    """The scalar reference over epochs 0-5 of one world of ``streams``, each
+    a (v_n, fleet seed), on ``LATE_READ_GEOMETRY`` at five slots: each
+    epoch's start positions (all streams), each stream's records and event
+    lines, and each stream's final generator state.  Every stream runs from
+    its own fleet, advanced one period an epoch, and its own generator."""
+    radio = RadioParams(shadowing_sigma_db=sigma)
+    hash_params = HashParams(slot_count=5, reseed_per_round=reseed)
+    fleets = [spawn_fleet(v_n, 30, 90, LATE_READ_GEOMETRY, np.random.default_rng(s))
+              for v_n, s in streams]
+    rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
+    snapshots, reference = [], []
+    for e in range(6):
+        snapshots.append(np.concatenate([fleet.x for fleet in fleets]))
+        reference.append([reference_run_epoch(fleet, LATE_READ_GEOMETRY, radio, hash_params,
+                                              TIMING, e, rng)
+                          for fleet, rng in zip(fleets, rngs)])
+        fleets = [advance(fleet, TIMING.glossy_period_us * 1e-6) for fleet in fleets]
+    return snapshots, reference, [rng.bit_generator.state for rng in rngs]
 
 
 def preset_world(text):
@@ -198,8 +224,8 @@ class TestRunEpoch:
         # at 6.5 dB shadowing too, where no round has a replier either
         for radio in (RADIO, RadioParams(shadowing_sigma_db=6.5)):
             engine_rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
-            world = World(fleet, geom, radio, hash_params, TIMING, engine_rng)
-            result = run_epoch(world, 0, record_events=True)
+            world = World(fleet, geom, radio, hash_params, TIMING, engine_rng, record_events=True)
+            result = run_epoch(world, 0)
             assert result.records.shape == (0, 4) and result.records.dtype == np.int64
             decoded = result.decoded(1)
             assert decoded.shape == (1, 2, len(vehicles)) and decoded.dtype == bool
@@ -245,8 +271,9 @@ class TestRunEpoch:
         geom = RoadGeometry()
         rng = np.random.default_rng(12)
         fleet = spawn_fleet(30, 30, 90, geom, rng)
-        world = World(fleet, geom, RADIO, HashParams(slot_count=71), TIMING, rng)
-        result = run_epoch(world, 4, record_events=True)
+        world = World(fleet, geom, RADIO, HashParams(slot_count=71), TIMING, rng,
+                      record_events=True)
+        result = run_epoch(world, 4)
         sched = result.schedule
         fleet_vrns = {int(v) for v in fleet.vrn}
         transmitted = set()  # (round, slot, vrn) of actual replies
@@ -328,12 +355,14 @@ class TestRunEpoch:
         radio = RadioParams(shadowing_sigma_db=sigma)
         hash_params = HashParams(slot_count=1, reseed_per_round=True)
         fleet = spawn_fleet(25, 30, 90, geom, np.random.default_rng(108))
-        one_call = World(fleet, geom, radio, hash_params, TIMING, np.random.default_rng(8))
-        want_events = run_epoch(one_call, 8, record_events=True).events
+        one_call = World(fleet, geom, radio, hash_params, TIMING, np.random.default_rng(8),
+                         record_events=True)
+        want_events = run_epoch(one_call, 8).events
         monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", max_links)
         calls = count_capture_calls(monkeypatch)
-        runs = World(fleet, geom, radio, hash_params, TIMING, np.random.default_rng(8))
-        result = run_epoch(runs, 8, record_events=True)
+        runs = World(fleet, geom, radio, hash_params, TIMING, np.random.default_rng(8),
+                     record_events=True)
+        result = run_epoch(runs, 8)
         assert result.events == want_events  # the read runs the epoch's pass
         assert len(calls) > result.schedule.round_count + 2
         assert_matches_reference(1, 1, True, None, 25, 108, 8, sigma)
@@ -344,7 +373,7 @@ class TestRunEpoch:
     @pytest.mark.parametrize("max_links", [None, 1, 50, "straddle", "epoch", "epoch-and-a-row"])
     @pytest.mark.parametrize("sigma", [0.0, 6.5])
     @pytest.mark.parametrize("reseed", [False, True])
-    @pytest.mark.parametrize("streams", [[(25, 108)], [(25, 108), (0, 1), (7, 2)]],
+    @pytest.mark.parametrize("streams", [((25, 108),), ((25, 108), (0, 1), (7, 2))],
                              ids=["one-stream", "three-streams"])
     def test_reading_late_equals_reading_each_epoch(self, monkeypatch, max_links, sigma,
                                                     reseed, streams, late_order):
@@ -356,11 +385,11 @@ class TestRunEpoch:
         # is one row; under five rounds' probe links, five rows, so one block
         # spans two epochs and an epoch spans several blocks; under one
         # epoch's or one epoch and a row's, 41 or 42 rows.  Each call gets
-        # exactly its block's probe decodes and epochs, and all give the same
-        # records, event text and generator states, each epoch those of the
-        # scalar reference from its snapshot
+        # the whole pass and exactly its block's probe decodes, as rows
+        # counted from the pass start, and all give the same records, event
+        # text and generator states, each epoch those of the scalar reference
         case = max_links
-        geom = RoadGeometry(vr_pair_xs=(80.0, 120.0), ring_length_m=2000.0)
+        geom = LATE_READ_GEOMETRY
         rounds, n_tags = build_epoch_schedule(TIMING, 5, 0).round_count, sum(v for v, _ in streams)
         rows = {"straddle": 5, "epoch": rounds, "epoch-and-a-row": rounds + 1}.get(case)
         if case is not None:
@@ -371,8 +400,8 @@ class TestRunEpoch:
         hash_params = HashParams(slot_count=5, reseed_per_round=reseed)
         fleets = [spawn_fleet(v_n, 30, 90, geom, np.random.default_rng(s)) for v_n, s in streams]
         calls = count_capture_calls(monkeypatch)
-        # the epochs of each pass; of each reply call, its epochs and its
-        # repliers' rows (counted from round 0 of epoch 0) and tags
+        # the epochs of each pass; of each reply call, its pass's epoch count
+        # and its repliers' rows (counted from the pass start) and tags
         passes, blocks = [], []
         run_pass, resolve = protocol._run_pass, protocol._resolve_replies
 
@@ -380,21 +409,19 @@ class TestRunEpoch:
             passes.append(len(world.pending))
             run_pass(world)
 
-        def spied_resolve(world, epochs, row, tag, draws):
-            start = epochs[0].schedule.epoch_index * rounds
-            blocks.append(([res.schedule.epoch_index for res in epochs], (row + start).tolist(),
-                           tag.tolist()))
-            return resolve(world, epochs, row, tag, draws)
+        def spied_resolve(world, results, starts, row, tag, draws):
+            blocks.append((len(results), row.tolist(), tag.tolist()))
+            return resolve(world, results, starts, row, tag, draws)
 
         monkeypatch.setattr(protocol, "_run_pass", spied_pass)
         monkeypatch.setattr(protocol, "_resolve_replies", spied_resolve)
 
         def run(read_each):
             rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
-            world = World(fleets, geom, radio, hash_params, TIMING, rngs)
+            world = World(fleets, geom, radio, hash_params, TIMING, rngs, record_events=True)
             results = []
             for e in range(6):
-                results.append(run_epoch(world, e, record_events=True))
+                results.append(run_epoch(world, e))
                 if read_each:
                     results[-1].records
             unread = passes[:]
@@ -402,16 +429,19 @@ class TestRunEpoch:
                    for r in results[::late_order]][::late_order]
             return got, [rng.bit_generator.state for rng in rngs], world, results, unread
 
+        def bounds(lo, hi):
+            """The (first, end) rows of each probe block of a pass over rows lo to hi."""
+            return [(b, min(b + block, hi)) for b in range(lo, hi, block)]
+
         def block_calls(codes, pass_rows):
-            """Each block's epochs, and the rows and tags of its RECEIVED
-            probe verdicts, of passes over the given (first, end) rows."""
+            """Each block's pass epoch count, and the rows, from the pass
+            start, and tags of its RECEIVED probe verdicts, of passes over
+            the given (first, end) rows."""
             want = []
             for lo, hi in pass_rows:
-                for b in range(lo, hi, block):
-                    end = min(b + block, hi)
+                for b, end in bounds(lo, hi):
                     row, tag = np.nonzero(codes[b:end] == RECEIVED_CODE)
-                    want.append((list(range(b // rounds, (end - 1) // rounds + 1)),
-                                 (row + b).tolist(), tag.tolist()))
+                    want.append(((hi - lo) // rounds, (row + b - lo).tolist(), tag.tolist()))
             return want
 
         want, want_states, _, results, _ = run(read_each=True)
@@ -426,7 +456,8 @@ class TestRunEpoch:
         assert (unread, passes) == ([], [6])
         assert len(blocks) == -(-probes // block) and len(calls) == probes + len(blocks)
         assert blocks == block_calls(codes, [(0, probes)])
-        spans = [epochs for epochs, _, _ in blocks]
+        # the epochs each block's rows lie in, which the calls' count and rows pin
+        spans = [list(range(b // rounds, (end - 1) // rounds + 1)) for b, end in bounds(0, probes)]
         if case is None:  # the pass is one block
             assert block >= probes and spans == [list(range(6))]
         elif case == "straddle":  # a block of two epochs, and an epoch of several blocks
@@ -439,15 +470,13 @@ class TestRunEpoch:
         else:  # blocks of one row
             assert block == 1 and len(spans) == probes
         assert sum(len(records) for records, _ in got) > 6
-        reference_rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
-        for result in results:
-            for b, rng in enumerate(reference_rngs):
-                snapshot = result.fleet_start.take(np.arange(*world.offsets[b:b + 2]))
-                records, events = reference_run_epoch(snapshot, geom, radio, hash_params, TIMING,
-                                                      result.schedule.epoch_index, rng)
+        snapshots, reference, reference_states = late_read_reference(sigma, reseed, streams)
+        for result, epoch_x, epoch_reference in zip(results, snapshots, reference):
+            np.testing.assert_array_equal(result.fleet_start.x, epoch_x)
+            for b, (records, events) in enumerate(epoch_reference):
                 assert engine_records(world, result, b) == records
                 assert event_lines([result])[b] == events
-        assert [rng.bit_generator.state for rng in reference_rngs] == got_states
+        assert reference_states == got_states
 
     def test_many_repliers_split_reply_calls(self, monkeypatch):
         # 2,495 one-slot rounds of 100 vehicles hold more replier links than
@@ -525,6 +554,24 @@ class TestRunEpoch:
         assert held < 4 * 4096
         assert not any(len(result.records) for result in results) and not world.pending
 
+    def test_read_epochs_hold_four_int64_a_first_decode(self):
+        # 40 unread paper-fig1b epochs of 400 tags and 69 rounds, then read
+        # (102,091 first decodes): their records are C-contiguous (n, 4)
+        # slices of one table, so the results, snapshots included, hold at
+        # most 36 B a first decode; a fifth (epoch) column held 41.6 B
+        world = preset_world("preset = paper-fig1b\ntiming.glossy_period_us = 10000000\n"
+                             "fleet.v_n = 400\n")
+        tracemalloc.start()
+        try:
+            results = [run_epoch(world, e) for e in range(40)]
+            decodes = sum(len(result.records) for result in results)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert results[0].schedule.round_count == 69 and decodes > 100_000
+        assert held <= 36 * decodes
+        assert all(r.records.shape[1] == 4 and r.records.flags.c_contiguous for r in results)
+
     def test_crowded_slot_reply_memory_follows_live_links(self, monkeypatch):
         # 600 static tags in range of one pair over 19 rounds of 255 slots,
         # 300 of them hashed to one slot: a (slots x contenders x recorders)
@@ -583,8 +630,8 @@ class TestRunEpoch:
 
         def epoch():
             rngs = [np.random.default_rng([seed, b]) for b, (_, seed) in enumerate(streams)]
-            world = World(fleets, geom, radio, hash_params, TIMING, rngs)
-            result = run_epoch(world, 8, record_events=True)
+            world = World(fleets, geom, radio, hash_params, TIMING, rngs, record_events=True)
+            result = run_epoch(world, 8)
             result.records  # runs the epoch's pass if it still waits
             return result, [rng.bit_generator.state for rng in rngs]
 
@@ -637,11 +684,12 @@ class TestRunEpoch:
         hash_params = HashParams(slot_count=71)
         fleets = [spawn_fleet(n, 30, 90, geom, np.random.default_rng(n)) for n in (30, 0, 12)]
         world = World(fleets, geom, radio, hash_params, TIMING,
-                      [np.random.default_rng(b) for b in range(3)])
-        result = run_epoch(world, 2, record_events=True)
+                      [np.random.default_rng(b) for b in range(3)], record_events=True)
+        result = run_epoch(world, 2)
         for b, fleet in enumerate(fleets):
-            alone = World(fleet, geom, radio, hash_params, TIMING, np.random.default_rng(b))
-            want = run_epoch(alone, 2, record_events=True).events
+            alone = World(fleet, geom, radio, hash_params, TIMING, np.random.default_rng(b),
+                          record_events=True)
+            want = run_epoch(alone, 2).events
             assert event_lines([result])[b] == want
 
     def test_matches_reference_engine_reseed(self):
@@ -723,12 +771,13 @@ class TestRunEpoch:
             def __getattr__(self, name):
                 raise AssertionError(f"the engine used the generator's {name}")
 
-        world = World(fleet, cfg.geometry, cfg.radio, cfg.hash, cfg.timing, Spy())
+        world = World(fleet, cfg.geometry, cfg.radio, cfg.hash, cfg.timing, Spy(),
+                      record_events=True)
         n_vr, sigma = 2 * cfg.geometry.n_pairs, cfg.radio.shadowing_sigma_db
         decodes = []
         for e in range(16):  # round 6 of epoch 13 has no decodes
             draws.clear()
-            probe_codes = run_epoch(world, e, record_events=True).trace[1]
+            probe_codes = run_epoch(world, e).trace[1]
             want = []
             for c in (probe_codes == RECEIVED_CODE).sum(axis=1).tolist():
                 want += [n_vr * len(fleet)] + ([n_vr * c] if c else [])
@@ -754,8 +803,9 @@ class TestRunEpoch:
             def __getattr__(self, name):
                 raise AssertionError(f"the engine used the generator's {name}")
 
-        world = World(fleet, cfg.geometry, cfg.radio, cfg.hash, cfg.timing, Spy())
-        results = [run_epoch(world, e, record_events=True) for e in range(16)]
+        world = World(fleet, cfg.geometry, cfg.radio, cfg.hash, cfg.timing, Spy(),
+                      record_events=True)
+        results = [run_epoch(world, e) for e in range(16)]
         assert draws == [] and len(world.pending) == 16
         probe_codes = [result.trace[1] for result in results]
         n_vr, sigma = 2 * cfg.geometry.n_pairs, cfg.radio.shadowing_sigma_db
@@ -774,6 +824,17 @@ class TestRunEpoch:
         with pytest.raises(ValueError):  # one stream of two without a generator
             World([fleet, fleet], geom, RadioParams(shadowing_sigma_db=2.0),
                   HashParams(slot_count=71), TIMING, [np.random.default_rng(1), None])
+
+    def test_fleet_off_the_geometry_ring_rejected(self):
+        # a fleet on an 800 m ring, alone or as one stream of two, beside a
+        # 400 m geometry: the world would wrap it at 400 m
+        geom = single_pair_geometry()
+        fleet = static_fleet([Vehicle(1, 10.0, 2.0, 0.0)], geom)
+        wide = Fleet.from_vehicles([Vehicle(2, 500.0, 2.0, 0.0)], 2 * geom.ring_length_m)
+        with pytest.raises(ValueError, match="ring"):
+            World(wide, geom, RADIO, HashParams(slot_count=71), TIMING)
+        with pytest.raises(ValueError, match="ring"):
+            World([fleet, wide], geom, RADIO, HashParams(slot_count=71), TIMING)
 
     def test_one_rng_per_stream_required(self):
         geom = single_pair_geometry()
