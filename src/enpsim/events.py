@@ -20,8 +20,9 @@ def event_lines(results) -> list[list[str]]:
     sched = results[0].schedule  # every epoch's times from its start are the same
     n_rounds = sched.round_count
     n_blocks = len(results) * n_rounds
+    probe_round, pi, probe_pair = map(np.concatenate, zip(*(t[1] for t in traces)))
     tag, counts, slot_round, slot, codes, winners = map(np.concatenate,
-                                                        zip(*(t[3] for t in traces)))
+                                                        zip(*(t[2] for t in traces)))
     recorders = [f"vr{vr // 2}{'ab'[vr % 2]}\t{vr // 2}" for vr in range(codes.shape[1])]
     starts = np.array([r.schedule.epoch_start_us for r in results]) - sched.epoch_start_us
 
@@ -31,16 +32,15 @@ def event_lines(results) -> list[list[str]]:
     heads = [f"{t}\t" for t in t_probe.tolist()]
     tails = [f"\t{r.schedule.epoch_index}\t{i}\t" for r in results for i in range(n_rounds)]
     ends = [f"{tail}-\t-" for tail in tails]
-    pb, pi = np.nonzero(np.concatenate([t[1] for t in traces]))
-    probe_pair = np.concatenate([t[2] for t in traces])[pb, pi]
+    pb = np.repeat(np.arange(len(results)) * n_rounds, [len(t[1][0]) for t in traces]) + probe_round
 
     # the slots, and their contenders in slot order
-    slot_epoch = np.repeat(np.arange(len(results)), [len(t[3][1]) for t in traces])
+    slot_epoch = np.repeat(np.arange(len(results)), [len(t[2][1]) for t in traces])
     block = slot_epoch * n_rounds + slot_round
     slot_t = starts[slot_epoch] + sched.slot_start_us(slot_round, slot)
     slot_heads = [f"{t}\t" for t in slot_t.tolist()]
     slot_tails = [f"{tails[b]}{s}\t" for b, s in zip(block.tolist(), slot.tolist())]
-    rg, rv = np.nonzero((winners >= 0) | (codes != 0))  # the (slot, recorder)s heard
+    rg, rv = np.nonzero(codes)  # the (slot, recorder)s heard
     won = winners[rg, rv]  # the winner's rank in the slot, -1 for none
     first = np.cumsum(counts) - counts
     winner = tag[first[rg] + np.maximum(won, 0)]  # or any contender

@@ -29,8 +29,7 @@ from .metrics import (
     summary_csv_line,
 )
 from .mobility import Fleet, advance, spawn_fleet, spawn_mixed_fleet
-from . import protocol
-from .protocol import World, build_epoch_schedule, run_epoch
+from .protocol import World, run_epoch
 
 
 def rng_stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -111,9 +110,8 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
     epoch, of at most ``MAX_FLEET_SIZE`` tags (an empty fleet counts one)
     and ``MAX_SCORED_EPOCHS`` scored epochs; the grouping changes no output.
     Warm-up epochs only move the fleets.  The measured epochs are scored in
-    chunks of at most ``MAX_SCORING_PAIRS`` (epoch, tag) pairs and, with
-    events, the engine's ``protocol.MAX_REPLY_LINKS`` (epoch, round, tag)
-    probe verdicts, or one epoch: a chunk's results are read once its last
+    chunks of at most ``MAX_SCORING_PAIRS`` (epoch, tag) pairs or one
+    epoch, with events or without: a chunk's results are read once its last
     epoch has run, so its epochs take one probe-and-reply pass, and one
     ``ground_truth`` and one ``iteration_accuracy`` call score all its
     streams, epochs and pairs;
@@ -131,10 +129,6 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
         counts = np.empty((len(group), epochs, geom.n_pairs, 7), dtype=np.int32)
         logs = [[] if events else None for _ in group]
         chunk_epochs = max(1, MAX_SCORING_PAIRS // max(len(world.fleet), 1))
-        if events:  # and at most MAX_REPLY_LINKS (epoch, round, tag) probe verdicts
-            rounds = build_epoch_schedule(config.timing, config.hash.slot_count, 0).round_count
-            per_epoch = max(rounds * len(world.fleet), 1)
-            chunk_epochs = min(chunk_epochs, max(1, protocol.MAX_REPLY_LINKS // per_epoch))
         results = []
         for e in range(epochs):
             results.append(run_epoch(world, config.run.warmup_epochs + e))

@@ -126,7 +126,8 @@ def _pair_power_dbm(dx, y, geometry: RoadGeometry, radio: RadioParams) -> np.nda
     longitudinal offsets ``dx`` (..., V) to the pair of vehicles at lateral
     positions ``y`` (V,)."""
     vr_y = np.asarray(geometry.vr_offsets_y, dtype=float).reshape((2,) + (1,) * np.ndim(dx))
-    return received_power_dbm(np.hypot(dx, y - vr_y), radio).max(axis=0)
+    power = np.hypot(dx, y - vr_y)
+    return received_power_dbm(power, radio, out=power).max(axis=0)
 
 
 def iteration_accuracy(decoded: np.ndarray, gt: np.ndarray, offsets: Sequence[int]) -> np.ndarray:

@@ -170,8 +170,8 @@ class EpochResult:
     Recorder ``2 * pair + side`` is that side (a 0, b 1) of that pair and
     the tag indexes ``fleet_start`` (all streams); VRNs stay in its uint64
     ``vrn`` column, which an int64 one would wrap.  ``trace`` is the world's
-    stream offsets, the (rounds, V) probe verdict codes and winning pairs
-    (-1 where none), and the epoch's reply verdict arrays (see
+    stream offsets, the round, tag and winning pair (-1 where none) of each
+    probe verdict not silence, and the epoch's reply verdict arrays (see
     :func:`_resolve_replies`); :func:`_run_pass` sets both once.
 
     The first read of ``records``, ``trace``, ``events`` or ``decoded``
@@ -215,7 +215,7 @@ class EpochResult:
 # Most links a block of probe powers (row x recorder x tag) holds, unless one
 # round alone has more; its reply links (replier x recorder) are fewer: 2 MB
 # per float array, a few rounds of the largest fleet (100,000 links a round
-# at 10,000 vehicles and 5 pairs).  The harness reads it to size event chunks.
+# at 10,000 vehicles and 5 pairs).
 MAX_REPLY_LINKS = 2**18
 
 
@@ -246,7 +246,8 @@ def _run_pass(world: World) -> None:
     yields at most one reply link, so one :func:`_resolve_replies` call per
     block, over the pass's rows and the (epochs, tags) start positions
     stacked once, keeps the budget.  Each epoch then takes its record table,
-    from every block's first decodes in block order, and its trace, once."""
+    from every block's first decodes in block order, and its trace, once: of
+    its probe verdicts, a block keeps only those not silence."""
     results, world.pending = world.pending, []
     for res in results:
         res._world = None
@@ -261,10 +262,7 @@ def _run_pass(world: World) -> None:
     starts = np.stack([res.fleet_start.x for res in results])  # (epochs, tags)
     block = max(1, MAX_REPLY_LINKS // max(1, n_vr * n_enp))  # rows of zero-shadow powers
     events = world.record_events
-    if events:  # every row's probe verdict codes and winning pairs (-1 where none)
-        codes = np.empty((n_rows, n_enp), dtype=np.int8)
-        pairs = np.empty(codes.shape, dtype=np.intp)
-    blocks = []  # each block's first decodes (epochs, table) and slot verdicts
+    blocks, probes = [], []  # each block's first decodes (epochs, table) and verdicts
     for b in range(0, n_rows, block):
         end = min(b + block, n_rows)
         # (rows, 2P, V) distances, then zero-shadow powers, in one array: each
@@ -275,7 +273,8 @@ def _run_pass(world: World) -> None:
         power = road_x[:, None] - world.vr_x[:, None]
         np.hypot(power, world.fleet.y - world.vr_y[:, None], out=power)
         received_power_dbm(power, radio, tx_power_dbm=radio.probe_tx_power_dbm, out=power)
-        out = codes[b:end] if events else np.empty(power.shape[::2], np.int8)
+        out = np.empty(power.shape[::2], np.int8)
+        pairs = np.empty(out.shape, np.intp) if events else None
         draws = []  # the block's reply shadowing
         for r, link_pw in enumerate(power):
             if streams:  # each stream's probe shadowing, stitched along the tag axis
@@ -285,7 +284,7 @@ def _run_pass(world: World) -> None:
             # non-destructive replicas, strongest link counts
             out[r], pair = capture_verdicts(np.maximum(link_pw[0::2], link_pw[1::2]), radio)
             if events:
-                pairs[b + r] = pair
+                pairs[r] = pair
             heard = out[r].tobytes()  # each stream's repliers draw their reply shadowing
             for draw, lo, hi in streams:
                 k = heard.count(RECEIVED_CODE, lo, hi)
@@ -293,6 +292,9 @@ def _run_pass(world: World) -> None:
                     draws.append(draw(0.0, sigma, size=n_vr * k))
         row, tag = np.divmod(np.flatnonzero(out == RECEIVED_CODE), max(n_enp, 1))
         blocks.append(_resolve_replies(world, results, starts, row + b, tag, _joined(draws)))
+        if events:  # the verdicts heard: epoch, round, tag and winning pair (-1 where none)
+            row, tag = np.divmod(np.flatnonzero(out), max(n_enp, 1))
+            probes.append((*np.divmod(row + b, n_rounds), tag, pairs[row, tag]))
 
     # each epoch's first decodes, sorted by (epoch, recorder, tag), and
     # slots; one block's table holds only first decodes already
@@ -307,12 +309,14 @@ def _run_pass(world: World) -> None:
         slot_epoch, slot_tags, counts, *slot_trace = map(_joined, zip(*traces))
         slots_at = np.searchsorted(slot_epoch, ends).tolist()
         tags_at = np.append(0, np.cumsum(counts))[slots_at].tolist()
+        probe_epoch, *probe_trace = map(_joined, zip(*probes))
+        probes_at = np.searchsorted(probe_epoch, ends).tolist()
     for e, res in enumerate(results):
         res._records = table[rows_at[e]:rows_at[e + 1]]
         if events:
             g, t = slice(slots_at[e], slots_at[e + 1]), slice(tags_at[e], tags_at[e + 1])
-            rows = slice(e * n_rounds, (e + 1) * n_rounds)
-            res._trace = (world.offsets, codes[rows], pairs[rows],
+            p = slice(probes_at[e], probes_at[e + 1])
+            res._trace = (world.offsets, tuple(a[p] for a in probe_trace),
                           (slot_tags[t], counts[g], *(a[g] for a in slot_trace)))
 
 

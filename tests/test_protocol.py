@@ -14,7 +14,7 @@ from enpsim.events import event_lines
 from enpsim.harness import build_fleet
 from enpsim.mobility import Fleet, RoadGeometry, Vehicle, advance, positions_at, spawn_fleet
 from enpsim.protocol import TimingParams, World, build_epoch_schedule, run_epoch
-from enpsim.radio import RECEIVED_CODE, RadioParams, capture_verdicts
+from enpsim.radio import RadioParams, capture_verdicts
 from enpsim.slot_hash import HashParams, slot_for
 
 from reference_engine import engine_records, recorder_id, reference_run_epoch
@@ -140,6 +140,18 @@ def pair_vrns(result):
     from the epoch's decoded mask."""
     vrn = result.fleet_start.vrn
     return tuple(set(vrn[side].tolist()) for side in result.decoded(1)[0])
+
+
+def received_probes(results):
+    """The rows and tags of the RECEIVED probe verdicts (those with a winning
+    pair) in the traces of consecutive epoch results, round r of
+    ``results[e]`` being row ``e * rounds + r``."""
+    rows, tags = [], []
+    for e, result in enumerate(results):
+        rnd, tag, pair = result.trace[1]
+        rows.append(e * result.schedule.round_count + rnd[pair >= 0])
+        tags.append(tag[pair >= 0])
+    return np.concatenate(rows), np.concatenate(tags)
 
 
 def single_pair_geometry():
@@ -433,29 +445,30 @@ class TestRunEpoch:
             """The (first, end) rows of each probe block of a pass over rows lo to hi."""
             return [(b, min(b + block, hi)) for b in range(lo, hi, block)]
 
-        def block_calls(codes, pass_rows):
+        def block_calls(heard, pass_rows):
             """Each block's pass epoch count, and the rows, from the pass
             start, and tags of its RECEIVED probe verdicts, of passes over
             the given (first, end) rows."""
+            row, tag = heard
             want = []
             for lo, hi in pass_rows:
                 for b, end in bounds(lo, hi):
-                    row, tag = np.nonzero(codes[b:end] == RECEIVED_CODE)
-                    want.append(((hi - lo) // rounds, (row + b - lo).tolist(), tag.tolist()))
+                    at = (row >= b) & (row < end)
+                    want.append(((hi - lo) // rounds, (row[at] - lo).tolist(), tag[at].tolist()))
             return want
 
         want, want_states, _, results, _ = run(read_each=True)
-        codes = np.concatenate([result.trace[1] for result in results])  # (6 x rounds, V)
+        heard = received_probes(results)  # the (6 x rounds) rows' RECEIVED probe verdicts
         each_calls, each_blocks, probes = len(calls), blocks[:], 6 * rounds  # probe calls
         assert passes == [1] * 6 and each_calls == probes + len(each_blocks)
-        assert each_blocks == block_calls(codes, [(e * rounds, (e + 1) * rounds)
+        assert each_blocks == block_calls(heard, [(e * rounds, (e + 1) * rounds)
                                                   for e in range(6)])
         del calls[:], passes[:], blocks[:]
         got, got_states, world, results, unread = run(read_each=False)
         assert got == want and got_states == want_states
         assert (unread, passes) == ([], [6])
         assert len(blocks) == -(-probes // block) and len(calls) == probes + len(blocks)
-        assert blocks == block_calls(codes, [(0, probes)])
+        assert blocks == block_calls(heard, [(0, probes)])
         # the epochs each block's rows lie in, which the calls' count and rows pin
         spans = [list(range(b // rounds, (end - 1) // rounds + 1)) for b, end in bounds(0, probes)]
         if case is None:  # the pass is one block
@@ -494,17 +507,20 @@ class TestRunEpoch:
         assert max(links) <= protocol.MAX_REPLY_LINKS
         assert len(calls) == rounds + len(links)
 
+    @pytest.mark.parametrize("record_events", [False, True])
     @pytest.mark.parametrize("reseed", [False, True])
-    def test_sparse_long_epoch_holds_no_round_by_tag_floats(self, reseed):
+    def test_sparse_long_epoch_holds_no_round_by_tag_floats(self, reseed, record_events):
         # 2,495 one-slot rounds of 2,000 tags on a 100 km ring, a few of them
-        # in range of the one pair: an epoch without events may hold less
-        # than one bit per (round, tag) beyond four float arrays of
-        # MAX_REPLY_LINKS links (a probe block and its replies), so one float,
-        # slot or verdict per (round, tag), 5-40 MB here, cannot fit
+        # in range of the one pair: an epoch, with events or without, may
+        # hold less than one bit per (round, tag) beyond four float arrays
+        # of MAX_REPLY_LINKS links (a probe block and its replies), so one
+        # float, slot or verdict per (round, tag), 5-40 MB here, cannot fit;
+        # a trace of every (round, tag) verdict peaked at 50.5 MB
         geom = RoadGeometry(vr_pair_xs=(100.0,), ring_length_m=100_000.0)
         fleet = spawn_fleet(2000, 30, 90, geom, np.random.default_rng(6))
         hash_params = HashParams(slot_count=1, reseed_per_round=reseed)
-        world = World(fleet, geom, RADIO, hash_params, TimingParams(glossy_period_us=10_000_000))
+        world = World(fleet, geom, RADIO, hash_params, TimingParams(glossy_period_us=10_000_000),
+                      record_events=record_events)
         tracemalloc.start()
         try:
             result = run_epoch(world, 0)
@@ -777,9 +793,10 @@ class TestRunEpoch:
         decodes = []
         for e in range(16):  # round 6 of epoch 13 has no decodes
             draws.clear()
-            probe_codes = run_epoch(world, e).trace[1]
+            result = run_epoch(world, e)
             want = []
-            for c in (probe_codes == RECEIVED_CODE).sum(axis=1).tolist():
+            for c in np.bincount(received_probes([result])[0],
+                                 minlength=result.schedule.round_count).tolist():
                 want += [n_vr * len(fleet)] + ([n_vr * c] if c else [])
                 decodes.append(c)
             assert draws == [(0.0, sigma, n) for n in want]
@@ -807,10 +824,10 @@ class TestRunEpoch:
                       record_events=True)
         results = [run_epoch(world, e) for e in range(16)]
         assert draws == [] and len(world.pending) == 16
-        probe_codes = [result.trace[1] for result in results]
+        rows = received_probes(results)[0]
         n_vr, sigma = 2 * cfg.geometry.n_pairs, cfg.radio.shadowing_sigma_db
         want = []
-        for c in (np.concatenate(probe_codes) == RECEIVED_CODE).sum(axis=1).tolist():
+        for c in np.bincount(rows, minlength=16 * results[0].schedule.round_count).tolist():
             want += [n_vr * len(fleet)] + ([n_vr * c] if c else [])
         assert draws == [(0.0, sigma, n) for n in want]
         assert len(draws) > 16 * results[0].schedule.round_count and not world.pending
