@@ -40,7 +40,7 @@ def event_lines(results) -> list[list[str]]:
     slot_t = starts[slot_epoch] + sched.slot_start_us(slot_round, slot)
     slot_heads = [f"{t}\t" for t in slot_t.tolist()]
     slot_tails = [f"{tails[b]}{s}\t" for b, s in zip(block.tolist(), slot.tolist())]
-    rg, rv = np.nonzero(codes)  # the (slot, recorder)s heard
+    rg, rv = np.nonzero(codes != 0)  # the (slot, recorder)s heard
     won = winners[rg, rv]  # the winner's rank in the slot, -1 for none
     first = np.cumsum(counts) - counts
     winner = tag[first[rg] + np.maximum(won, 0)]  # or any contender

@@ -293,7 +293,7 @@ def _run_pass(world: World) -> None:
         row, tag = np.divmod(np.flatnonzero(out == RECEIVED_CODE), max(n_enp, 1))
         blocks.append(_resolve_replies(world, results, starts, row + b, tag, _joined(draws)))
         if events:  # the verdicts heard: epoch, round, tag and winning pair (-1 where none)
-            row, tag = np.divmod(np.flatnonzero(out), max(n_enp, 1))
+            row, tag = np.divmod(np.flatnonzero(out != 0), max(n_enp, 1))
             probes.append((*np.divmod(row + b, n_rounds), tag, pairs[row, tag]))
 
     # each epoch's first decodes, sorted by (epoch, recorder, tag), and
