@@ -193,20 +193,24 @@ def advance(fleet: Fleet, dt_s: float) -> Fleet:
     return Fleet(fleet.vrn, x, fleet.y, fleet.speed_mps, fleet.ring_length_m)
 
 
-def positions_at(fleet: Fleet, dt_s) -> np.ndarray:
+def positions_at(fleet: Fleet, dt_s, starts=None) -> np.ndarray:
     """Ring positions dt_s seconds ahead of the fleet snapshot, without
     mutating it.  ``dt_s`` may be a scalar -> (V,) or an array (T,) -> (T, V);
     the arithmetic matches :func:`advance` exactly (which also folds a
-    position equal to the ring length, reached only backwards, to 0.0)."""
-    return positions_at_each(fleet, np.asarray(dt_s, dtype=float)[..., None])
+    position equal to the ring length, reached only backwards, to 0.0).
+    ``starts``, (T, V) snapshots of the same vehicles, one for each offset,
+    replace the fleet's own positions."""
+    return positions_at_each(fleet, np.asarray(dt_s, dtype=float)[..., None], starts)
 
 
-def positions_at_each(fleet: Fleet, dt_s: np.ndarray) -> np.ndarray:
+def positions_at_each(fleet: Fleet, dt_s: np.ndarray, starts=None) -> np.ndarray:
     """Ring positions with one time offset per vehicle: ``dt_s`` has shape
-    (..., V), its last axis aligned with the fleet.  Element for element the
-    same arithmetic as :func:`positions_at`, so both give bit-identical
-    positions for the same (vehicle, offset)."""
-    return np.mod(fleet.x + fleet.speed_mps * dt_s, fleet.ring_length_m)
+    (..., V), its last axis aligned with the fleet, and ``starts``, if given,
+    broadcasts against it in place of the fleet's own positions.  Element
+    for element the same arithmetic as :func:`positions_at`, so both give
+    bit-identical positions for the same (vehicle, start, offset)."""
+    x = fleet.x if starts is None else starts
+    return np.mod(x + fleet.speed_mps * dt_s, fleet.ring_length_m)
 
 
 def stays_on_ring(fleet: Fleet, dt_first_s: float, dt_last_s: float) -> np.ndarray:

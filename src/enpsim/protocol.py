@@ -15,11 +15,11 @@ capture call deciding the probe at every tag, because of the shadowing draw
 order alone.  The reply phase draws nothing of its own, so one capture call
 decides every occupied (epoch, round, stream, slot) of a block at every
 recorder, over the flat (repliers x recorders) powers grouped by slot; each
-epoch takes its results once, at the end of the pass.  Each stream draws its
-shadowing in the order a slot-by-slot resolution of it alone would, so
-outputs depend neither on the batching nor on the other streams.  Positions
-come from the epoch-start fleet snapshot at each schedule event, so
-ground-truth sampling and decode decisions see bit-identical geometry.
+epoch takes its results once, at the end of the pass.  Each stream takes the
+shadowing values of a slot-by-slot resolution of it alone, in order (drawn
+ahead within a block): outputs depend on neither batching nor other streams.
+Positions come from the epoch-start fleet snapshot at each schedule event,
+so ground-truth sampling and decode decisions see bit-identical geometry.
 """
 
 from __future__ import annotations
@@ -136,7 +136,11 @@ class World:
         *,
         record_events: bool = False,
     ):
-        fleets, rngs = ([fleet], [rng]) if isinstance(fleet, Fleet) else (fleet, rng)
+        fleets, rngs = ([fleet], [rng]) if isinstance(fleet, Fleet) else (list(fleet), rng)
+        if not fleets:
+            raise ValueError("a world needs at least one fleet")
+        if isinstance(rngs, np.random.Generator):
+            raise ValueError("a sequence of fleets needs a sequence of rngs, one per fleet")
         rngs = list(rngs or [None] * len(fleets))
         if len(rngs) != len(fleets) or (radio.shadowing_sigma_db > 0 and None in rngs):
             raise ValueError("every fleet needs an rng of its own (None only without shadowing)")
@@ -215,8 +219,11 @@ class EpochResult:
 # Most links a block of probe powers (row x recorder x tag) holds, unless one
 # round alone has more; its reply links (replier x recorder) are fewer: 2 MB
 # per float array, a few rounds of the largest fleet (100,000 links a round
-# at 10,000 vehicles and 5 pairs).
+# at 10,000 vehicles and 5 pairs).  Within a block each stream draws its
+# shadowing ahead, the same values in the same order, DRAW_AHEAD (16 KB) a
+# call at most unless one take needs more: no block holds all its draws at once.
 MAX_REPLY_LINKS = 2**18
+DRAW_AHEAD = 2**11
 
 
 def run_epoch(world: World, epoch_index: int) -> EpochResult:
@@ -236,15 +243,15 @@ def _run_pass(world: World) -> None:
     """The probe and reply phases of every epoch waiting on the world, in
     order, over the pass's (epoch, round) rows in blocks of at most
     ``MAX_REPLY_LINKS`` probe links (row x recorder x tag), at least one row.
-    A block may span epochs; each epoch's share of its zero-shadow powers
-    comes from one positions call.  Row by row, one capture call decides at
-    every tag the concurrent probes of all pairs (pair replicas merged,
-    cross-pair probes contending), as the shadowing draw order alone
-    demands: round r + 1's probe draws follow round r's reply draws, as many
-    as its probe decodes.  Each stream draws from its own generator as a
-    world of it alone would, stitched along the tag axis.  A probe link
-    yields at most one reply link, so one :func:`_resolve_replies` call per
-    block, over the pass's rows and the (epochs, tags) start positions
+    A block may span epochs; one positions call over its rows' epoch-start
+    snapshots gives its zero-shadow powers.  Row by row, one capture call
+    decides at every tag the concurrent probes of all pairs (pair replicas
+    merged, cross-pair probes contending), as the shadowing order alone
+    demands: round r + 1's probe values follow round r's reply values, as
+    many as its probe decodes.  Each stream adds in place to its own tag
+    columns the values a world of it alone would take (:class:`_Shadowing`).  A
+    probe link yields at most one reply link, so one :func:`_resolve_replies`
+    call per block, over the pass's rows and the (epochs, tags) start positions
     stacked once, keeps the budget.  Each epoch then takes its record table,
     from every block's first decodes in block order, and its trace, once: of
     its probe verdicts, a block keeps only those not silence."""
@@ -253,9 +260,9 @@ def _run_pass(world: World) -> None:
         res._world = None
     geom, radio, sigma = world.geometry, world.radio, world.radio.shadowing_sigma_db
     n_vr, n_enp, cuts = world.vr_x.size, len(world.fleet), world.offsets.tolist()
-    # each stream's draws and tag columns; no stream draws without shadowing
-    streams = [(rng.normal, lo, hi) for rng, lo, hi in zip(world.rngs, cuts, cuts[1:])
-               if sigma > 0]
+    # no stream draws without shadowing, nor an empty one
+    streams = [(_Shadowing(rng, sigma, n_vr * (hi - lo)), lo, hi)
+               for rng, lo, hi in zip(world.rngs, cuts, cuts[1:]) if sigma > 0 and hi > lo]
     sched = results[0].schedule  # every epoch probes at the same offsets from its start
     n_rounds, n_rows = sched.round_count, sched.round_count * len(results)
     dt = (sched.round_start_us(np.arange(n_rounds)) - sched.epoch_start_us) * 1e-6
@@ -265,31 +272,30 @@ def _run_pass(world: World) -> None:
     blocks, probes = [], []  # each block's first decodes (epochs, table) and verdicts
     for b in range(0, n_rows, block):
         end = min(b + block, n_rows)
-        # (rows, 2P, V) distances, then zero-shadow powers, in one array: each
-        # epoch's share of the rows from its own snapshot (e is its first row)
-        road_x = _joined([
-            geom.road_x(positions_at(res.fleet_start, dt[max(b - e, 0):end - e]))
-            for e, res in zip(range(b - b % n_rounds, end, n_rounds), results[b // n_rounds:])])
-        power = road_x[:, None] - world.vr_x[:, None]
+        # (rows, 2P, V) distances, then zero-shadow powers, each row from its epoch's start
+        epoch, rnd = np.divmod(np.arange(b, end), n_rounds)
+        power = geom.road_x(positions_at(world.fleet, dt[rnd], starts[epoch]))[:, None]
+        power = power - world.vr_x[:, None]
         np.hypot(power, world.fleet.y - world.vr_y[:, None], out=power)
         received_power_dbm(power, radio, tx_power_dbm=radio.probe_tx_power_dbm, out=power)
         out = np.empty(power.shape[::2], np.int8)
         pairs = np.empty(out.shape, np.intp) if events else None
         draws = []  # the block's reply shadowing
         for r, link_pw in enumerate(power):
-            if streams:  # each stream's probe shadowing, stitched along the tag axis
-                shadow = [draw(0.0, sigma, size=(n_vr, hi - lo)) for draw, lo, hi in streams]
-                link_pw = link_pw + (shadow[0] if len(shadow) == 1 else np.hstack(shadow))
+            later = end - b - r - 1  # the block's rows after this one
+            for s, lo, hi in streams:  # each stream's probe shadowing, in place in its columns
+                cols = link_pw[:, lo:hi]
+                cols += s.take(s.row, later).reshape(n_vr, -1)
             # the two recorders of a pair send byte-identical probes:
             # non-destructive replicas, strongest link counts
             out[r], pair = capture_verdicts(np.maximum(link_pw[0::2], link_pw[1::2]), radio)
             if events:
                 pairs[r] = pair
-            heard = out[r].tobytes()  # each stream's repliers draw their reply shadowing
-            for draw, lo, hi in streams:
+            heard = out[r].tobytes()  # each stream's repliers take their reply shadowing
+            for s, lo, hi in streams:
                 k = heard.count(RECEIVED_CODE, lo, hi)
-                if k:
-                    draws.append(draw(0.0, sigma, size=n_vr * k))
+                if k:  # a copy: a view would hold its whole buffer to the block's end
+                    draws.append(s.take(n_vr * k, later).copy())
         row, tag = np.divmod(np.flatnonzero(out == RECEIVED_CODE), max(n_enp, 1))
         blocks.append(_resolve_replies(world, results, starts, row + b, tag, _joined(draws)))
         if events:  # the verdicts heard: epoch, round, tag and winning pair (-1 where none)
@@ -318,6 +324,23 @@ def _run_pass(world: World) -> None:
             p = slice(probes_at[e], probes_at[e + 1])
             res._trace = (world.offsets, tuple(a[p] for a in probe_trace),
                           (slot_tags[t], counts[g], *(a[g] for a in slot_trace)))
+
+
+class _Shadowing:
+    """One stream's shadowing values in its generator's order, drawn ahead:
+    ``take(n, later)`` gives the next ``n`` with ``later`` rows of ``row``
+    probe values still to come in the probe block, drawing none the block is
+    not sure to take, so a block leaves the generator where per-take draws would."""
+
+    def __init__(self, rng, sigma, row):
+        self.normal, self.sigma, self.row, self.buf = rng.normal, sigma, row, np.empty(0)
+
+    def take(self, n, later):
+        if n > self.buf.size:
+            size = min(max(n, DRAW_AHEAD), n + later * self.row) - self.buf.size
+            self.buf = np.concatenate((self.buf, self.normal(0.0, self.sigma, size)))
+        out, self.buf = self.buf[:n], self.buf[n:]
+        return out
 
 
 def _joined(arrays):
@@ -365,10 +388,9 @@ def _resolve_replies(world, results, starts, row, tag, draws):
     counts = np.diff(first, append=key.size)
 
     # every replier at the start of its own slot, from its own epoch's snapshot
-    tx = Fleet(fleet.vrn[tag], starts[epoch, tag], fleet.y[tag], fleet.speed_mps[tag],
-               fleet.ring_length_m)
+    tx = fleet.take(tag)
     dt = (sched.slot_start_us(rnd, slot) - sched.epoch_start_us) * 1e-6
-    tx_road_x = world.geometry.road_x(positions_at_each(tx, dt))
+    tx_road_x = world.geometry.road_x(positions_at_each(tx, dt, starts[epoch, tag]))
     # (repliers, 2P) distances, then powers in place: less heap to take anew
     power = np.subtract.outer(tx_road_x, world.vr_x)
     np.hypot(power, np.subtract.outer(tx.y, world.vr_y), out=power)

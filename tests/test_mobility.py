@@ -122,6 +122,12 @@ def test_positions_at_matches_advance():
         assert (pos[i] == advance(fleet, float(dt)).x).all()
     # scalar form
     assert (positions_at(fleet, 0.1) == advance(fleet, 0.1).x).all()
+    # a start snapshot of the same vehicles for each offset, in place of the fleet's own
+    starts = np.stack([advance(fleet, 3.0).x, fleet.x, advance(fleet, 0.7).x])
+    pos = positions_at(fleet, dts, starts)
+    for i, dt in enumerate(dts):
+        moved = Fleet(fleet.vrn, starts[i], fleet.y, fleet.speed_mps, fleet.ring_length_m)
+        assert (pos[i] == positions_at(moved, float(dt))).all()
 
 
 def test_fleet_roundtrip_and_validation():

@@ -115,6 +115,37 @@ def late_read_reference(sigma, reseed, streams):
     return snapshots, reference, [rng.bit_generator.state for rng in rngs]
 
 
+# Four streams on LATE_READ_GEOMETRY: 25 tags, none, four parked on the
+# return half ~1 km from the recorders (no probe reaches them), and 7 tags
+DRAW_AHEAD_FLEETS = (
+    spawn_fleet(25, 30, 90, LATE_READ_GEOMETRY, np.random.default_rng(108)),
+    spawn_fleet(0, 30, 90, LATE_READ_GEOMETRY, np.random.default_rng(1)),
+    Fleet([5, 6, 7, 8], [0.0, 3.0, 1990.0, 1995.0], [1.0, 2.0, 3.0, 4.0], [0.0] * 4, 2000.0),
+    spawn_fleet(7, 30, 90, LATE_READ_GEOMETRY, np.random.default_rng(2)),
+)
+DRAW_AHEAD_PASSES = (1, 2, 3)  # the epochs of each pass
+
+
+@functools.cache
+def draw_ahead_reference():
+    """The scalar reference over the passes of ``DRAW_AHEAD_PASSES`` of the
+    ``DRAW_AHEAD_FLEETS`` streams at 6.5 dB, one stream at a time, each with
+    its own generator: each epoch's records and event lines per stream, and
+    each stream's generator state after each pass."""
+    radio, hash_params = RadioParams(shadowing_sigma_db=6.5), HashParams(slot_count=5)
+    fleets = list(DRAW_AHEAD_FLEETS)
+    rngs = [np.random.default_rng([3, b]) for b in range(len(fleets))]
+    epochs, states = [], []
+    for n_epochs in DRAW_AHEAD_PASSES:
+        for _ in range(n_epochs):
+            epochs.append([reference_run_epoch(fleet, LATE_READ_GEOMETRY, radio, hash_params,
+                                               TIMING, len(epochs), rng)
+                           for fleet, rng in zip(fleets, rngs)])
+            fleets = [advance(fleet, TIMING.glossy_period_us * 1e-6) for fleet in fleets]
+        states.append([rng.bit_generator.state for rng in rngs])
+    return epochs, states
+
+
 def preset_world(text):
     """A world built from config text, fleet and shadowing seeded alike."""
     cfg = parse_config(text)
@@ -160,6 +191,44 @@ def single_pair_geometry():
 
 def static_fleet(vehicles, geometry):
     return Fleet.from_vehicles(vehicles, geometry.ring_length_m)
+
+
+def spied_road_world():
+    """A paper-road world recording events, with its generator behind a
+    :class:`SpyRng`, and the values a pass draws for given per-round probe
+    decode counts: 2P x V probe values and 2P x c reply values a round."""
+    cfg = parse_config("preset = paper-road\n")
+    rng = np.random.default_rng(4)
+    fleet = build_fleet(cfg, rng)
+    spy = SpyRng(rng, cfg.radio.shadowing_sigma_db)
+    world = World(fleet, cfg.geometry, cfg.radio, cfg.hash, cfg.timing, spy, record_events=True)
+    n_vr = 2 * cfg.geometry.n_pairs
+    return world, spy, lambda decodes: int((n_vr * len(fleet) + n_vr * decodes).sum())
+
+
+class SpyRng:
+    """A generator that the engine may use through ``normal(0.0, sigma, size)``
+    alone; it records every value drawn."""
+
+    def __init__(self, rng, sigma):
+        self.rng, self.sigma, self.drawn = rng, sigma, []
+
+    def normal(self, loc, scale, size):
+        assert (loc, scale) == (0.0, self.sigma)
+        self.drawn.append(self.rng.normal(loc, scale, size=size))
+        return self.drawn[-1]
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the engine used the generator's {name}")
+
+    def assert_drew_at_once(self, state, n):
+        """Since the last call, exactly ``n`` values were drawn, equal to one
+        draw of ``n`` from ``state``, and the generator is where it leaves."""
+        twin = np.random.default_rng()
+        twin.bit_generator.state = state
+        drawn, self.drawn = np.concatenate(self.drawn) if self.drawn else np.empty(0), []
+        np.testing.assert_array_equal(drawn, twin.normal(0.0, self.sigma, n))
+        assert self.rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestSchedule:
@@ -491,6 +560,48 @@ class TestRunEpoch:
                 assert event_lines([result])[b] == events
         assert reference_states == got_states
 
+    @pytest.mark.parametrize("draw_ahead", [0, None, 2**20])
+    @pytest.mark.parametrize("one_row", [False, True], ids=["default-blocks", "one-row-blocks"])
+    def test_draw_ahead_leaves_generators_where_exact_draws_do(self, monkeypatch, draw_ahead,
+                                                               one_row):
+        # passes of one, two and three epochs of the DRAW_AHEAD_FLEETS
+        # streams, one empty and one that never decodes a probe, at 6.5 dB:
+        # with blocks of one row or by default, drawing each take alone, by
+        # default or a block's whole probe draws at once, the records, event
+        # text and each generator's state after every pass are those of the
+        # default run and of the scalar reference
+        def run():
+            rngs = [np.random.default_rng([3, b]) for b in range(len(DRAW_AHEAD_FLEETS))]
+            world = World(DRAW_AHEAD_FLEETS, LATE_READ_GEOMETRY, RadioParams(shadowing_sigma_db=6.5),
+                          HashParams(slot_count=5), TIMING, rngs, record_events=True)
+            results, states = [], []
+            for n_epochs in DRAW_AHEAD_PASSES:
+                for _ in range(n_epochs):
+                    results.append(run_epoch(world, len(results)))
+                results[-1].records  # runs the pass
+                states.append([rng.bit_generator.state for rng in rngs])
+            return world, results, states
+
+        _, want, want_states = run()
+        if one_row:
+            monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", 4 * 36)
+        if draw_ahead is not None:
+            monkeypatch.setattr(protocol, "DRAW_AHEAD", draw_ahead)
+        world, got, got_states = run()
+        assert got_states == want_states
+        reference, reference_states = draw_ahead_reference()
+        assert got_states == reference_states
+        for result, wanted, epoch_reference in zip(got, want, reference):
+            np.testing.assert_array_equal(result.records, wanted.records)
+            assert event_lines([result]) == event_lines([wanted])
+            for b, (records, events) in enumerate(epoch_reference):
+                assert engine_records(world, result, b) == records
+                assert event_lines([result])[b] == events
+        # the parked stream (tags 25-28) hears no probe, so takes no reply
+        # shadowing; the others decode probes and are recorded
+        assert not any(np.isin(result.trace[1][1], range(25, 29)).any() for result in got)
+        assert len(received_probes(got)[1]) > 30 and sum(len(r.records) for r in got) > 10
+
     def test_many_repliers_split_reply_calls(self, monkeypatch):
         # 2,495 one-slot rounds of 100 vehicles hold more replier links than
         # MAX_REPLY_LINKS: the replies take one capture call per probe block
@@ -635,10 +746,10 @@ class TestRunEpoch:
     def test_probe_blocks_match_one_block(self, monkeypatch, block_rounds, sigma, n_pairs,
                                           streams):
         # the zero-shadow probe powers of a block of rounds come from one
-        # positions call; blocks of one or two rounds (a MAX_REPLY_LINKS of
-        # that many rounds' links, which splits the replies too) give the
-        # records, event text and generator states of one block an epoch,
-        # and the reference records
+        # positions call over the epoch-start snapshot of each of its rows;
+        # blocks of one or two rounds (a MAX_REPLY_LINKS of that many rounds'
+        # links, which splits the replies too) give the records, event text
+        # and generator states of one block an epoch, and the reference records
         geom = spaced_pairs(n_pairs)
         radio = RadioParams(shadowing_sigma_db=sigma)
         hash_params = HashParams(slot_count=3, reseed_per_round=True)
@@ -657,9 +768,10 @@ class TestRunEpoch:
         monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", block_rounds * n_links)
         blocks = []
 
-        def spied(fleet, dt):
+        def spied(fleet, dt, starts):
             blocks.append(len(dt))
-            return positions_at(fleet, dt)
+            assert (starts == want.fleet_start.x).all() and len(starts) == len(dt)
+            return positions_at(fleet, dt, starts)
 
         monkeypatch.setattr(protocol, "positions_at", spied)
         got, got_states = epoch()
@@ -771,66 +883,32 @@ class TestRunEpoch:
         assert len(with_rng.records)
 
     def test_each_round_draws_its_probes_then_its_replies(self):
-        # paper-road: round r draws 2P x V probe shadowing values, then 2P x c
-        # reply values for its c probe decodes (none when c = 0), each block
-        # one normal call, and the engine touches its generator no other way
-        cfg = parse_config("preset = paper-road\n")
-        rng = np.random.default_rng(4)
-        fleet = build_fleet(cfg, rng)
-        draws = []
-
-        class Spy:
-            def normal(self, loc, scale, size):
-                draws.append((loc, scale, int(np.prod(size))))
-                return rng.normal(loc, scale, size=size)
-
-            def __getattr__(self, name):
-                raise AssertionError(f"the engine used the generator's {name}")
-
-        world = World(fleet, cfg.geometry, cfg.radio, cfg.hash, cfg.timing, Spy(),
-                      record_events=True)
-        n_vr, sigma = 2 * cfg.geometry.n_pairs, cfg.radio.shadowing_sigma_db
+        # paper-road, each epoch read at once: each pass draws, through
+        # normal alone, 2P x V probe values a round and 2P x c reply values
+        # for its c probe decodes, and they equal one draw of their total
+        world, spy, n_values = spied_road_world()
         decodes = []
         for e in range(16):  # round 6 of epoch 13 has no decodes
-            draws.clear()
+            state = spy.rng.bit_generator.state
             result = run_epoch(world, e)
-            want = []
-            for c in np.bincount(received_probes([result])[0],
-                                 minlength=result.schedule.round_count).tolist():
-                want += [n_vr * len(fleet)] + ([n_vr * c] if c else [])
-                decodes.append(c)
-            assert draws == [(0.0, sigma, n) for n in want]
+            result.records
+            c = np.bincount(received_probes([result])[0], minlength=result.schedule.round_count)
+            spy.assert_drew_at_once(state, n_values(c))
+            decodes += c.tolist()
         assert 0 in decodes and max(decodes) > 1
 
     def test_one_pass_draws_each_round_in_epoch_order(self):
         # 16 unread paper-road epochs draw nothing; the read's one pass then
-        # draws, (epoch, round) by (epoch, round), 2P x V probe values and
-        # 2P x c reply values for the round's c probe decodes, as epochs run
-        # one by one would
-        cfg = parse_config("preset = paper-road\n")
-        rng = np.random.default_rng(4)
-        fleet = build_fleet(cfg, rng)
-        draws = []
-
-        class Spy:
-            def normal(self, loc, scale, size):
-                draws.append((loc, scale, int(np.prod(size))))
-                return rng.normal(loc, scale, size=size)
-
-            def __getattr__(self, name):
-                raise AssertionError(f"the engine used the generator's {name}")
-
-        world = World(fleet, cfg.geometry, cfg.radio, cfg.hash, cfg.timing, Spy(),
-                      record_events=True)
+        # draws the values of epochs run one by one, as one draw of their total
+        world, spy, n_values = spied_road_world()
+        state = spy.rng.bit_generator.state
         results = [run_epoch(world, e) for e in range(16)]
-        assert draws == [] and len(world.pending) == 16
+        assert spy.drawn == [] and len(world.pending) == 16
+        results[0].records
         rows = received_probes(results)[0]
-        n_vr, sigma = 2 * cfg.geometry.n_pairs, cfg.radio.shadowing_sigma_db
-        want = []
-        for c in np.bincount(rows, minlength=16 * results[0].schedule.round_count).tolist():
-            want += [n_vr * len(fleet)] + ([n_vr * c] if c else [])
-        assert draws == [(0.0, sigma, n) for n in want]
-        assert len(draws) > 16 * results[0].schedule.round_count and not world.pending
+        spy.assert_drew_at_once(state, n_values(np.bincount(
+            rows, minlength=16 * results[0].schedule.round_count)))
+        assert not world.pending
 
     def test_shadowing_without_rng_rejected(self):
         geom = single_pair_geometry()
@@ -859,3 +937,14 @@ class TestRunEpoch:
         with pytest.raises(ValueError):
             World([fleet, fleet], geom, RADIO, HashParams(slot_count=71), TIMING,
                   [np.random.default_rng(1)])
+
+    def test_lone_generator_for_a_sequence_of_fleets_rejected(self):
+        geom = single_pair_geometry()
+        fleet = static_fleet([Vehicle(1, 10.0, 2.0, 0.0)], geom)
+        with pytest.raises(ValueError, match="sequence of rngs"):
+            World([fleet, fleet], geom, RADIO, HashParams(slot_count=71), TIMING,
+                  np.random.default_rng(1))
+
+    def test_world_without_fleets_rejected(self):
+        with pytest.raises(ValueError, match="at least one fleet"):
+            World([], single_pair_geometry(), RADIO, HashParams(slot_count=71), TIMING)
