@@ -137,10 +137,9 @@ class World:
         record_events: bool = False,
     ):
         fleets, rngs = ([fleet], [rng]) if isinstance(fleet, Fleet) else (list(fleet), rng)
-        if not fleets:
-            raise ValueError("a world needs at least one fleet")
-        if isinstance(rngs, np.random.Generator):
-            raise ValueError("a sequence of fleets needs a sequence of rngs, one per fleet")
+        if not fleets or isinstance(rngs, np.random.Generator):
+            raise ValueError("a world needs at least one fleet, and a sequence of fleets "
+                             "a sequence of rngs")
         rngs = list(rngs or [None] * len(fleets))
         if len(rngs) != len(fleets) or (radio.shadowing_sigma_db > 0 and None in rngs):
             raise ValueError("every fleet needs an rng of its own (None only without shadowing)")

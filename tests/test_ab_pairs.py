@@ -51,3 +51,24 @@ def test_summary_reproduces_a_recorded_benchmark_file():
 def test_summary_rejects_unpaired_or_unknown_input(parent, change, better):
     with pytest.raises(ValueError):
         ab_pairs.summarize(parent, change, better)
+
+
+@pytest.mark.parametrize("change, better, met", [
+    # 9 of 10 pairs won; medians 104.5 and 94.5, 10 apart, over a parent IQR of 4.5
+    ([90, 91, 92, 93, 94, 95, 96, 97, 98, 110], "lower", True),
+    # 8 of 10 won: too few, though the gap is as wide
+    ([90, 91, 92, 93, 94, 95, 96, 97, 110, 111], "lower", False),
+    # all 10 won, by 1 or by exactly the parent's IQR: inside its spread
+    ([99, 100, 101, 102, 103, 104, 105, 106, 107, 108], "lower", False),
+    ([95.5, 96.5, 97.5, 98.5, 99.5, 100.5, 101.5, 102.5, 103.5, 104.5], "lower", False),
+    # where higher is better, the first case lost and its mirror won
+    ([90, 91, 92, 93, 94, 95, 96, 97, 98, 110], "higher", False),
+    ([110, 111, 112, 113, 114, 115, 116, 117, 118, 100], "higher", True),
+])
+def test_claim_verdict_of_fixed_samples(change, better, met):
+    # a gain is claimed when the change wins at least 9 of 10 pairs and its
+    # median is better than the parent's by more than the parent's IQR
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    summary = ab_pairs.summarize(parent, change, better)
+    assert summary["parent_iqr"] == 4.5
+    assert ab_pairs.claim_met(summary, better) is met

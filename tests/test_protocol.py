@@ -572,8 +572,9 @@ class TestRunEpoch:
         # default run and of the scalar reference
         def run():
             rngs = [np.random.default_rng([3, b]) for b in range(len(DRAW_AHEAD_FLEETS))]
-            world = World(DRAW_AHEAD_FLEETS, LATE_READ_GEOMETRY, RadioParams(shadowing_sigma_db=6.5),
-                          HashParams(slot_count=5), TIMING, rngs, record_events=True)
+            world = World(DRAW_AHEAD_FLEETS, LATE_READ_GEOMETRY,
+                          RadioParams(shadowing_sigma_db=6.5), HashParams(slot_count=5), TIMING,
+                          rngs, record_events=True)
             results, states = [], []
             for n_epochs in DRAW_AHEAD_PASSES:
                 for _ in range(n_epochs):
@@ -941,7 +942,7 @@ class TestRunEpoch:
     def test_lone_generator_for_a_sequence_of_fleets_rejected(self):
         geom = single_pair_geometry()
         fleet = static_fleet([Vehicle(1, 10.0, 2.0, 0.0)], geom)
-        with pytest.raises(ValueError, match="sequence of rngs"):
+        with pytest.raises(ValueError, match="a sequence of fleets a sequence of rngs"):
             World([fleet, fleet], geom, RADIO, HashParams(slot_count=71), TIMING,
                   np.random.default_rng(1))
 

@@ -1,16 +1,21 @@
 """Alternating A/B pairs of the benchmark between two commits.
 
     python3 tools/ab_pairs.py PARENT CHANGE --workload road-events --seed 11 \
-        --seconds 8 --pairs 10 > pairs.json
+        --seconds 8 --pairs 10 --sets 2 > pairs.json
 
 Each side runs ``bench/run.py --trace 0`` from a clean ``git archive`` of its
 commit, one run at a time; odd pairs run the change first, even pairs the
-parent.  Both sides run the same benchmark code only when ``bench/`` is equal
-at the two commits.  The output is one JSON object per workload, in the shape
-of the ``workloads`` entries of the ``BENCH_<n>.json`` files: per end-to-end
-metric of ``BENCHMARK.json``, each side's median, quartiles (numpy linear
-percentiles) and runs, the parent's interquartile range, the change over the
-parent, and the pairs the change won (ties count for neither side).
+parent.  Each set exports both trees afresh, into a directory of its own, and
+runs its pairs of every workload there: a sign that holds in one set of trees
+only is not evidence for the code.  Both sides run the same benchmark code
+only when ``bench/`` is equal at the two commits.  The output is one JSON
+object per workload: its ``sets``, each in the shape of the ``workloads``
+entries of the ``BENCH_<n>.json`` files (per end-to-end metric of
+``BENCHMARK.json``, each side's median, quartiles (numpy linear percentiles)
+and runs, the parent's interquartile range, the change over the parent, and
+the pairs the change won, ties counting for neither side) plus each metric's
+``claim_met`` verdict (see :func:`claim_met`); and ``claim_met``, per metric,
+whether every set met it.
 """
 
 from __future__ import annotations
@@ -55,6 +60,17 @@ def summarize(parent_runs, change_runs, better: str) -> dict:
     }
 
 
+def claim_met(summary: dict, better: str) -> bool:
+    """Whether one set's pairs (a :func:`summarize` result) support a claimed
+    gain: the change won at least nine tenths of the pairs, and its median is
+    better than the parent's by more than the parent's interquartile range."""
+    gap = summary["parent_median"] - summary["change_median"]
+    if better == "higher":
+        gap = -gap
+    wins = summary["change_better_pairs"]
+    return 10 * wins >= 9 * summary["pairs"] and gap > summary["parent_iqr"]
+
+
 def export(rev: str, into: Path) -> Path:
     """A clean tree of ``rev`` under ``into``."""
     into.mkdir(parents=True)
@@ -74,6 +90,29 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
+def run_pairs(trees: dict, workload: str, args, label: str) -> dict:
+    """Each side's result lines of ``args.pairs`` alternating pairs."""
+    runs = {"parent": [], "change": []}
+    for pair in range(1, args.pairs + 1):
+        for side in ("change", "parent") if pair % 2 else ("parent", "change"):
+            runs[side].append(bench_once(trees[side], workload, args.seed, args.seconds))
+            print(f"{workload} {label} pair {pair} {side}: "
+                  f"{runs[side][-1]['metrics']['ms_per_epoch']['value']:.4f} ms", file=sys.stderr)
+    return runs
+
+
+def set_report(runs: dict, metrics: list) -> dict:
+    """One set's summary per end-to-end metric, each metric's claim verdict
+    and whether every run was correct."""
+    report = {m["name"]: summarize([r["metrics"][m["name"]]["value"] for r in runs["parent"]],
+                                   [r["metrics"][m["name"]]["value"] for r in runs["change"]],
+                                   m["better"])
+              for m in metrics}
+    report["claim_met"] = {m["name"]: claim_met(report[m["name"]], m["better"]) for m in metrics}
+    report["all_correct"] = all(r["correct"] for side in runs.values() for r in side)
+    return report
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="the parent commit")
@@ -83,30 +122,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--sets", type=int, default=1,
+                        help="sets of pairs, each from freshly exported trees")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
+    if args.pairs < 1 or args.sets < 1:
+        parser.error("--pairs and --sets must be >= 1")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    report = {}
-    with tempfile.TemporaryDirectory(prefix="ab-pairs-") as tmp:
-        trees = {side: export(rev, Path(tmp) / side)
-                 for side, rev in (("parent", args.parent), ("change", args.change))}
-        for workload in args.workload:
-            runs = {"parent": [], "change": []}
-            for pair in range(1, args.pairs + 1):
-                for side in ("change", "parent") if pair % 2 else ("parent", "change"):
-                    runs[side].append(bench_once(trees[side], workload, args.seed, args.seconds))
-                    print(f"{workload} pair {pair} {side}: "
-                          f"{runs[side][-1]['metrics']['ms_per_epoch']['value']:.4f} ms",
-                          file=sys.stderr)
-            report[workload] = {
-                m["name"]: summarize([r["metrics"][m["name"]]["value"] for r in runs["parent"]],
-                                     [r["metrics"][m["name"]]["value"] for r in runs["change"]],
-                                     m["better"])
-                for m in metrics}
-            report[workload]["all_correct"] = all(r["correct"] for side in runs.values()
-                                                  for r in side)
+    report = {workload: {"sets": []} for workload in args.workload}
+    for n in range(1, args.sets + 1):
+        with tempfile.TemporaryDirectory(prefix="ab-pairs-") as tmp:
+            trees = {side: export(rev, Path(tmp) / side)
+                     for side, rev in (("parent", args.parent), ("change", args.change))}
+            for workload in args.workload:
+                runs = run_pairs(trees, workload, args, f"set {n}")
+                report[workload]["sets"].append(set_report(runs, metrics))
+    for workload in report.values():
+        workload["claim_met"] = {m["name"]: all(one["claim_met"][m["name"]]
+                                                for one in workload["sets"]) for m in metrics}
     print(json.dumps(report, indent=2))
     return 0
 
