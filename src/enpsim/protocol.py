@@ -332,14 +332,18 @@ class _Shadowing:
     not sure to take, so a block leaves the generator where per-take draws would."""
 
     def __init__(self, rng, sigma, row):
-        self.normal, self.sigma, self.row, self.buf = rng.normal, sigma, row, np.empty(0)
+        self.normal, self.sigma, self.row = rng.normal, sigma, row
+        self.buf, self.at, self.size = np.empty(0), 0, 0
 
     def take(self, n, later):
-        if n > self.buf.size:
-            size = min(max(n, DRAW_AHEAD), n + later * self.row) - self.buf.size
-            self.buf = np.concatenate((self.buf, self.normal(0.0, self.sigma, size)))
-        out, self.buf = self.buf[:n], self.buf[n:]
-        return out
+        at = self.at + n
+        if at > self.size:
+            left = self.buf[self.at:]
+            size = min(max(n, DRAW_AHEAD), n + later * self.row) - left.size
+            self.buf, at = np.concatenate((left, self.normal(0.0, self.sigma, size))), n
+            self.size = self.buf.size
+        self.at = at
+        return self.buf[at - n:at]
 
 
 def _joined(arrays):
