@@ -219,8 +219,8 @@ class EpochResult:
 # round alone has more; its reply links (replier x recorder) are fewer: 2 MB
 # per float array, a few rounds of the largest fleet (100,000 links a round
 # at 10,000 vehicles and 5 pairs).  Within a block each stream draws its
-# shadowing ahead, the same values in the same order, DRAW_AHEAD (16 KB) a
-# call at most unless one take needs more: no block holds all its draws at once.
+# shadowing ahead, the same values in the same order, up to DRAW_AHEAD (16 KB)
+# a call where that holds a take and a row's probe values, else each take alone.
 MAX_REPLY_LINKS = 2**18
 DRAW_AHEAD = 2**11
 
@@ -339,7 +339,8 @@ class _Shadowing:
         at = self.at + n
         if at > self.size:
             left = self.buf[self.at:]
-            size = min(max(n, DRAW_AHEAD), n + later * self.row) - left.size
+            ahead = n + self.row <= DRAW_AHEAD  # else the next probe take needs a call anyway
+            size = (min(DRAW_AHEAD, n + later * self.row) if ahead else n) - left.size
             self.buf, at = np.concatenate((left, self.normal(0.0, self.sigma, size))), n
             self.size = self.buf.size
         self.at = at
