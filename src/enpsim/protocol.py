@@ -293,8 +293,9 @@ def _run_pass(world: World) -> None:
             heard = out[r].tobytes()  # each stream's repliers take their reply shadowing
             for s, lo, hi in streams:
                 k = heard.count(RECEIVED_CODE, lo, hi)
-                if k:  # a copy: a view would hold its whole buffer to the block's end
-                    draws.append(s.take(n_vr * k, later).copy())
+                if k:  # a view of a larger buffer would hold all of it to the block's end
+                    drawn = s.take(n_vr * k, later)
+                    draws.append(drawn.copy() if drawn.base.size > drawn.size else drawn)
         row, tag = np.divmod(np.flatnonzero(out == RECEIVED_CODE), max(n_enp, 1))
         blocks.append(_resolve_replies(world, results, starts, row + b, tag, _joined(draws)))
         if events:  # the verdicts heard: epoch, round, tag and winning pair (-1 where none)
@@ -341,7 +342,8 @@ class _Shadowing:
             left = self.buf[self.at:]
             ahead = n + self.row <= DRAW_AHEAD  # else the next probe take needs a call anyway
             size = (min(DRAW_AHEAD, n + later * self.row) if ahead else n) - left.size
-            self.buf, at = np.concatenate((left, self.normal(0.0, self.sigma, size))), n
+            new = self.normal(0.0, self.sigma, size)
+            self.buf, at = np.concatenate((left, new)) if left.size else new, n
             self.size = self.buf.size
         self.at = at
         return self.buf[at - n:at]
