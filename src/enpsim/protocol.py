@@ -247,13 +247,14 @@ def _run_pass(world: World) -> None:
     decides at every tag the concurrent probes of all pairs (pair replicas
     merged, cross-pair probes contending), as the shadowing order alone
     demands: round r + 1's probe values follow round r's reply values, as
-    many as its probe decodes.  Each stream adds in place to its own tag
-    columns the values a world of it alone would take (:class:`_Shadowing`).  A
-    probe link yields at most one reply link, so one :func:`_resolve_replies`
-    call per block, over the pass's rows and the (epochs, tags) start positions
-    stacked once, keeps the budget.  Each epoch then takes its record table,
-    from every block's first decodes in block order, and its trace, once: of
-    its probe verdicts, a block keeps only those not silence."""
+    many as its probe decodes.  Each stream takes the values a world of it
+    alone would (:class:`_Shadowing`); a row adds its streams' probe values,
+    stitched along the tag axis, in place.  A probe link yields at most one
+    reply link, so one :func:`_resolve_replies` call per block, over the
+    pass's rows and the (epochs, tags) start positions stacked once, keeps the
+    budget.  Each epoch then takes its record table, from every block's first
+    decodes in block order, and its trace, once: of its probe verdicts, a
+    block keeps only those not silence."""
     results, world.pending = world.pending, []
     for res in results:
         res._world = None
@@ -282,9 +283,9 @@ def _run_pass(world: World) -> None:
         draws = []  # the block's reply shadowing
         for r, link_pw in enumerate(power):
             later = end - b - r - 1  # the block's rows after this one
-            for s, lo, hi in streams:  # each stream's probe shadowing, in place in its columns
-                cols = link_pw[:, lo:hi]
-                cols += s.take(s.row, later).reshape(n_vr, -1)
+            if streams:  # each stream's probe shadowing, stitched along the tag axis
+                shadow = [s.take(s.row, later).reshape(n_vr, -1) for s, lo, hi in streams]
+                link_pw += shadow[0] if len(shadow) == 1 else np.hstack(shadow)
             # the two recorders of a pair send byte-identical probes:
             # non-destructive replicas, strongest link counts
             out[r], pair = capture_verdicts(np.maximum(link_pw[0::2], link_pw[1::2]), radio)
