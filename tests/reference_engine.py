@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from enpsim.frames import ProbeFrame
 from enpsim.slot_hash import round_seed
 
 
@@ -96,11 +95,6 @@ def reference_run_epoch(fleet, geometry, radio, hash_params, timing, epoch_index
         seed = hash_params.seed
         if hash_params.reseed_per_round:
             seed = round_seed(hash_params.seed, epoch_index, r)
-        probes = [ProbeFrame(pair_id=p, epoch=epoch_index, round=r,
-                             slot_count=sched.slot_count, seed=seed)
-                  for p in range(n_pairs)]
-        assert len({probes[p].encode() for p in range(n_pairs)}) == n_pairs
-
         # probe phase: merge each pair's two links (identical bytes), capture
         t_probe = sched.round_start_us(r)
         dt = (t_probe - sched.epoch_start_us) * 1e-6

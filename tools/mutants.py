@@ -1,0 +1,131 @@
+"""Mutation check of the Tier-1 suite: every mutant must fail a test.
+
+    python3 tools/mutants.py > mutants.json
+
+Each mutant is one exact ``(file, old, new)`` edit of the engine, planted
+on purpose: a batching, draw-order or trace fault that an outcome check
+must catch.  The working tree is never edited.  Each run copies it (without
+``.git`` and caches) into a temporary directory, applies at most one
+mutant there and runs the Tier-1 command, ``python -m pytest -q
+--continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``.  The
+unmutated copy runs first, and a mutant is killed when it fails a test that
+passes there.  ``tests/test_mutants.py`` is left out of every run: it checks
+that each ``old`` text occurs once in the unmutated source, so every mutant
+fails it by design.
+
+The output is one JSON object: the unmutated run's failures, each mutant's
+name, file, failed tests and whether it was killed, and the survivors.  The
+exit status is 1 if a mutant survives, 2 if a run could not be read.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PROTOCOL = "src/enpsim/protocol.py"
+RESOLVE_CALL = ("        blocks.append(_resolve_replies(world, results, starts, row + b, tag, "
+                "_joined(draws)))\n")
+PROBE_TAKE = ("                shadow = [s.take(s.row, later).reshape(n_vr, -1) "
+              "for s, lo, hi in streams]\n")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+
+
+MUTANTS = [
+    Mutant("block rows without their offset", PROTOCOL, RESOLVE_CALL,
+           RESOLVE_CALL.replace("row + b", "row")),
+    Mutant("replies placed from the previous epoch's starts", PROTOCOL,
+           "starts[epoch, tag]", "starts[np.maximum(epoch - 1, 0), tag]"),
+    Mutant("end-of-pass merge reversed", PROTOCOL,
+           "epoch, table = _joined(epochs), _joined(tables)",
+           "epoch, table = _joined(epochs[::-1]), _joined(tables[::-1])"),
+    Mutant("RECEIVED-only probe verdicts in the trace", PROTOCOL,
+           "row, tag = np.divmod(np.flatnonzero(out != 0), max(n_enp, 1))",
+           "row, tag = np.divmod(np.flatnonzero(out == RECEIVED_CODE), max(n_enp, 1))"),
+    Mutant("probe verdicts sliced by the slot cuts", PROTOCOL,
+           "p = slice(probes_at[e], probes_at[e + 1])",
+           "p = slice(slots_at[e], slots_at[e + 1])"),
+    Mutant("winning pair dropped", PROTOCOL,
+           "tag, pairs[row, tag]))", "tag, np.full(row.size, -1)))"),
+    Mutant("one value drawn beyond a block's sure need", PROTOCOL,
+           "n + later * self.row", "n + later * self.row + 1"),
+    Mutant("block positions from rows without the offset", PROTOCOL,
+           "np.arange(b, end)", "np.arange(end - b)"),
+    Mutant("link budget ignored", PROTOCOL,
+           "block = max(1, MAX_REPLY_LINKS // max(1, n_vr * n_enp))", "block = n_rows"),
+    # round 0's reply values drawn after round 1's probe values, in every block
+    Mutant("round 0's reply draws swapped with round 1's probe draws", PROTOCOL, PROBE_TAKE,
+           PROBE_TAKE.replace("shadow = [", "shadow = ahead if r == 1 else [")
+           + "                if r == 0 and later:\n"
+           + PROBE_TAKE.replace("shadow = [", "    ahead = [").replace("later)", "later - 1)")),
+    # the repliers of the last epoch a block's rows lie in left unresolved
+    # (all of them for a block within one epoch); their reply values come
+    # last in the block's draws, so the others' stay aligned
+    Mutant("block resolved without its last epoch", PROTOCOL, RESOLVE_CALL,
+           "        kept = (row + b) // n_rounds < (end - 1) // n_rounds\n"
+           + RESOLVE_CALL.replace("row + b, tag,", "row[kept] + b, tag[kept],")),
+]
+
+
+def copy_tree(into: Path, mutant: Mutant | None) -> Path:
+    """A copy of the working tree under ``into``, with ``mutant`` applied."""
+    shutil.copytree(ROOT, into, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_work", ".bench_build"))
+    if mutant is not None:
+        path = into / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            raise ValueError(f"{mutant.name}: its old text does not occur once in {mutant.file}")
+        path.write_text(text.replace(mutant.old, mutant.new))
+    return into
+
+
+def failed_tests(tree: Path) -> list[str]:
+    """The ids of the Tier-1 tests that fail or error in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE",
+                          "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"],
+                         cwd=tree, env=env, capture_output=True, text=True)
+    failed = sorted({line.split(" ", 1)[1].split(" - ", 1)[0]
+                     for line in run.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))})
+    if run.returncode not in (0, 1) or (run.returncode == 1) != bool(failed):
+        raise RuntimeError(f"pytest exited {run.returncode}:\n{run.stdout[-4000:]}{run.stderr}")
+    return failed
+
+
+def main() -> int:
+    report = {"unmutated_failures": None, "mutants": []}
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        try:
+            base = set(failed_tests(copy_tree(Path(tmp) / "unmutated", None)))
+            report["unmutated_failures"] = sorted(base)
+            for n, mutant in enumerate(MUTANTS):
+                failed = failed_tests(copy_tree(Path(tmp) / f"mutant{n}", mutant))
+                killed = bool(set(failed) - base)
+                report["mutants"].append({"name": mutant.name, "file": mutant.file,
+                                          "killed": killed, "failed": failed})
+                print(f"{mutant.name}: {len(failed)} failed", file=sys.stderr)
+        except (RuntimeError, ValueError) as err:
+            print(err, file=sys.stderr)
+            return 2
+    report["survivors"] = [m["name"] for m in report["mutants"] if not m["killed"]]
+    print(json.dumps(report, indent=2))
+    return 1 if report["survivors"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
