@@ -10,7 +10,7 @@ together with a seeded experiment harness and the ``enp-sim`` CLI.
 from .config import ConfigError, FleetConfig, PRESETS, RunConfig, SimConfig, parse_config
 from .harness import ExperimentResult, build_fleet, rng_stream, run_experiment, sweep
 from .frames import ProbeFrame
-from .metrics import accuracies, aggregate, ground_truth, iteration_accuracy
+from .metrics import accuracies, aggregate, ground_truth, iteration_accuracy, tally
 from .mobility import (
     Fleet,
     RoadGeometry,
@@ -77,4 +77,5 @@ __all__ = [
     "spawn_fleet",
     "spawn_mixed_fleet",
     "sweep",
+    "tally",
 ]

@@ -44,8 +44,8 @@ MAX_SPEED_KMH = 500.0
 # period of microsecond-long rounds (millions of them) would never finish.
 MAX_ROUNDS_PER_EPOCH = 10_000
 # Most scored epochs of a run, epochs x replications.  The default run scores
-# 1,000 and criterion 1 runs 3,000 a cell; each one keeps a CSV row and three
-# accuracies per pair, so a run of 10**21 would never finish.
+# 1,000 and criterion 1 runs 3,000 a cell; each one keeps a CSV row per pair
+# (its text, about 100 B), so a run of 10**21 would never finish.
 MAX_SCORED_EPOCHS = 1_000_000
 # Schedule times are absolute int64 microseconds since the first warm-up
 # epoch, so the whole run must end within 2**63 - 1 us.

@@ -9,6 +9,7 @@ runs: no ambient entropy, no wall clock, no iteration-order dependence.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -20,13 +21,15 @@ from .config import ConfigError, MAX_FLEET_SIZE, MAX_SCORED_EPOCHS, SimConfig, w
 from .events import event_lines
 from .metrics import (
     ITERATION_CSV_HEADER,
+    SUMMARY_BY_PAIR_CSV_HEADER,
     SUMMARY_CSV_HEADER,
-    accuracies,
     aggregate,
     ground_truth,
     iteration_accuracy,
     iteration_csv_rows,
+    summary_by_pair_csv_line,
     summary_csv_line,
+    tally,
 )
 from .mobility import Fleet, advance, spawn_fleet, spawn_mixed_fleet
 from .protocol import World, run_epoch
@@ -51,13 +54,11 @@ def build_fleet(config: SimConfig, rng: np.random.Generator) -> Fleet:
 @dataclass
 class ExperimentResult:
     """The iterations.csv rows, one per (replication, epoch, pair) in that
-    order; their ``(replications x epochs, pairs, 3)`` acc_1, acc_2 and
-    acc_union; the pooled summary row, per-pair aggregates, and the optional
-    event log lines."""
+    order; the pooled summary row, per-pair aggregates, and the optional
+    event log lines.  No score is kept beside the rows' text."""
 
     config: SimConfig
     iterations: list[str]
-    accuracy: np.ndarray
     summary: dict
     by_pair: list[dict]
     events: list[str] | None = None
@@ -71,20 +72,18 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run warm-up plus measured epochs for every replication, replication
     ``rep`` drawing from the stream keyed ``(rep,)``."""
-    rows, accuracy, event_log = [], [], [] if events else None
+    rows, scores, event_log = [], Counter(), [] if events else None
     for rep, (counts, lines) in enumerate(_lockstep(config, [(config, ())], events)):
         rows += iteration_csv_rows(rep, config.run.warmup_epochs, counts)
-        accuracy.append(accuracies(counts))
+        scores.update(tally(counts))
         if events:
             event_log += lines
-    accuracy = np.concatenate(accuracy)
     by_pair = []
-    for pair_id in range(accuracy.shape[1]):
-        pooled = aggregate(accuracy[:, pair_id])
-        if pooled is not None:
-            by_pair.append({"pair_id": pair_id, **pooled})
-    summary = summarize(config, accuracy)
-    result = ExperimentResult(config, rows, accuracy, summary, by_pair, event_log)
+    for pair_id in sorted({key[0] for key in scores}):
+        pair = {key: n for key, n in scores.items() if key[0] == pair_id}
+        by_pair.append({"pair_id": pair_id, **aggregate(pair)})
+    summary = summarize(config, scores)
+    result = ExperimentResult(config, rows, summary, by_pair, event_log)
     if out_dir is not None:
         write_experiment_outputs(result, Path(out_dir))
     return result
@@ -165,9 +164,9 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
     yield from run(group)
 
 
-def summarize(config: SimConfig, accuracy: np.ndarray) -> dict:
-    """Pooled summary of the acc_1, acc_2 and acc_union along the last axis
-    of ``accuracy``, across pairs, epochs and replications (one sweep cell)."""
+def summarize(config: SimConfig, scores: Counter) -> dict:
+    """Pooled summary of a :func:`~enpsim.metrics.tally` of acc_1, acc_2 and
+    acc_union, across pairs, epochs and replications (one sweep cell)."""
     fl = config.fleet
     summary = {
         "v_n": len(fl.explicit) if fl.explicit else fl.v_n,
@@ -179,7 +178,7 @@ def summarize(config: SimConfig, accuracy: np.ndarray) -> dict:
         "std_acc_union": float("nan"),
         "mean_acc_single": float("nan"),
     }
-    summary.update(aggregate(accuracy.reshape(-1, 3)) or {})
+    summary.update(aggregate(scores) or {})
     return summary
 
 
@@ -203,15 +202,8 @@ def write_experiment_outputs(result: ExperimentResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / "iterations.csv", result.iterations, ITERATION_CSV_HEADER)
     _write_text(out_dir / "summary.csv", [summary_csv_line(result.summary)], SUMMARY_CSV_HEADER)
-    _write_text(
-        out_dir / "summary_by_pair.csv",
-        [
-            f"{r['pair_id']},{r['iterations']},{r['mean_acc_union']:.6f},"
-            f"{r['std_acc_union']:.6f},{r['mean_acc_single']:.6f}"
-            for r in result.by_pair
-        ],
-        "pair_id,iterations,mean_acc_union,std_acc_union,mean_acc_single",
-    )
+    _write_text(out_dir / "summary_by_pair.csv",
+                [summary_by_pair_csv_line(r) for r in result.by_pair], SUMMARY_BY_PAIR_CSV_HEADER)
     if result.events is not None:
         _write_text(out_dir / "events.log", result.events)
 
@@ -245,11 +237,12 @@ def sweep(
         for v_n in v_n_list
     ]
     streams = _lockstep(config, [(cell, (i,)) for i, cell in enumerate(cells)])
-    reps = config.run.replications
-    summaries = [
-        summarize(cell, np.concatenate([accuracies(counts) for counts, _ in islice(streams, reps)]))
-        for cell in cells
-    ]
+    summaries = []
+    for cell in cells:
+        scores = Counter()
+        for counts, _ in islice(streams, config.run.replications):
+            scores.update(tally(counts))
+        summaries.append(summarize(cell, scores))
 
     if out_dir is not None:
         out = Path(out_dir)

@@ -10,8 +10,8 @@ Scoring takes a stack of epochs at once: :func:`ground_truth` decides every
 (epoch, pair, vehicle) of a stack of epoch-start positions in one call, and
 :func:`iteration_accuracy` counts the records of every (stream, epoch, pair)
 of the stack from the decoded and ground-truth masks in another.  Scores stay
-columns from there on: :func:`accuracies` divides them, :func:`aggregate`
-pools the accuracies and :func:`iteration_csv_rows` formats the CSV rows.
+columns from there on: :func:`accuracies` divides them, :func:`tally` and
+:func:`aggregate` pool them, and :func:`iteration_csv_rows` formats the rows.
 
 The boundaries are not scanned one by one.  A vehicle that stays clear of
 the ring seam moves monotonically, so over the boundaries its longitudinal
@@ -24,7 +24,9 @@ the test at every boundary (see :func:`ground_truth`).
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections import Counter
+from itertools import chain, repeat
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -165,31 +167,37 @@ def accuracies(counts: np.ndarray) -> np.ndarray:
         return counts[..., 3:6] / counts[..., 6:]
 
 
-def _mean(values: Sequence[float]) -> float:
-    return math.fsum(values) / len(values)
+def tally(counts: np.ndarray) -> Counter:
+    """How often each ``(pair, acc_1, acc_2, acc_union)`` of :func:`accuracies`
+    occurs among the rows of non-empty ground truth of one stream's
+    ``(epochs, pairs, 7)`` :func:`iteration_accuracy` counts."""
+    epoch, pair = np.nonzero(counts[..., 6])
+    return Counter(zip(pair.tolist(), *accuracies(counts[epoch, pair]).T.tolist()))
 
 
-def _std(values: Sequence[float], mean: float) -> float:
-    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
+def _mean(values: Sequence[float], counts: Sequence[int], n: int) -> float:
+    return math.fsum(chain.from_iterable(map(repeat, values, counts))) / n
 
 
-def aggregate(accuracy: np.ndarray) -> dict | None:
-    """Summarize the iterations of a ``(rows, 3)`` array of acc_1, acc_2 and
-    acc_union (population std-dev), or None if none is included.
+def aggregate(scores: Mapping[tuple, int]) -> dict | None:
+    """Summarize the iterations a :func:`tally` counts, whatever their pairs
+    (population std-dev), or None if it counts none.
 
-    Rows of empty ground truth (NaN) are excluded.  Single-recorder
-    accuracies pool acc_1 and acc_2 with equal weight.
+    Single-recorder accuracies pool acc_1 and acc_2 with equal weight.  Each
+    sum is a ``math.fsum``, which is correctly rounded, so it depends only on
+    the multiset of values: a tally gives the bits of the rows it counts.
     """
-    accuracy = accuracy[~np.isnan(accuracy[:, 2])]
-    if not len(accuracy):
+    if not scores:
         return None
-    union = accuracy[:, 2].tolist()
-    mean_u = _mean(union)
+    _, acc_1, acc_2, union = zip(*scores)
+    counts = tuple(scores.values())
+    n = sum(counts)
+    mean_u = _mean(union, counts, n)
     return {
-        "iterations": len(union),
+        "iterations": n,
         "mean_acc_union": mean_u,
-        "std_acc_union": _std(union, mean_u),
-        "mean_acc_single": _mean(accuracy[:, :2].ravel().tolist()),
+        "std_acc_union": math.sqrt(_mean([(u - mean_u) ** 2 for u in union], counts, n)),
+        "mean_acc_single": _mean(acc_1 + acc_2, counts * 2, 2 * n),
     }
 
 
@@ -198,6 +206,7 @@ def aggregate(accuracy: np.ndarray) -> dict | None:
 
 ITERATION_CSV_HEADER = "replication,pair_id,epoch,gt_count,det1,det2,det_union,acc1,acc2,acc_union"
 SUMMARY_CSV_HEADER = "v_n,v_s_min,v_s_max,s_slots,iterations,mean_acc_union,std_acc_union,mean_acc_single"
+SUMMARY_BY_PAIR_CSV_HEADER = "pair_id,iterations,mean_acc_union,std_acc_union,mean_acc_single"
 
 # One iterations.csv row; empty ground truth's NaN accuracies print as "nan",
 # the only letters a row can hold, and are then blanked.
@@ -230,15 +239,11 @@ def iteration_csv_rows(replication: int, first_epoch: int, counts: np.ndarray) -
 
 
 def summary_csv_line(summary: dict) -> str:
-    return ",".join(
-        [
-            str(summary["v_n"]),
-            f"{summary['v_s_min']:g}",
-            f"{summary['v_s_max']:g}",
-            str(summary["s_slots"]),
-            str(summary["iterations"]),
-            f"{summary['mean_acc_union']:.6f}",
-            f"{summary['std_acc_union']:.6f}",
-            f"{summary['mean_acc_single']:.6f}",
-        ]
-    )
+    return (f"{summary['v_n']},{summary['v_s_min']:g},{summary['v_s_max']:g},{summary['s_slots']},"
+            f"{summary['iterations']},{summary['mean_acc_union']:.6f},"
+            f"{summary['std_acc_union']:.6f},{summary['mean_acc_single']:.6f}")
+
+
+def summary_by_pair_csv_line(row: dict) -> str:
+    return (f"{row['pair_id']},{row['iterations']},{row['mean_acc_union']:.6f},"
+            f"{row['std_acc_union']:.6f},{row['mean_acc_single']:.6f}")

@@ -4,8 +4,9 @@ Everything here is recomputed from first principles with scalar arithmetic:
 positions from the epoch-start snapshot, link powers from the path-loss
 formula, capture by explicit milliwatt summation, probe replicas merged by
 taking the stronger of a pair's two links, and the mid-square slot hash by
-arbitrary-precision integer arithmetic.  The ground-truth oracle at the end
-is the one exception to the scalar rule (see its docstring).
+arbitrary-precision integer arithmetic.  The ground-truth oracle is the
+one exception to the scalar rule (see its docstring).  The summary oracle
+at the end pools every scored row's accuracies, one float each.
 
 With shadowing on, the reference draws from the generator it is given in
 the engine's documented stream order (see :func:`reference_run_epoch`), so
@@ -190,3 +191,23 @@ def reference_ground_truth(fleet, schedule, geometry, radio):
             power = radio.tx_power_dbm - radio.pl0_db - 10.0 * radio.exponent * np.log10(d)
             in_range[pair] |= (power >= radio.sensitivity_dbm).any(axis=0)
     return in_range
+
+
+def reference_aggregate(accuracy):
+    """The pooled statistics of a ``(..., 3)`` array of acc_1, acc_2 and
+    acc_union rows, one row per (epoch, pair): rows of empty ground truth
+    (NaN) dropped, then the iteration count, the mean and population std-dev
+    of acc_union and the mean of acc_1 and acc_2 together, each a
+    ``math.fsum`` over the rows' values; None if no row is left."""
+    accuracy = np.asarray(accuracy, dtype=float).reshape(-1, 3)
+    accuracy = accuracy[~np.isnan(accuracy[:, 2])]
+    if not len(accuracy):
+        return None
+    union, singles = accuracy[:, 2].tolist(), accuracy[:, :2].ravel().tolist()
+    mean = math.fsum(union) / len(union)
+    return {
+        "iterations": len(union),
+        "mean_acc_union": mean,
+        "std_acc_union": math.sqrt(math.fsum((u - mean) ** 2 for u in union) / len(union)),
+        "mean_acc_single": math.fsum(singles) / len(singles),
+    }

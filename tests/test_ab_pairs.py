@@ -1,4 +1,4 @@
-"""tools/ab_pairs.py: the summary of alternating benchmark pairs."""
+"""tools/ab_pairs.py: the summary and verdicts of alternating benchmark pairs."""
 
 import importlib.util
 import json
@@ -72,3 +72,43 @@ def test_claim_verdict_of_fixed_samples(change, better, met):
     summary = ab_pairs.summarize(parent, change, better)
     assert summary["parent_iqr"] == 4.5
     assert ab_pairs.claim_met(summary, better) is met
+
+
+PARENT = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # median 104.5, IQR 4.5
+
+
+@pytest.mark.parametrize("parent, change, better, bound, want", [
+    # a 25 % bound allows a median up to 130.625 (104.5 x 1.25)
+    (PARENT, [127, 128, 129, 130, 131, 132, 133, 134, 135, 136], "lower", 0.25, "worse"),
+    (PARENT, [125, 126, 127, 128, 129, 130, 131, 132, 133, 134], "lower", 0.25, "level"),
+    (PARENT, PARENT, "lower", 0.25, "level"),
+    # the claim rule met: 9 of 10 pairs, medians 10 apart over the IQR
+    (PARENT, [90, 91, 92, 93, 94, 95, 96, 97, 98, 110], "lower", 0.25, "better"),
+    # a 5 % bound allows 5.225, and the parent's IQR of 4.5 is inside it
+    (PARENT, [107, 108, 109, 110, 111, 112, 113, 114, 115, 116], "lower", 0.05, "worse"),
+    # the parent's IQR (4.5) exceeds a 4 % bound (4.18): unresolved even
+    # when the medians are equal, unless every change run beats every parent run
+    (PARENT, PARENT, "lower", 0.04, "unresolved"),
+    (PARENT, [90, 91, 92, 93, 94, 95, 96, 97, 98, 99], "lower", 0.04, "better"),
+    (PARENT, [90, 91, 92, 93, 94, 95, 96, 97, 98, 100], "lower", 0.04, "unresolved"),
+    # where higher is better, a share of successful calls
+    ([1.0] * 10, [1.0] * 10, "higher", 0.05, "level"),
+    ([1.0] * 10, [0.96] * 10, "higher", 0.05, "level"),
+    ([1.0] * 10, [0.94] * 10, "higher", 0.05, "worse"),
+    (PARENT, [110, 111, 112, 113, 114, 115, 116, 117, 118, 119], "higher", 0.04, "better"),
+    (PARENT, [99, 100, 101, 102, 103, 104, 105, 106, 107, 108], "higher", 0.04, "unresolved"),
+])
+def test_no_regression_verdict_of_fixed_samples(parent, change, better, bound, want):
+    assert ab_pairs.verdict(ab_pairs.summarize(parent, change, better), better, bound) == want
+
+
+@pytest.mark.parametrize("verdicts, want", [
+    (["level", "level"], "level"),
+    (["better", "level"], "level"),
+    (["better", "better"], "better"),
+    (["better", "unresolved"], "unresolved"),
+    (["unresolved", "worse"], "worse"),
+    (["level", "worse"], "worse"),
+])
+def test_verdict_over_sets(verdicts, want):
+    assert ab_pairs.overall(verdicts) == want

@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from enpsim.config import parse_config
-from enpsim.harness import run_experiment
+from enpsim.harness import _lockstep
+from enpsim.metrics import tally
 from enpsim.mobility import Fleet, RoadGeometry, Vehicle
 from enpsim.protocol import TimingParams, World, build_epoch_schedule, run_epoch
 from enpsim.radio import RadioParams, received_power_dbm
@@ -48,9 +49,11 @@ def test_pair_union_miss_is_the_product_of_recorder_misses():
         "fleet.explicit = 9876543210:200:3:0\n"
         f"run.epochs = {n}\nrun.warmup_epochs = 0\nrun.master_seed = 2024\n"
     )
-    acc = run_experiment(cfg).accuracy[:, 0]  # (epochs, 3), one tag in ground truth
-    assert not np.isnan(acc).any()
-    miss_a, miss_b, miss_union = (acc == 0).mean(axis=0)
+    [(counts, _)] = _lockstep(cfg, [(cfg, ())])
+    scores = tally(counts)  # (pair, acc_1, acc_2, acc_union) -> epochs
+    assert sum(scores.values()) == n  # one tag in ground truth every epoch
+    miss_a, miss_b, miss_union = (
+        sum(count for key, count in scores.items() if key[k] == 0) / n for k in (1, 2, 3))
     # each recorder misses with the probability that shadowing takes its
     # link below the floor
     for miss, distance in ((miss_a, 5.0), (miss_b, 6.0)):

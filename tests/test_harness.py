@@ -2,7 +2,9 @@
 
 import gc
 import math
+import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,8 @@ from enpsim.metrics import ITERATION_CSV_HEADER, accuracies
 from enpsim.mobility import advance
 from enpsim.protocol import World, run_epoch
 
+from reference_engine import reference_aggregate
+
 SMALL = """
 preset = paper-fig1b
 fleet.v_n = 15
@@ -32,7 +36,11 @@ def test_run_experiment_shapes_and_columns(tmp_path):
     cfg = parse_config(SMALL)
     result = run_experiment(cfg, out_dir=tmp_path)
     assert len(result.iterations) == 2 * 40 * 5  # reps x epochs x pairs
-    assert result.accuracy.shape == (2 * 40, 5, 3)
+    # the summaries pool every row of non-empty ground truth, of every pair
+    scored = [row for row in result.iterations if row.split(",")[3] != "0"]
+    assert result.summary["iterations"] == len(scored) > 0
+    assert [(r["pair_id"], r["iterations"]) for r in result.by_pair] == [
+        (pair, sum(row.split(",")[1] == str(pair) for row in scored)) for pair in range(5)]
     lines = (tmp_path / "iterations.csv").read_text().splitlines()
     assert lines == [ITERATION_CSV_HEADER] + result.iterations
     assert (tmp_path / "summary.csv").exists()
@@ -58,29 +66,24 @@ def test_seed_changes_results(tmp_path):
     assert a.summary["mean_acc_union"] != b.summary["mean_acc_union"]
 
 
-def pooled(acc):
-    """Iterations, mean and std of acc_union, and mean of acc_1 and acc_2,
-    over the rows of ``acc`` whose ground truth is not empty."""
-    acc = acc.reshape(-1, 3)
-    acc = acc[~np.isnan(acc[:, 2])]
-    union, singles = acc[:, 2].tolist(), acc[:, :2].ravel().tolist()
-    mean = math.fsum(union) / len(union)
-    std = math.sqrt(math.fsum((u - mean) ** 2 for u in union) / len(union))
-    return len(union), mean, std, math.fsum(singles) / len(singles)
+def stream_accuracies(cfg, cells):
+    """The ``(streams x epochs, pairs, 3)`` accuracies of every stream of
+    ``harness._lockstep(cfg, cells)``, in order."""
+    return np.concatenate([accuracies(counts) for counts, _ in harness._lockstep(cfg, cells)])
 
 
 def test_summary_self_consistent_with_iterations():
     cfg = parse_config(SMALL)
     result = run_experiment(cfg)
+    acc = stream_accuracies(cfg, [(cfg, ())])
     # the rows print the accuracies the summaries pool, row for row
     assert [row.split(",")[7:] for row in result.iterations] == [
-        ["" if math.isnan(a) else f"{a:.6f}" for a in row]
-        for row in result.accuracy.reshape(-1, 3).tolist()]
+        ["" if math.isnan(a) else f"{a:.6f}" for a in row] for row in acc.reshape(-1, 3).tolist()]
     keys = ("iterations", "mean_acc_union", "std_acc_union", "mean_acc_single")
-    assert tuple(result.summary[k] for k in keys) == pooled(result.accuracy)
+    assert {k: result.summary[k] for k in keys} == reference_aggregate(acc)
     assert [r["pair_id"] for r in result.by_pair] == [0, 1, 2, 3, 4]
     for r in result.by_pair:
-        assert tuple(r[k] for k in keys) == pooled(result.accuracy[:, r["pair_id"]])
+        assert {k: r[k] for k in keys} == reference_aggregate(acc[:, r["pair_id"]])
 
 
 def test_replications_differ():
@@ -195,9 +198,8 @@ class TestLockstep:
         cells = [with_fleet_cell(cfg, v_n, *vs) for vs in ranges for v_n in self.SWEEP_VN]
         want = []  # each cell alone, drawing from the generators keyed (cell index, rep)
         for i, cell in enumerate(cells):
-            streams = harness._lockstep(cell, [(cell, (i,))])
-            want.append(harness.summarize(cell, np.concatenate(
-                [accuracies(counts) for counts, _ in streams])))
+            pooled = reference_aggregate(stream_accuracies(cell, [(cell, (i,))]))
+            want.append({**harness.summarize(cell, Counter()), **(pooled or {})})
         # repr: an empty fleet's cell has NaN accuracies
         assert repr(sweep(cfg, self.SWEEP_VN, ranges)) == repr(want)
 
@@ -260,11 +262,12 @@ def test_event_chunks_hold_bounded_probe_verdicts(events):
     assert peak - kept < 4 * 8 * protocol.MAX_REPLY_LINKS
 
 
-def test_scored_rows_keep_text_and_three_floats(tmp_path):
+def test_scored_rows_keep_only_their_text(tmp_path):
     # A scored (epoch, pair) keeps its iterations.csv row (about 94 B of text
-    # at v_n = 40 and an 8 B list slot) and its three accuracies (24 B):
-    # 127 B.  A frozen per-row object tagged with its replication kept 273 B
-    # here.  Writing 20,000 rows of an empty fleet peaks at 2.4 B a row, one
+    # at v_n = 40 and an 8 B list slot) and nothing else: the summaries pool
+    # a tally of the distinct accuracy rows.  Three float64 accuracies a row
+    # kept 24 B more, a frozen per-row object tagged with its replication
+    # 273 B.  Writing 20,000 rows of an empty fleet peaks at 2.4 B a row, one
     # block of joined rows at a time; building a second list of lines for
     # the file peaked at 84 B (CPython 3.11, NumPy 2)
     def kept(epochs):
@@ -273,14 +276,16 @@ def test_scored_rows_keep_text_and_three_floats(tmp_path):
         try:
             result = run_experiment(cfg)
             gc.collect()
-            return tracemalloc.get_traced_memory()[0], len(result.iterations)
+            held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+        text = sys.getsizeof(result.iterations) + sum(map(sys.getsizeof, result.iterations))
+        return held, text, len(result.iterations)
 
     kept(2)  # first-call caches
-    (short, short_rows), (long, long_rows) = kept(50), kept(250)
+    (short, short_text, short_rows), (long, long_text, long_rows) = kept(50), kept(250)
     assert long_rows - short_rows == 200 * 5
-    assert (long - short) / (long_rows - short_rows) <= 160
+    assert (long - short - (long_text - short_text)) / (long_rows - short_rows) <= 2
 
     result = run_experiment(parse_config("preset = paper-fig1b\nfleet.v_n = 0\nrun.epochs = 4000\n"))
     assert len(result.iterations) == 20_000

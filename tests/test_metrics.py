@@ -1,6 +1,7 @@
 """Ground truth sampling, per-iteration accuracy, and aggregation."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -17,13 +18,15 @@ from enpsim.metrics import (
     ground_truth,
     iteration_accuracy,
     iteration_csv_rows,
+    summary_by_pair_csv_line,
     summary_csv_line,
+    tally,
 )
 from enpsim.mobility import KMH_TO_MPS, Fleet, RoadGeometry, Vehicle, advance, positions_at
 from enpsim.protocol import TimingParams, build_epoch_schedule
 from enpsim.radio import RadioParams, comm_range_m, received_power_dbm
 
-from reference_engine import reference_ground_truth
+from reference_engine import reference_aggregate, reference_ground_truth
 
 GEOM = RoadGeometry(vr_pair_xs=(100.0,))
 RADIO = RadioParams()
@@ -348,7 +351,8 @@ class TestIterationAccuracy:
     def test_empty_gt_excluded(self):
         counts, acc = one_pair({1}, set(), set())
         assert counts[6] == 0 and all(math.isnan(a) for a in acc)
-        assert aggregate(np.array([acc])) is None
+        assert tally(np.array([[counts]])) == {}
+        assert aggregate(Counter()) is None
 
     def test_union_dominance_and_swap_invariance(self):
         rng = np.random.default_rng(31)
@@ -398,50 +402,113 @@ class TestIterationAccuracy:
             assert iteration_csv_rows(stream, 7, got[stream]) == want_rows
 
 
-def acc_rows(*union, single=None):
-    """A (rows, 3) accuracy array: acc_1 = acc_2 = acc_union unless given."""
-    union = np.array(union, dtype=float)
-    single = union if single is None else np.array(single, dtype=float)
-    return np.stack([single, single, union], axis=1)
+def scored(*pairs):
+    """The tally of the epochs of one stream, one list per pair, each row
+    the in-ground-truth counts of recorder a, recorder b and their union,
+    and the ground truth; the recorded counts equal the in-ground-truth
+    ones."""
+    counts = np.zeros((len(pairs[0]), len(pairs), 7), dtype=np.int32)
+    counts[..., 3:] = np.stack(pairs, axis=1)
+    counts[..., :3] = counts[..., 3:6]
+    return tally(counts), counts
 
 
 class TestAggregate:
     def test_single_iteration(self):
-        row = aggregate(acc_rows(1.0))
-        assert row == {"iterations": 1, "mean_acc_union": 1.0, "std_acc_union": 0.0,
-                       "mean_acc_single": 1.0}
+        scores, _ = scored([(2, 2, 2, 2)])
+        assert scores == {(0, 1.0, 1.0, 1.0): 1}
+        assert aggregate(scores) == {"iterations": 1, "mean_acc_union": 1.0,
+                                     "std_acc_union": 0.0, "mean_acc_single": 1.0}
 
     def test_two_iterations_mean(self):
-        row = aggregate(acc_rows(1.0, 0.5))
+        row = aggregate(scored([(1, 1, 1, 1), (1, 1, 1, 2)])[0])
         assert row["mean_acc_union"] == 0.75 and row["std_acc_union"] == 0.25
 
     def test_excluded_iterations_dropped(self):
-        row = aggregate(acc_rows(1.0, float("nan"), 0.5))
+        # the epoch of empty ground truth is not counted
+        scores, _ = scored([(1, 1, 1, 1), (0, 0, 0, 0), (1, 1, 1, 2)])
+        assert sum(scores.values()) == 2
+        row = aggregate(scores)
         assert row["iterations"] == 2 and row["mean_acc_union"] == 0.75
 
     def test_all_excluded_gives_none(self):
-        assert aggregate(acc_rows(float("nan"), float("nan"))) is None
-        assert aggregate(np.empty((0, 3))) is None
+        scores, _ = scored([(0, 0, 0, 0), (0, 0, 0, 0)])
+        assert scores == {} and aggregate(scores) is None
+        assert aggregate(Counter()) is None
 
     def test_pair_columns(self):
-        # a (rows, pairs, 3) stack pools per pair through its column slices
-        stack = np.stack([acc_rows(1.0, 0.5), acc_rows(float("nan"), float("nan"))], axis=1)
-        assert aggregate(stack[:, 0])["mean_acc_union"] == 0.75
-        assert aggregate(stack[:, 1]) is None
+        # a pair pools the entries of its own pair, the first key field
+        scores, _ = scored([(1, 1, 1, 1), (1, 1, 1, 2)], [(0, 0, 0, 0), (0, 0, 0, 0)])
+        assert {key[0] for key in scores} == {0}
+        assert aggregate({k: n for k, n in scores.items() if k[0] == 0})["mean_acc_union"] == 0.75
+        assert aggregate({k: n for k, n in scores.items() if k[0] == 1}) is None
 
     def test_order_free_and_exact(self):
         # math.fsum is correctly rounded, so any order of the rows gives the
-        # same bytes, and the mean is the exactly rounded one
+        # same bytes, and the mean is the exactly rounded one of every row
         rng = np.random.default_rng(41)
-        acc = acc_rows(*rng.uniform(0, 1, 500), single=rng.uniform(0, 1, 500))
-        whole = aggregate(acc)
-        assert aggregate(acc[rng.permutation(500)]) == whole
+        gt = rng.integers(1, 40, 500)
+        rows = np.stack([rng.integers(0, gt + 1), rng.integers(0, gt + 1)], axis=1)
+        union = rng.integers(rows.max(axis=1), np.minimum(rows.sum(axis=1), gt) + 1)
+        scores, counts = scored(np.column_stack([rows, union, gt]).tolist())
+        whole = aggregate(scores)
+        assert aggregate(tally(counts[rng.permutation(500)])) == whole
+        acc = accuracies(counts).reshape(-1, 3)
+        assert whole == reference_aggregate(acc)
         assert whole["mean_acc_union"] == math.fsum(acc[:, 2].tolist()) / 500
         assert whole["mean_acc_single"] == math.fsum(acc[:, :2].ravel().tolist()) / 1000
 
     def test_single_pools_both_recorders(self):
-        row = aggregate(np.array([[1.0, 0.5, 1.0]]))
+        row = aggregate(scored([(2, 1, 2, 2)])[0])
         assert row["mean_acc_single"] == 0.75
+
+
+@st.composite
+def count_stacks(draw):
+    """A stream's random ``(epochs, pairs, 7)`` counts of 1-60 epochs and
+    1-5 pairs that keep :func:`iteration_accuracy`'s invariants: each
+    recorder's in-ground-truth count at most the ground truth, the union's
+    between the larger of them and their sum (or the ground truth).  Small
+    ground truths (empty ones included) repeat values often."""
+    n_epochs, n_pairs = draw(st.integers(1, 60)), draw(st.integers(1, 5))
+    max_gt = draw(st.sampled_from([0, 1, 2, 3, 10, 200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gt = rng.integers(0, max_gt + 1, (n_epochs, n_pairs))
+    gt[rng.random(gt.shape) < 0.2] = 0
+    within = rng.integers(0, gt[..., None] + 1, gt.shape + (2,))
+    union = rng.integers(within.max(axis=-1), np.minimum(within.sum(axis=-1), gt) + 1)
+    counts = np.zeros((n_epochs, n_pairs, 7), dtype=np.int32)
+    counts[..., 3:5], counts[..., 5], counts[..., 6] = within, union, gt
+    # recorded tags outside ground truth change no accuracy
+    counts[..., :3] = counts[..., 3:6] + rng.integers(0, 3, (n_epochs, n_pairs, 1))
+    return counts
+
+
+# one row; one row of empty ground truth; many rows of one value, in chunks
+# (an empty one among them)
+@example(counts=np.array([[[1, 1, 1, 1, 1, 1, 2]]], np.int32), cuts=[], data=None)
+@example(counts=np.array([[[1, 0, 1, 0, 0, 0, 0]]], np.int32), cuts=[], data=None)
+@example(counts=np.tile(np.array([3, 1, 3, 3, 1, 3, 4], np.int32), (50, 3, 1)),
+         cuts=[7, 7, 30], data=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(counts=count_stacks(), cuts=st.lists(st.integers(0, 60), max_size=5), data=st.data())
+def test_merged_tallies_aggregate_as_fsum_over_rows(counts, cuts, data):
+    # a stream cut into chunks, their tallies merged in any order, gives the
+    # bits of math.fsum over every row's accuracies, per pair and pooled
+    bounds = [0, *sorted(min(cut, len(counts)) for cut in cuts), len(counts)]
+    chunks = [counts[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    if data is not None:
+        chunks = data.draw(st.permutations(chunks))
+    merged = Counter()
+    for chunk in chunks:
+        merged.update(tally(chunk))
+    assert merged == tally(counts)
+    acc = accuracies(counts)
+    assert aggregate(merged) == reference_aggregate(acc)
+    assert (aggregate(merged) is None) == (counts[..., 6] == 0).all()
+    for pair in range(counts.shape[1]):
+        entries = {key: n for key, n in merged.items() if key[0] == pair}
+        assert aggregate(entries) == reference_aggregate(acc[:, pair])
 
 
 def test_csv_lines_format(monkeypatch):
@@ -462,3 +529,6 @@ def test_csv_lines_format(monkeypatch):
     summary = dict(v_n=40, v_s_min=30.0, v_s_max=90.0, s_slots=71, iterations=1000,
                    mean_acc_union=0.9753, std_acc_union=0.01, mean_acc_single=0.91)
     assert summary_csv_line(summary) == "40,30,90,71,1000,0.975300,0.010000,0.910000"
+    row = dict(pair_id=3, iterations=200, mean_acc_union=0.9753, std_acc_union=0.01,
+               mean_acc_single=0.91)
+    assert summary_by_pair_csv_line(row) == "3,200,0.975300,0.010000,0.910000"

@@ -14,8 +14,9 @@ entries of the ``BENCH_<n>.json`` files (per end-to-end metric of
 ``BENCHMARK.json``, each side's median, quartiles (numpy linear percentiles)
 and runs, the parent's interquartile range, the change over the parent, and
 the pairs the change won, ties counting for neither side) plus each metric's
-``claim_met`` verdict (see :func:`claim_met`); and ``claim_met``, per metric,
-whether every set met it.
+``claim_met`` and no-regression ``verdict`` (see :func:`claim_met` and
+:func:`verdict`); ``claim_met``, per metric, whether every set met it; and
+``verdict``, per metric, the sets' verdicts combined (see :func:`overall`).
 """
 
 from __future__ import annotations
@@ -60,15 +61,45 @@ def summarize(parent_runs, change_runs, better: str) -> dict:
     }
 
 
+def _gain(summary: dict, better: str) -> float:
+    """How much better the change's median is than the parent's."""
+    gap = summary["parent_median"] - summary["change_median"]
+    return gap if better == "lower" else -gap
+
+
 def claim_met(summary: dict, better: str) -> bool:
     """Whether one set's pairs (a :func:`summarize` result) support a claimed
     gain: the change won at least nine tenths of the pairs, and its median is
     better than the parent's by more than the parent's interquartile range."""
-    gap = summary["parent_median"] - summary["change_median"]
-    if better == "higher":
-        gap = -gap
     wins = summary["change_better_pairs"]
-    return 10 * wins >= 9 * summary["pairs"] and gap > summary["parent_iqr"]
+    return 10 * wins >= 9 * summary["pairs"] and _gain(summary, better) > summary["parent_iqr"]
+
+
+def verdict(summary: dict, better: str, bound: float) -> str:
+    """One set's no-regression verdict on one metric (a :func:`summarize`
+    result), ``bound`` being the metric's bound in ``BENCHMARK.json`` read
+    as a fraction of the parent's median: "worse" when the change's median
+    is worse than the parent's by more than that; else "unresolved" when the
+    parent's interquartile range exceeds it and not every change run beats
+    every parent run; else "better" when :func:`claim_met`, or "level"."""
+    allowed = bound * abs(summary["parent_median"])
+    if _gain(summary, better) < -allowed:
+        return "worse"
+    parent, change = summary["parent_runs"], summary["change_runs"]
+    beats_all = max(change) < min(parent) if better == "lower" else min(change) > max(parent)
+    if summary["parent_iqr"] > allowed and not beats_all:
+        return "unresolved"
+    return "better" if claim_met(summary, better) else "level"
+
+
+def overall(verdicts) -> str:
+    """The verdict of several sets on one metric: "worse" if any set is
+    worse, else "unresolved" if any is, else "better" if all are, else
+    "level"."""
+    for worst in ("worse", "unresolved"):
+        if worst in verdicts:
+            return worst
+    return "better" if all(v == "better" for v in verdicts) else "level"
 
 
 def export(rev: str, into: Path) -> Path:
@@ -102,13 +133,15 @@ def run_pairs(trees: dict, workload: str, args, label: str) -> dict:
 
 
 def set_report(runs: dict, metrics: list) -> dict:
-    """One set's summary per end-to-end metric, each metric's claim verdict
-    and whether every run was correct."""
+    """One set's summary per end-to-end metric, each metric's claim and
+    no-regression verdicts and whether every run was correct."""
     report = {m["name"]: summarize([r["metrics"][m["name"]]["value"] for r in runs["parent"]],
                                    [r["metrics"][m["name"]]["value"] for r in runs["change"]],
                                    m["better"])
               for m in metrics}
     report["claim_met"] = {m["name"]: claim_met(report[m["name"]], m["better"]) for m in metrics}
+    report["verdict"] = {m["name"]: verdict(report[m["name"]], m["better"], m["bound"])
+                         for m in metrics}
     report["all_correct"] = all(r["correct"] for side in runs.values() for r in side)
     return report
 
@@ -140,6 +173,8 @@ def main(argv: list[str] | None = None) -> int:
     for workload in report.values():
         workload["claim_met"] = {m["name"]: all(one["claim_met"][m["name"]]
                                                 for one in workload["sets"]) for m in metrics}
+        workload["verdict"] = {m["name"]: overall([one["verdict"][m["name"]]
+                                                   for one in workload["sets"]]) for m in metrics}
     print(json.dumps(report, indent=2))
     return 0
 
