@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -171,12 +171,16 @@ def tally(counts: np.ndarray) -> Counter:
     """How often each ``(pair, acc_1, acc_2, acc_union)`` of :func:`accuracies`
     occurs among the rows of non-empty ground truth of one stream's
     ``(epochs, pairs, 7)`` :func:`iteration_accuracy` counts."""
-    epoch, pair = np.nonzero(counts[..., 6])
-    return Counter(zip(pair.tolist(), *accuracies(counts[epoch, pair]).T.tolist()))
+    rows = counts.reshape(-1, 7).T
+    gt = rows[6]  # rows of empty ground truth are divided by 1, then left out
+    pairs = list(range(counts.shape[1])) * len(counts)
+    return Counter(compress(zip(pairs, *(rows[3:6] / np.maximum(gt, 1)).tolist()), gt.tolist()))
 
 
-def _mean(values: Sequence[float], counts: Sequence[int], n: int) -> float:
-    return math.fsum(chain.from_iterable(map(repeat, values, counts))) / n
+def _fsum(more: Sequence[tuple[int, int]], *columns: Sequence[float]) -> float:
+    """``math.fsum`` of the columns' values, the ``i``-th of each once and
+    again times ``b`` for each ``(i, b)`` of ``more``."""
+    return math.fsum(chain(*columns, *[[v[i] * b for i, b in more] for v in columns]))
 
 
 def aggregate(scores: Mapping[tuple, int]) -> dict | None:
@@ -190,14 +194,17 @@ def aggregate(scores: Mapping[tuple, int]) -> dict | None:
     if not scores:
         return None
     _, acc_1, acc_2, union = zip(*scores)
-    counts = tuple(scores.values())
-    n = sum(counts)
-    mean_u = _mean(union, counts, n)
+    n = sum(scores.values())
+    # c copies of a value sum as the value and its products with the powers of
+    # two that make up c - 1, each exact: the multiset's exact sum
+    more = [(i, 1 << j) for i, c in enumerate(scores.values()) if c > 1
+            for j in range((c - 1).bit_length()) if (c - 1) >> j & 1]
+    mean_u = _fsum(more, union) / n
     return {
         "iterations": n,
         "mean_acc_union": mean_u,
-        "std_acc_union": math.sqrt(_mean([(u - mean_u) ** 2 for u in union], counts, n)),
-        "mean_acc_single": _mean(acc_1 + acc_2, counts * 2, 2 * n),
+        "std_acc_union": math.sqrt(_fsum(more, [(u - mean_u) ** 2 for u in union]) / n),
+        "mean_acc_single": _fsum(more, acc_1, acc_2) / (2 * n),
     }
 
 

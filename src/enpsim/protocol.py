@@ -11,11 +11,12 @@ at every receiver under the capture rule.
 :func:`run_epoch` only starts an epoch; one pass runs every epoch waiting
 on a world, in blocks of its (epoch, round) rows of at most
 ``MAX_REPLY_LINKS`` probe links.  Its probe phase runs round by round, one
-capture call deciding the probe at every tag, because of the shadowing draw
-order alone.  The reply phase draws nothing of its own, so one capture call
-decides every occupied (epoch, round, stream, slot) of a block at every
-recorder, over the flat (repliers x recorders) powers grouped by slot; each
-epoch takes its results once, at the end of the pass.  Each stream takes the
+codes-only capture call deciding the probe at every tag, because of the
+shadowing draw order alone; a trace's winning pairs are found once a block.
+The reply phase draws nothing of its own, so one capture call decides every
+occupied (epoch, round, stream, slot) of a block at every recorder, over the
+flat (repliers x recorders) powers grouped by slot; each epoch takes its
+results once, at the end of the pass.  Each stream takes the
 shadowing values of a slot-by-slot resolution of it alone, in order (drawn
 ahead within a block): outputs depend on neither batching nor other streams.
 Positions come from the epoch-start fleet snapshot at each schedule event,
@@ -35,7 +36,7 @@ from .events import event_lines
 # counts probe frames by patching this module's ProbeFrame binding.
 from .frames import ProbeFrame  # noqa: F401
 from .mobility import Fleet, RoadGeometry, advance, positions_at, positions_at_each
-from .radio import RECEIVED_CODE, RadioParams, capture_verdicts, received_power_dbm
+from .radio import RECEIVED_CODE, RadioParams, capture_codes, capture_verdicts, received_power_dbm
 from .slot_hash import HashParams, round_seed, slot_for
 
 
@@ -244,17 +245,19 @@ def _run_pass(world: World) -> None:
     ``MAX_REPLY_LINKS`` probe links (row x recorder x tag), at least one row.
     A block may span epochs; one positions call over its rows' epoch-start
     snapshots gives its zero-shadow powers.  Row by row, one capture call
-    decides at every tag the concurrent probes of all pairs (pair replicas
-    merged, cross-pair probes contending), as the shadowing order alone
-    demands: round r + 1's probe values follow round r's reply values, as
-    many as its probe decodes.  Each stream takes the values a world of it
-    alone would (:class:`_Shadowing`); a row adds its streams' probe values,
-    stitched along the tag axis, in place.  A probe link yields at most one
-    reply link, so one :func:`_resolve_replies` call per block, over the
-    pass's rows and the (epochs, tags) start positions stacked once, keeps the
-    budget.  Each epoch then takes its record table, from every block's first
-    decodes in block order, and its trace, once: of its probe verdicts, a
-    block keeps only those not silence."""
+    writes the codes alone at every tag of the concurrent probes of all
+    pairs (pair replicas merged, cross-pair probes contending), as the
+    shadowing order alone demands: round r + 1's probe values follow round
+    r's reply values, as many as its probe decodes.  Each stream takes the
+    values a world of it alone would (:class:`_Shadowing`); a row adds its
+    streams' probe values, stitched along the tag axis, in place.  A probe
+    link yields at most one reply link, so one :func:`_resolve_replies` call
+    per block, over the pass's rows and the (epochs, tags) start positions
+    stacked once, keeps the budget.  Each epoch then takes its record table,
+    from every block's first decodes in block order, and its trace, once: of
+    its probe verdicts, a block keeps only those not silence, with the pair
+    of the strongest of their shadowed links, found after its rows, where
+    RECEIVED."""
     results, world.pending = world.pending, []
     for res in results:
         res._world = None
@@ -279,7 +282,7 @@ def _run_pass(world: World) -> None:
         np.hypot(power, world.fleet.y - world.vr_y[:, None], out=power)
         received_power_dbm(power, radio, tx_power_dbm=radio.probe_tx_power_dbm, out=power)
         out = np.empty(power.shape[::2], np.int8)
-        pairs = np.empty(out.shape, np.intp) if events else None
+        merged = np.empty((n_vr // 2, n_enp))  # a row's powers, a pair's replicas merged
         draws = []  # the block's reply shadowing
         for r, link_pw in enumerate(power):
             later = end - b - r - 1  # the block's rows after this one
@@ -288,11 +291,9 @@ def _run_pass(world: World) -> None:
                 link_pw += shadow[0] if len(shadow) == 1 else np.hstack(shadow)
             # the two recorders of a pair send byte-identical probes:
             # non-destructive replicas, strongest link counts
-            out[r], pair = capture_verdicts(np.maximum(link_pw[0::2], link_pw[1::2]), radio)
-            if events:
-                pairs[r] = pair
-            heard = out[r].tobytes()  # each stream's repliers take their reply shadowing
-            for s, lo, hi in streams:
+            np.maximum(link_pw[0::2], link_pw[1::2], out=merged)
+            heard = capture_codes(merged, radio, out[r]).tobytes()
+            for s, lo, hi in streams:  # each stream's repliers take their reply shadowing
                 k = heard.count(RECEIVED_CODE, lo, hi)
                 if k:  # a view of a larger buffer would hold all of it to the block's end
                     drawn = s.take(n_vr * k, later)
@@ -301,7 +302,10 @@ def _run_pass(world: World) -> None:
         blocks.append(_resolve_replies(world, results, starts, row + b, tag, _joined(draws)))
         if events:  # the verdicts heard: epoch, round, tag and winning pair (-1 where none)
             row, tag = np.divmod(np.flatnonzero(out != 0), max(n_enp, 1))
-            probes.append((*np.divmod(row + b, n_rounds), tag, pairs[row, tag]))
+            # the pair of the strongest shadowed link, the first where several are
+            pair = power[row, :, tag].argmax(axis=1) // 2
+            probes.append((*np.divmod(row + b, n_rounds), tag,
+                           np.where(out[row, tag] == RECEIVED_CODE, pair, -1)))
 
     # each epoch's first decodes, sorted by (epoch, recorder, tag), and
     # slots; one block's table holds only first decodes already

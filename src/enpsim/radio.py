@@ -105,13 +105,9 @@ def capture_verdicts(power_dbm: np.ndarray, params: RadioParams,
     """
     p = np.asarray(power_dbm, dtype=float)
     n_tx, n_rx = p.shape
-    if starts is None and n_tx > 1:  # one group: plain reductions, the probe phase's call
-        strongest = p.max(axis=0)
-        return _verdicts(params, strongest, p.argmax(axis=0), (p == strongest).sum(axis=0) > 1,
-                         (10.0 ** (p / 10.0)).sum(axis=0))
-    if starts is None:  # one lone signal, or none: False/True are SILENCE/RECEIVED
-        heard = p[0] >= params.sensitivity_dbm if n_tx else np.zeros(n_rx, dtype=bool)
-        return heard.view(np.int8), heard - 1
+    if starts is None:  # one group: its codes, and the strongest row where received
+        codes = capture_codes(p, params, np.empty(n_rx, np.int8))
+        return codes, np.where(codes == RECEIVED_CODE, p.argmax(axis=0) if n_tx else 0, -1)
 
     counts = np.append(starts[1:], n_tx) - starts
     heard = p[starts] >= params.sensitivity_dbm  # all a group of one row needs
@@ -133,12 +129,29 @@ def capture_verdicts(power_dbm: np.ndarray, params: RadioParams,
         cell = (group[:, None] * n_rx + np.arange(n_rx)).ravel()
         mw = q / 10.0
         total_mw = np.bincount(cell, np.power(10.0, mw, out=mw).ravel(), groups.size * n_rx)
-        codes[groups], winner[groups] = _verdicts(params, strongest, top, n_max > 1,
-                                                  total_mw.reshape(-1, n_rx))
+        codes[groups] = group_codes = _codes(params, strongest, n_max > 1,
+                                             total_mw.reshape(-1, n_rx))
+        winner[groups] = np.where(group_codes == RECEIVED_CODE, top, -1)
     return codes, winner
 
 
-def _verdicts(params, strongest, winner, tied, total_mw):
+def capture_codes(power_dbm: np.ndarray, params: RadioParams, out: np.ndarray) -> np.ndarray:
+    """The verdict codes alone of one group of (signals x receivers) float
+    powers under :func:`capture_verdicts`' rule, written into ``out``, an
+    int8 (receivers,) array, which is returned: the probe phase's call, each
+    row of which needs only its decodes."""
+    if len(power_dbm) > 1:
+        strongest = power_dbm.max(axis=0)
+        return _codes(params, strongest, (power_dbm == strongest).sum(axis=0) > 1,
+                      (10.0 ** (power_dbm / 10.0)).sum(axis=0), out)
+    if len(power_dbm):  # one lone signal: False/True are SILENCE/RECEIVED
+        np.greater_equal(power_dbm[0], params.sensitivity_dbm, out.view(np.bool_))
+    else:
+        out[:] = SILENCE_CODE
+    return out
+
+
+def _codes(params, strongest, tied, total_mw, out=None):
     """The capture rule from each group's reductions at each receiver."""
     # nothing else present => -inf interference => the margin passes; absent
     # signals only give -inf - -inf = nan, which fails it but is SILENCE anyway
@@ -147,4 +160,4 @@ def _verdicts(params, strongest, winner, tied, total_mw):
         won = (strongest - interference_dbm >= params.capture_threshold_db) & ~tied
     heard = ~(strongest < params.sensitivity_dbm)
     # SILENCE, RECEIVED, COLLISION are 0, 1, 2: 1 where heard, shifted to 2 where not won
-    return heard.view(np.int8) << ~won, np.where(heard & won, winner, -1)
+    return np.left_shift(heard.view(np.int8), ~won, out=out)

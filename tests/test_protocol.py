@@ -14,7 +14,7 @@ from enpsim.events import event_lines
 from enpsim.harness import build_fleet
 from enpsim.mobility import Fleet, RoadGeometry, Vehicle, advance, positions_at, spawn_fleet
 from enpsim.protocol import TimingParams, World, build_epoch_schedule, run_epoch
-from enpsim.radio import RadioParams, capture_verdicts
+from enpsim.radio import RadioParams, capture_codes, capture_verdicts
 from enpsim.slot_hash import HashParams, slot_for
 
 from reference_engine import engine_records, recorder_id, reference_run_epoch
@@ -413,22 +413,21 @@ class TestRunEpoch:
     @pytest.mark.parametrize("n_epochs", [1, 5])
     def test_one_reply_capture_call_per_chunk(self, monkeypatch, preset, n_epochs):
         # every epoch waits for the first read, whose one pass makes one
-        # capture call a round for the probe and one for all the replies
+        # capture call, for all the replies (a probe row takes only its codes)
         world = preset_world(f"preset = {preset}\n")
         calls = count_capture_calls(monkeypatch)
         results = [run_epoch(world, e) for e in range(n_epochs)]
-        rounds = results[0].schedule.round_count
         assert len(calls) == 0
         assert len(results[-1].records)
-        assert len(calls) == n_epochs * rounds + 1
+        assert [starts is not None for _, starts in calls] == [True]
         assert all(len(result.records) for result in results)
-        assert len(calls) == n_epochs * rounds + 1
+        assert [starts is not None for _, starts in calls] == [True]
 
     @pytest.mark.parametrize("max_links", [1, 50])
     @pytest.mark.parametrize("sigma", [0.0, 6.5])
     def test_reply_runs_match_reference(self, monkeypatch, max_links, sigma):
         # with a small link budget the replies are resolved in probe blocks
-        # of one round, one capture call each: the records and generator
+        # of one round, one reply capture call each: the records and generator
         # state still match the reference, for a world alone and for each of
         # three streams, and the event text matches that of one reply call
         geom = single_pair_geometry()
@@ -444,7 +443,7 @@ class TestRunEpoch:
                      record_events=True)
         result = run_epoch(runs, 8)
         assert result.events == want_events  # the read runs the epoch's pass
-        assert len(calls) > result.schedule.round_count + 2
+        assert [starts is not None for _, starts in calls] == [True] * result.schedule.round_count
         assert_matches_reference(1, 1, True, None, 25, 108, 8, sigma)
         assert_matches_reference(5, 17, False, None, 25, 106, 6, sigma)
         assert_streams_match_reference(1, 1, True, [(25, 108), (0, 1), (7, 2)], 8, sigma)
@@ -555,7 +554,39 @@ class TestRunEpoch:
         rounds, block = result.schedule.round_count, protocol.MAX_REPLY_LINKS // (100 * 10)
         assert len(links) == -(-rounds // block) > 1
         assert max(links) <= protocol.MAX_REPLY_LINKS
-        assert len(calls) == rounds + len(links)
+        assert len(calls) == len(links)  # a probe row takes only its codes
+
+    @pytest.mark.parametrize("streams", [((25, 108),), ((25, 108), (0, 1), (7, 2))],
+                             ids=["one-stream", "three-streams"])
+    def test_trace_winners_are_each_rows_capture_winners(self, monkeypatch, streams):
+        # three pairs 40 m apart at 6.5 dB, three epochs in one pass: the
+        # trace, whose winners a pass finds once a block, holds each probe
+        # row's codes not silence and, for each, the winning pair a
+        # capture_verdicts call on the row's merged powers gives (-1 for a
+        # collision)
+        rows = []
+
+        def spied(power, radio, out):
+            rows.append(capture_verdicts(power, radio))
+            return capture_codes(power, radio, out)
+
+        monkeypatch.setattr(protocol, "capture_codes", spied)
+        geom = spaced_pairs(3)
+        world = World(stream_fleets(streams, geom), geom, RadioParams(shadowing_sigma_db=6.5),
+                      HashParams(slot_count=5), TIMING, stream_rngs(s for _, s in streams),
+                      record_events=True)
+        results = [run_epoch(world, e) for e in range(3)]
+        results[-1].records  # runs the pass
+        rounds = results[0].schedule.round_count
+        codes, winners = map(np.stack, zip(*rows))
+        assert codes.shape == winners.shape == (3 * rounds, len(world.fleet))
+        for e, result in enumerate(results):
+            rnd, tag, pair = result.trace[1]
+            row, want_tag = np.nonzero(codes[e * rounds:(e + 1) * rounds])
+            np.testing.assert_array_equal(rnd, row)
+            np.testing.assert_array_equal(tag, want_tag)
+            np.testing.assert_array_equal(pair, winners[e * rounds + rnd, tag])
+        assert set(np.concatenate([r.trace[1][2] for r in results]).tolist()) == {-1, 0, 1, 2}
 
     @pytest.mark.parametrize("record_events", [False, True])
     @pytest.mark.parametrize("reseed", [False, True])

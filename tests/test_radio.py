@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from enpsim.radio import (
     COLLISION_CODE,
@@ -11,6 +13,7 @@ from enpsim.radio import (
     SILENCE_CODE,
     RadioParams,
     Verdict,
+    capture_codes,
     capture_verdicts,
     comm_range_m,
     received_power_dbm,
@@ -337,6 +340,44 @@ class TestBatchKernel:
 
     def test_codes_are_the_verdict_values(self):
         assert (SILENCE_CODE, RECEIVED_CODE, COLLISION_CODE) == tuple(Verdict)
+
+
+@st.composite
+def one_group(draw):
+    """One group's (signals x receivers) powers, 0-5 signals at 1-4
+    receivers, on the 0.7 dB grid around the floor (ties common, no lead over
+    one interferer exactly on the 3 dB margin), a fifth of them absent."""
+    n_tx, n_rx = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    cell = st.integers(-145, -115).map(lambda k: k * 0.7) | st.just(-math.inf)
+    return np.array(draw(st.lists(st.lists(cell, min_size=n_rx, max_size=n_rx),
+                                  min_size=n_tx, max_size=n_tx)), dtype=float).reshape(n_tx, n_rx)
+
+
+# a lone signal; a tie for strongest; a row of absent signals; a tie at a
+# zero margin, where the tie rule alone collides; the 4000 dBm lone signal
+@example(powers=np.array([[-80.5, -120.0, -94.0]]), threshold=3.0)
+@example(powers=np.array([[-80.5, -60.0], [-80.5, -70.0], [-99.0, -60.0]]), threshold=3.0)
+@example(powers=np.array([[-math.inf, -math.inf], [-85.0, -math.inf]]), threshold=3.0)
+@example(powers=np.array([[-70.0, -70.0], [-70.0, -90.0]]), threshold=0.0)
+@example(powers=np.array([[4000.0]]), threshold=3.0)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(powers=one_group(), threshold=st.sampled_from([0.0, 3.0]))
+def test_codes_entry_matches_capture_verdicts(powers, threshold):
+    # the codes entry writes into the row it is given, nothing beside it,
+    # the codes capture_verdicts returns for the one group, those of the
+    # flat rule for it as a group of a batch, and the scalar rule's
+    params = RadioParams(capture_threshold_db=threshold)
+    n_rx = powers.shape[1]
+    block = np.full((3, n_rx), 7, np.int8)
+    codes = capture_codes(powers, params, block[1])
+    assert codes.dtype == np.int8 and np.shares_memory(codes, block[1])
+    np.testing.assert_array_equal(block[[0, 2]], 7)
+    np.testing.assert_array_equal(block[1], capture_verdicts(powers, params)[0])
+    if len(powers):
+        grouped = capture_verdicts(powers, params, np.array([0]))[0]
+        np.testing.assert_array_equal(block[1], grouped[0])
+    assert [Verdict(int(c)) for c in block[1]] == [
+        scalar_capture(powers[:, j].tolist(), params)[0] for j in range(n_rx)]
 
 
 def test_params_validation():

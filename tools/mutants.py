@@ -3,16 +3,15 @@
     python3 tools/mutants.py > mutants.json
 
 Each mutant is one exact ``(file, old, new)`` edit of the engine or of the
-scoring, planted on purpose: a batching, draw-order, trace or summary fault
-that an outcome check must catch.  The working tree is never edited.  Each run copies it (without
-``.git`` and caches) into a temporary directory, applies at most one
-mutant there and runs the Tier-1 command, ``python -m pytest -q
---continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``.  The
-unmutated copy runs first, and a mutant is killed when it fails a test that
-passes there.  Every run leaves out hypothesis's pytest plugin (see
-:func:`failed_tests`).  ``tests/test_mutants.py`` is left out of every run: it checks
-that each ``old`` text occurs once in the unmutated source, so every mutant
-fails it by design.
+scoring, planted on purpose: a batching, draw-order, capture, trace or
+summary fault that an outcome check must catch.  The working tree is never
+edited.  Each run copies it (without ``.git`` and caches) into a temporary
+directory, applies at most one mutant there and runs the Tier-1 command,
+``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
+``PYTHONPATH``.  The unmutated copy runs first, and a mutant is killed when
+it fails a test that passes there.  ``tests/test_mutants.py`` is left out of
+every run: it checks that each ``old`` text occurs once in the unmutated
+source, so every mutant fails it by design.
 
 The output is one JSON object: the unmutated run's failures, each mutant's
 name, file, failed tests and whether it was killed, and the survivors.  The
@@ -32,6 +31,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PROTOCOL = "src/enpsim/protocol.py"
+RADIO = "src/enpsim/radio.py"
 METRICS = "src/enpsim/metrics.py"
 HARNESS = "src/enpsim/harness.py"
 RESOLVE_CALL = ("        blocks.append(_resolve_replies(world, results, starts, row + b, tag, "
@@ -62,7 +62,14 @@ MUTANTS = [
            "p = slice(probes_at[e], probes_at[e + 1])",
            "p = slice(slots_at[e], slots_at[e + 1])"),
     Mutant("winning pair dropped", PROTOCOL,
-           "tag, pairs[row, tag]))", "tag, np.full(row.size, -1)))"),
+           "np.where(out[row, tag] == RECEIVED_CODE, pair, -1)))", "np.full(row.size, -1)))"),
+    Mutant("probe winners from recorder a only", PROTOCOL,
+           "pair = power[row, :, tag].argmax(axis=1) // 2",
+           "pair = power[row, 0::2, tag].argmax(axis=1)"),
+    Mutant("COLLISION codes counted as probe decodes", PROTOCOL,
+           "k = heard.count(RECEIVED_CODE, lo, hi)", "k = hi - lo - heard.count(0, lo, hi)"),
+    Mutant("codes-only entry without the tie rule", RADIO,
+           "(power_dbm == strongest).sum(axis=0) > 1", "np.zeros(strongest.shape, bool)"),
     Mutant("one value drawn beyond a block's sure need", PROTOCOL,
            "n + later * self.row", "n + later * self.row + 1"),
     Mutant("block positions from rows without the offset", PROTOCOL,
@@ -82,11 +89,13 @@ MUTANTS = [
            + RESOLVE_CALL.replace("row + b, tag,", "row[kept] + b, tag[kept],")),
     # the summaries
     Mutant("empty ground truth tallied", METRICS,
-           "np.nonzero(counts[..., 6])", "np.nonzero(counts[..., 6] >= 0)"),
+           "), gt.tolist()))", "), (gt >= 0).tolist()))"),
     Mutant("acc_1 pooled twice in mean_acc_single", METRICS,
-           "_mean(acc_1 + acc_2, counts * 2, 2 * n)", "_mean(acc_1 + acc_1, counts * 2, 2 * n)"),
+           "_fsum(more, acc_1, acc_2)", "_fsum(more, acc_1, acc_1)"),
     Mutant("variance divided by n - 1", METRICS,
-           "for u in union], counts, n))", "for u in union], counts, n - 1))"),
+           "for u in union]) / n)", "for u in union]) / (n - 1))"),
+    Mutant("the second copy of a value summed once", METRICS,
+           "enumerate(scores.values()) if c > 1", "enumerate(scores.values()) if c > 2"),
     Mutant("a run's tally of its last replication only", HARNESS,
            "        scores.update(tally(counts))\n        if events:",
            "        scores = tally(counts)\n        if events:"),
@@ -110,11 +119,7 @@ def failed_tests(tree: Path) -> list[str]:
     """The ids of the Tier-1 tests that fail or error in ``tree``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, ["src", os.environ.get("PYTHONPATH")])))
-    # without hypothesis's pytest plugin: on a generated falsifying example it
-    # imports libcst to suggest a patch, and libcst 1.0 uses the deprecated
-    # mypy_extensions.TypedDict, whose DeprecationWarning (an error under the
-    # suite's filterwarnings) aborts the run; the tests run the same without it
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:hypothesispytest",
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE",
                           "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"],
                          cwd=tree, env=env, capture_output=True, text=True)
     failed = sorted({line.split(" ", 1)[1].split(" - ", 1)[0]
