@@ -9,7 +9,6 @@ together with a seeded experiment harness and the ``enp-sim`` CLI.
 
 from .config import ConfigError, FleetConfig, PRESETS, RunConfig, SimConfig, parse_config
 from .harness import ExperimentResult, build_fleet, rng_stream, run_experiment, sweep
-from .frames import ProbeFrame
 from .metrics import accuracies, aggregate, ground_truth, iteration_accuracy, tally
 from .mobility import (
     Fleet,
@@ -48,7 +47,6 @@ __all__ = [
     "FleetConfig",
     "HashParams",
     "PRESETS",
-    "ProbeFrame",
     "RadioParams",
     "RoadGeometry",
     "RunConfig",

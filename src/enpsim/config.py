@@ -157,7 +157,7 @@ _INF = math.inf
 # - the dB/dBm ranges keep link powers, and the milliwatt sums of
 #   radio.capture_verdicts, far from float overflow; a path-loss exponent is
 #   2 in free space and about 6 on the most cluttered measured channels;
-# - the probe frame carries the slot count in one byte;
+# - the probe frame carries the slot count in one byte (README, Wire formats);
 # - the schedule holds one sample time per probe and slot of the period (the
 #   paper uses 512 ms).
 _SCHEMA = {

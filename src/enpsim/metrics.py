@@ -30,6 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import protocol
 from .mobility import Fleet, RoadGeometry, positions_at, positions_at_each, stays_on_ring
 from .radio import RadioParams, received_power_dbm
 
@@ -38,11 +39,6 @@ from .radio import RadioParams, received_power_dbm
 # the floor.  Rounding in the distance and power arithmetic is below 1e-9 dB
 # for every accepted radio, so no other boundary can come within the margin.
 GT_MARGIN_DB = 1e-6
-
-
-# Most (boundary, vehicle) positions the full scan holds at once, 2 MB per
-# float array; a long schedule is scanned in blocks of boundaries.
-SCAN_ELEMENTS = 2**18
 
 
 def ground_truth(
@@ -73,7 +69,7 @@ def ground_truth(
     bracket the sign change of that offset, and the power is below the floor
     by at least ``GT_MARGIN_DB``; every other boundary is then at least as
     far away.  The vehicles of all remaining cells are tested at every
-    boundary, in blocks of at most ``SCAN_ELEMENTS`` positions.
+    boundary, in blocks of at most ``protocol.MAX_REPLY_LINKS`` positions.
     """
     times = schedule.sample_times_us()
     dts = (times - schedule.epoch_start_us) * 1e-6
@@ -113,7 +109,7 @@ def ground_truth(
         # the full test: every boundary, one block of them and one pair at a time
         sub = fleet.take(undecided)
         hit = np.zeros((len(vr_x), len(sub)), dtype=bool)
-        step = max(1, SCAN_ELEMENTS // len(sub))
+        step = max(1, protocol.MAX_REPLY_LINKS // len(sub))
         for lo in range(0, len(dts), step):
             road_x = geometry.road_x(positions_at(sub, dts[lo:lo + step]))  # (T', V')
             for pair_id, pair_x in enumerate(vr_x):

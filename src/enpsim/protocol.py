@@ -31,13 +31,12 @@ from typing import Sequence
 import numpy as np
 
 from .events import event_lines
-
-# Unused by the engine, but the benchmark's layer tracer (bench/spans.py)
-# counts probe frames by patching this module's ProbeFrame binding.
-from .frames import ProbeFrame  # noqa: F401
 from .mobility import Fleet, RoadGeometry, advance, positions_at, positions_at_each
 from .radio import RECEIVED_CODE, RadioParams, capture_codes, capture_verdicts, received_power_dbm
 from .slot_hash import HashParams, round_seed, slot_for
+
+# bench/spans.py wraps this name to count frames built; the engine builds none (ROADMAP item 4)
+ProbeFrame = None
 
 
 @dataclass(frozen=True)
@@ -219,9 +218,11 @@ class EpochResult:
 # Most links a block of probe powers (row x recorder x tag) holds, unless one
 # round alone has more; its reply links (replier x recorder) are fewer: 2 MB
 # per float array, a few rounds of the largest fleet (100,000 links a round
-# at 10,000 vehicles and 5 pairs).  Within a block each stream draws its
-# shadowing ahead, the same values in the same order, up to DRAW_AHEAD (16 KB)
-# a call where that holds a take and a row's probe values, else each take alone.
+# at 10,000 vehicles and 5 pairs).  It also sizes the ground-truth scan's
+# blocks, of (boundary, vehicle) positions (metrics.ground_truth).  Within a
+# block each stream draws its shadowing ahead, the same values in the same
+# order, up to DRAW_AHEAD (16 KB) a call where that holds a take and a row's
+# probe values, else each take alone.
 MAX_REPLY_LINKS = 2**18
 DRAW_AHEAD = 2**11
 

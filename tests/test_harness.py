@@ -221,7 +221,14 @@ class TestLockstep:
         # (round, tag) links (13 rounds of 30 tags); scoring chunks stay whole
         ({"MAX_REPLY_LINKS": 2 * 13 * 30}, {(0, 0, 7, 7, 25, 25, 12, 12)}, {(10, 10, 10)},
          (1, 1)),
-    ], ids=[f"caps{i}-sweep_groups{i}-road_groups{i}" for i in range(7)])
+        # the link budget with the harness caps: a pass ends where a chunk
+        # ends (8 + 2 road epochs), in probe blocks of two road epochs' links,
+        # then of one
+        ({"MAX_SCORING_PAIRS": 3 * 88, "MAX_REPLY_LINKS": 2 * 13 * 30},
+         {(0, 0, 7, 7, 25, 25, 12, 12)}, {(10, 10, 10)}, (2, 2)),
+        ({"MAX_SCORING_PAIRS": 3 * 88, "MAX_REPLY_LINKS": 13 * 30, "MAX_FLEET_SIZE": 40},
+         {(0, 0, 7, 7), (25,), (25, 12), (12,)}, {(10, 10, 10)}, (4, 2)),
+    ], ids=[f"caps{i}-sweep_groups{i}-road_groups{i}" for i in range(9)])
     def test_group_caps_change_no_output(self, tmp_path, monkeypatch, caps, sweep_groups,
                                          road_groups, chunks):
         want, _, _ = self.run_both(tmp_path / "default", monkeypatch)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import enpsim.metrics
+import enpsim.protocol
 from enpsim.config import MAX_SPEED_KMH, parse_config
 from enpsim.metrics import (
     accuracies,
@@ -262,7 +263,7 @@ class TestGroundTruthMatchesFullScan:
     @pytest.mark.parametrize("elements, timing, n_boundaries", [
         (100, TIMING, 216),
         # the real bound on a 10 s epoch of 200 us probes and slots
-        (enpsim.metrics.SCAN_ELEMENTS, TimingParams(10_000_000, 20_000, 200, 200), 693 * 72),
+        (enpsim.protocol.MAX_REPLY_LINKS, TimingParams(10_000_000, 20_000, 200, 200), 693 * 72),
     ])
     def test_full_scan_in_blocks_of_boundaries(self, monkeypatch, elements, timing,
                                                n_boundaries):
@@ -273,7 +274,7 @@ class TestGroundTruthMatchesFullScan:
             return positions_at(fleet, dts)
 
         monkeypatch.setattr(enpsim.metrics, "positions_at", spy)
-        monkeypatch.setattr(enpsim.metrics, "SCAN_ELEMENTS", elements)
+        monkeypatch.setattr(enpsim.protocol, "MAX_REPLY_LINKS", elements)
         sched = build_epoch_schedule(timing, 71, 2)
         assert len(sched.sample_times_us()) == n_boundaries
         # 20 slow vehicles that cross the ring seam and never reach the

@@ -87,6 +87,9 @@ MUTANTS = [
     Mutant("block resolved without its last epoch", PROTOCOL, RESOLVE_CALL,
            "        kept = (row + b) // n_rounds < (end - 1) // n_rounds\n"
            + RESOLVE_CALL.replace("row + b, tag,", "row[kept] + b, tag[kept],")),
+    # the ground-truth scan in one block, whatever the budget
+    Mutant("scan budget ignored", METRICS,
+           "step = max(1, protocol.MAX_REPLY_LINKS // len(sub))", "step = len(dts)"),
     # the summaries
     Mutant("empty ground truth tallied", METRICS,
            "), gt.tolist()))", "), (gt >= 0).tolist()))"),
