@@ -1,6 +1,7 @@
 """Ground truth sampling, per-iteration accuracy, and aggregation."""
 
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -285,6 +286,47 @@ class TestGroundTruthMatchesFullScan:
         step = elements // 20
         sizes = [step] * (n_boundaries // step) + [n_boundaries % step] * bool(n_boundaries % step)
         assert calls == [(size, 20) for size in sizes]
+
+    def test_full_scan_one_boundary_a_block_below_the_budget(self, monkeypatch):
+        # a budget smaller than the vehicles scanned still scans every
+        # boundary, one a block
+        calls = []
+
+        def spy(fleet, dts):
+            calls.append((len(dts), len(fleet)))
+            return positions_at(fleet, dts)
+
+        monkeypatch.setattr(enpsim.metrics, "positions_at", spy)
+        monkeypatch.setattr(enpsim.protocol, "MAX_REPLY_LINKS", 10)
+        fleet = fleet_of(*(Vehicle(i, 399.5 - 0.1 * i, 3.0, 10.0) for i in range(20)))
+        case = (fleet, SCHED, GEOM, RADIO)
+        assert_same_mask(one_epoch(*case), reference_ground_truth(*case))
+        assert calls == [(1, 20)] * len(SCHED.sample_times_us())
+
+    # 1.0M and 2.0M positions, in 8 to 61 blocks of the budget
+    @pytest.mark.parametrize("elements, n_vehicles", [
+        (enpsim.protocol.MAX_REPLY_LINKS, 40),
+        (2**16, 20),
+        (2**14, 20),
+    ])
+    def test_full_scan_peaks_by_the_budget(self, monkeypatch, elements, n_vehicles):
+        # Beyond the epoch's boundary times (two float arrays), a scan larger
+        # than the budget peaks below eight float arrays of the budget (its
+        # road x, the two recorders' powers, their maximum): in one block,
+        # 20 vehicles peaked at 40.7 MB, 40 at 80.6 MB
+        monkeypatch.setattr(enpsim.protocol, "MAX_REPLY_LINKS", elements)
+        sched = build_epoch_schedule(TimingParams(10_000_000, 20_000, 200, 200), 71, 2)
+        n_boundaries = len(sched.sample_times_us())
+        assert n_boundaries * n_vehicles > 4 * elements
+        fleet = fleet_of(*(Vehicle(i, 399.5 - 0.1 * i, 3.0, 10.0) for i in range(n_vehicles)))
+        tracemalloc.start()
+        try:
+            gt = ground_truth(fleet, fleet.x[None], sched, GEOM, RADIO)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gt.shape == (1, 1, n_vehicles) and not gt.any()
+        assert peak < 8 * 8 * elements + 2 * 8 * n_boundaries
 
     @example(case=stack_of_one(seam_crossing_case()))
     @example(case=stack_of_one(between_boundaries_case()))
