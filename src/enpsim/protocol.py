@@ -10,8 +10,8 @@ at every receiver under the capture rule.
 
 :func:`run_epoch` only starts an epoch; one pass runs every epoch waiting
 on a world, in blocks of its (epoch, round) rows of at most
-``MAX_REPLY_LINKS`` probe links.  Its probe phase runs round by round, one
-codes-only capture call deciding the probe at every tag, because of the
+``MAX_REPLY_LINKS`` probe links.  Its probe phase runs round by round,
+deciding the codes alone of the probe at every tag, because of the
 shadowing draw order alone; a trace's winning pairs are found once a block.
 The reply phase draws nothing of its own, so one capture call decides every
 occupied (epoch, round, stream, slot) of a block at every recorder, over the
@@ -245,19 +245,22 @@ def _run_pass(world: World) -> None:
     order, over the pass's (epoch, round) rows in blocks of at most
     ``MAX_REPLY_LINKS`` probe links (row x recorder x tag), at least one row.
     A block may span epochs; one positions call over its rows' epoch-start
-    snapshots gives its zero-shadow powers.  Row by row, one capture call
-    writes the codes alone at every tag of the concurrent probes of all
-    pairs (pair replicas merged, cross-pair probes contending), as the
-    shadowing order alone demands: round r + 1's probe values follow round
-    r's reply values, as many as its probe decodes.  Each stream takes the
-    values a world of it alone would (:class:`_Shadowing`); a row adds its
-    streams' probe values, stitched along the tag axis, in place.  A probe
-    link yields at most one reply link, so one :func:`_resolve_replies` call
-    per block, over the pass's rows and the (epochs, tags) start positions
-    stacked once, keeps the budget.  Each epoch then takes its record table,
-    from every block's first decodes in block order, and its trace, once: of
-    its probe verdicts, a block keeps only those not silence, with the pair
-    of the strongest of their shadowed links, found after its rows, where
+    snapshots gives its zero-shadow powers.  Row by row, as the shadowing
+    order alone demands (round r + 1's probe values follow round r's reply
+    values, as many as its probe decodes), a row adds its probe values and
+    writes the codes alone at every tag (pair replicas merged, cross-pair
+    probes contending); each stream takes the values a world of it alone
+    would (:class:`_Shadowing`), stitched along the tag axis.  A world of
+    one stream (every single-replication run) stitches nothing, so its row
+    loop slices each take from the window, since call overhead is most of a
+    small row's time, and with one pair a tag's lone signal meets no
+    interference, so the floor alone decides it.  A probe link yields at
+    most one reply link, so one :func:`_resolve_replies` call per block,
+    over the pass's rows and the (epochs, tags) start positions stacked
+    once, keeps the budget.  Each epoch then takes its record table, from
+    every block's first decodes in block order, and its trace, once: of its
+    probe verdicts, a block keeps only those not silence, with the pair of
+    the strongest of their shadowed links, found after its rows, where
     RECEIVED."""
     results, world.pending = world.pending, []
     for res in results:
@@ -273,6 +276,8 @@ def _run_pass(world: World) -> None:
     starts = np.stack([res.fleet_start.x for res in results])  # (epochs, tags)
     block = max(1, MAX_REPLY_LINKS // max(1, n_vr * n_enp))  # rows of zero-shadow powers
     events = world.record_events
+    lean, floor = world.offsets.size == 2, radio.sensitivity_dbm  # one stream: lean rows
+    one, at = (streams[0][0] if lean and streams else None), 0  # its shadowing and cursor
     blocks, probes = [], []  # each block's first decodes (epochs, table) and verdicts
     for b in range(0, n_rows, block):
         end = min(b + block, n_rows)
@@ -283,15 +288,33 @@ def _run_pass(world: World) -> None:
         np.hypot(power, world.fleet.y - world.vr_y[:, None], out=power)
         received_power_dbm(power, radio, tx_power_dbm=radio.probe_tx_power_dbm, out=power)
         out = np.empty(power.shape[::2], np.int8)
+        received = out.view(np.bool_)  # one pair's codes: False/True are SILENCE/RECEIVED
         merged = np.empty((n_vr // 2, n_enp))  # a row's powers, a pair's replicas merged
         draws = []  # the block's reply shadowing
-        for r, link_pw in enumerate(power):
+        for r, row_pw in enumerate(power.reshape(end - b, -1) if lean else ()):
+            if one:  # one stream: its probe values, the window's next slice
+                if at + one.row > one.size:  # a refill's take starts the new window
+                    one.at, at = at, 0
+                    one.take(one.row, end - b - r - 1)
+                row_pw += one.buf[at:at + one.row]
+                at += one.row
+            if n_vr == 2:  # one pair: a lone signal, decoded where it clears the floor
+                np.greater_equal(np.maximum(row_pw[:n_enp], row_pw[n_enp:]), floor, received[r])
+            else:  # the pairs' probes contend, as below
+                np.maximum(power[r, 0::2], power[r, 1::2], out=merged)
+                capture_codes(merged, radio, out[r])
+            if one and (k := n_vr * out[r].tobytes().count(RECEIVED_CODE)):  # reply values
+                if at + k > one.size:  # a refill's take starts the new window
+                    one.at, at = at, 0
+                    one.take(k, end - b - r - 1)
+                draws.append(one.buf[at:at + k])
+                at += k
+        for r, link_pw in enumerate(() if lean else power):
             later = end - b - r - 1  # the block's rows after this one
             if streams:  # each stream's probe shadowing, stitched along the tag axis
                 shadow = [s.take(s.row, later).reshape(n_vr, -1) for s, lo, hi in streams]
                 link_pw += shadow[0] if len(shadow) == 1 else np.hstack(shadow)
-            # the two recorders of a pair send byte-identical probes:
-            # non-destructive replicas, strongest link counts
+            # a pair's byte-identical probes: non-destructive replicas, strongest link counts
             np.maximum(link_pw[0::2], link_pw[1::2], out=merged)
             heard = capture_codes(merged, radio, out[r]).tobytes()
             for s, lo, hi in streams:  # each stream's repliers take their reply shadowing
@@ -333,10 +356,12 @@ def _run_pass(world: World) -> None:
 
 
 class _Shadowing:
-    """One stream's shadowing values in its generator's order, drawn ahead:
-    ``take(n, later)`` gives the next ``n`` with ``later`` rows of ``row``
-    probe values still to come in the probe block, drawing none the block is
-    not sure to take, so a block leaves the generator where per-take draws would."""
+    """One stream's shadowing values in its generator's order, drawn ahead
+    into the window ``buf[at:size]``: ``take(n, later)`` gives the next ``n``
+    with ``later`` rows of ``row`` probe values still to come in the probe
+    block, refilling the window where it lacks them (the refill's take starts
+    the new window) but drawing none the block is not sure to take, so a
+    block leaves the generator where per-take draws would."""
 
     def __init__(self, rng, sigma, row):
         self.normal, self.sigma, self.row = rng.normal, sigma, row

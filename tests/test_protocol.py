@@ -99,6 +99,13 @@ DRAW_AHEAD_STREAMS = (
     (7, 2),
 )
 DRAW_AHEAD_PASSES = (1, 2, 3)  # the epochs of each pass
+ONE_PAIR_GEOMETRY = RoadGeometry(vr_pair_xs=(100.0,), ring_length_m=2000.0)
+# the draw-ahead worlds: the four streams, and the first alone on both roads
+DRAW_AHEAD_WORLDS = {
+    "four-streams": (DRAW_AHEAD_STREAMS, LATE_READ_GEOMETRY),
+    "one-stream-two-pairs": (DRAW_AHEAD_STREAMS[:1], LATE_READ_GEOMETRY),
+    "one-stream-one-pair": (DRAW_AHEAD_STREAMS[:1], ONE_PAIR_GEOMETRY),
+}
 
 
 def stream_fleets(streams, geometry=LATE_READ_GEOMETRY):
@@ -114,21 +121,21 @@ def stream_rngs(seeds):
 
 
 @functools.cache
-def scalar_reference(streams, seeds, sigma, reseed=False):
+def scalar_reference(streams, seeds, sigma, reseed=False, geometry=LATE_READ_GEOMETRY):
     """The scalar reference over epochs 0-5 of ``streams`` (see
-    :func:`stream_fleets`) on ``LATE_READ_GEOMETRY`` at five slots, each
-    stream alone, from its own fleet, advanced one period an epoch, and
-    generator (see :func:`stream_rngs`).  Per epoch: its start positions
-    (all streams), each stream's records and event lines, and each stream's
+    :func:`stream_fleets`) on ``geometry`` at five slots, each stream
+    alone, from its own fleet, advanced one period an epoch, and generator
+    (see :func:`stream_rngs`).  Per epoch: its start positions (all
+    streams), each stream's records and event lines, and each stream's
     generator state after it."""
     radio = RadioParams(shadowing_sigma_db=sigma)
     hash_params = HashParams(slot_count=5, reseed_per_round=reseed)
-    fleets, rngs = stream_fleets(streams), stream_rngs(seeds)
+    fleets, rngs = stream_fleets(streams, geometry), stream_rngs(seeds)
     epochs = []
     for e in range(6):
         x = np.concatenate([fleet.x for fleet in fleets])
-        outputs = [reference_run_epoch(fleet, LATE_READ_GEOMETRY, radio, hash_params, TIMING, e,
-                                       rng) for fleet, rng in zip(fleets, rngs)]
+        outputs = [reference_run_epoch(fleet, geometry, radio, hash_params, TIMING, e, rng)
+                   for fleet, rng in zip(fleets, rngs)]
         epochs.append((x, outputs, [rng.bit_generator.state for rng in rngs]))
         fleets = [advance(fleet, TIMING.glossy_period_us * 1e-6) for fleet in fleets]
     return epochs
@@ -501,19 +508,23 @@ class TestRunEpoch:
 
     @pytest.mark.parametrize("draw_ahead", [0, None, 2**20])
     @pytest.mark.parametrize("one_row", [False, True], ids=["default-blocks", "one-row-blocks"])
+    @pytest.mark.parametrize("streams, geometry", DRAW_AHEAD_WORLDS.values(),
+                             ids=DRAW_AHEAD_WORLDS.keys())
     def test_draw_ahead_leaves_generators_where_exact_draws_do(self, monkeypatch, draw_ahead,
-                                                               one_row):
-        # passes of one, two and three epochs of the DRAW_AHEAD_STREAMS
-        # streams, one empty and one that never decodes a probe, at 6.5 dB:
-        # with blocks of one row or by default, drawing each take alone, by
-        # default or a block's whole probe draws at once, the records, event
-        # text and each generator's state after every pass are those of the
-        # default run and of the scalar reference
+                                                               one_row, streams, geometry):
+        # passes of one, two and three epochs at 6.5 dB, of the
+        # DRAW_AHEAD_STREAMS streams, one empty and one that never decodes a
+        # probe, or of the first alone on two pairs or on one (a world of one
+        # stream has rows of its own): with blocks of one row or by default,
+        # drawing each take alone, by default or a block's whole probe draws
+        # at once, the records, event text and each generator's state after
+        # every pass are those of the default run and of the scalar reference
+        fleets = stream_fleets(streams, geometry)
+
         def run():
-            rngs = stream_rngs([3] * len(DRAW_AHEAD_STREAMS))
-            world = World(stream_fleets(DRAW_AHEAD_STREAMS), LATE_READ_GEOMETRY,
-                          RadioParams(shadowing_sigma_db=6.5), HashParams(slot_count=5), TIMING,
-                          rngs, record_events=True)
+            rngs = stream_rngs([3] * len(streams))
+            world = World(fleets, geometry, RadioParams(shadowing_sigma_db=6.5),
+                          HashParams(slot_count=5), TIMING, rngs, record_events=True)
             results, states = [], []
             for n_epochs in DRAW_AHEAD_PASSES:
                 for _ in range(n_epochs):
@@ -523,13 +534,14 @@ class TestRunEpoch:
             return world, results, states
 
         _, want, want_states = run()
-        if one_row:
-            monkeypatch.setattr(protocol, "MAX_REPLY_LINKS", 4 * 36)
+        if one_row:  # one row's probe links
+            monkeypatch.setattr(protocol, "MAX_REPLY_LINKS",
+                                2 * geometry.n_pairs * sum(map(len, fleets)))
         if draw_ahead is not None:
             monkeypatch.setattr(protocol, "DRAW_AHEAD", draw_ahead)
         world, got, got_states = run()
         assert got_states == want_states
-        reference = scalar_reference(DRAW_AHEAD_STREAMS, (3,) * len(DRAW_AHEAD_STREAMS), 6.5)
+        reference = scalar_reference(streams, (3,) * len(streams), 6.5, geometry=geometry)
         assert got_states == [reference[e][2] for e in np.cumsum(DRAW_AHEAD_PASSES) - 1]
         for result, wanted in zip(got, want, strict=True):
             np.testing.assert_array_equal(result.records, wanted.records)

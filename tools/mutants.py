@@ -3,8 +3,8 @@
     python3 tools/mutants.py > mutants.json
 
 Each mutant is one exact ``(file, old, new)`` edit of the engine or of the
-scoring, planted on purpose: a batching, draw-order, capture, trace or
-summary fault that an outcome check must catch.  The working tree is never
+scoring, planted on purpose: a batching, draw-order, capture, trace,
+mobility, hashing or summary fault that an outcome check must catch.  The working tree is never
 edited.  Each run copies it (without ``.git`` and caches) into a temporary
 directory, applies at most one mutant there and runs the Tier-1 command,
 ``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
@@ -34,10 +34,13 @@ PROTOCOL = "src/enpsim/protocol.py"
 RADIO = "src/enpsim/radio.py"
 METRICS = "src/enpsim/metrics.py"
 HARNESS = "src/enpsim/harness.py"
+MOBILITY = "src/enpsim/mobility.py"
+SLOT_HASH = "src/enpsim/slot_hash.py"
 RESOLVE_CALL = ("        blocks.append(_resolve_replies(world, results, starts, row + b, tag, "
                 "_joined(draws)))\n")
 PROBE_TAKE = ("                shadow = [s.take(s.row, later).reshape(n_vr, -1) "
               "for s, lo, hi in streams]\n")
+LEAN_REPLY = "                draws.append(one.buf[at:at + k])\n"
 
 
 class Mutant(NamedTuple):
@@ -68,6 +71,12 @@ MUTANTS = [
            "pair = power[row, 0::2, tag].argmax(axis=1)"),
     Mutant("COLLISION codes counted as probe decodes", PROTOCOL,
            "k = heard.count(RECEIVED_CODE, lo, hi)", "k = hi - lo - heard.count(0, lo, hi)"),
+    # the one-stream rows' twin: a COLLISION's byte is not 0 either
+    Mutant("COLLISION codes counted as one-stream probe decodes", PROTOCOL,
+           "(k := n_vr * out[r].tobytes().count(RECEIVED_CODE))",
+           "(k := n_vr * (n_enp - out[r].tobytes().count(0)))"),
+    Mutant("one-pair row decided at recorder a alone", PROTOCOL,
+           "np.maximum(row_pw[:n_enp], row_pw[n_enp:])", "row_pw[:n_enp]"),
     Mutant("codes-only entry without the tie rule", RADIO,
            "(power_dbm == strongest).sum(axis=0) > 1", "np.zeros(strongest.shape, bool)"),
     Mutant("one value drawn beyond a block's sure need", PROTOCOL,
@@ -81,6 +90,13 @@ MUTANTS = [
            PROBE_TAKE.replace("shadow = [", "shadow = ahead if r == 1 else [")
            + "                if r == 0 and later:\n"
            + PROBE_TAKE.replace("shadow = [", "    ahead = [").replace("later)", "later - 1)")),
+    # the one-stream rows' twin: where the window holds round 0's reply
+    # values and round 1's probe values, the probe values come first
+    Mutant("round 0's reply draws swapped with round 1's probe draws in one-stream rows",
+           PROTOCOL, LEAN_REPLY,
+           "                if r == 0 and at + k + one.row <= one.size:\n"
+           "                    one.buf[at:at + k + one.row] = "
+           "np.roll(one.buf[at:at + k + one.row], k)\n" + LEAN_REPLY),
     # the repliers of the last epoch a block's rows lie in left unresolved
     # (all of them for a block within one epoch); their reply values come
     # last in the block's draws, so the others' stay aligned
@@ -90,6 +106,15 @@ MUTANTS = [
     # the ground-truth scan in one block, whatever the budget
     Mutant("scan budget ignored", METRICS,
            "step = max(1, protocol.MAX_REPLY_LINKS // len(sub))", "step = len(dts)"),
+    # mobility and hashing
+    Mutant("advance without its wrap fold", MOBILITY,
+           "    x[x == fleet.ring_length_m] = 0.0\n", ""),
+    # the last end alone is no fault: a vehicle starts on the ring and the
+    # first offset lies between 0 and the last
+    Mutant("stays_on_ring checking one end only", MOBILITY,
+           "np.array([[dt_first_s], [dt_last_s]])", "np.array([[dt_first_s]])"),
+    Mutant("round seed without its + 1", SLOT_HASH,
+           "((round_index + 1) * 0x85EBCA6B)", "(round_index * 0x85EBCA6B)"),
     # the summaries
     Mutant("empty ground truth tallied", METRICS,
            "), gt.tolist()))", "), (gt >= 0).tolist()))"),
