@@ -547,8 +547,9 @@ class TestRunEpoch:
             np.testing.assert_array_equal(result.records, wanted.records)
             assert event_lines([result]) == event_lines([wanted])
         assert_epochs_match_reference(world, got, reference)
-        # the parked stream (tags 25-28) hears no probe, so takes no reply
-        # shadowing; the others decode probes and are recorded
+        # the parked stream (tags 25-28, of the four streams only) hears no
+        # probe, so takes no reply shadowing; the others decode probes and
+        # are recorded
         assert not any(np.isin(result.trace[1][1], range(25, 29)).any() for result in got)
         assert len(received_probes(got)[1]) > 30 and sum(len(r.records) for r in got) > 10
 
