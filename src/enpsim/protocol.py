@@ -247,37 +247,34 @@ def _run_pass(world: World) -> None:
     A block may span epochs; one positions call over its rows' epoch-start
     snapshots gives its zero-shadow powers.  Row by row, as the shadowing
     order alone demands (round r + 1's probe values follow round r's reply
-    values, as many as its probe decodes), a row adds its probe values and
-    writes the codes alone at every tag (pair replicas merged, cross-pair
-    probes contending); each stream takes the values a world of it alone
-    would (:class:`_Shadowing`), stitched along the tag axis.  A world of
-    one stream (every single-replication run) stitches nothing, so its row
-    loop slices each take from the window, since call overhead is most of a
-    small row's time, and with one pair a tag's lone signal meets no
-    interference, so the floor alone decides it.  A probe link yields at
-    most one reply link, so one :func:`_resolve_replies` call per block,
-    over the pass's rows and the (epochs, tags) start positions stacked
-    once, keeps the budget.  Each epoch then takes its record table, from
-    every block's first decodes in block order, and its trace, once: of its
-    probe verdicts, a block keeps only those not silence, with the pair of
-    the strongest of their shadowed links, found after its rows, where
-    RECEIVED."""
+    values, as many as its probe decodes), a row of (recorder x tag) links
+    adds each stream's probe values, the values a world of it alone would
+    take (:func:`_shadowing`): one stream's straight onto the row, several
+    stitched along the tag axis.  It then writes the codes alone at every
+    tag: with one pair a tag's lone signal meets no interference, so the
+    floor alone decides it; with more, pair replicas merge and cross-pair
+    probes contend.  Each stream's repliers take their reply values as views
+    of its window.  A probe link yields at most one reply link, so one
+    :func:`_resolve_replies` call per block, over the pass's rows and the
+    (epochs, tags) start positions stacked once, keeps the budget.  Each
+    epoch then takes its record table, from every block's first decodes in
+    block order, and its trace, once: of its probe verdicts, a block keeps
+    only those not silence, with the pair of the strongest of their shadowed
+    links, found after its rows, where RECEIVED."""
     results, world.pending = world.pending, []
     for res in results:
         res._world = None
     geom, radio, sigma = world.geometry, world.radio, world.radio.shadowing_sigma_db
     n_vr, n_enp, cuts = world.vr_x.size, len(world.fleet), world.offsets.tolist()
-    # no stream draws without shadowing, nor an empty one
-    streams = [(_Shadowing(rng, sigma, n_vr * (hi - lo)), lo, hi)
+    # each stream's take of its shadowing; none without shadowing, nor an empty stream's
+    streams = [(_shadowing(rng, sigma, n_vr * (hi - lo)), lo, hi)
                for rng, lo, hi in zip(world.rngs, cuts, cuts[1:]) if sigma > 0 and hi > lo]
     sched = results[0].schedule  # every epoch probes at the same offsets from its start
     n_rounds, n_rows = sched.round_count, sched.round_count * len(results)
     dt = (sched.round_start_us(np.arange(n_rounds)) - sched.epoch_start_us) * 1e-6
     starts = np.stack([res.fleet_start.x for res in results])  # (epochs, tags)
     block = max(1, MAX_REPLY_LINKS // max(1, n_vr * n_enp))  # rows of zero-shadow powers
-    events = world.record_events
-    lean, floor = world.offsets.size == 2, radio.sensitivity_dbm  # one stream: lean rows
-    one, at = (streams[0][0] if lean and streams else None), 0  # its shadowing and cursor
+    events, floor = world.record_events, radio.sensitivity_dbm
     blocks, probes = [], []  # each block's first decodes (epochs, table) and verdicts
     for b in range(0, n_rows, block):
         end = min(b + block, n_rows)
@@ -291,37 +288,22 @@ def _run_pass(world: World) -> None:
         received = out.view(np.bool_)  # one pair's codes: False/True are SILENCE/RECEIVED
         merged = np.empty((n_vr // 2, n_enp))  # a row's powers, a pair's replicas merged
         draws = []  # the block's reply shadowing
-        for r, row_pw in enumerate(power.reshape(end - b, -1) if lean else ()):
-            if one:  # one stream: its probe values, the window's next slice
-                if at + one.row > one.size:  # a refill's take starts the new window
-                    one.at, at = at, 0
-                    one.take(one.row, end - b - r - 1)
-                row_pw += one.buf[at:at + one.row]
-                at += one.row
+        for r, row_pw in enumerate(power.reshape(end - b, -1)):
+            later = end - b - r - 1  # the block's rows after this one
+            if len(streams) == 1:  # one stream: its probe values straight onto the row
+                row_pw += streams[0][0](row_pw.size, later)
+            elif streams:  # several: each stream's, stitched along the tag axis
+                row_pw += np.hstack([take(n_vr * (hi - lo), later).reshape(n_vr, -1)
+                                     for take, lo, hi in streams]).ravel()
             if n_vr == 2:  # one pair: a lone signal, decoded where it clears the floor
                 np.greater_equal(np.maximum(row_pw[:n_enp], row_pw[n_enp:]), floor, received[r])
-            else:  # the pairs' probes contend, as below
+            else:  # a pair's byte-identical probes: non-destructive replicas, pairs contend
                 np.maximum(power[r, 0::2], power[r, 1::2], out=merged)
                 capture_codes(merged, radio, out[r])
-            if one and (k := n_vr * out[r].tobytes().count(RECEIVED_CODE)):  # reply values
-                if at + k > one.size:  # a refill's take starts the new window
-                    one.at, at = at, 0
-                    one.take(k, end - b - r - 1)
-                draws.append(one.buf[at:at + k])
-                at += k
-        for r, link_pw in enumerate(() if lean else power):
-            later = end - b - r - 1  # the block's rows after this one
-            if streams:  # each stream's probe shadowing, stitched along the tag axis
-                shadow = [s.take(s.row, later).reshape(n_vr, -1) for s, lo, hi in streams]
-                link_pw += shadow[0] if len(shadow) == 1 else np.hstack(shadow)
-            # a pair's byte-identical probes: non-destructive replicas, strongest link counts
-            np.maximum(link_pw[0::2], link_pw[1::2], out=merged)
-            heard = capture_codes(merged, radio, out[r]).tobytes()
-            for s, lo, hi in streams:  # each stream's repliers take their reply shadowing
-                k = heard.count(RECEIVED_CODE, lo, hi)
-                if k:  # a view of a larger buffer would hold all of it to the block's end
-                    drawn = s.take(n_vr * k, later)
-                    draws.append(drawn.copy() if drawn.base.size > drawn.size else drawn)
+            heard = out[r].tobytes()
+            for take, lo, hi in streams:  # each stream's repliers take their reply values
+                if k := heard.count(RECEIVED_CODE, lo, hi):
+                    draws.append(take(n_vr * k, later))
         row, tag = np.divmod(np.flatnonzero(out == RECEIVED_CODE), max(n_enp, 1))
         blocks.append(_resolve_replies(world, results, starts, row + b, tag, _joined(draws)))
         if events:  # the verdicts heard: epoch, round, tag and winning pair (-1 where none)
@@ -355,29 +337,27 @@ def _run_pass(world: World) -> None:
                           (slot_tags[t], counts[g], *(a[g] for a in slot_trace)))
 
 
-class _Shadowing:
-    """One stream's shadowing values in its generator's order, drawn ahead
-    into the window ``buf[at:size]``: ``take(n, later)`` gives the next ``n``
-    with ``later`` rows of ``row`` probe values still to come in the probe
-    block, refilling the window where it lacks them (the refill's take starts
-    the new window) but drawing none the block is not sure to take, so a
-    block leaves the generator where per-take draws would."""
+def _shadowing(rng, sigma, row):
+    """One stream's ``take(n, later)``: the next ``n`` of its shadowing
+    values in its generator's order, a view of the window they are drawn
+    ahead into, with ``later`` rows of ``row`` probe values still to come in
+    the probe block.  Where the window lacks them, a refill's window starts
+    with the take, and draws none the block is not sure to take, so a block
+    leaves the generator where per-take draws would."""
+    normal, buf, at = rng.normal, np.empty(0), 0
 
-    def __init__(self, rng, sigma, row):
-        self.normal, self.sigma, self.row = rng.normal, sigma, row
-        self.buf, self.at, self.size = np.empty(0), 0, 0
+    def take(n, later):
+        nonlocal buf, at
+        at += n
+        if at > buf.size:
+            left = buf[at - n:]
+            ahead = n + row <= DRAW_AHEAD  # else the next probe take needs a call anyway
+            size = (min(DRAW_AHEAD, n + later * row) if ahead else n) - left.size
+            new = normal(0.0, sigma, size)
+            buf, at = np.concatenate((left, new)) if left.size else new, n
+        return buf[at - n:at]
 
-    def take(self, n, later):
-        at = self.at + n
-        if at > self.size:
-            left = self.buf[self.at:]
-            ahead = n + self.row <= DRAW_AHEAD  # else the next probe take needs a call anyway
-            size = (min(DRAW_AHEAD, n + later * self.row) if ahead else n) - left.size
-            new = self.normal(0.0, self.sigma, size)
-            self.buf, at = np.concatenate((left, new)) if left.size else new, n
-            self.size = self.buf.size
-        self.at = at
-        return self.buf[at - n:at]
+    return take
 
 
 def _joined(arrays):

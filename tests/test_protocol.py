@@ -100,9 +100,10 @@ DRAW_AHEAD_STREAMS = (
 )
 DRAW_AHEAD_PASSES = (1, 2, 3)  # the epochs of each pass
 ONE_PAIR_GEOMETRY = RoadGeometry(vr_pair_xs=(100.0,), ring_length_m=2000.0)
-# the draw-ahead worlds: the four streams, and the first alone on both roads
+# the draw-ahead worlds: the four streams, and the first alone, on both roads
 DRAW_AHEAD_WORLDS = {
     "four-streams": (DRAW_AHEAD_STREAMS, LATE_READ_GEOMETRY),
+    "four-streams-one-pair": (DRAW_AHEAD_STREAMS, ONE_PAIR_GEOMETRY),
     "one-stream-two-pairs": (DRAW_AHEAD_STREAMS[:1], LATE_READ_GEOMETRY),
     "one-stream-one-pair": (DRAW_AHEAD_STREAMS[:1], ONE_PAIR_GEOMETRY),
 }
@@ -514,8 +515,9 @@ class TestRunEpoch:
                                                                one_row, streams, geometry):
         # passes of one, two and three epochs at 6.5 dB, of the
         # DRAW_AHEAD_STREAMS streams, one empty and one that never decodes a
-        # probe, or of the first alone on two pairs or on one (a world of one
-        # stream has rows of its own): with blocks of one row or by default,
+        # probe, or of the first alone, on two pairs or on one (one stream
+        # adds its take unstitched, and one pair's codes are a floor test
+        # whatever the streams): with blocks of one row or by default,
         # drawing each take alone, by default or a block's whole probe draws
         # at once, the records, event text and each generator's state after
         # every pass are those of the default run and of the scalar reference

@@ -34,6 +34,26 @@ def test_golden_vectors(vrn, seed, slots, expected):
     assert oracle_middle64(vrn, seed) % slots == expected
 
 
+# Per-round seeds frozen from the shipped mix, (base seed, epoch, round) ->
+# seed: round 0 of epoch 0 at seed 0 still mixes its round counter, and an
+# epoch past 32 bits wraps its product
+ROUND_SEEDS = [
+    (0, 0, 0, 0x541E41A7),
+    (0, 0, 1, 0x7F61E148),
+    (0, 1, 0, 0xD52CA885),
+    (0xDEADBEEF, 7, 12, 0x322C1F03),
+    (2**32 - 1, 0, 0, 0xB9608F5A),
+    (2**32 - 1, 0, 68, 0xD6A20714),
+    (2**32 - 1, 10**9, 3, 0x79D8D0DB),
+    (12345, 2**40 + 1, 2, 0xC6E4084B),
+]
+
+
+@pytest.mark.parametrize("seed,epoch,round_index,expected", ROUND_SEEDS)
+def test_round_seed_golden_vectors(seed, epoch, round_index, expected):
+    assert round_seed(seed, epoch, round_index) == expected
+
+
 @given(
     vrns=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(EDGE_VRNS)), max_size=20),
     seed=st.integers(0, 2**32 - 1),

@@ -39,9 +39,9 @@ MOBILITY = "src/enpsim/mobility.py"
 SLOT_HASH = "src/enpsim/slot_hash.py"
 RESOLVE_CALL = ("        blocks.append(_resolve_replies(world, results, starts, row + b, tag, "
                 "_joined(draws)))\n")
-PROBE_TAKE = ("                shadow = [s.take(s.row, later).reshape(n_vr, -1) "
-              "for s, lo, hi in streams]\n")
-LEAN_REPLY = "                draws.append(one.buf[at:at + k])\n"
+ONE_TAKE = "streams[0][0](row_pw.size, later)\n"
+STITCHED_TAKE = ("np.hstack([take(n_vr * (hi - lo), later).reshape(n_vr, -1)\n"
+                 "                                     for take, lo, hi in streams]).ravel()\n")
 
 
 class Mutant(NamedTuple):
@@ -49,6 +49,15 @@ class Mutant(NamedTuple):
     file: str
     old: str
     new: str
+
+
+def swapped_draws(name: str, take: str) -> Mutant:
+    """Round 0's reply values drawn after round 1's probe values, in every
+    block, at the probe take ``take`` of the row loop."""
+    add = "                row_pw += "
+    return Mutant(name, PROTOCOL, add + take,
+                  add + "ahead if r == 1 else " + take + "                if r == 0 and later:\n"
+                  + "                    ahead = " + take.replace("later)", "later - 1)"))
 
 
 MUTANTS = [
@@ -71,33 +80,20 @@ MUTANTS = [
            "pair = power[row, :, tag].argmax(axis=1) // 2",
            "pair = power[row, 0::2, tag].argmax(axis=1)"),
     Mutant("COLLISION codes counted as probe decodes", PROTOCOL,
-           "k = heard.count(RECEIVED_CODE, lo, hi)", "k = hi - lo - heard.count(0, lo, hi)"),
-    # the one-stream rows' twin: a COLLISION's byte is not 0 either
-    Mutant("COLLISION codes counted as one-stream probe decodes", PROTOCOL,
-           "(k := n_vr * out[r].tobytes().count(RECEIVED_CODE))",
-           "(k := n_vr * (n_enp - out[r].tobytes().count(0)))"),
+           "k := heard.count(RECEIVED_CODE, lo, hi)", "k := hi - lo - heard.count(0, lo, hi)"),
     Mutant("one-pair row decided at recorder a alone", PROTOCOL,
            "np.maximum(row_pw[:n_enp], row_pw[n_enp:])", "row_pw[:n_enp]"),
     Mutant("codes-only entry without the tie rule", RADIO,
            "(power_dbm == strongest).sum(axis=0) > 1", "np.zeros(strongest.shape, bool)"),
     Mutant("one value drawn beyond a block's sure need", PROTOCOL,
-           "n + later * self.row", "n + later * self.row + 1"),
+           "n + later * row", "n + later * row + 1"),
     Mutant("block positions from rows without the offset", PROTOCOL,
            "np.arange(b, end)", "np.arange(end - b)"),
     Mutant("link budget ignored", PROTOCOL,
            "block = max(1, MAX_REPLY_LINKS // max(1, n_vr * n_enp))", "block = n_rows"),
-    # round 0's reply values drawn after round 1's probe values, in every block
-    Mutant("round 0's reply draws swapped with round 1's probe draws", PROTOCOL, PROBE_TAKE,
-           PROBE_TAKE.replace("shadow = [", "shadow = ahead if r == 1 else [")
-           + "                if r == 0 and later:\n"
-           + PROBE_TAKE.replace("shadow = [", "    ahead = [").replace("later)", "later - 1)")),
-    # the one-stream rows' twin: where the window holds round 0's reply
-    # values and round 1's probe values, the probe values come first
-    Mutant("round 0's reply draws swapped with round 1's probe draws in one-stream rows",
-           PROTOCOL, LEAN_REPLY,
-           "                if r == 0 and at + k + one.row <= one.size:\n"
-           "                    one.buf[at:at + k + one.row] = "
-           "np.roll(one.buf[at:at + k + one.row], k)\n" + LEAN_REPLY),
+    swapped_draws("round 0's reply draws swapped with round 1's probe draws", STITCHED_TAKE),
+    swapped_draws("round 0's reply draws swapped with round 1's probe draws in one-stream rows",
+                  ONE_TAKE),
     # the repliers of the last epoch a block's rows lie in left unresolved
     # (all of them for a block within one epoch); their reply values come
     # last in the block's draws, so the others' stay aligned
