@@ -32,7 +32,7 @@ from .metrics import (
     tally,
 )
 from .mobility import Fleet, advance, spawn_fleet, spawn_mixed_fleet
-from .protocol import World, run_epoch
+from .protocol import World, decoded_masks, run_epoch
 
 
 def rng_stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -134,7 +134,7 @@ def _lockstep(config: SimConfig, cells, events: bool = False):
             if len(results) < chunk_epochs and e < epochs - 1:
                 continue
             # the first read runs the pass of the chunk's epochs still waiting
-            decoded = np.stack([result.decoded(geom.n_pairs) for result in results])
+            decoded = decoded_masks(results, geom.n_pairs)
             if events:
                 run_epochs = max(1, MAX_EVENT_EPOCHS // len(group))
                 for i in range(0, len(results), run_epochs):

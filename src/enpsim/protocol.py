@@ -15,8 +15,9 @@ deciding the codes alone of the probe at every tag, because of the
 shadowing draw order alone; a trace's winning pairs are found once a block.
 The reply phase draws nothing of its own, so one capture call decides every
 occupied (epoch, round, stream, slot) of a block at every recorder, over the
-flat (repliers x recorders) powers grouped by slot; each epoch takes its
-results once, at the end of the pass.  Each stream takes the
+flat (repliers x recorders) powers grouped by slot.  The pass keeps one
+record table and one verdict trace, cut by epoch; an epoch's results, and a
+run's, are slices of them taken when read.  Each stream takes the
 shadowing values of a slot-by-slot resolution of it alone, in order (drawn
 ahead within a block): outputs depend on neither batching nor other streams.
 Positions come from the epoch-start fleet snapshot at each schedule event,
@@ -165,8 +166,9 @@ class World:
 
 class EpochResult:
     """Everything one epoch produced: the schedule it ran on, the fleet
-    snapshot it started from, the record table and, in a world recording
-    events, the verdict trace :func:`enpsim.events.event_lines` formats.
+    snapshot it started from, the world's stream ``offsets``, the record
+    table and, in a world recording events, the verdict trace
+    :func:`enpsim.events.event_lines` formats.
 
     ``records`` is int64 ``(n, 4)``: (recorder, tag, round, slot) of the
     first decode of each (recorder, tag), sorted by recorder then tag.
@@ -175,7 +177,8 @@ class EpochResult:
     ``vrn`` column, which an int64 one would wrap.  ``trace`` is the world's
     stream offsets, the round, tag and winning pair (-1 where none) of each
     probe verdict not silence, and the epoch's reply verdict arrays (see
-    :func:`_resolve_replies`); :func:`_run_pass` sets both once.
+    :func:`_resolve_replies`).  Both are slices of its pass's one table and
+    trace, taken when read (:meth:`joined`).
 
     The first read of ``records``, ``trace``, ``events`` or ``decoded``
     runs the pass of every epoch still waiting on the world, this one too.
@@ -184,35 +187,71 @@ class EpochResult:
     def __init__(self, schedule: EpochSchedule, fleet_start: Fleet, world: World):
         self.schedule = schedule
         self.fleet_start = fleet_start
-        self._world = world  # None once its pass has run
-        self._records = None
-        self._trace = None
+        self.offsets = world.offsets
+        self._world = world
+        self._pass = None  # its pass's parts (see _run_pass) once that has run
+        self._index = 0  # its epoch's index in its pass
+
+    @staticmethod
+    def joined(results, part: str) -> tuple:
+        """The arrays of ``part`` of a run of results of one world, in order:
+        the epoch of each row, counting from ``results[0]``, then the part's
+        arrays (see :func:`_run_pass`).  Consecutive epochs of one pass are
+        one slice of its arrays; a run over several passes joins one slice
+        of each.  Runs the pass of every result still waiting."""
+        runs = []  # [pass, first epoch, end epoch, its first's place in results]
+        for at, res in enumerate(results):
+            parts = res._parts()
+            if runs and runs[-1][0] is parts and runs[-1][2] == res._index:
+                runs[-1][2] += 1
+            else:
+                runs.append([parts, res._index, res._index + 1, at])
+        slices = []
+        for parts, lo, hi, at in runs:
+            cuts, *arrays = parts[part]
+            rows = slice(cuts[lo], cuts[hi])
+            epoch = np.repeat(np.arange(at, at + hi - lo), np.diff(cuts[lo:hi + 1]))
+            slices.append((epoch, *(a[rows] for a in arrays)))
+        return tuple(map(_joined, zip(*slices)))
+
+    def _parts(self) -> dict:
+        """Its pass's parts, after running the pass if it still waits."""
+        if self._pass is None:
+            _run_pass(self._world)
+        return self._pass
 
     @property
     def records(self) -> np.ndarray:
-        if self._world is not None:
-            _run_pass(self._world)
-        return self._records
+        return self.joined([self], "records")[1]
 
     @property
     def trace(self) -> tuple | None:
-        self.records  # runs the epoch's pass if it still waits
-        return self._trace
+        if "probes" not in self._parts():
+            return None
+        _, *probes = self.joined([self], "probes")
+        _, *slots = self.joined([self], "slots")
+        return self.offsets, tuple(probes), (self.joined([self], "repliers")[1], *slots)
 
     @property
     def events(self) -> list[str] | None:
         """Every stream's event lines in turn; None without a trace."""
-        if self.trace is None:
+        if "probes" not in self._parts():
             return None
         return [line for lines in event_lines([self]) for line in lines]
 
     def decoded(self, n_pairs: int) -> np.ndarray:
         """A ``(pairs, 2, vehicles)`` bool mask: True where recorder a (0) or
         b (1) of the pair decoded the tag."""
-        mask = np.zeros((2 * n_pairs, len(self.fleet_start)), dtype=bool)
-        records = self.records
-        mask[records[:, 0], records[:, 1]] = True
-        return mask.reshape(n_pairs, 2, -1)
+        return decoded_masks([self], n_pairs)[0]
+
+
+def decoded_masks(results, n_pairs: int) -> np.ndarray:
+    """The ``(epochs, pairs, 2, vehicles)`` stack of the ``decoded`` masks of
+    a run of results of one world, scattered from their joined records."""
+    epoch, records = EpochResult.joined(results, "records")
+    mask = np.zeros((len(results), 2 * n_pairs, len(results[0].fleet_start)), dtype=bool)
+    mask[epoch, records[:, 0], records[:, 1]] = True
+    return mask.reshape(len(results), n_pairs, 2, -1)
 
 
 # Most links a block of probe powers (row x recorder x tag) holds, unless one
@@ -256,14 +295,19 @@ def _run_pass(world: World) -> None:
     probes contend.  Each stream's repliers take their reply values as views
     of its window.  A probe link yields at most one reply link, so one
     :func:`_resolve_replies` call per block, over the pass's rows and the
-    (epochs, tags) start positions stacked once, keeps the budget.  Each
-    epoch then takes its record table, from every block's first decodes in
-    block order, and its trace, once: of its probe verdicts, a block keeps
-    only those not silence, with the pair of the strongest of their shadowed
-    links, found after its rows, where RECEIVED."""
+    (epochs, tags) start positions stacked once, keeps the budget.  The
+    pass then keeps its parts once, for :meth:`EpochResult.joined` to slice:
+    each is its per-epoch row cuts and its arrays, ``records`` the first
+    decodes of every block in block order, and, recording events, the trace:
+    ``probes`` (round, tag, winning pair) of the probe verdicts not silence,
+    the pair of the strongest of their shadowed links, found after a block's
+    rows, where RECEIVED; ``slots`` (contender count, round, slot, verdict
+    codes, winners' ranks) of each occupied slot; and ``repliers`` (tag) of
+    each contender, grouped by slot."""
     results, world.pending = world.pending, []
-    for res in results:
-        res._world = None
+    parts = {}  # each part's per-epoch row cuts and arrays, filled at the end
+    for e, res in enumerate(results):
+        res._pass, res._index = parts, e
     geom, radio, sigma = world.geometry, world.radio, world.radio.shadowing_sigma_db
     n_vr, n_enp, cuts = world.vr_x.size, len(world.fleet), world.offsets.tolist()
     # each stream's take of its shadowing; none without shadowing, nor an empty stream's
@@ -288,19 +332,21 @@ def _run_pass(world: World) -> None:
         received = out.view(np.bool_)  # one pair's codes: False/True are SILENCE/RECEIVED
         merged = np.empty((n_vr // 2, n_enp))  # a row's powers, a pair's replicas merged
         draws = []  # the block's reply shadowing
-        for r, row_pw in enumerate(power.reshape(end - b, -1)):
-            later = end - b - r - 1  # the block's rows after this one
+        # each row with the count of the block's rows after it and its codes
+        for later, row_pw, codes, decoded in zip(range(end - b - 1, -1, -1),
+                                                 power.reshape(end - b, -1), out, received):
             if len(streams) == 1:  # one stream: its probe values straight onto the row
                 row_pw += streams[0][0](row_pw.size, later)
             elif streams:  # several: each stream's, stitched along the tag axis
                 row_pw += np.hstack([take(n_vr * (hi - lo), later).reshape(n_vr, -1)
                                      for take, lo, hi in streams]).ravel()
             if n_vr == 2:  # one pair: a lone signal, decoded where it clears the floor
-                np.greater_equal(np.maximum(row_pw[:n_enp], row_pw[n_enp:]), floor, received[r])
+                np.greater_equal(np.maximum(row_pw[:n_enp], row_pw[n_enp:]), floor, decoded)
             else:  # a pair's byte-identical probes: non-destructive replicas, pairs contend
-                np.maximum(power[r, 0::2], power[r, 1::2], out=merged)
-                capture_codes(merged, radio, out[r])
-            heard = out[r].tobytes()
+                links = row_pw.reshape(n_vr, n_enp)
+                np.maximum(links[0::2], links[1::2], out=merged)
+                capture_codes(merged, radio, codes)
+            heard = codes.tobytes()
             for take, lo, hi in streams:  # each stream's repliers take their reply values
                 if k := heard.count(RECEIVED_CODE, lo, hi):
                     draws.append(take(n_vr * k, later))
@@ -313,7 +359,7 @@ def _run_pass(world: World) -> None:
             probes.append((*np.divmod(row + b, n_rounds), tag,
                            np.where(out[row, tag] == RECEIVED_CODE, pair, -1)))
 
-    # each epoch's first decodes, sorted by (epoch, recorder, tag), and
+    # the pass's first decodes, sorted by (epoch, recorder, tag), and
     # slots; one block's table holds only first decodes already
     epochs, tables, traces = zip(*blocks)
     epoch, table = _joined(epochs), _joined(tables)
@@ -321,20 +367,14 @@ def _run_pass(world: World) -> None:
         kept = _firsts((epoch * n_vr + table[:, 0]) * n_enp + table[:, 1])
         epoch, table = epoch[kept], table[kept]
     ends = np.arange(len(results) + 1)
-    rows_at = np.searchsorted(epoch, ends).tolist()
+    parts["records"] = (np.searchsorted(epoch, ends), table)
     if events:
         slot_epoch, slot_tags, counts, *slot_trace = map(_joined, zip(*traces))
-        slots_at = np.searchsorted(slot_epoch, ends).tolist()
-        tags_at = np.append(0, np.cumsum(counts))[slots_at].tolist()
+        slots_at = np.searchsorted(slot_epoch, ends)
+        parts["slots"] = (slots_at, counts, *slot_trace)
+        parts["repliers"] = (np.append(0, np.cumsum(counts))[slots_at], slot_tags)
         probe_epoch, *probe_trace = map(_joined, zip(*probes))
-        probes_at = np.searchsorted(probe_epoch, ends).tolist()
-    for e, res in enumerate(results):
-        res._records = table[rows_at[e]:rows_at[e + 1]]
-        if events:
-            g, t = slice(slots_at[e], slots_at[e + 1]), slice(tags_at[e], tags_at[e + 1])
-            p = slice(probes_at[e], probes_at[e + 1])
-            res._trace = (world.offsets, tuple(a[p] for a in probe_trace),
-                          (slot_tags[t], counts[g], *(a[g] for a in slot_trace)))
+        parts["probes"] = (np.searchsorted(probe_epoch, ends), *probe_trace)
 
 
 def _shadowing(rng, sigma, row):

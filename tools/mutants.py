@@ -37,6 +37,7 @@ METRICS = "src/enpsim/metrics.py"
 HARNESS = "src/enpsim/harness.py"
 MOBILITY = "src/enpsim/mobility.py"
 SLOT_HASH = "src/enpsim/slot_hash.py"
+EVENTS = "src/enpsim/events.py"
 RESOLVE_CALL = ("        blocks.append(_resolve_replies(world, results, starts, row + b, tag, "
                 "_joined(draws)))\n")
 ONE_TAKE = "streams[0][0](row_pw.size, later)\n"
@@ -53,10 +54,12 @@ class Mutant(NamedTuple):
 
 def swapped_draws(name: str, take: str) -> Mutant:
     """Round 0's reply values drawn after round 1's probe values, in every
-    block, at the probe take ``take`` of the row loop."""
+    block, at the probe take ``take`` of the row loop (the block's row r
+    has ``end - b - r - 1`` rows after it)."""
     add = "                row_pw += "
     return Mutant(name, PROTOCOL, add + take,
-                  add + "ahead if r == 1 else " + take + "                if r == 0 and later:\n"
+                  add + "ahead if later == end - b - 2 else " + take
+                  + "                if later == end - b - 1 and later:\n"
                   + "                    ahead = " + take.replace("later)", "later - 1)"))
 
 
@@ -72,8 +75,15 @@ MUTANTS = [
            "row, tag = np.divmod(np.flatnonzero(out != 0), max(n_enp, 1))",
            "row, tag = np.divmod(np.flatnonzero(out == RECEIVED_CODE), max(n_enp, 1))"),
     Mutant("probe verdicts sliced by the slot cuts", PROTOCOL,
-           "p = slice(probes_at[e], probes_at[e + 1])",
-           "p = slice(slots_at[e], slots_at[e + 1])"),
+           "cuts, *arrays = parts[part]\n",
+           "cuts, *arrays = parts[part]\n            if part == \"probes\":\n"
+           "                cuts = parts[\"slots\"][0]\n"),
+    # a run's slices: the one way records, traces and event text are read
+    Mutant("a run's slice that ends one epoch early", PROTOCOL,
+           "            rows = slice(cuts[lo], cuts[hi])\n",
+           "            hi = max(lo + 1, hi - 1)\n            rows = slice(cuts[lo], cuts[hi])\n"),
+    Mutant("verdict epochs not shifted to the run", PROTOCOL,
+           "np.arange(at, at + hi - lo)", "np.arange(lo, hi)"),
     Mutant("winning pair dropped", PROTOCOL,
            "np.where(out[row, tag] == RECEIVED_CODE, pair, -1)))", "np.full(row.size, -1)))"),
     Mutant("probe winners from recorder a only", PROTOCOL,
@@ -112,6 +122,17 @@ MUTANTS = [
            "np.array([[dt_first_s], [dt_last_s]])", "np.array([[dt_first_s]])"),
     Mutant("round seed without its + 1", SLOT_HASH,
            "((round_index + 1) * 0x85EBCA6B)", "(round_index * 0x85EBCA6B)"),
+    # event text
+    Mutant("a slot tail joined to the wrong block", EVENTS,
+           "tails[b] + slot_text[s]", "tails[b - 1] + slot_text[s]"),
+    Mutant("probe verdict lines without their epoch", EVENTS,
+           "pb = probe_epoch * n_rounds + probe_round", "pb = probe_round"),
+    Mutant("slot winners named by the slot's first contender", EVENTS,
+           "first[rg] + np.maximum(won, 0)", "first[rg]"),
+    Mutant("probe collisions written as RX", EVENTS,
+           "{coll[i]}{ends[b]}", "{rx[i]}-{ends[b]}"),
+    Mutant("lines ordered by block alone", EVENTS,
+           "np.lexsort((key, stream_block))", "np.argsort(stream_block, kind=\"stable\")"),
     # the summaries
     Mutant("empty ground truth tallied", METRICS,
            "), gt.tolist()))", "), (gt >= 0).tolist()))"),
