@@ -6,10 +6,10 @@ contender and an RX or COLL line per recorder that heard it; tags and slots
 ascending.  :func:`event_lines` formats a run of epochs of every stream in one
 call, over the run's trace arrays, one slice of each pass they ran in
 (``EpochResult.joined``), each verdict with its epoch in the run.  Each
-time, slot number, VRN and tag's RX, COLL and REPLY text becomes text once a
-call, a slot's tail is its round's plus its slot number's, each line kind is
-one comprehension over the run's arrays, and one stable sort orders the
-lines, stream by stream.
+time, epoch, round, slot and pair number, VRN and tag's RX, COLL and REPLY
+text becomes text once a call, a slot's tail is its round's plus its slot
+number's, each line kind is one comprehension over the run's arrays, and one
+stable sort orders the lines, stream by stream.
 """
 
 import numpy as np
@@ -33,7 +33,9 @@ def event_lines(results) -> list[list[str]]:
     # line kind and after the tag or recorder, and its probe verdicts
     t_probe = (starts[:, None] + sched.round_start_us(np.arange(n_rounds))).ravel()
     heads = [f"{t}\t" for t in t_probe.tolist()]
-    tails = [f"\t{r.schedule.epoch_index}\t{i}\t" for r in results for i in range(n_rounds)]
+    rounds = [f"\t{i}\t" for i in range(n_rounds)]
+    epochs = [f"\t{res.schedule.epoch_index}" for res in results]
+    tails = [e + r for e in epochs for r in rounds]
     ends = [f"{tail}-\t-" for tail in tails]
     pb = probe_epoch * n_rounds + probe_round
 
@@ -62,7 +64,9 @@ def event_lines(results) -> list[list[str]]:
     vrns = [f"{v}" for v in results[0].fleet_start.vrn[named].tolist()]
 
     probe = [f"{head}PROBE\t{vr}{end}" for head, end in zip(heads, ends) for vr in recorders]
-    heard = [f"{heads[b]}{rx[i]}{w}{ends[b]}" if w >= 0 else f"{heads[b]}{coll[i]}{ends[b]}"
+    pairs = [f"{p}" for p in range(len(recorders) // 2)]
+    heard = [f"{heads[b]}{rx[i]}{pairs[w]}{ends[b]}" if w >= 0 else
+             f"{heads[b]}{coll[i]}{ends[b]}"
              for b, i, w in zip(pb.tolist(), at[pi].tolist(), probe_pair.tolist())]
     contender_slot = np.repeat(np.arange(block.size), counts)
     reply = [f"{slot_heads[g]}{replies[i]}{slot_tails[g]}{vrns[i]}"
