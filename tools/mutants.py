@@ -4,10 +4,10 @@
 
 Each mutant is one exact ``(file, old, new)`` edit of the engine or of the
 scoring, planted on purpose: a batching, draw-order, capture, trace,
-mobility, hashing or summary fault that an outcome check must catch.  The
-working tree is never edited.  Each run copies it (without ``.git`` and
-caches) into a temporary directory, applies at most one mutant there and
-runs the Tier-1 command,
+slicing, event-text, mobility, hashing or summary fault that an outcome
+check must catch.  The working tree is never edited.  Each run copies it
+(without ``.git`` and caches) into a temporary directory, applies at most
+one mutant there and runs the Tier-1 command,
 ``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
 ``PYTHONPATH``.  The unmutated copy runs first, and a mutant is killed when
 it fails a test that passes there.  ``tests/test_mutants.py`` is left out of
